@@ -371,11 +371,11 @@ class Study:
     def cache(self, cache_dir, budget=None) -> "Study":
         """Enable the result cache.
 
-        ``cache_dir`` is a directory path, a ``mem:``/``dir:``/
-        ``sharded:``/``tiered:LOCAL|SHARED`` spec string, or a pre-built
-        :class:`~repro.harness.cache.CacheStore`.  ``budget`` bounds the
-        store's size (bytes or a ``512M``-style string) with LRU
-        eviction; default unbounded (or ``$REPRO_CACHE_BUDGET``).
+        ``cache_dir`` is a directory path, ``"mem:"`` for an in-process
+        store, or a pre-built :class:`~repro.harness.cache.CacheStore`.
+        ``budget`` bounds the store's size (bytes or a ``512M``-style
+        string) with LRU eviction; default unbounded (or
+        ``$REPRO_CACHE_BUDGET``).
         """
         self._cache_dir = (Path(cache_dir)
                            if isinstance(cache_dir, (str, Path))

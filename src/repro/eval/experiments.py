@@ -23,18 +23,8 @@ helpers can render them as the rows/series the paper plots.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
-from typing import (
-    Callable,
-    Dict,
-    Iterator,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import repro.apps  # noqa: F401  (workload self-registration side effect)
 import repro.runtime  # noqa: F401  (runtime self-registration side effect)
@@ -59,8 +49,6 @@ from repro.scenario import (canonical_scenario, compile_scenario,
 __all__ = [
     "BenchmarkCase",
     "BenchmarkRun",
-    "CASE_BUILDERS",
-    "CASE_RUNTIMES",
     "benchmark_cases",
     "canonical_runtime_selection",
     "run_benchmark_case",
@@ -101,65 +89,6 @@ def checked_geometric_mean(values: Sequence[float], experiment: str,
 #: (The derived figures hard-code the paper's three-way comparison; the
 #: sweep itself is registry-driven and accepts any registered runtime.)
 _COMPARED_RUNTIMES = tuple(registry.compared_runtime_names())
-
-
-class _DeprecatedRegistryView(Mapping):
-    """Read-only dict-shaped view over a registry, warning on access.
-
-    Keeps the legacy ``CASE_BUILDERS`` / ``CASE_RUNTIMES`` module globals
-    importable (and value-correct) while steering callers to
-    :mod:`repro.registry`.  The view is live: plugin registrations show up
-    here too, so shim consumers and registry consumers cannot disagree.
-    """
-
-    def __init__(self, name: str, replacement: str,
-                 resolve: Callable[[], Dict[str, object]]) -> None:
-        self._name = name
-        self._replacement = replacement
-        self._resolve = resolve
-
-    def _warn(self) -> None:
-        warnings.warn(
-            f"{self._name} is deprecated; use {self._replacement} instead",
-            DeprecationWarning, stacklevel=3,
-        )
-
-    def __getitem__(self, key: str) -> object:
-        self._warn()
-        return self._resolve()[key]
-
-    def __iter__(self) -> Iterator[str]:
-        self._warn()
-        return iter(self._resolve())
-
-    def __len__(self) -> int:
-        self._warn()
-        return len(self._resolve())
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<deprecated view of {self._replacement}>"
-
-
-#: Deprecated: named program builders for the benchmark cases.  Cases
-#: reference builders by registry name (rather than holding a closure) so
-#: that they stay picklable — the parallel harness ships cases to worker
-#: processes — and hashable, so the result cache can fingerprint them
-#: deterministically.  Use ``repro.registry.workload(name).builder``.
-CASE_BUILDERS: Mapping[str, Callable[..., TaskProgram]] = \
-    _DeprecatedRegistryView(
-        "CASE_BUILDERS", "repro.registry.WORKLOADS",
-        lambda: {spec.name: spec.builder
-                 for spec in registry.WORKLOADS.specs()},
-    )
-
-#: Deprecated: runtimes every Figure 9 case runs on (the serial baseline
-#: plus the three compared platforms), keyed by report name.  Use
-#: ``repro.registry.case_runtime_names()`` / ``repro.registry.runtime()``.
-CASE_RUNTIMES: Mapping[str, Callable] = _DeprecatedRegistryView(
-    "CASE_RUNTIMES", "repro.registry.RUNTIMES",
-    lambda: {name: registry.runtime(name).cls
-             for name in registry.case_runtime_names()},
-)
 
 
 #: The paper's case runtimes: the fixed set behind the runtime-less cache
@@ -212,10 +141,11 @@ def canonical_runtime_selection(
 class BenchmarkCase:
     """One of the 37 benchmark inputs of Figure 9.
 
-    A case is a pure-data description: ``builder`` names an entry in
-    :data:`CASE_BUILDERS` and ``params`` holds its keyword arguments as a
-    sorted tuple of pairs.  This keeps cases picklable (for the process-pool
-    harness) and deterministically hashable (for the result cache).
+    A case is a pure-data description: ``builder`` names a workload in
+    :data:`repro.registry.WORKLOADS` and ``params`` holds its keyword
+    arguments as a sorted tuple of pairs.  This keeps cases picklable (for
+    the process-pool harness) and deterministically hashable (for the
+    result cache).
     """
 
     benchmark: str

@@ -52,9 +52,7 @@ from repro.harness.cache import (
     CacheStats,
     CacheStore,
     MemoryStore,
-    ResultCache,
     ShardedDiskStore,
-    TieredStore,
     open_store,
 )
 from repro.harness.engine import ExperimentEngine
@@ -118,7 +116,6 @@ __all__ = [
     "ProcessPoolBackend",
     "Progress",
     "ProgressSink",
-    "ResultCache",
     "RunManifest",
     "SerialBackend",
     "ShardedDiskStore",
@@ -126,7 +123,6 @@ __all__ = [
     "SweepError",
     "SweepGrid",
     "TelemetrySink",
-    "TieredStore",
     "TraceSummary",
     "Tracer",
     "UnitFailure",

@@ -209,49 +209,47 @@ def _percentile(sorted_samples: Sequence[float], fraction: float) -> float:
 
 def measure_cache(entries: int = 64,
                   payload_fields: int = 32) -> Dict[str, Any]:
-    """Measure result-cache put/get latency, flat versus sharded backend.
+    """Measure result-cache put/get latency of the on-disk backend.
 
     Writes then reads ``entries`` synthetic documents (a ``payload_fields``
     -field dict each, roughly the shape of an encoded benchmark run)
-    through both on-disk backends in a temporary directory, and reports
-    p50/p95 latencies per operation.  The comparison seeds the cache rows
-    of the perf trajectory: the sharded backend must stay within noise of
-    the flat one on the hot path while adding eviction and index upkeep.
+    through a :class:`ShardedDiskStore` in a temporary directory, and
+    reports p50/p95 latencies per operation under the ``"sharded"`` key —
+    the cache rows of the perf trajectory.
     """
     import hashlib
     import tempfile
 
-    from repro.harness.cache import ResultCache, ShardedDiskStore
+    from repro.harness.cache import ShardedDiskStore
 
     if entries <= 0:
         raise EvaluationError("entries must be positive")
     payload = {f"field{i}": float(i) for i in range(payload_fields)}
     keys = [hashlib.sha256(f"bench{i}".encode("ascii")).hexdigest()
             for i in range(entries)]
-    report: Dict[str, Any] = {"entries": entries}
     with tempfile.TemporaryDirectory(prefix="repro-cache-bench-") as tmp:
-        for name, store in (("flat", ResultCache(Path(tmp) / "flat")),
-                            ("sharded",
-                             ShardedDiskStore(Path(tmp) / "sharded"))):
-            puts: List[float] = []
-            gets: List[float] = []
-            for key in keys:
-                started = time.perf_counter()
-                store.put(key, payload, bench=True)
-                puts.append(time.perf_counter() - started)
-            for key in keys:
-                started = time.perf_counter()
-                store.get(key)
-                gets.append(time.perf_counter() - started)
-            puts.sort()
-            gets.sort()
-            report[name] = {
-                "put_p50_seconds": _percentile(puts, 0.50),
-                "put_p95_seconds": _percentile(puts, 0.95),
-                "get_p50_seconds": _percentile(gets, 0.50),
-                "get_p95_seconds": _percentile(gets, 0.95),
-            }
-    return report
+        store = ShardedDiskStore(Path(tmp) / "sharded")
+        puts: List[float] = []
+        gets: List[float] = []
+        for key in keys:
+            started = time.perf_counter()
+            store.put(key, payload, bench=True)
+            puts.append(time.perf_counter() - started)
+        for key in keys:
+            started = time.perf_counter()
+            store.get(key)
+            gets.append(time.perf_counter() - started)
+    puts.sort()
+    gets.sort()
+    return {
+        "entries": entries,
+        "sharded": {
+            "put_p50_seconds": _percentile(puts, 0.50),
+            "put_p95_seconds": _percentile(puts, 0.95),
+            "get_p50_seconds": _percentile(gets, 0.50),
+            "get_p95_seconds": _percentile(gets, 0.95),
+        },
+    }
 
 
 def run_engine_bench(num_events: int = 1_000_000,
@@ -271,8 +269,8 @@ def run_engine_bench(num_events: int = 1_000_000,
     wall clock of one real Figure 9 case (when ``include_case``), and the
     worker-pool warm-up versus warm-dispatch overhead (when
     ``include_pool``) — the cost the engine's persistent pool saves per
-    sweep phase — and result-cache put/get p50/p95 latency for the flat
-    versus sharded backends (when ``include_cache``).  Each synthetic
+    sweep phase — and result-cache put/get p50/p95 latency of the on-disk
+    backend (when ``include_cache``).  Each synthetic
     measurement is the best of ``repeats``
     runs, which suppresses transient host load — the standard way to make
     a throughput microbenchmark reproducible.  Regressions are found by

@@ -1,29 +1,25 @@
-"""Layered content-addressed result cache.
+"""Content-addressed result cache.
 
-One interface, several backends, one composition point:
+One interface, one on-disk backend, one composition point:
 
 * :class:`~repro.harness.cache.store.CacheStore` — the abstract contract
-  (``get``/``put``/``contains``/``delete``/``entries``/``stats``) the
-  engine, sweep runner, memoisation and CLI consume exclusively.
-* :class:`~repro.harness.cache.sharded.ShardedDiskStore` — the default
-  on-disk backend: two-level shard fan-out, lock-free atomic writes,
-  advisory per-shard ``.index`` sidecars, LRU eviction under a budget,
-  and a legacy-layout read fallback plus in-place :meth:`migrate`.
-* :class:`~repro.harness.cache.disk.ResultCache` — the legacy flat
-  backend (``dir:`` scheme), kept byte-for-byte layout compatible.
-* :class:`~repro.harness.cache.memory.MemoryStore` and
-  :class:`~repro.harness.cache.tiered.TieredStore` — the in-process and
-  fleet/CI composition tiers.
-* :func:`~repro.harness.cache.spec.open_store` — spec-string → store
-  (``mem:``, ``dir:``, ``sharded:``, ``tiered:LOCAL|SHARED``, bare
-  path), with ``--cache-budget`` / ``$REPRO_CACHE_BUDGET`` resolution.
+  (``get``/``put``/``contains``/``delete``/``entries``/``evict``/
+  ``stats``) the engine, sweep runner, memoisation and CLI consume
+  exclusively.
+* :class:`~repro.harness.cache.sharded.ShardedDiskStore` — the on-disk
+  backend: two-level shard fan-out, lock-free atomic writes, advisory
+  per-shard ``.index`` sidecars and LRU eviction under a budget.
+* :class:`~repro.harness.cache.memory.MemoryStore` — the in-process
+  store behind ``mem:``, the fake tests substitute for a directory.
+* :func:`~repro.harness.cache.spec.open_store` — spec → store (a
+  directory path, ``mem:`` or a prebuilt store), with ``--cache-budget``
+  / ``$REPRO_CACHE_BUDGET`` resolution.
 
-Cache *keys* are unchanged by all of this —
-:func:`repro.harness.hashing.stable_hash` digests pin byte-identity, and
-``figure9_fingerprints.json`` gates it in CI.  See ``docs/caching.md``.
+Cache *keys* are :func:`repro.harness.hashing.stable_hash` digests of
+everything that can affect a result; ``figure9_fingerprints.json`` pins
+them byte-identical in CI.  See ``docs/caching.md``.
 """
 
-from repro.harness.cache.disk import FlatDiskStore, ResultCache
 from repro.harness.cache.locks import FileLock
 from repro.harness.cache.memory import MemoryStore
 from repro.harness.cache.policy import (
@@ -40,7 +36,6 @@ from repro.harness.cache.spec import (
 )
 from repro.harness.cache.stats import CacheStats
 from repro.harness.cache.store import CacheStore
-from repro.harness.cache.tiered import TieredStore
 
 __all__ = [
     "CACHE_BUDGET_ENV",
@@ -48,13 +43,10 @@ __all__ = [
     "CacheStore",
     "EvictionPolicy",
     "FileLock",
-    "FlatDiskStore",
     "LruEviction",
     "MemoryStore",
     "NoEviction",
-    "ResultCache",
     "ShardedDiskStore",
-    "TieredStore",
     "open_store",
     "parse_budget",
     "resolve_budget",

@@ -3,9 +3,8 @@
 A dict with the full :class:`~repro.harness.cache.store.CacheStore`
 surface, including deterministic LRU eviction driven by a logical access
 clock — no wall-clock, no disk, no flakiness — which is what the
-eviction-order unit tests and the local tier of in-process tiered setups
-want.  Nothing survives the process; ``stats_path`` is None so
-``persist_stats`` is a no-op.
+eviction-order unit tests want.  Nothing survives the process;
+``stats_path`` is None so ``persist_stats`` is a no-op.
 """
 
 from __future__ import annotations

@@ -1,13 +1,12 @@
-"""The sharded on-disk backend (``sharded:`` spec scheme, and the default).
+"""The on-disk cache backend (a bare directory path as the spec).
 
 Entries are content-addressed into a two-level fan-out:
 ``<cache_dir>/<key[:2]>/<key[2:]>.json`` — the first two hex digits name
-the shard directory, the remaining sixty-two the file.  The legacy flat
-layout (``<key[:2]>/<key>.json``, the full key as the file name) shares
-the same shard directories, so this store transparently *reads* legacy
-entries through a fallback path and :meth:`migrate` renames them in
-place, idempotently — a pre-refactor cache directory warm-serves a rerun
-with zero misses before and after migration.
+the shard directory, the remaining sixty-two the file.  Directories
+written before the sharded layout hold ``<key[:2]>/<key>.json`` files
+(the full key as the name); those are never served, but they are still
+entries for :meth:`~ShardedDiskStore.size_bytes` and
+:meth:`~ShardedDiskStore.clear`, so ``repro cache --clear`` removes them.
 
 Concurrency model (the crash-safety story):
 
@@ -34,16 +33,12 @@ import time
 from pathlib import Path
 from typing import Dict, Iterator, Optional, Tuple
 
-from repro.harness.cache.disk import (
-    read_document,
-    sweep_stale_tmp,
-    write_document,
-)
 from repro.harness.cache.locks import FileLock
 from repro.harness.cache.policy import EvictionPolicy, NoEviction
-from repro.harness.cache.store import MISS, CacheStore, stats_file_of
+from repro.harness.cache.stats import STATS_FILE
+from repro.harness.cache.store import MISS, CacheStore
 
-__all__ = ["ShardedDiskStore", "INDEX_FILE"]
+__all__ = ["ShardedDiskStore", "INDEX_FILE", "STALE_TMP_SECONDS"]
 
 #: Per-shard index sidecar.  Deliberately *not* ``.json``-suffixed:
 #: ``pathlib`` globs match dotfiles, so a ``.index.json`` would be
@@ -53,7 +48,69 @@ INDEX_FILE = ".index"
 #: Name of the eviction lock file in the cache root.
 EVICT_LOCK = ".evict.lock"
 
-_KEY_HEX_LEN = 64
+#: Age (seconds) past which a ``*.tmp`` sibling counts as a stale dropping
+#: of a killed writer rather than a concurrent in-flight write.  Real
+#: writes live for milliseconds; an hour is conservatively beyond any of
+#: them.
+STALE_TMP_SECONDS = 3600.0
+
+
+def read_document(path: Path) -> object:
+    """The payload of the entry document at ``path``, or :data:`MISS`.
+
+    Any unreadable, unparsable or schema-less document is a miss — the
+    cache never fails a run over a corrupt entry.
+    """
+    try:
+        with path.open("r", encoding="utf-8") as handle:
+            document = json.load(handle)
+        return document["payload"]
+    except (OSError, ValueError, KeyError, TypeError):
+        return MISS
+
+
+def write_document(path: Path, document: dict, tmp_prefix: str) -> Path:
+    """Atomically persist ``document`` at ``path`` via tmp+rename.
+
+    The temporary lives in the *same directory* as the target so the
+    :func:`os.replace` is a same-filesystem rename — atomic even with
+    concurrent writers racing on the same key (last writer wins a
+    complete document; readers never observe a torn one).
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    handle = tempfile.NamedTemporaryFile(
+        "w", encoding="utf-8", dir=path.parent,
+        prefix=tmp_prefix, suffix=".tmp", delete=False,
+    )
+    try:
+        with handle:
+            json.dump(document, handle)
+        os.replace(handle.name, path)
+    except BaseException:
+        try:
+            os.unlink(handle.name)
+        except OSError:
+            pass
+        raise
+    return path
+
+
+def sweep_stale_tmp(root: Path) -> None:
+    """Remove hour-old ``*.tmp`` droppings of killed writers under ``root``.
+
+    Only temporaries older than :data:`STALE_TMP_SECONDS` are swept, so a
+    *concurrent* writer's in-flight temporary is never pulled out from
+    under its ``os.replace``.
+    """
+    if not root.is_dir():
+        return
+    cutoff = time.time() - STALE_TMP_SECONDS
+    for stale in list(root.glob("*/*.tmp")):
+        try:
+            if stale.stat().st_mtime < cutoff:
+                stale.unlink()
+        except OSError:
+            pass
 
 
 class ShardedDiskStore(CacheStore):
@@ -80,16 +137,9 @@ class ShardedDiskStore(CacheStore):
         """Sharded location of the entry addressed by ``key``."""
         return self.root / key[:2] / f"{key[2:]}.json"
 
-    def legacy_path_for(self, key: str) -> Path:
-        """Flat-layout location of the entry addressed by ``key``."""
-        return self.root / key[:2] / f"{key}.json"
-
     def key_for(self, path: Path) -> str:
-        """The cache key an entry file (either layout) is addressed by."""
-        stem = path.stem
-        if len(stem) >= _KEY_HEX_LEN:
-            return stem  # legacy flat name carries the full key
-        return path.parent.name + stem
+        """The cache key an entry file is addressed by."""
+        return path.parent.name + path.stem
 
     # ------------------------------------------------------------------ #
     # CacheStore backend hooks
@@ -97,11 +147,6 @@ class ShardedDiskStore(CacheStore):
     def _read(self, key: str) -> object:
         path = self.path_for(key)
         payload = read_document(path)
-        if payload is MISS:
-            # Legacy flat entry written before the layout change (or by a
-            # dir: store sharing this directory).
-            path = self.legacy_path_for(key)
-            payload = read_document(path)
         if payload is not MISS:
             self._touch(path)
         return payload
@@ -120,19 +165,17 @@ class ShardedDiskStore(CacheStore):
         return path
 
     def contains(self, key: str) -> bool:
-        """Whether an entry exists for ``key`` in either layout."""
-        return (self.path_for(key).is_file()
-                or self.legacy_path_for(key).is_file())
+        """Whether an entry exists for ``key``."""
+        return self.path_for(key).is_file()
 
     def delete(self, key: str) -> bool:
-        """Drop ``key``'s entry (both layouts) and its index row."""
+        """Drop ``key``'s entry and its index row."""
         removed = False
-        for path in (self.path_for(key), self.legacy_path_for(key)):
-            try:
-                path.unlink()
-                removed = True
-            except OSError:
-                pass
+        try:
+            self.path_for(key).unlink()
+            removed = True
+        except OSError:
+            pass
         # Always drop the index row, even when no file was present: a
         # demoted or externally-deleted entry must not linger in the LRU
         # index where eviction would re-count it.
@@ -200,7 +243,7 @@ class ShardedDiskStore(CacheStore):
         """Record a hit as the entry file's new mtime.
 
         A single ``utime`` syscall instead of an index rewrite, so the
-        hot read path stays within noise of the flat backend; eviction
+        hot read path stays a plain file read; eviction
         orders by the *newer* of file mtime and index atime, so hits
         refresh an entry's LRU priority without touching the sidecar.
         """
@@ -219,7 +262,12 @@ class ShardedDiskStore(CacheStore):
     # Maintenance
     # ------------------------------------------------------------------ #
     def entries(self) -> Iterator[Path]:
-        """Every entry file (either layout) currently in the cache."""
+        """Every entry file currently in the cache.
+
+        Pre-sharding ``<key[:2]>/<key>.json`` files are listed too — they
+        are never served, but they occupy bytes the budget and
+        :meth:`clear` must see.
+        """
         if not self.root.is_dir():
             return
         for path in sorted(self.root.glob("*/*.json")):
@@ -336,33 +384,10 @@ class ShardedDiskStore(CacheStore):
         return {"removed": removed, "freed_bytes": freed,
                 "size_bytes": total, "skipped": False}
 
-    def migrate(self) -> int:
-        """Rename legacy flat entries into the sharded layout, in place.
-
-        Idempotent: already-sharded entries are untouched and a second
-        invocation finds nothing to do.  Returns the number of entries
-        migrated.
-        """
-        migrated = 0
-        for path in list(self.entries()):
-            stem = path.stem
-            if len(stem) < _KEY_HEX_LEN:
-                continue  # already sharded
-            key = stem
-            target = self.path_for(key)
-            try:
-                stat = path.stat()
-                os.replace(path, target)
-            except OSError:
-                continue
-            self._index_update(key, size=stat.st_size, atime=stat.st_mtime)
-            migrated += 1
-        return migrated
-
     # ------------------------------------------------------------------ #
     # Lifetime statistics
     # ------------------------------------------------------------------ #
     @property
     def stats_path(self) -> Path:
         """Location of the lifetime-counter document."""
-        return stats_file_of(self.root)
+        return self.root / STATS_FILE

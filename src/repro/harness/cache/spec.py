@@ -1,55 +1,48 @@
-"""URL-style cache-spec parsing: one string picks the backend stack.
+"""Cache-spec parsing: one value picks the store.
 
 ``open_store`` is the single composition point every consumer goes
 through (engine, CLI, Study API); nothing outside this package names a
 concrete backend class.
 
-Spec grammar (anything without a recognised scheme is a directory path):
+Accepted specs:
 
-========================  ===================================================
-``mem:``                  in-process :class:`MemoryStore` (tests, dry runs)
-``dir:PATH``              legacy flat layout (:class:`ResultCache`)
-``sharded:PATH``          sharded layout (:class:`ShardedDiskStore`)
-``tiered:LOCAL|SHARED``   read-through/write-back :class:`TieredStore`;
-                          each side is itself a spec, ``SHARED`` is
-                          never written
-``PATH``                  default: sharded store at ``PATH`` (reads any
-                          pre-refactor flat entries through the legacy
-                          fallback, so existing caches stay warm)
-========================  ===================================================
+=====================  ======================================================
+``PATH``               :class:`ShardedDiskStore` rooted at ``PATH`` (a
+                       string or :class:`os.PathLike`)
+``mem:``               in-process :class:`MemoryStore` (tests, dry runs)
+a :class:`CacheStore`  passed through unchanged
+=====================  ======================================================
+
+Any other lowercase ``word:`` prefix (a typo, or one of the removed
+``dir``, ``sharded`` and ``tiered`` schemes) is an error rather than a
+directory literally named ``dir:/x``.
 
 A size budget (``--cache-budget`` / ``$REPRO_CACHE_BUDGET``) attaches an
-LRU eviction policy to the opened store; the legacy ``dir:`` backend has
-no eviction index, so combining it with a budget is an explicit error
-rather than a silently unbounded cache.
+LRU eviction policy to the opened store.
 """
 
 from __future__ import annotations
 
 import os
+import re
 from typing import Optional, Union
 
 from repro.common.errors import EvaluationError
-from repro.harness.cache.disk import ResultCache
 from repro.harness.cache.memory import MemoryStore
 from repro.harness.cache.policy import LruEviction, NoEviction, parse_budget
 from repro.harness.cache.sharded import ShardedDiskStore
 from repro.harness.cache.store import CacheStore
-from repro.harness.cache.tiered import TieredStore
 
 __all__ = ["CACHE_BUDGET_ENV", "open_store", "resolve_budget"]
 
 #: Environment fallback for ``--cache-budget``.
 CACHE_BUDGET_ENV = "REPRO_CACHE_BUDGET"
 
-_SCHEMES = ("mem", "dir", "sharded", "tiered")
+#: A URL-style scheme prefix.  Two letters minimum, so a Windows drive
+#: letter (``C:``) still reads as a path.
+_SCHEME = re.compile(r"[a-z]{2,}:")
 
-
-def _split_scheme(spec: str):
-    head, sep, rest = spec.partition(":")
-    if sep and head in _SCHEMES:
-        return head, rest
-    return None, spec
+_ACCEPTED = "a directory path, 'mem:' or a CacheStore"
 
 
 def resolve_budget(budget: Union[int, str, None]) -> Optional[int]:
@@ -63,11 +56,11 @@ def open_store(spec, tracer=None,
                budget: Union[int, str, None] = None) -> CacheStore:
     """Open the cache store a spec describes.
 
-    ``spec`` is a spec string, a plain directory path (string or
-    PathLike), or an already-constructed :class:`CacheStore` (passed
-    through, adopting ``tracer`` if it has none — the injection seam
-    tests use).  ``budget`` accepts an int, a ``512M``-style string, or
-    None to consult ``$REPRO_CACHE_BUDGET``.
+    ``spec`` is a directory path (string or PathLike), ``"mem:"``, or an
+    already-constructed :class:`CacheStore` (passed through, adopting
+    ``tracer`` if it has none — the injection seam tests use).
+    ``budget`` accepts an int, a ``512M``-style string, or None to
+    consult ``$REPRO_CACHE_BUDGET``.
     """
     if isinstance(spec, CacheStore):
         if tracer is not None and spec.tracer is None:
@@ -81,36 +74,13 @@ def open_store(spec, tracer=None,
     if isinstance(spec, os.PathLike):
         return ShardedDiskStore(spec, tracer=tracer, policy=policy)
     if not isinstance(spec, str):
-        raise EvaluationError(f"invalid cache spec: {spec!r}")
-
-    scheme, rest = _split_scheme(spec)
-    if scheme is None:
-        if not rest:
-            raise EvaluationError("empty cache spec")
-        return ShardedDiskStore(rest, tracer=tracer, policy=policy)
-    if scheme == "mem":
-        if rest:
-            raise EvaluationError(
-                f"mem: takes no path, got {spec!r}")
-        return MemoryStore(tracer=tracer, policy=policy)
-    if scheme == "dir":
-        if not rest:
-            raise EvaluationError(f"dir: needs a path, got {spec!r}")
-        if budget_bytes is not None:
-            raise EvaluationError(
-                "the legacy dir: backend has no eviction support; "
-                "use sharded: (or a bare path) with --cache-budget"
-            )
-        return ResultCache(rest, tracer=tracer)
-    if scheme == "sharded":
-        if not rest:
-            raise EvaluationError(f"sharded: needs a path, got {spec!r}")
-        return ShardedDiskStore(rest, tracer=tracer, policy=policy)
-    # tiered:LOCAL|SHARED — the budget governs the writable local tier.
-    local_spec, sep, shared_spec = rest.partition("|")
-    if not sep or not local_spec or not shared_spec:
         raise EvaluationError(
-            f"tiered: needs LOCAL|SHARED sub-specs, got {spec!r}")
-    local = open_store(local_spec, tracer=None, budget=budget_bytes or "none")
-    shared = open_store(shared_spec, tracer=None, budget="none")
-    return TieredStore(local, shared, tracer=tracer)
+            f"invalid cache spec {spec!r}: expected {_ACCEPTED}")
+    if not spec:
+        raise EvaluationError("empty cache spec")
+    if spec == "mem:":
+        return MemoryStore(tracer=tracer, policy=policy)
+    if _SCHEME.match(spec):
+        raise EvaluationError(
+            f"unsupported cache spec {spec!r}: expected {_ACCEPTED}")
+    return ShardedDiskStore(spec, tracer=tracer, policy=policy)

@@ -2,8 +2,8 @@
 
 Consumers — :class:`~repro.harness.engine.ExperimentEngine`, the sweep
 runner's memoisation path, the CLI — program against this interface only;
-which backend actually holds the bytes (flat directory, sharded store,
-memory, a tiered composition) is decided once, by
+which backend actually holds the bytes (the sharded directory store, or
+memory for tests and dry runs) is decided once, by
 :func:`~repro.harness.cache.spec.open_store`.
 
 The base class owns everything backend-independent: the per-instance
@@ -22,9 +22,7 @@ import time
 from pathlib import Path
 from typing import Iterator, Optional
 
-from repro.common.errors import EvaluationError
 from repro.harness.cache.stats import (
-    STATS_FILE,
     CacheStats,
     merge_lifetime_stats,
     read_lifetime_stats,
@@ -112,16 +110,6 @@ class CacheStore(abc.ABC):
                               time.perf_counter() - started)
         return payload
 
-    def peek(self, key: str) -> Optional[object]:
-        """Like :meth:`get` but without touching any counter.
-
-        The read-through path of a :class:`~repro.harness.cache.tiered.
-        TieredStore` uses this on its tiers so one logical lookup counts
-        exactly once, at the composed store.
-        """
-        payload = self._read(key)
-        return None if payload is MISS else payload
-
     def put(self, key: str, payload: object, **metadata: object) -> object:
         """Atomically persist ``payload`` (JSON-serialisable) under ``key``."""
         started = time.perf_counter() if self.tracer is not None else 0.0
@@ -156,13 +144,13 @@ class CacheStore(abc.ABC):
         return sum(1 for _ in self.entries())
 
     # ------------------------------------------------------------------ #
-    # Eviction (optional per backend)
+    # Eviction
     # ------------------------------------------------------------------ #
+    @abc.abstractmethod
     def evict(self, budget: int, block: bool = True):
-        """Shrink the store under ``budget`` bytes (LRU-capable backends)."""
-        raise EvaluationError(
-            f"the {type(self).__name__} backend has no eviction support"
-        )
+        """Shrink the store under ``budget`` bytes, least recently used
+        first; returns a report dict (``removed`` / ``freed_bytes`` /
+        ``size_bytes`` / ``skipped``)."""
 
     # ------------------------------------------------------------------ #
     # Lifetime statistics
@@ -219,8 +207,3 @@ class CacheStore(abc.ABC):
                                      stores=self.stats.stores,
                                      evictions=self.stats.evictions)
         return path
-
-
-def stats_file_of(root: Path) -> Path:
-    """The lifetime-stats document path of a disk store rooted at ``root``."""
-    return root / STATS_FILE

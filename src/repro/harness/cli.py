@@ -13,7 +13,6 @@ Subcommands::
     python -m repro sweep --experiment scaling_curves --cores 1,2,4,8
     python -m repro cache --stats / --clear
     python -m repro cache evict --cache-budget 512M  # LRU shrink
-    python -m repro cache migrate                    # flat -> sharded
     python -m repro bench --events 1000000    # engine microbenchmark
     python -m repro trace summary trace.jsonl # digest a telemetry trace
 
@@ -65,11 +64,9 @@ and the failure list.  ``cache --stats`` reports the cache directory's
 *lifetime* hit/miss/store/evict counters alongside its entry count and
 size.
 
-``--cache-dir`` accepts a directory path or a backend spec (``mem:``,
-``dir:PATH``, ``sharded:PATH``, ``tiered:LOCAL|SHARED``), and
-``--cache-budget`` (default ``$REPRO_CACHE_BUDGET``) bounds the store
-with LRU eviction; ``cache evict`` shrinks explicitly and ``cache
-migrate`` rewrites a legacy flat layout in place — see
+``--cache-dir`` accepts a directory path or ``mem:`` (an in-process
+store), and ``--cache-budget`` (default ``$REPRO_CACHE_BUDGET``) bounds
+the store with LRU eviction; ``cache evict`` shrinks explicitly — see
 ``docs/caching.md``.
 
 Note the cache is keyed by configuration, case parameters and the package
@@ -484,10 +481,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--num-tasks", type=int, default=None,
                      help="micro-benchmark task count for figures 6/7")
     run.add_argument("--cache-dir", default=None, metavar="DIR_OR_SPEC",
-                     help=f"result cache directory or spec "
-                          f"(mem:, dir:, sharded:, tiered:LOCAL|SHARED; "
-                          f"default ${CACHE_DIR_ENV} or "
-                          f"{DEFAULT_CACHE_DIR})")
+                     help=f"result cache directory, or mem: for an "
+                          f"in-process cache (default ${CACHE_DIR_ENV} "
+                          f"or {DEFAULT_CACHE_DIR})")
     run.add_argument("--cache-budget", default=None, metavar="SIZE",
                      help=f"cache size budget with LRU eviction, e.g. "
                           f"512M (default ${CACHE_BUDGET_ENV} or "
@@ -537,10 +533,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"host processes for the grid (default "
                             f"${JOBS_ENV} or 1; never part of cache keys)")
     sweep.add_argument("--cache-dir", default=None, metavar="DIR_OR_SPEC",
-                       help=f"result cache directory or spec "
-                            f"(mem:, dir:, sharded:, tiered:LOCAL|SHARED; "
-                            f"default ${CACHE_DIR_ENV} or "
-                            f"{DEFAULT_CACHE_DIR})")
+                       help=f"result cache directory, or mem: for an "
+                            f"in-process cache (default ${CACHE_DIR_ENV} "
+                            f"or {DEFAULT_CACHE_DIR})")
     sweep.add_argument("--cache-budget", default=None, metavar="SIZE",
                        help=f"cache size budget with LRU eviction, e.g. "
                             f"512M (default ${CACHE_BUDGET_ENV} or "
@@ -589,12 +584,10 @@ def build_parser() -> argparse.ArgumentParser:
                                      "listed tag")
 
     cache = sub.add_parser(
-        "cache", help="inspect, clear, evict or migrate the result cache")
+        "cache", help="inspect, clear or evict the result cache")
     cache.add_argument("cache_action", nargs="?", default=None,
-                       choices=("evict", "migrate"), metavar="ACTION",
-                       help="evict: shrink to --cache-budget (LRU); "
-                            "migrate: rewrite legacy flat entries into "
-                            "the sharded layout")
+                       choices=("evict",), metavar="ACTION",
+                       help="evict: shrink to --cache-budget (LRU)")
     cache.add_argument("--cache-dir", default=None, metavar="DIR_OR_SPEC")
     cache.add_argument("--cache-budget", default=None, metavar="SIZE",
                        help=f"size budget for 'evict' (e.g. 512M; "
@@ -724,19 +717,10 @@ def _cmd_components(args: argparse.Namespace, out) -> int:
 
 
 def _cmd_cache(args: argparse.Namespace, out) -> int:
-    """Inspect, clear, evict or migrate the result cache."""
+    """Inspect, clear or evict the result cache."""
     cache_dir = args.cache_dir if args.cache_dir else default_cache_dir()
     cache = open_store(cache_dir, budget=args.cache_budget)
     where = getattr(cache, "root", cache_dir)
-    if args.cache_action == "migrate":
-        migrate = getattr(cache, "migrate", None)
-        if migrate is None:
-            print(f"the {type(cache).__name__} backend has no layout to "
-                  f"migrate", file=sys.stderr)
-            return 1
-        migrated = migrate()
-        print(f"migrated {migrated} legacy entries in {where}", file=out)
-        return 0
     if args.cache_action == "evict":
         budget = resolve_budget(args.cache_budget)
         if budget is None:
@@ -815,16 +799,13 @@ def _cmd_bench(args: argparse.Namespace, out) -> int:
                   f"/dispatch warm ({pool['workers']} workers)", file=out)
         cache_bench = entry.get("cache")
         if cache_bench:
-            for backend in ("flat", "sharded"):
-                numbers = cache_bench.get(backend)
-                if not numbers:
-                    continue
-                print(f"cache ({backend + '):':<10} "
-                      f"put p50={numbers['put_p50_seconds'] * 1e6:.0f}us "
-                      f"p95={numbers['put_p95_seconds'] * 1e6:.0f}us, "
-                      f"get p50={numbers['get_p50_seconds'] * 1e6:.0f}us "
-                      f"p95={numbers['get_p95_seconds'] * 1e6:.0f}us",
-                      file=out)
+            numbers = cache_bench["sharded"]
+            print(f"cache (sharded):  "
+                  f"put p50={numbers['put_p50_seconds'] * 1e6:.0f}us "
+                  f"p95={numbers['put_p95_seconds'] * 1e6:.0f}us, "
+                  f"get p50={numbers['get_p50_seconds'] * 1e6:.0f}us "
+                  f"p95={numbers['get_p95_seconds'] * 1e6:.0f}us",
+                  file=out)
     if args.output is None or str(args.output) != "-":
         path = args.output if args.output is not None \
             else Path(DEFAULT_TRAJECTORY)

@@ -142,8 +142,8 @@ class ExperimentEngine:
         """Create an engine.
 
         ``jobs`` is the worker-pool width of the benchmark sweep;
-        ``cache_dir`` enables the result cache — a directory path, a
-        ``mem:``/``dir:``/``sharded:``/``tiered:`` spec string (see
+        ``cache_dir`` enables the result cache — a directory path,
+        ``"mem:"`` for an in-process store (see
         :func:`repro.harness.cache.open_store`), or a pre-built
         :class:`~repro.harness.cache.CacheStore`; ``cache_budget``
         bounds its size (bytes or ``512M``-style string, LRU eviction,

@@ -159,9 +159,9 @@ class TestRunnerTimings:
         assert all(seconds > 0 for seconds in timings.values())
 
     def test_cache_hits_are_not_timed(self, tmp_path):
-        from repro.harness.cache import ResultCache
+        from repro.harness.cache import ShardedDiskStore
         cases = small_cases()
-        cache = ResultCache(tmp_path / "cache")
+        cache = ShardedDiskStore(tmp_path / "cache")
         run_cases(QUICK_CONFIG, cases, num_workers=2, cache=cache)
         timings = {}
         run_cases(QUICK_CONFIG, cases, num_workers=2, cache=cache,

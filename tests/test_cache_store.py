@@ -1,5 +1,5 @@
-"""Tests for the layered result cache (store interface, backends,
-sharding, eviction, migration, concurrency, specs)."""
+"""Tests for the result cache (store interface, backends, sharding,
+eviction, concurrency, specs)."""
 
 import json
 import subprocess
@@ -18,9 +18,7 @@ from repro.harness.cache import (
     LruEviction,
     MemoryStore,
     NoEviction,
-    ResultCache,
     ShardedDiskStore,
-    TieredStore,
     open_store,
     parse_budget,
     resolve_budget,
@@ -48,17 +46,15 @@ class CountingTracer:
 
 def make_backends(tmp_path):
     return {
-        "flat": ResultCache(tmp_path / "flat"),
         "sharded": ShardedDiskStore(tmp_path / "sharded"),
         "memory": MemoryStore(),
-        "tiered": TieredStore(MemoryStore(), MemoryStore()),
     }
 
 
 # --------------------------------------------------------------------- #
 # Interface conformance across every backend
 # --------------------------------------------------------------------- #
-@pytest.mark.parametrize("backend", ["flat", "sharded", "memory", "tiered"])
+@pytest.mark.parametrize("backend", ["sharded", "memory"])
 class TestCacheStoreContract:
     def test_roundtrip_and_counters(self, tmp_path, backend):
         store = make_backends(tmp_path)[backend]
@@ -112,7 +108,7 @@ class TestCacheStoreContract:
 
 
 # --------------------------------------------------------------------- #
-# Sharded layout, index sidecars, legacy fallback, migration
+# Sharded layout, index sidecars, pre-sharding directories
 # --------------------------------------------------------------------- #
 class TestShardedLayout:
     def test_two_level_fanout(self, tmp_path):
@@ -121,9 +117,6 @@ class TestShardedLayout:
         path = store.put(key, {"x": 1})
         assert path == tmp_path / "ab" / (("c" * 62) + ".json")
         assert store.key_for(path) == key
-        legacy = store.legacy_path_for(key)
-        assert legacy.name == f"{key}.json"
-        assert store.key_for(legacy) == key
 
     def test_index_sidecar_tracks_entries_but_is_not_one(self, tmp_path):
         store = ShardedDiskStore(tmp_path)
@@ -152,38 +145,29 @@ class TestShardedLayout:
         after = store.reconcile()[key][2]
         assert after > before
 
-    def test_legacy_flat_entries_served_with_zero_misses(self, tmp_path):
-        flat = ResultCache(tmp_path)
-        keys = [key_of(i) for i in range(4)]
-        for i, key in enumerate(keys):
-            flat.put(key, {"i": i})
-        sharded = ShardedDiskStore(tmp_path)
-        for i, key in enumerate(keys):
-            assert sharded.contains(key)
-            assert sharded.get(key) == {"i": i}
-        assert sharded.stats.misses == 0
-        assert sharded.stats.hits == len(keys)
-
-    def test_migrate_is_idempotent_and_preserves_hits(self, tmp_path):
-        flat = ResultCache(tmp_path)
-        keys = [key_of(i) for i in range(4)]
-        for i, key in enumerate(keys):
-            flat.put(key, {"i": i})
-        store = ShardedDiskStore(tmp_path)
-        assert store.migrate() == len(keys)
-        assert store.migrate() == 0  # second run finds nothing to do
-        assert len(store) == len(keys)
-        for i, key in enumerate(keys):
-            assert store.path_for(key).is_file()
-            assert not store.legacy_path_for(key).is_file()
-            assert store.get(key) == {"i": i}
-        assert store.stats.misses == 0
-
-    def test_delete_removes_both_layouts_and_index_row(self, tmp_path):
-        flat = ResultCache(tmp_path)
+    def test_pre_sharding_entry_is_a_miss_but_cleared(self, tmp_path):
+        # Directories written before the sharded layout hold the full key
+        # as the file name.  Such a file is never served, but it still
+        # counts toward the size and is removed by clear(), so no bytes
+        # are stranded.
         store = ShardedDiskStore(tmp_path)
         key = key_of(9)
-        flat.put(key, {"v": "legacy"})
+        old = tmp_path / key[:2] / f"{key}.json"
+        old.parent.mkdir(parents=True)
+        old.write_text(json.dumps({"key": key, "metadata": {},
+                                   "payload": {"v": "old"}}),
+                       encoding="utf-8")
+        assert store.get(key) is None
+        assert store.stats.misses == 1
+        assert not store.contains(key)
+        assert len(store) == 1
+        assert store.size_bytes() == old.stat().st_size
+        assert store.clear() == 1
+        assert not old.exists()
+
+    def test_delete_removes_entry_and_index_row(self, tmp_path):
+        store = ShardedDiskStore(tmp_path)
+        key = key_of(9)
         store.put(key, {"v": "sharded"})
         assert store.delete(key) is True
         assert not store.contains(key)
@@ -309,10 +293,6 @@ class TestEviction:
         finally:
             lock.release()
 
-    def test_flat_backend_refuses_eviction(self, tmp_path):
-        with pytest.raises(EvaluationError):
-            ResultCache(tmp_path).evict(budget=1)
-
     def test_unbudgeted_store_never_evicts(self, tmp_path):
         store = ShardedDiskStore(tmp_path)  # NoEviction default
         assert isinstance(store.policy, NoEviction)
@@ -350,7 +330,7 @@ class TestLocksAndStats:
         # The historical race: engine A and engine B close at once, each
         # read-modify-writes stats.json, one delta vanishes.  Now the
         # merge is serialised, so the lifetime document sums both.
-        stores = [ResultCache(tmp_path) for _ in range(4)]
+        stores = [ShardedDiskStore(tmp_path) for _ in range(4)]
         for i, store in enumerate(stores):
             store.get(key_of(i))  # one miss each
         threads = [threading.Thread(target=store.persist_stats)
@@ -359,10 +339,10 @@ class TestLocksAndStats:
             thread.start()
         for thread in threads:
             thread.join()
-        assert ResultCache(tmp_path).lifetime_stats().misses == 4
+        assert ShardedDiskStore(tmp_path).lifetime_stats().misses == 4
 
     def test_persist_keeps_delta_when_lock_unavailable(self, tmp_path):
-        store = ResultCache(tmp_path)
+        store = ShardedDiskStore(tmp_path)
         store._stats_lock_timeout = 0.05
         store.get(key_of(1))
         blocker = FileLock(tmp_path / ".stats.lock", timeout=0.5)
@@ -373,7 +353,7 @@ class TestLocksAndStats:
             blocker.release()
         # The delta was retained, so the retry persists the lost lookup.
         assert store.persist_stats() == store.stats_path
-        assert ResultCache(tmp_path).lifetime_stats().misses == 1
+        assert ShardedDiskStore(tmp_path).lifetime_stats().misses == 1
 
     def test_sharded_lifetime_stats_roundtrip_with_evictions(self,
                                                              tmp_path):
@@ -388,48 +368,6 @@ class TestLocksAndStats:
         assert lifetime.hits == 1
         assert lifetime.evictions == 3
         assert isinstance(lifetime, CacheStats)
-
-
-# --------------------------------------------------------------------- #
-# Tiered composition
-# --------------------------------------------------------------------- #
-class TestTieredStore:
-    def test_read_through_write_back(self, tmp_path):
-        local = ShardedDiskStore(tmp_path / "local")
-        shared = ShardedDiskStore(tmp_path / "shared")
-        key = key_of(1)
-        shared.put(key, {"x": 1})
-        tiered = TieredStore(local, shared)
-        assert tiered.get(key) == {"x": 1}
-        assert tiered.stats.hits == 1
-        # The shared hit landed locally; the next read is local.
-        assert local.contains(key)
-        shared.delete(key)
-        assert tiered.get(key) == {"x": 1}
-
-    def test_writes_and_maintenance_stay_local(self, tmp_path):
-        local = ShardedDiskStore(tmp_path / "local")
-        shared = ShardedDiskStore(tmp_path / "shared")
-        shared.put(key_of(1), {"x": 1})
-        tiered = TieredStore(local, shared)
-        tiered.put(key_of(2), {"x": 2})
-        assert local.contains(key_of(2))
-        assert not shared.contains(key_of(2))
-        assert len(tiered) == 1  # enumerates the local tier only
-        assert tiered.clear() == 1
-        assert shared.contains(key_of(1))  # shared tier never mutated
-
-    def test_one_logical_lookup_counts_once(self, tmp_path):
-        local = MemoryStore()
-        shared = MemoryStore()
-        shared.put(key_of(1), {"x": 1})
-        tiered = TieredStore(local, shared)
-        tiered.get(key_of(1))
-        tiered.get(key_of(9))
-        assert (tiered.stats.hits, tiered.stats.misses) == (1, 1)
-        # Sub-stores never count the composed store's lookups.
-        assert local.stats.lookups == 0
-        assert shared.stats.lookups == 0
 
 
 # --------------------------------------------------------------------- #
@@ -459,19 +397,10 @@ class TestSpecs:
 
     def test_open_store_schemes(self, tmp_path):
         assert isinstance(open_store("mem:"), MemoryStore)
-        flat = open_store(f"dir:{tmp_path / 'flat'}")
-        assert isinstance(flat, ResultCache)
-        assert not isinstance(flat, ShardedDiskStore)
-        assert isinstance(open_store(f"sharded:{tmp_path / 's'}"),
-                          ShardedDiskStore)
         assert isinstance(open_store(str(tmp_path / "bare")),
                           ShardedDiskStore)
         assert isinstance(open_store(tmp_path / "pathlike"),
                           ShardedDiskStore)
-        tiered = open_store(
-            f"tiered:{tmp_path / 'local'}|{tmp_path / 'shared'}")
-        assert isinstance(tiered, TieredStore)
-        assert isinstance(tiered.local, ShardedDiskStore)
 
     def test_open_store_passthrough_adopts_tracer(self, tmp_path):
         tracer = CountingTracer()
@@ -490,11 +419,12 @@ class TestSpecs:
 
     def test_open_store_rejects_bad_specs(self, tmp_path):
         for bad in ("", "mem:somewhere", "dir:", "sharded:",
-                    "tiered:", "tiered:onlylocal", 42):
+                    "tiered:", "tiered:onlylocal", "dir:/x", "sharded:/x",
+                    "tiered:a|b", "foo:bar", 42):
             with pytest.raises(EvaluationError):
                 open_store(bad)
-        with pytest.raises(EvaluationError):
-            open_store(f"dir:{tmp_path}", budget="1M")
+        with pytest.raises(EvaluationError, match="mem:"):
+            open_store("dir:/x")
 
 
 # --------------------------------------------------------------------- #
@@ -566,20 +496,6 @@ class TestMultiProcessStress:
 # CLI: cache actions, budgets, bench rows
 # --------------------------------------------------------------------- #
 class TestCacheCli:
-    def test_cache_migrate_subcommand(self, tmp_path, capsys):
-        flat = ResultCache(tmp_path)
-        keys = [key_of(i) for i in range(3)]
-        for i, key in enumerate(keys):
-            flat.put(key, {"i": i})
-        assert cli_main(["cache", "migrate",
-                         "--cache-dir", str(tmp_path)]) == 0
-        assert "migrated 3" in capsys.readouterr().out
-        store = ShardedDiskStore(tmp_path)
-        assert all(store.path_for(key).is_file() for key in keys)
-        assert cli_main(["cache", "migrate",
-                         "--cache-dir", str(tmp_path)]) == 0
-        assert "migrated 0" in capsys.readouterr().out
-
     def test_cache_evict_subcommand(self, tmp_path, capsys):
         store = ShardedDiskStore(tmp_path)
         for i in range(4):
@@ -608,9 +524,9 @@ class TestCacheCli:
         assert "lifetime evictions: 2" in out
 
     def test_cache_dir_accepts_spec_strings(self, tmp_path, capsys):
-        assert cli_main(["cache", "--cache-dir",
-                         f"dir:{tmp_path}"]) == 0
+        assert cli_main(["cache", "--cache-dir", "mem:"]) == 0
         assert "entries: 0" in capsys.readouterr().out
+        assert cli_main(["cache", "--cache-dir", f"dir:{tmp_path}"]) != 0
 
     def test_run_rejects_bad_budget(self, tmp_path, capsys):
         assert cli_main(["run", "table2", "--quiet",
@@ -624,12 +540,9 @@ class TestCacheBench:
 
         report = measure_cache(entries=8, payload_fields=4)
         assert report["entries"] == 8
-        for backend in ("flat", "sharded"):
-            numbers = report[backend]
-            assert 0 <= numbers["put_p50_seconds"] \
-                <= numbers["put_p95_seconds"]
-            assert 0 <= numbers["get_p50_seconds"] \
-                <= numbers["get_p95_seconds"]
+        numbers = report["sharded"]
+        assert 0 <= numbers["put_p50_seconds"] <= numbers["put_p95_seconds"]
+        assert 0 <= numbers["get_p50_seconds"] <= numbers["get_p95_seconds"]
 
     def test_engine_bench_includes_cache_rows(self):
         from repro.harness.bench import run_engine_bench
@@ -637,7 +550,7 @@ class TestCacheBench:
         entry = run_engine_bench(num_events=2_000, include_case=False,
                                  repeats=1, include_pool=False,
                                  include_cache=True)
-        assert "flat" in entry["cache"] and "sharded" in entry["cache"]
+        assert "sharded" in entry["cache"]
         skipped = run_engine_bench(num_events=2_000, include_case=False,
                                    repeats=1, include_pool=False,
                                    include_cache=False)

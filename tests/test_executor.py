@@ -12,7 +12,7 @@ from repro.common.config import SimConfig
 from repro.common.errors import EvaluationError
 from repro.eval.experiments import benchmark_cases
 from repro.eval.scaling import align_runs_by_cores
-from repro.harness import ExperimentEngine, ResultCache
+from repro.harness import ExperimentEngine, ShardedDiskStore
 from repro.harness.cli import main as cli_main
 from repro.harness.executor import (
     ProcessPoolBackend,
@@ -191,7 +191,7 @@ class TestSweepFailureIsolation:
         cases = _mixed_cases(tiny_cases, poison_workload)
         units = [CaseUnit(tiny_config, case, workers)
                  for workers in (2, 4) for case in cases]
-        cache = ResultCache(tmp_path)
+        cache = ShardedDiskStore(tmp_path)
         failures = []
         runs = run_case_grid(units, jobs=2, cache=cache, keep_going=True,
                              retries=1, failures=failures)
@@ -216,7 +216,7 @@ class TestSweepFailureIsolation:
             self, tmp_path, tiny_config, tiny_cases, poison_workload):
         cases = _mixed_cases(tiny_cases, poison_workload)
         units = [CaseUnit(tiny_config, case, 2) for case in cases]
-        cache = ResultCache(tmp_path)
+        cache = ShardedDiskStore(tmp_path)
         failures = []
         runs = run_case_grid(units, jobs=2, cache=cache, keep_going=True,
                              failures=failures)
@@ -347,7 +347,7 @@ class TestPluginPayloadGuards:
 
 class TestCacheMaintenance:
     def test_clear_sweeps_stale_tmp_files(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        cache = ShardedDiskStore(tmp_path)
         cache.put("ab" * 32, {"x": 1})
         # A writer killed between NamedTemporaryFile and os.replace
         # leaves a .tmp sibling behind; an in-flight (fresh) temporary of
@@ -365,22 +365,22 @@ class TestCacheMaintenance:
 
     def test_size_bytes_tolerates_concurrent_deletion(self, tmp_path,
                                                       monkeypatch):
-        cache = ResultCache(tmp_path)
+        cache = ShardedDiskStore(tmp_path)
         cache.put("cd" * 32, {"x": 1})
         real = cache.path_for("cd" * 32)
         ghost = real.parent / "ghost.json"
 
-        monkeypatch.setattr(ResultCache, "entries",
+        monkeypatch.setattr(ShardedDiskStore, "entries",
                             lambda self: iter([real, ghost]))
         assert cache.size_bytes() == real.stat().st_size
 
     def test_clear_tolerates_concurrent_deletion(self, tmp_path,
                                                  monkeypatch):
-        cache = ResultCache(tmp_path)
+        cache = ShardedDiskStore(tmp_path)
         cache.put("ef" * 32, {"x": 1})
         real = cache.path_for("ef" * 32)
         ghost = real.parent / "ghost.json"
-        monkeypatch.setattr(ResultCache, "entries",
+        monkeypatch.setattr(ShardedDiskStore, "entries",
                             lambda self: iter([ghost, real]))
         assert cache.clear() == 1
 

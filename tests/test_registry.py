@@ -1,8 +1,7 @@
 """Tests for the plugin registries and the registry-backed eval layer.
 
 Covers the ISSUE-4 registry semantics: duplicate-name rejection, tag
-filtering, lazy self-registration on import, the deprecated
-``CASE_BUILDERS``/``CASE_RUNTIMES`` shims, did-you-mean lookups, and —
+filtering, lazy self-registration on import, did-you-mean lookups, and —
 most load-bearing — byte-stability of the Figure 9 cache keys and case
 artifacts across the registry redesign (fixture recorded pre-redesign by
 ``tools/record_figure9_fingerprints.py``).
@@ -22,8 +21,6 @@ from repro import registry
 from repro.common.config import SimConfig
 from repro.common.errors import EvaluationError
 from repro.eval.experiments import (
-    CASE_BUILDERS,
-    CASE_RUNTIMES,
     BenchmarkCase,
     benchmark_cases,
     canonical_runtime_selection,
@@ -151,31 +148,6 @@ class TestRegistrySemantics:
         assert cases[0].builder == scratch_workload
         assert cases[0].label == "default"
         assert cases[0].build().num_tasks == 5
-
-
-class TestDeprecatedShims:
-    def test_case_builders_parity_and_warning(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            builders = dict(CASE_BUILDERS.items())
-        assert any(issubclass(item.category, DeprecationWarning)
-                   for item in caught)
-        for name in ("blackscholes", "jacobi", "sparselu", "stream"):
-            assert builders[name] is registry.workload(name).builder
-
-    def test_case_runtimes_parity_and_warning(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            runtimes = dict(CASE_RUNTIMES.items())
-        assert any(issubclass(item.category, DeprecationWarning)
-                   for item in caught)
-        assert list(runtimes) == registry.case_runtime_names()
-        for name, cls in runtimes.items():
-            assert cls is registry.runtime(name).cls
-
-    def test_shims_are_read_only(self):
-        with pytest.raises(TypeError):
-            CASE_RUNTIMES["serial"] = object  # Mapping has no __setitem__
 
     def test_internal_paths_do_not_warn(self):
         with warnings.catch_warnings():

@@ -28,7 +28,7 @@ from repro import registry
 from repro.common.config import SimConfig
 from repro.common.errors import ReproError
 from repro.eval.experiments import benchmark_cases, run_benchmark_case
-from repro.harness import ResultCache
+from repro.harness import ShardedDiskStore
 from repro.harness.artifacts import encode
 from repro.harness.executor import ProcessPoolBackend, SerialBackend
 from repro.harness.hashing import case_cache_key, scenario_fingerprint
@@ -158,7 +158,7 @@ class TestSeededDeterminism:
     def test_warm_cache_rerun_is_all_hits(self, tmp_path, tiny_config,
                                           tiny_case):
         spec = _bursty_spec()
-        cache = ResultCache(tmp_path / "cache")
+        cache = ShardedDiskStore(tmp_path / "cache")
         first = run_cases(tiny_config, [tiny_case], num_workers=2,
                           cache=cache, scenario=spec)
         misses = cache.stats.misses

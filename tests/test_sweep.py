@@ -37,7 +37,7 @@ from repro.harness import (
     CaseUnit,
     ExperimentEngine,
     GridPoint,
-    ResultCache,
+    ShardedDiskStore,
     SweepGrid,
     apply_overrides,
     case_cache_key,
@@ -141,7 +141,7 @@ class TestGridHashing:
 class TestCacheVsWorkers:
     def test_cache_hits_independent_of_host_jobs(self, tmp_path,
                                                  tiny_config, tiny_cases):
-        cache = ResultCache(tmp_path)
+        cache = ShardedDiskStore(tmp_path)
         first = run_cases(tiny_config, tiny_cases, num_workers=2,
                           jobs=1, cache=cache)
         assert cache.stats.misses == len(tiny_cases)
@@ -192,7 +192,7 @@ class TestGridRunner:
 
     def test_grid_shares_cache_with_plain_sweeps(self, tmp_path,
                                                  tiny_config, tiny_cases):
-        cache = ResultCache(tmp_path)
+        cache = ShardedDiskStore(tmp_path)
         run_cases(tiny_config.with_cores(2), tiny_cases, num_workers=2,
                   cache=cache)
         units = [CaseUnit(tiny_config.with_cores(cores), case, cores)

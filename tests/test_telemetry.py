@@ -11,7 +11,7 @@ from repro.common.config import SimConfig
 from repro.common.errors import EvaluationError
 from repro.eval.experiments import benchmark_cases
 from repro.harness import ExperimentEngine
-from repro.harness.cache import ResultCache
+from repro.harness.cache import ShardedDiskStore
 from repro.harness.cli import main as cli_main
 from repro.harness.progress import NullProgress, Progress
 from repro.harness.runner import run_cases
@@ -475,7 +475,7 @@ def poison_case():
 # --------------------------------------------------------------------- #
 class TestCacheLifetimeStats:
     def test_persist_accumulates_deltas(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        cache = ShardedDiskStore(tmp_path)
         cache.get("0" * 64)  # miss
         cache.put("0" * 64, {"x": 1})
         cache.get("0" * 64)  # hit
@@ -484,29 +484,29 @@ class TestCacheLifetimeStats:
         assert cache.persist_stats() is None
         cache.get("0" * 64)
         cache.persist_stats()
-        second = ResultCache(tmp_path)
+        second = ShardedDiskStore(tmp_path)
         lifetime = second.lifetime_stats()
         assert (lifetime.hits, lifetime.misses, lifetime.stores) == (2, 1, 1)
 
     def test_lifetime_survives_corrupt_document(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        cache = ShardedDiskStore(tmp_path)
         cache.stats_path.parent.mkdir(parents=True, exist_ok=True)
         cache.stats_path.write_text("not json")
         lifetime = cache.lifetime_stats()
         assert (lifetime.hits, lifetime.misses) == (0, 0)
         cache.get("0" * 64)
         assert cache.persist_stats() is not None
-        assert ResultCache(tmp_path).lifetime_stats().misses == 1
+        assert ShardedDiskStore(tmp_path).lifetime_stats().misses == 1
 
     def test_stats_file_is_not_a_cache_entry(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        cache = ShardedDiskStore(tmp_path)
         cache.put("ab" * 32, {"x": 1})
         cache.get("ab" * 32)
         cache.persist_stats()
         assert len(cache) == 1
         assert cache.clear() == 1
         # Clearing entries leaves the lifetime counters alone.
-        assert ResultCache(tmp_path).lifetime_stats().hits == 1
+        assert ShardedDiskStore(tmp_path).lifetime_stats().hits == 1
 
     def test_engine_close_persists_cache_stats(self, tmp_path, tiny_config,
                                                tiny_cases):
@@ -514,7 +514,7 @@ class TestCacheLifetimeStats:
         with ExperimentEngine(config=tiny_config,
                               cache_dir=cache_dir) as engine:
             engine.run("figure9", quick=True, cases=tiny_cases)
-        lifetime = ResultCache(cache_dir).lifetime_stats()
+        lifetime = ShardedDiskStore(cache_dir).lifetime_stats()
         assert lifetime.misses == len(tiny_cases)
         assert lifetime.stores == len(tiny_cases)
 
@@ -588,7 +588,7 @@ class TestCliTracing:
 
     def test_cache_stats_flag(self, tmp_path, capsys):
         cache_dir = tmp_path / "cache"
-        cache = ResultCache(cache_dir)
+        cache = ShardedDiskStore(cache_dir)
         cache.put("cd" * 32, {"x": 1})
         cache.get("cd" * 32)
         cache.get("0" * 64)
