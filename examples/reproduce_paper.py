@@ -40,7 +40,7 @@ from repro.eval import (
     overhead_report,
     resources_report,
 )
-from repro.harness import ExperimentEngine, Progress
+from repro.harness import ExperimentEngine
 
 
 def banner(title: str) -> None:
@@ -60,7 +60,7 @@ def main() -> None:
     args = parser.parse_args()
     config = SimConfig()
     engine = ExperimentEngine(config=config, jobs=args.jobs,
-                              cache_dir=args.cache_dir, progress=Progress())
+                              cache_dir=args.cache_dir, progress=True)
     started = time.time()
     num_tasks = 60 if args.quick else 120
 

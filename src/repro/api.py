@@ -183,7 +183,6 @@ class Study:
         self._cache_dir = None
         self._cache_budget = None
         self._artifact_dir: Optional[Path] = None
-        self._bench_path: Optional[Path] = None
         self._trace_path: Optional[Path] = None
 
     # ------------------------------------------------------------------ #
@@ -364,7 +363,7 @@ class Study:
         return self
 
     def label(self, text: str) -> "Study":
-        """Name the study (used for artifacts and bench attribution)."""
+        """Name the study (used for artifacts and the run manifest)."""
         self._label = text
         return self
 
@@ -388,11 +387,6 @@ class Study:
         self._artifact_dir = Path(artifact_dir)
         return self
 
-    def bench(self, trajectory_path) -> "Study":
-        """Record per-case sweep timings into a perf trajectory file."""
-        self._bench_path = Path(trajectory_path)
-        return self
-
     def trace(self, trace_path) -> "Study":
         """Record the study's telemetry stream as JSONL under ``path``.
 
@@ -409,7 +403,7 @@ class Study:
     # Execution
     # ------------------------------------------------------------------ #
     def run(self, jobs: int = 1, engine=None,
-            progress=None) -> StudyResult:
+            progress: bool = False) -> StudyResult:
         """Execute the study and return its :class:`StudyResult`.
 
         ``jobs`` is the host process fan-out of the benchmark sweep.  A
@@ -418,6 +412,8 @@ class Study:
         knobs.  Single core count → one benchmark sweep
         (``ExperimentEngine.run("figure9")``); several → one batched grid
         plus assembled scaling curves against the MTT bounds.
+        ``progress=True`` prints live status lines on stderr (ignored with
+        an injected engine, which renders through its own tracer).
         """
         # Imported lazily: the harness imports this module's result types
         # for its artifact codec, so the engine cannot be a top-level
@@ -436,7 +432,6 @@ class Study:
                 cache_dir=self._cache_dir,
                 cache_budget=self._cache_budget,
                 progress=progress,
-                bench_path=self._bench_path,
                 run_label=label,
                 keep_going=self._keep_going,
                 retries=self._retries,

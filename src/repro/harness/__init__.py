@@ -22,12 +22,10 @@ The harness is the orchestration layer above :mod:`repro.eval`:
 * :mod:`repro.harness.engine` — the experiment engine driving the
   :data:`repro.eval.EXPERIMENTS` registry, chaining derived experiments
   behind their inputs and executing grid sweeps end to end.
-* :mod:`repro.harness.bench` — engine microbenchmarks and the
-  ``BENCH_engine.json`` perf trajectory tracking events/sec and per-case
-  sweep wall-clock across runs.
 * :mod:`repro.harness.telemetry` — structured run telemetry: hierarchical
   spans (run → phase → sweep → unit), counters, run manifests and the
-  pluggable sinks (JSONL trace files, the live progress line) they feed.
+  pluggable sinks (JSONL trace files, the live stderr status lines) they
+  feed; the one channel through which a sweep reports its units.
 * :mod:`repro.harness.cli` — the ``python -m repro`` command-line front end.
 
 Typical usage::
@@ -40,14 +38,6 @@ Typical usage::
 """
 
 from repro.harness.artifacts import ArtifactStore, decode, encode
-from repro.harness.bench import (
-    PerfTrajectory,
-    measure_cache,
-    measure_case,
-    measure_pool,
-    measure_synthetic,
-    run_engine_bench,
-)
 from repro.harness.cache import (
     CacheStats,
     CacheStore,
@@ -72,7 +62,6 @@ from repro.harness.hashing import (
     grid_cache_key,
     stable_hash,
 )
-from repro.harness.progress import NullProgress, Progress
 from repro.harness.runner import CaseUnit, run_case_grid, run_cases
 from repro.harness.sweep import (
     GridPoint,
@@ -84,7 +73,6 @@ from repro.harness.telemetry import (
     ConsoleSink,
     JsonlSink,
     NullSink,
-    ProgressSink,
     RunManifest,
     SpanHandle,
     TelemetrySink,
@@ -92,7 +80,6 @@ from repro.harness.telemetry import (
     Tracer,
     build_manifest,
     null_tracer,
-    progress_tracer,
     read_trace,
     summarize_trace,
 )
@@ -110,12 +97,8 @@ __all__ = [
     "GridResult",
     "JsonlSink",
     "MemoryStore",
-    "NullProgress",
     "NullSink",
-    "PerfTrajectory",
     "ProcessPoolBackend",
-    "Progress",
-    "ProgressSink",
     "RunManifest",
     "SerialBackend",
     "ShardedDiskStore",
@@ -135,17 +118,11 @@ __all__ = [
     "encode",
     "experiment_cache_key",
     "grid_cache_key",
-    "measure_cache",
-    "measure_case",
-    "measure_pool",
-    "measure_synthetic",
     "null_tracer",
     "open_store",
-    "progress_tracer",
     "read_trace",
     "run_case_grid",
     "run_cases",
-    "run_engine_bench",
     "stable_hash",
     "summarize_trace",
 ]

@@ -13,7 +13,6 @@ Subcommands::
     python -m repro sweep --experiment scaling_curves --cores 1,2,4,8
     python -m repro cache --stats / --clear
     python -m repro cache evict --cache-budget 512M  # LRU shrink
-    python -m repro bench --events 1000000    # engine microbenchmark
     python -m repro trace summary trace.jsonl # digest a telemetry trace
 
 ``run``/``sweep`` also accept a stochastic scenario: ``--arrival`` /
@@ -23,7 +22,7 @@ deterministic random stream and ``--deadline-factor`` stamps per-task
 deadlines.  The same seeded scenario always reproduces byte-identical
 results, under any ``--jobs`` value (:mod:`repro.scenario`).
 
-``run``/``sweep``/``bench`` accept ``--workload``/``--runtime``/``--tag``
+``run``/``sweep`` accept ``--workload``/``--runtime``/``--tag``
 filters resolved through the plugin registries (:mod:`repro.registry`), so
 a workload or runtime registered by a drop-in plugin is immediately
 runnable from the command line; unknown names fail with a did-you-mean
@@ -49,20 +48,15 @@ cache, and the 8-core column of a scaling sweep addresses exactly the
 Figure 9 cache entries — re-running a sweep, with any ``--jobs`` value,
 is a pure cache hit.
 
-``bench`` measures raw engine throughput (synthetic events/sec plus one
-timed Figure 9 case) and appends the measurement to the
-``BENCH_engine.json`` perf trajectory — see :mod:`repro.harness.bench`.
-``run --bench-out PATH`` records per-case sweep wall-clock into the same
-trajectory.
-
-``run``, ``sweep`` and ``bench`` accept ``--trace PATH`` (default
-``$REPRO_TRACE``) to record the invocation's telemetry stream — run
-manifest, phase/sweep/unit spans, cache and pool counters — as JSONL
-(:mod:`repro.harness.telemetry`); ``trace summary FILE`` digests such a
-file into per-phase wall-clock, unit-latency percentiles, cache hit ratio
-and the failure list.  ``cache --stats`` reports the cache directory's
-*lifetime* hit/miss/store/evict counters alongside its entry count and
-size.
+``run`` and ``sweep`` print live status lines on stderr (one per sweep
+unit, rendered from the telemetry stream; ``--quiet`` suppresses them)
+and accept ``--trace PATH`` (default ``$REPRO_TRACE``) to record the
+invocation's telemetry stream — run manifest, phase/sweep/unit spans,
+cache and pool counters — as JSONL (:mod:`repro.harness.telemetry`);
+``trace summary FILE`` digests such a file into per-phase wall-clock,
+unit-latency percentiles, cache hit ratio and the failure list.
+``cache --stats`` reports the cache directory's *lifetime*
+hit/miss/store/evict counters alongside its entry count and size.
 
 ``--cache-dir`` accepts a directory path or ``mem:`` (an in-process
 store), and ``--cache-budget`` (default ``$REPRO_CACHE_BUDGET``) bounds
@@ -99,14 +93,8 @@ from repro.eval.reporting import (
     scaling_report,
 )
 from repro.harness.artifacts import encode
-from repro.harness.bench import (
-    DEFAULT_TRAJECTORY,
-    PerfTrajectory,
-    run_engine_bench,
-)
 from repro.harness.cache import CACHE_BUDGET_ENV, open_store, resolve_budget
 from repro.harness.engine import ExperimentEngine
-from repro.harness.progress import NullProgress, Progress
 from repro.harness.sweep import SweepGrid
 from repro.scenario import ScenarioSpec
 
@@ -128,7 +116,7 @@ JOBS_ENV = "REPRO_JOBS"
 PLUGINS_ENV = "REPRO_PLUGINS"
 
 #: Environment variable giving the default ``--trace`` path of
-#: ``run``/``sweep``/``bench`` (never part of any cache key, so tracing a
+#: ``run``/``sweep`` (never part of any cache key, so tracing a
 #: run cannot change its results).
 TRACE_ENV = "REPRO_TRACE"
 
@@ -358,8 +346,7 @@ def _build_engine(args: argparse.Namespace, jobs: int,
         cache_dir=cache_dir,
         cache_budget=getattr(args, "cache_budget", None),
         artifact_dir=args.artifact_dir,
-        progress=NullProgress() if args.quiet else Progress(),
-        bench_path=args.bench_out,
+        progress=not args.quiet,
         run_label=run_label,
         keep_going=getattr(args, "keep_going", False),
         retries=getattr(args, "retries", 1),
@@ -496,9 +483,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="report format (default text)")
     run.add_argument("--quiet", action="store_true",
                      help="suppress progress output")
-    run.add_argument("--bench-out", type=Path, default=None,
-                     help="append per-case sweep timings to this "
-                          "BENCH_engine.json trajectory")
 
     sweep = sub.add_parser(
         "sweep",
@@ -549,9 +533,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="report format (default text)")
     sweep.add_argument("--quiet", action="store_true",
                        help="suppress progress output")
-    sweep.add_argument("--bench-out", type=Path, default=None,
-                       help="append per-unit sweep timings to this "
-                            "BENCH_engine.json trajectory")
 
     sub.add_parser("list", help="list the experiment registry")
 
@@ -607,36 +588,6 @@ def build_parser() -> argparse.ArgumentParser:
              "cache hit ratio, pool counters, failures")
     trace_summary.add_argument("trace_file", type=Path,
                                help="a trace.jsonl recorded with --trace")
-
-    bench = sub.add_parser(
-        "bench",
-        help="engine microbenchmark (events/sec) + perf trajectory",
-        parents=[plugins, tracing],
-    )
-    bench.add_argument("--events", type=int, default=1_000_000,
-                       help="synthetic workload size (default 1000000)")
-    bench.add_argument("--no-case", action="store_true",
-                       help="skip the timed Figure 9 case")
-    bench.add_argument("--repeats", type=int, default=3,
-                       help="runs per measurement, best-of (default 3)")
-    bench.add_argument("--workload", default=None, metavar="NAME",
-                       help="registered workload the timed case is drawn "
-                            "from (default: first quick case)")
-    bench.add_argument("--runtime", "--runtimes", dest="runtimes",
-                       type=_parse_names, action="extend", default=None,
-                       metavar="NAME[,NAME...]",
-                       help="runtimes the timed case runs on (serial "
-                            "always runs)")
-    bench.add_argument("--no-pool", action="store_true",
-                       help="skip the worker-pool warm-up/dispatch "
-                            "overhead measurement")
-    bench.add_argument("--no-cache-bench", action="store_true",
-                       help="skip the cache get/put latency measurement")
-    bench.add_argument("--output", type=Path, default=None,
-                       help=f"trajectory file to append to (default "
-                            f"{DEFAULT_TRAJECTORY}; use '-' to disable)")
-    bench.add_argument("--format", choices=("text", "json"), default="text",
-                       help="report format (default text)")
 
     lint = sub.add_parser(
         "lint",
@@ -754,66 +705,6 @@ def _cmd_trace(args: argparse.Namespace, out) -> int:
     from repro.harness.telemetry import summarize_trace
 
     print(summarize_trace(args.trace_file).render(), file=out)
-    return 0
-
-
-def _cmd_bench(args: argparse.Namespace, out) -> int:
-    """Run the engine microbenchmark and append it to the trajectory."""
-    trace_path = _resolve_trace(args)
-    from repro.harness.telemetry import JsonlSink, Tracer, null_tracer
-    if trace_path is not None:
-        tracer = Tracer([JsonlSink(trace_path)])
-    else:
-        tracer = null_tracer()
-    try:
-        with tracer.span("bench", "phase", events=args.events,
-                         repeats=args.repeats):
-            entry = run_engine_bench(
-                num_events=args.events,
-                include_case=not args.no_case,
-                config=SimConfig(),
-                repeats=args.repeats,
-                workload=args.workload,
-                runtimes=args.runtimes,
-                include_pool=not args.no_pool,
-                include_cache=not args.no_cache_bench,
-            )
-            if trace_path is not None:
-                tracer.event("bench.entry", **entry)
-    finally:
-        tracer.close()
-    if args.format == "json":
-        print(json.dumps(entry, indent=2, sort_keys=True), file=out)
-    else:
-        synthetic = entry["synthetic"]
-        print(f"synthetic workload: {synthetic['num_events']} events, "
-              f"{synthetic['events_per_sec']:,.0f} events/sec", file=out)
-        case = entry.get("figure9_case")
-        if case:
-            print(f"figure9 case:       {case['case']} in "
-                  f"{case['seconds']:.3f}s", file=out)
-        pool = entry.get("pool")
-        if pool:
-            print(f"worker pool:        {pool['warmup_seconds']:.3f}s "
-                  f"warm-up, {pool['dispatch_per_round_seconds'] * 1e3:.1f}ms"
-                  f"/dispatch warm ({pool['workers']} workers)", file=out)
-        cache_bench = entry.get("cache")
-        if cache_bench:
-            numbers = cache_bench["sharded"]
-            print(f"cache (sharded):  "
-                  f"put p50={numbers['put_p50_seconds'] * 1e6:.0f}us "
-                  f"p95={numbers['put_p95_seconds'] * 1e6:.0f}us, "
-                  f"get p50={numbers['get_p50_seconds'] * 1e6:.0f}us "
-                  f"p95={numbers['get_p95_seconds'] * 1e6:.0f}us",
-                  file=out)
-    if args.output is None or str(args.output) != "-":
-        path = args.output if args.output is not None \
-            else Path(DEFAULT_TRAJECTORY)
-        trajectory = PerfTrajectory(path)
-        trajectory.append(entry)
-        # Status goes to stderr so `--format json` stdout stays parseable.
-        print(f"recorded in {trajectory.path} "
-              f"({len(trajectory.entries())} entries)", file=sys.stderr)
     return 0
 
 
@@ -945,8 +836,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             return _cmd_cache(args, sys.stdout)
         if args.command == "trace":
             return _cmd_trace(args, sys.stdout)
-        if args.command == "bench":
-            return _cmd_bench(args, sys.stdout)
         if args.command == "lint":
             from repro.analysis.cli import run_lint
             return run_lint(args, sys.stdout, sys.stderr)

@@ -31,13 +31,6 @@ engine was built with ``keep_going=True`` — deliver partial results while
 collecting every failure in :attr:`unit_failures`, with everything
 completed already landed in the cache.
 
-When constructed with ``bench_path``, the engine appends one ``"sweep"``
-entry of per-case wall-clock seconds (plus each case's sim-core
-cycles-per-second throughput) to that ``BENCH_engine.json`` trajectory
-(:class:`repro.harness.bench.PerfTrajectory`) after every sweep that
-simulated at least one case, so real-experiment performance is tracked
-across runs and commits, not just the synthetic microbenchmark.
-
 The engine is the telemetry root (:mod:`repro.harness.telemetry`): it owns
 one :class:`~repro.harness.telemetry.Tracer` shared with its cache and
 executor, opens the *run* span (stamped with the
@@ -45,10 +38,12 @@ executor, opens the *run* span (stamped with the
 fingerprint, jobs, host, plugin registries) on the first experiment, nests
 a *phase* span per :meth:`run`/:meth:`run_grid` around the runner's sweep
 and unit spans, and snapshots every counter when :meth:`close` ends the
-run.  ``trace_path`` attaches a
-:class:`~repro.harness.telemetry.JsonlSink` (the ``--trace`` /
-``$REPRO_TRACE`` surface); a ``progress`` reporter is fed through a
-``ProgressSink``, so the stderr status line consumes the same stream.
+run.  Unit spans are the only record of what a sweep did (each carries
+its wall clock, simulated cycles and throughput).  ``trace_path``
+attaches a :class:`~repro.harness.telemetry.JsonlSink` (the ``--trace`` /
+``$REPRO_TRACE`` surface) and ``progress=True`` a
+:class:`~repro.harness.telemetry.ConsoleSink`, so the stderr status line
+consumes the same stream.
 Closing also folds the session's cache counters into the cache
 directory's lifetime ``stats.json`` (``repro cache --stats``).
 """
@@ -81,7 +76,6 @@ from repro.eval.scaling import (
     normalize_runtimes,
 )
 from repro.harness.artifacts import ArtifactStore, decode, encode
-from repro.harness.bench import PerfTrajectory
 from repro.harness.cache import CacheStats, CacheStore, open_store
 from repro.harness.executor import (
     ExecutorBackend,
@@ -97,13 +91,12 @@ from repro.harness.hashing import (
 )
 from repro.registry import suggest
 from repro.scenario import ScenarioSpec, canonical_scenario
-from repro.harness.progress import NullProgress, Progress
 from repro.harness.runner import CaseUnit, run_case_grid, run_cases
 from repro.harness.sweep import GridPoint, GridResult, SweepGrid
 from repro.harness.telemetry import (
+    ConsoleSink,
     JsonlSink,
     NullSink,
-    ProgressSink,
     Tracer,
     build_manifest,
 )
@@ -131,8 +124,7 @@ class ExperimentEngine:
         cache_dir: Optional[Path] = None,
         cache_budget=None,
         artifact_dir: Optional[Path] = None,
-        progress: Optional[Progress] = None,
-        bench_path: Optional[Path] = None,
+        progress: bool = False,
         run_label: Optional[str] = None,
         keep_going: bool = False,
         retries: int = 1,
@@ -148,10 +140,11 @@ class ExperimentEngine:
         :class:`~repro.harness.cache.CacheStore`; ``cache_budget``
         bounds its size (bytes or ``512M``-style string, LRU eviction,
         default unbounded / ``$REPRO_CACHE_BUDGET``); ``artifact_dir``
-        archives every experiment result as JSON; ``bench_path`` appends
-        per-case sweep timings to a ``BENCH_engine.json`` trajectory, and
-        ``run_label`` is recorded on every trajectory entry so bench data
-        is attributable to the Study/CLI invocation that produced it.
+        archives every experiment result as JSON; ``progress`` prints live
+        status lines on stderr through a
+        :class:`~repro.harness.telemetry.ConsoleSink`; ``run_label`` is
+        recorded on the run manifest so a trace is attributable to the
+        Study/CLI invocation that produced it.
         ``retries`` is how many times a failing sweep unit is re-attempted
         in a fresh worker; ``keep_going`` turns failed sweeps into partial
         results plus :attr:`unit_failures` records instead of an
@@ -159,8 +152,9 @@ class ExperimentEngine:
         ``trace_path`` records the run's telemetry stream as JSONL
         (readable by ``repro trace summary``); alternatively a pre-built
         ``tracer`` may be injected, in which case the engine uses it as-is
-        (``progress`` then only renders if the tracer carries a sink for
-        it) and leaves closing its sinks to the caller.
+        (``progress`` and ``trace_path`` are then ignored: the tracer's
+        own sinks decide what renders) and leaves closing its sinks to
+        the caller.
         """
         if jobs <= 0:
             raise EvaluationError("jobs must be positive")
@@ -168,12 +162,11 @@ class ExperimentEngine:
             raise EvaluationError("retries must be >= 0")
         self.config = config if config is not None else SimConfig()
         self.jobs = jobs
-        self.progress = progress if progress is not None else NullProgress()
         self._owns_tracer = tracer is None
         if tracer is None:
             sinks = []
-            if not isinstance(self.progress, NullProgress):
-                sinks.append(ProgressSink(self.progress))
+            if progress:
+                sinks.append(ConsoleSink())
             if trace_path is not None:
                 sinks.append(JsonlSink(trace_path))
             tracer = Tracer(sinks or [NullSink()])
@@ -183,21 +176,12 @@ class ExperimentEngine:
             if cache_dir is not None else None)
         self.artifacts = (ArtifactStore(artifact_dir)
                           if artifact_dir is not None else None)
-        self.trajectory = (PerfTrajectory(bench_path)
-                           if bench_path is not None else None)
         self.run_label = run_label
         self.keep_going = keep_going
         self.retries = retries
         #: Every :class:`UnitFailure` any sweep of this engine produced
         #: (only populated under ``keep_going``; strict sweeps raise).
         self.unit_failures: List[UnitFailure] = []
-        #: Wall-clock seconds per simulated case of the most recent sweep
-        #: (empty when the sweep was fully served from cache/memo).
-        self.case_timings: dict = {}
-        #: Sim-core throughput (simulated cycles per wall-second) per
-        #: simulated case of the most recent sweep, keyed like
-        #: :attr:`case_timings`.
-        self.case_rates: dict = {}
         # The open run span (started lazily with the RunManifest on the
         # first experiment, ended by close()).
         self._run_span = None
@@ -357,19 +341,12 @@ class ExperimentEngine:
                               quick=quick, scale=scale):
             self._prime_grid_sweeps(points, quick, scale, cases,
                                     runtimes=runtimes, scenario=scenario)
-            grid_timings = dict(self.case_timings)
-            grid_rates = dict(self.case_rates)
-            results = [
+            return [
                 GridResult(point, self._run_point(point, quick, scale,
                                                   num_tasks, cases,
                                                   runtimes, scenario))
                 for point in points
             ]
-            # Memo-served assembly clears per-sweep timings; the grid's own
-            # simulated-unit timings are what callers should see.
-            self.case_timings = grid_timings
-            self.case_rates = grid_rates
-        return results
 
     # ------------------------------------------------------------------ #
     # Execution strategies
@@ -417,32 +394,22 @@ class ExperimentEngine:
         workers, selected, selection, spec, memo_key = self._sweep_inputs(
             config, quick, scale, num_workers, cases, runtimes, scenario)
         if memo_key in self._sweep_memo:
-            self.case_timings = {}
-            self.case_rates = {}
             # A memo-served *partial* sweep re-reports its failures, so
             # the result is never mistaken for a complete one.
             self.unit_failures.extend(self._partial_memo.get(memo_key, ()))
             return list(self._sweep_memo[memo_key])
-        timings: dict = {}
-        rates: dict = {}
         failures: List[UnitFailure] = []
         runs = run_cases(config, selected, workers, jobs=self.jobs,
-                         cache=self.cache, timings=timings,
-                         runtimes=selection, executor=self.executor,
-                         keep_going=self.keep_going, retries=self.retries,
-                         failures=failures, tracer=self.tracer, rates=rates,
-                         scenario=spec)
+                         cache=self.cache, runtimes=selection,
+                         executor=self.executor, keep_going=self.keep_going,
+                         retries=self.retries, failures=failures,
+                         tracer=self.tracer, scenario=spec)
         self.unit_failures.extend(failures)
         if failures:
             self._partial_memo[memo_key] = tuple(failures)
         # Under keep-going, failed slots come back as None; the sweep's
         # result (and memo) is the completed runs.
         runs = [run for run in runs if run is not None]
-        self.case_timings = timings
-        self.case_rates = rates
-        if self.trajectory is not None:
-            self.trajectory.record_sweep("figure9", timings,
-                                         label=self.run_label, rates=rates)
         self._sweep_memo[memo_key] = runs
         return list(runs)
 
@@ -492,10 +459,6 @@ class ExperimentEngine:
             pending.append((memo_key, config, workers, selected, selection,
                             spec))
         if not pending:
-            # Nothing simulated: a previous sweep's timings must not be
-            # attributed to this grid.
-            self.case_timings = {}
-            self.case_rates = {}
             return
         units = [
             CaseUnit(config, case, workers, selection, spec)
@@ -503,20 +466,13 @@ class ExperimentEngine:
             in pending
             for case in selected
         ]
-        timings: dict = {}
-        rates: dict = {}
         failures: List[UnitFailure] = []
         runs = run_case_grid(units, jobs=self.jobs, cache=self.cache,
-                             timings=timings, executor=self.executor,
+                             executor=self.executor,
                              keep_going=self.keep_going,
                              retries=self.retries, failures=failures,
-                             tracer=self.tracer, rates=rates)
+                             tracer=self.tracer)
         self.unit_failures.extend(failures)
-        self.case_timings = timings
-        self.case_rates = rates
-        if self.trajectory is not None:
-            self.trajectory.record_sweep("grid", timings,
-                                         label=self.run_label, rates=rates)
         # Results are slot-aligned with the submitted units (failed slots
         # are None under keep-going), so per-point slicing stays correct
         # even for partial sweeps; each point memoises its completed runs
@@ -722,8 +678,6 @@ class ExperimentEngine:
                                 base_config=config,
                                 runtimes=selected_runtimes,
                                 scenario=scenario)
-        grid_timings = dict(self.case_timings)
-        grid_rates = dict(self.case_rates)
         runs_by_cores: Dict[int, List[BenchmarkRun]] = {}
         for point in points:
             point_config = point.apply(config)
@@ -731,8 +685,6 @@ class ExperimentEngine:
             runs_by_cores[cores] = self._run_sweep(
                 quick, scale, None, cases, config=point_config,
                 runtimes=selected_runtimes, scenario=scenario)
-        self.case_timings = grid_timings
-        self.case_rates = grid_rates
         partial = len(self.unit_failures) > failures_before
         if partial:
             # Keep-going mode with failures: assemble curves from the

@@ -109,7 +109,7 @@ def batch_size(num_units: int, width: int) -> int:
     destroy load balance (units vary wildly in simulation cost), so aim for
     at least four batches per worker and never more than eight units per
     batch.  Serial execution (``width <= 1``) keeps batches of one so
-    progress reporting stays per-unit.
+    unit spans (and the status lines they feed) stay per-unit.
     """
     if width <= 1:
         return 1
@@ -170,8 +170,8 @@ class SerialBackend(ExecutorBackend):
     """In-process execution — the ``jobs=1`` path, no pool machinery.
 
     Batches run one after another as the dispatch iterator is consumed, so
-    progress advances live exactly like the pool path.  "Isolated" retries
-    simply re-run in-process: there is no worker state to poison.
+    unit spans are emitted live exactly like on the pool path.  "Isolated"
+    retries simply re-run in-process: there is no worker state to poison.
     """
 
     kind = "serial"
@@ -202,8 +202,7 @@ class ProcessPoolBackend(ExecutorBackend):
     engine-owned backend therefore imports the package once per worker for
     an entire multi-phase study.  ``starts`` counts pool constructions
     (1 for a healthy lifetime; +1 per crash recovery) and ``dispatches``
-    counts dispatch rounds, so tests and the ``repro bench`` pool probe can
-    verify warm reuse.
+    counts dispatch rounds, so tests can verify warm reuse.
 
     A batch whose worker dies hard breaks the whole pool
     (:class:`concurrent.futures.BrokenExecutor`): the remaining in-flight

@@ -37,23 +37,16 @@ have never seen.  Cache keys canonicalise the worker count into the config
 (:func:`repro.harness.hashing.case_cache_key`) and never include host
 execution knobs, so the ``jobs`` fan-out cannot cause spurious misses.
 
-Every executed (non-cached) unit is timed where it runs — inside the worker
-process for parallel sweeps — and the wall-clock seconds are reported back
-through the optional ``timings`` mapping, which the experiment engine feeds
-into the ``BENCH_engine.json`` perf trajectory
-(:mod:`repro.harness.bench`).  The optional ``rates`` mapping receives the
-matching sim-core throughput (simulated cycles per wall-second) of every
-executed unit, folded into the same trajectory entries.
-
-Execution is observable end to end: the sweep runs inside a *sweep* span
-of the :class:`~repro.harness.telemetry.Tracer` threaded down from the
-engine, every resolved unit becomes a *unit* span (carrying its
-worker-measured wall clock, sim-core throughput, cached/failed state and
-retry count), and failures increment the ``sweep.unit_failures`` /
-``sweep.retries`` counters.  Callers that pass only the classic
-``progress`` reporter get a tracer wrapping it
-(:func:`~repro.harness.telemetry.progress_tracer`), so the stderr status
-lines are identical whichever interface drove the sweep.
+Execution reports through one channel, the
+:class:`~repro.harness.telemetry.Tracer` threaded down from the engine:
+the sweep runs inside a *sweep* span, and every resolved unit becomes a
+*unit* span carrying its cached/failed state, retry count and — for an
+executed unit, timed where it runs (inside the worker process for
+parallel sweeps) — its wall clock, simulated cycles and sim-core
+throughput.  Failures increment the ``sweep.unit_failures`` /
+``sweep.retries`` counters.  The live stderr status lines are one more
+consumer of those spans (:class:`~repro.harness.telemetry.ConsoleSink`);
+a sweep without a tracer reports nothing.
 """
 
 from __future__ import annotations
@@ -82,8 +75,7 @@ from repro.harness.executor import (
     batch_size,
 )
 from repro.harness.hashing import case_cache_key
-from repro.harness.progress import Progress
-from repro.harness.telemetry import Tracer, progress_tracer
+from repro.harness.telemetry import Tracer, null_tracer
 from repro.scenario import ScenarioSpec, canonical_scenario
 
 __all__ = ["CaseUnit", "run_cases", "run_case_grid"]
@@ -111,7 +103,7 @@ class CaseUnit:
 
     @property
     def key(self) -> str:
-        """Display/timing key, e.g. ``blackscholes/4K B8@8w``."""
+        """Display/span name, e.g. ``blackscholes/4K B8@8w``."""
         return f"{self.case.key}@{self.num_workers}w"
 
 
@@ -376,28 +368,26 @@ def _unit_sim_cycles(run: BenchmarkRun) -> int:
 
 def _run_units(
     units: Sequence[CaseUnit],
-    timing_keys: Sequence[str],
+    names: Sequence[str],
     jobs: int,
     cache: Optional[CacheStore],
-    progress: Optional[Progress],
-    timings: Optional[Dict[str, float]],
     title: str,
     executor: Optional[ExecutorBackend] = None,
     keep_going: bool = False,
     retries: int = 1,
     failures: Optional[List[UnitFailure]] = None,
     tracer: Optional[Tracer] = None,
-    rates: Optional[Dict[str, float]] = None,
 ) -> List[Optional[BenchmarkRun]]:
-    """Execute ``units``; results come back slot-aligned with the input."""
+    """Execute ``units``; results come back slot-aligned with the input.
+
+    ``names`` are the unit span names, slot-aligned with ``units``.
+    """
     if jobs <= 0:
         raise EvaluationError("jobs must be positive")
     if retries < 0:
         raise EvaluationError("retries must be >= 0")
     if tracer is None:
-        # Direct callers hand us (at most) the classic progress reporter;
-        # wrap it so rendering still flows through the telemetry stream.
-        tracer = progress_tracer(progress)
+        tracer = null_tracer()
 
     results: List[Optional[BenchmarkRun]] = [None] * len(units)
     failed: Dict[int, UnitFailure] = {}
@@ -409,14 +399,10 @@ def _run_units(
         if cache is not None and key is not None:
             cache.put(key, encode(run), case=unit.case.key,
                       num_workers=unit.num_workers)
-        if timings is not None:
-            timings[timing_keys[slot]] = seconds
         cycles = _unit_sim_cycles(run)
-        rate = cycles / seconds if seconds > 0 else 0.0
-        if rates is not None:
-            rates[timing_keys[slot]] = rate
-        tracer.unit(timing_keys[slot], seconds, sim_cycles=cycles,
-                    sim_cycles_per_sec=rate)
+        tracer.unit(names[slot], seconds, sim_cycles=cycles,
+                    sim_cycles_per_sec=cycles / seconds if seconds > 0
+                    else 0.0)
 
     def fail(slot: int, unit: CaseUnit, error_type: str, error: str,
              attempts: int) -> None:
@@ -424,11 +410,11 @@ def _run_units(
                                    error_type=error_type, error=error,
                                    attempts=attempts)
         tracer.count("sweep.unit_failures")
-        tracer.unit(timing_keys[slot], 0.0, failed=True,
+        tracer.unit(names[slot], 0.0, failed=True,
                     error_type=error_type, error=error, attempts=attempts)
 
-    # The sweep span closes however the dispatch ends — a worker
-    # exception used to leave the progress line dangling mid-render.
+    # The sweep span closes however the dispatch ends, so a worker
+    # exception cannot leave the status line dangling mid-render.
     with tracer.span(title, "sweep", total=len(units)) as sweep_span:
         pending = []  # (slot, unit, cache key)
         for slot, unit in enumerate(units):
@@ -440,7 +426,7 @@ def _run_units(
                 run = _decode_cached_run(cache, key)
                 if run is not None:
                     results[slot] = run
-                    tracer.unit(timing_keys[slot], 0.0, cached=True)
+                    tracer.unit(names[slot], 0.0, cached=True)
                     continue
             pending.append((slot, unit, key))
 
@@ -488,15 +474,12 @@ def run_cases(
     num_workers: int,
     jobs: int = 1,
     cache: Optional[CacheStore] = None,
-    progress: Optional[Progress] = None,
-    timings: Optional[Dict[str, float]] = None,
     runtimes: Optional[Sequence[str]] = None,
     executor: Optional[ExecutorBackend] = None,
     keep_going: bool = False,
     retries: int = 1,
     failures: Optional[List[UnitFailure]] = None,
     tracer: Optional[Tracer] = None,
-    rates: Optional[Dict[str, float]] = None,
     scenario: Optional[ScenarioSpec] = None,
 ) -> List[Optional[BenchmarkRun]]:
     """Execute ``cases`` under one config; runs come back in input order.
@@ -514,53 +497,45 @@ def run_cases(
     are appended to the ``failures`` list — otherwise it raises one
     :class:`~repro.harness.executor.SweepError` naming every failed case.
 
-    When a ``timings`` mapping is passed, it is populated with the
-    wall-clock seconds of every case that was actually simulated (keyed by
-    ``case.key``); cache hits cost no simulation and are not recorded.
-    ``rates`` likewise receives each simulated case's sim-core throughput
-    (simulated cycles per wall-second), and ``tracer`` carries the sweep's
-    telemetry (one sweep span, one unit span per case).  ``scenario``
-    applies one stochastic scenario to every case of the sweep; it is
-    canonicalised (default → ``None``) before entering units and cache
-    keys, so deterministic sweeps are unaffected.
+    ``tracer`` carries the sweep's telemetry: one sweep span, and one unit
+    span per case named ``case.key`` (a cache hit is ``cached`` with zero
+    seconds; a simulated case carries its wall clock and sim-core
+    throughput).  ``scenario`` applies one stochastic scenario to every
+    case of the sweep; it is canonicalised (default → ``None``) before
+    entering units and cache keys, so deterministic sweeps are unaffected.
     """
     selection = canonical_runtime_selection(runtimes)
     spec = canonical_scenario(scenario)
     units = [CaseUnit(config, case, num_workers, selection, spec)
              for case in cases]
     return _run_units(units, [case.key for case in cases], jobs, cache,
-                      progress, timings, "benchmark sweep",
-                      executor=executor, keep_going=keep_going,
-                      retries=retries, failures=failures,
-                      tracer=tracer, rates=rates)
+                      "benchmark sweep", executor=executor,
+                      keep_going=keep_going, retries=retries,
+                      failures=failures, tracer=tracer)
 
 
 def run_case_grid(
     units: Sequence[CaseUnit],
     jobs: int = 1,
     cache: Optional[CacheStore] = None,
-    progress: Optional[Progress] = None,
-    timings: Optional[Dict[str, float]] = None,
     executor: Optional[ExecutorBackend] = None,
     keep_going: bool = False,
     retries: int = 1,
     failures: Optional[List[UnitFailure]] = None,
     tracer: Optional[Tracer] = None,
-    rates: Optional[Dict[str, float]] = None,
 ) -> List[Optional[BenchmarkRun]]:
     """Execute a heterogeneous unit list; runs come back in input order.
 
     This is the grid-sweep entry point: units may mix configurations and
     worker counts freely (e.g. every Figure 9 case at 1, 2, 4, ... cores)
     and all of them share one executor backend, so total wall clock tracks
-    total work.  ``timings`` keys carry the worker count
+    total work.  Unit span names carry the worker count
     (``case.key@Nw``) to keep grid columns distinguishable.  Failure
     semantics match :func:`run_cases`: under ``keep_going``, failed slots
     come back as ``None`` so the list stays zippable against ``units``.
     """
     units = list(units)
-    return _run_units(units, [unit.key for unit in units], jobs,
-                      cache, progress, timings, "grid sweep",
-                      executor=executor, keep_going=keep_going,
-                      retries=retries, failures=failures,
-                      tracer=tracer, rates=rates)
+    return _run_units(units, [unit.key for unit in units], jobs, cache,
+                      "grid sweep", executor=executor,
+                      keep_going=keep_going, retries=retries,
+                      failures=failures, tracer=tracer)

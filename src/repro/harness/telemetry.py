@@ -1,12 +1,11 @@
 """Structured run telemetry: hierarchical spans, counters and manifests.
 
-The harness used to expose exactly one window into a running study — the
-:class:`~repro.harness.progress.Progress` stderr line.  This module makes
-run state *machine-readable*: a :class:`Tracer` emits hierarchical spans
-(run → phase → sweep → unit) plus point events to pluggable
-:class:`TelemetrySink` objects, and accumulates named counters (cache
-hits/misses, pool starts/rebuilds, retry rounds) that are snapshotted into
-the trace when the run closes.  Three sinks cover the built-in needs:
+Telemetry is the one channel through which a sweep reports its work: a
+:class:`Tracer` emits hierarchical spans (run → phase → sweep → unit) plus
+point events to pluggable :class:`TelemetrySink` objects, and accumulates
+named counters (cache hits/misses, pool starts/rebuilds, retry rounds)
+that are snapshotted into the trace when the run closes.  Three sinks
+cover the built-in needs:
 
 * :class:`NullSink` — swallows everything; a tracer with no live sink
   skips record construction entirely, so the default (untraced) path adds
@@ -14,10 +13,9 @@ the trace when the run closes.  Three sinks cover the built-in needs:
 * :class:`JsonlSink` — appends one JSON object per line to a
   ``trace.jsonl`` file (the ``--trace PATH`` / ``$REPRO_TRACE`` surface),
   the seam a future ``repro serve`` daemon will stream job status from;
-* :class:`ProgressSink` — adapts span records back onto the classic
-  :class:`~repro.harness.progress.Progress` interface, so the live stderr
-  status lines are now just one more consumer of the telemetry stream
-  (:class:`ConsoleSink` is the stream-facing convenience wrapper).
+* :class:`ConsoleSink` — renders the live stderr status lines of
+  ``python -m repro`` (header, per-unit advance with pace and ETA, and
+  the simulated/cached/failed breakdown) from sweep and unit spans.
 
 Every record is a flat JSON document stamped with :data:`TRACE_SCHEMA`:
 
@@ -49,6 +47,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import sys
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -56,7 +55,6 @@ from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Sequence, TextIO
 
 from repro.common.errors import EvaluationError
-from repro.harness.progress import NullProgress, Progress
 
 __all__ = [
     "TRACE_SCHEMA",
@@ -64,12 +62,10 @@ __all__ = [
     "TelemetrySink",
     "NullSink",
     "JsonlSink",
-    "ProgressSink",
     "ConsoleSink",
     "SpanHandle",
     "Tracer",
     "null_tracer",
-    "progress_tracer",
     "RunManifest",
     "build_manifest",
     "read_trace",
@@ -136,43 +132,66 @@ class JsonlSink(TelemetrySink):
             handle.close()
 
 
-class ProgressSink(TelemetrySink):
-    """Adapts span records onto a :class:`Progress` reporter.
-
-    This is the inversion the telemetry layer introduces: the harness
-    emits spans, and the classic progress line becomes an *adapter* over
-    the same stream everything else consumes — a sweep span's start/end
-    bracket a phase, and each unit span's completion advances it.
-    """
-
-    def __init__(self, progress: Progress) -> None:
-        self.progress = progress
-
-    def emit(self, record: Dict[str, Any]) -> None:
-        kind = record.get("kind")
-        record_type = record.get("type")
-        if kind == "sweep" and record_type == "span_start":
-            self.progress.start(record["name"],
-                                int(record["attrs"].get("total", 0)))
-        elif kind == "unit" and record_type == "span_end":
-            attrs = record.get("attrs", {})
-            self.progress.advance(record["name"],
-                                  cached=bool(attrs.get("cached")),
-                                  failed=bool(attrs.get("failed")))
-        elif kind == "sweep" and record_type == "span_end":
-            self.progress.finish()
-
-
-class ConsoleSink(ProgressSink):
+class ConsoleSink(TelemetrySink):
     """Live status lines on ``stream`` (stderr by default).
 
-    The stream-facing convenience form of :class:`ProgressSink`: exactly
-    the rendering ``python -m repro`` shows, driven by telemetry records
-    instead of direct calls.
+    Exactly the rendering ``python -m repro`` shows, read off the span
+    records: a sweep span's start prints the ``label: N unit(s)`` header,
+    each unit span's end prints one ``[done/total]`` line with the phase's
+    pace and ETA, and the sweep span's end prints its wall clock and the
+    simulated/cached/failed breakdown.  A sweep of zero units prints
+    nothing, not even the closing line.
     """
 
     def __init__(self, stream: Optional[TextIO] = None) -> None:
-        super().__init__(Progress(stream))
+        self.stream = stream if stream is not None else sys.stderr
+        self._total = 0
+        self._done = 0
+        self._cached = 0
+        self._failed = 0
+        self._started = 0.0
+
+    def _print(self, line: str) -> None:
+        print(line, file=self.stream, flush=True)
+
+    def emit(self, record: Dict[str, Any]) -> None:
+        kind = record.get("kind")
+        if kind == "unit" and record["type"] == "span_end":
+            self._advance(record)
+        elif kind == "sweep" and record["type"] == "span_start":
+            self._total = int(record["attrs"].get("total", 0))
+            self._done = self._cached = self._failed = 0
+            self._started = record["ts"]
+            if self._total:
+                self._print(f"{record['name']}: {self._total} unit(s)")
+        elif kind == "sweep" and record["type"] == "span_end" \
+                and self._total:
+            simulated = self._done - self._cached - self._failed
+            self._print(f"{record['name']}: done in "
+                        f"{record['seconds']:.1f}s ({simulated} simulated, "
+                        f"{self._cached} cached, {self._failed} failed)")
+
+    def _advance(self, record: Dict[str, Any]) -> None:
+        """One resolved unit (completed, cache-served or failed)."""
+        attrs = record.get("attrs", {})
+        self._done += 1
+        if attrs.get("cached"):
+            self._cached += 1
+            suffix = " (cached)"
+        elif attrs.get("failed"):
+            self._failed += 1
+            suffix = " (FAILED)"
+        else:
+            suffix = ""
+        pace = ""
+        elapsed = record["ts"] - self._started
+        if elapsed > 0:
+            rate = self._done / elapsed
+            remaining = self._total - self._done
+            pace = (f" [{rate:.1f} unit/s]" if remaining <= 0 else
+                    f" [{rate:.1f} unit/s, ETA {remaining / rate:.0f}s]")
+        self._print(f"  [{self._done}/{self._total}] {record['name']}"
+                    f"{suffix}{pace}")
 
 
 # --------------------------------------------------------------------- #
@@ -366,13 +385,6 @@ class Tracer:
 def null_tracer() -> Tracer:
     """A tracer that records counters but emits nothing."""
     return Tracer([NullSink()])
-
-
-def progress_tracer(progress: Optional[Progress]) -> Tracer:
-    """A tracer rendering through ``progress`` (None → silent)."""
-    if progress is None or isinstance(progress, NullProgress):
-        return Tracer([NullSink()])
-    return Tracer([ProgressSink(progress)])
 
 
 # --------------------------------------------------------------------- #

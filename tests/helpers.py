@@ -1,7 +1,8 @@
-"""Workload factory helpers shared by the test suite."""
+"""Workload factories and telemetry helpers shared by the test suite."""
 
 from __future__ import annotations
 
+from repro.harness.telemetry import TelemetrySink
 from repro.runtime.phentos import PhentosRuntime
 from repro.runtime.task import Task, TaskProgram, in_dep, inout_dep, out_dep
 
@@ -51,3 +52,23 @@ def make_fork_join_program(width: int = 6, payload: int = 300,
     tasks.append(Task(index=width + 1, payload_cycles=payload,
                       dependences=tuple(in_dep(s) for s in sinks[:8])))
     return TaskProgram(name=name, tasks=tasks)
+
+
+class RecordingSink(TelemetrySink):
+    """Keeps every record in memory for assertions."""
+
+    def __init__(self) -> None:
+        self.records = []
+        self.closed = False
+
+    def emit(self, record) -> None:
+        self.records.append(record)
+
+    def close(self) -> None:
+        self.closed = True
+
+
+def unit_ends(sink: RecordingSink) -> list:
+    """The unit ``span_end`` records ``sink`` saw, in emission order."""
+    return [record for record in sink.records
+            if record["type"] == "span_end" and record["kind"] == "unit"]

@@ -20,10 +20,11 @@ from repro.common.config import SimConfig
 from repro.common.errors import EvaluationError
 from repro.eval.experiments import benchmark_cases
 from repro.harness.artifacts import decode, encode
-from repro.harness.bench import PerfTrajectory
 from repro.harness.cli import main as cli_main
 from repro.harness.engine import ExperimentEngine
+from repro.harness.telemetry import Tracer
 from repro.registry import register_workload
+from tests.helpers import RecordingSink, unit_ends
 
 
 @pytest.fixture(scope="module")
@@ -135,12 +136,14 @@ class TestStudyRun:
         assert decode(encode(result)) == result
 
     def test_shared_engine_memoises_across_studies(self, tiny_config):
-        engine = ExperimentEngine(config=tiny_config)
+        sink = RecordingSink()
+        engine = ExperimentEngine(config=tiny_config, tracer=Tracer([sink]))
         study = Study(tiny_config).workloads("jacobi").quick().scale(0.1)
         first = study.run(engine=engine)
-        assert engine.case_timings  # simulated something
+        simulated = len(unit_ends(sink))
+        assert simulated  # simulated something
         second = study.run(engine=engine)
-        assert engine.case_timings == {}  # pure memo assembly
+        assert len(unit_ends(sink)) == simulated  # pure memo assembly
         assert first == second
 
     def test_explicit_cases(self, tiny_config):
@@ -157,15 +160,14 @@ class TestStudyRun:
         assert names and "arch-test" in names[0]
         assert isinstance(store.load(names[0]), StudyResult)
 
-    def test_bench_label_recorded(self, tiny_config, tmp_path):
-        path = tmp_path / "BENCH_engine.json"
+    def test_label_recorded_in_run_manifest(self, tiny_config, tmp_path):
+        from repro.harness.telemetry import summarize_trace
+        trace = tmp_path / "trace.jsonl"
         (Study(tiny_config).workloads("jacobi").quick().scale(0.1)
-         .label("bench-label-test").bench(path).run())
-        entries = PerfTrajectory(path).entries()
-        assert entries
-        assert entries[-1]["kind"] == "sweep"
-        assert entries[-1]["label"] == "bench-label-test"
-        assert entries[-1]["cases"]
+         .label("manifest-label-test").trace(trace).run())
+        summary = summarize_trace(trace)
+        assert summary.manifest["manifest.label"] == "manifest-label-test"
+        assert summary.total_units
 
 
 class TestPluginWorkloadEndToEnd:

@@ -493,7 +493,7 @@ class TestMultiProcessStress:
 
 
 # --------------------------------------------------------------------- #
-# CLI: cache actions, budgets, bench rows
+# CLI: cache actions and budgets
 # --------------------------------------------------------------------- #
 class TestCacheCli:
     def test_cache_evict_subcommand(self, tmp_path, capsys):
@@ -532,29 +532,6 @@ class TestCacheCli:
         assert cli_main(["run", "table2", "--quiet",
                          "--cache-dir", str(tmp_path / "c"),
                          "--cache-budget", "garbage"]) != 0
-
-
-class TestCacheBench:
-    def test_measure_cache_shape(self):
-        from repro.harness.bench import measure_cache
-
-        report = measure_cache(entries=8, payload_fields=4)
-        assert report["entries"] == 8
-        numbers = report["sharded"]
-        assert 0 <= numbers["put_p50_seconds"] <= numbers["put_p95_seconds"]
-        assert 0 <= numbers["get_p50_seconds"] <= numbers["get_p95_seconds"]
-
-    def test_engine_bench_includes_cache_rows(self):
-        from repro.harness.bench import run_engine_bench
-
-        entry = run_engine_bench(num_events=2_000, include_case=False,
-                                 repeats=1, include_pool=False,
-                                 include_cache=True)
-        assert "sharded" in entry["cache"]
-        skipped = run_engine_bench(num_events=2_000, include_case=False,
-                                   repeats=1, include_pool=False,
-                                   include_cache=False)
-        assert "cache" not in skipped
 
 
 # --------------------------------------------------------------------- #

@@ -72,9 +72,8 @@ def test_public_harness_api_is_documented():
 
     modules = [
         importlib.import_module(f"repro.harness.{name}")
-        for name in ("artifacts", "bench", "cache", "cli", "engine",
-                     "executor", "hashing", "progress", "runner", "sweep",
-                     "telemetry")
+        for name in ("artifacts", "cache", "cli", "engine", "executor",
+                     "hashing", "runner", "sweep", "telemetry")
     ]
     for module in modules:
         assert module.__doc__, f"{module.__name__} lacks a module docstring"

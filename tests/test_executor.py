@@ -21,14 +21,15 @@ from repro.harness.executor import (
     UnitFailure,
     batch_size,
 )
-from repro.harness.progress import Progress
 from repro.harness.runner import (
     CaseUnit,
     _plugin_payload,
     run_case_grid,
     run_cases,
 )
+from repro.harness.telemetry import Tracer
 from repro.registry import register_runtime, register_workload
+from tests.helpers import RecordingSink, unit_ends
 
 POISON_PLUGIN = os.path.join(os.path.dirname(__file__), "plugins",
                              "poison_workload.py")
@@ -301,29 +302,18 @@ class TestSweepFailureIsolation:
 
     def test_progress_finishes_and_marks_failures(
             self, tiny_config, tiny_cases, poison_workload):
-        events = []
-
-        class RecordingProgress(Progress):
-            def __init__(self):
-                super().__init__(stream=None)
-
-            def start(self, label, total):
-                events.append(("start", total))
-
-            def advance(self, description, cached=False, failed=False):
-                events.append(("failed" if failed else "done", description))
-
-            def finish(self):
-                events.append(("finish",))
-
+        sink = RecordingSink()
         cases = _mixed_cases(tiny_cases, poison_workload)
         with pytest.raises(SweepError):
             run_cases(tiny_config, cases, num_workers=2, retries=0,
-                      progress=RecordingProgress())
-        # finish() ran although the sweep raised, and the poisoned unit
-        # was marked failed rather than dropped.
-        assert events[-1] == ("finish",)
-        assert ("failed", f"{poison_workload}/default") in events
+                      tracer=Tracer([sink]))
+        # The sweep span closed although the sweep raised, and the
+        # poisoned unit was marked failed rather than dropped.
+        last = sink.records[-1]
+        assert (last["type"], last["kind"]) == ("span_end", "sweep")
+        failed = [unit["name"] for unit in unit_ends(sink)
+                  if unit["attrs"].get("failed")]
+        assert failed == [f"{poison_workload}/default"]
 
 
 class TestPluginPayloadGuards:
@@ -539,24 +529,3 @@ class TestCliFailureHandling:
         captured = capsys.readouterr()
         assert code == 1
         assert "poison/default" in captured.err
-
-
-class TestBenchPoolMeasurement:
-    def test_entry_records_pool_overheads(self):
-        from repro.harness.bench import measure_pool
-
-        entry = measure_pool(max_workers=2, dispatches=2)
-        assert entry["workers"] == 2
-        assert entry["warmup_seconds"] > 0
-        assert entry["dispatch_per_round_seconds"] > 0
-
-    def test_run_engine_bench_includes_pool(self):
-        from repro.harness.bench import run_engine_bench
-
-        entry = run_engine_bench(num_events=10_000, include_case=False,
-                                 repeats=1, pool_workers=2)
-        assert "pool" in entry
-        assert entry["pool"]["workers"] == 2
-        skipped = run_engine_bench(num_events=10_000, include_case=False,
-                                   repeats=1, include_pool=False)
-        assert "pool" not in skipped

@@ -48,7 +48,9 @@ from repro.harness import (
     run_cases,
 )
 from repro.harness.cli import main as cli_main
+from repro.harness.telemetry import Tracer
 from repro.runtime.base import RuntimeResult
+from tests.helpers import RecordingSink, unit_ends
 
 
 @pytest.fixture(scope="module")
@@ -185,10 +187,11 @@ class TestGridRunner:
     def test_grid_timings_carry_worker_counts(self, tiny_config, tiny_cases):
         units = [CaseUnit(tiny_config.with_cores(cores), tiny_cases[0],
                           cores) for cores in (1, 2)]
-        timings = {}
-        run_case_grid(units, timings=timings)
-        assert sorted(timings) == sorted(unit.key for unit in units)
-        assert all(key.endswith("w") for key in timings)
+        sink = RecordingSink()
+        run_case_grid(units, tracer=Tracer([sink]))
+        names = [unit["name"] for unit in unit_ends(sink)]
+        assert names == [unit.key for unit in units]
+        assert all(name.endswith("w") for name in names)
 
     def test_grid_shares_cache_with_plain_sweeps(self, tmp_path,
                                                  tiny_config, tiny_cases):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import json
 
 import pytest
@@ -13,35 +14,19 @@ from repro.eval.experiments import benchmark_cases
 from repro.harness import ExperimentEngine
 from repro.harness.cache import ShardedDiskStore
 from repro.harness.cli import main as cli_main
-from repro.harness.progress import NullProgress, Progress
 from repro.harness.runner import run_cases
 from repro.harness.telemetry import (
     TRACE_SCHEMA,
+    ConsoleSink,
     JsonlSink,
     NullSink,
-    ProgressSink,
-    TelemetrySink,
     Tracer,
     build_manifest,
     null_tracer,
-    progress_tracer,
     read_trace,
     summarize_trace,
 )
-
-
-class RecordingSink(TelemetrySink):
-    """Keeps every record in memory for assertions."""
-
-    def __init__(self) -> None:
-        self.records = []
-        self.closed = False
-
-    def emit(self, record) -> None:
-        self.records.append(record)
-
-    def close(self) -> None:
-        self.closed = True
+from tests.helpers import RecordingSink, unit_ends
 
 
 @pytest.fixture(scope="module")
@@ -165,10 +150,13 @@ class TestInactiveTracer:
             tracer.event("e")
         tracer.emit_counters()
 
-    def test_progress_tracer_of_null_progress_is_inactive(self):
-        assert not progress_tracer(None).active
-        assert not progress_tracer(NullProgress()).active
-        assert progress_tracer(Progress()).active
+    def test_engine_progress_flag_attaches_console_sink(self):
+        with ExperimentEngine() as quiet:
+            assert not quiet.tracer.active
+        with ExperimentEngine(progress=True) as loud:
+            assert loud.tracer.active
+            assert any(isinstance(sink, ConsoleSink)
+                       for sink in loud.tracer.sinks)
 
 
 # --------------------------------------------------------------------- #
@@ -215,101 +203,79 @@ class TestJsonlSink:
             read_trace(tmp_path / "missing.jsonl")
 
 
-class TestProgressSink:
-    def test_translates_spans_to_progress_calls(self):
-        calls = []
+def _console():
+    """A StringIO, a ConsoleSink writing to it and a Tracer feeding it."""
+    stream = io.StringIO()
+    sink = ConsoleSink(stream)
+    return stream, sink, Tracer([sink])
 
-        class Spy(Progress):
-            def start(self, label, total):
-                calls.append(("start", label, total))
 
-            def advance(self, description, cached=False, failed=False):
-                calls.append(("advance", description, cached, failed))
-
-            def finish(self):
-                calls.append(("finish",))
-
-        tracer = Tracer([ProgressSink(Spy())])
+class TestConsoleSink:
+    def test_renders_sweep_and_unit_spans(self):
+        stream, _sink, tracer = _console()
         with tracer.span("benchmark sweep", "sweep", total=3):
             tracer.unit("a", 0.1)
             tracer.unit("b", 0.0, cached=True)
             tracer.unit("c", 0.0, failed=True, error_type="X", error="boom")
-        assert calls == [
-            ("start", "benchmark sweep", 3),
-            ("advance", "a", False, False),
-            ("advance", "b", True, False),
-            ("advance", "c", False, True),
-            ("finish",),
-        ]
+        lines = stream.getvalue().splitlines()
+        assert lines[0] == "benchmark sweep: 3 unit(s)"
+        assert lines[1].startswith("  [1/3] a")
+        assert lines[2].startswith("  [2/3] b (cached)")
+        assert lines[3].startswith("  [3/3] c (FAILED)")
+        assert lines[4].startswith("benchmark sweep: done in ")
+        assert lines[4].endswith("(1 simulated, 1 cached, 1 failed)")
+        assert len(lines) == 5
 
     def test_ignores_non_sweep_spans(self):
-        calls = []
-
-        class Spy(Progress):
-            def start(self, label, total):
-                calls.append("start")
-
-            def finish(self):
-                calls.append("finish")
-
-        tracer = Tracer([ProgressSink(Spy())])
+        stream, _sink, tracer = _console()
         with tracer.span("run", "run"):
             with tracer.span("figure9", "phase"):
-                pass
-        assert calls == []
+                tracer.event("e")
+        tracer.close()
+        assert stream.getvalue() == ""
 
 
 # --------------------------------------------------------------------- #
-# Progress satellites: pace, finish counts, total=0 suppression
+# Console rendering: pace, finish counts, total=0 suppression
 # --------------------------------------------------------------------- #
 class TestProgressReporting:
     def _lines(self, stream):
         return stream.getvalue().splitlines()
 
     def test_advance_reports_rate_and_eta(self):
-        import io
-        stream = io.StringIO()
-        progress = Progress(stream)
-        progress.start("sweep", 4)
-        progress._started -= 1.0  # pretend a second elapsed
-        progress.advance("a")
-        line = self._lines(stream)[-1]
+        stream, sink, tracer = _console()
+        with tracer.span("sweep", "sweep", total=4):
+            sink._started -= 1.0  # pretend a second elapsed
+            tracer.unit("a", 0.1)
+            line = self._lines(stream)[-1]
         assert "unit/s" in line and "ETA" in line
 
     def test_last_advance_omits_eta(self):
-        import io
-        stream = io.StringIO()
-        progress = Progress(stream)
-        progress.start("sweep", 1)
-        progress._started -= 1.0
-        progress.advance("a")
-        line = self._lines(stream)[-1]
+        stream, sink, tracer = _console()
+        with tracer.span("sweep", "sweep", total=1):
+            sink._started -= 1.0
+            tracer.unit("a", 0.1)
+            line = self._lines(stream)[-1]
         assert "unit/s" in line and "ETA" not in line
 
     def test_finish_reports_breakdown(self):
-        import io
-        stream = io.StringIO()
-        progress = Progress(stream)
-        progress.start("sweep", 3)
-        progress.advance("a")
-        progress.advance("b", cached=True)
-        progress.advance("c", failed=True)
-        progress.finish()
+        stream, _sink, tracer = _console()
+        with tracer.span("sweep", "sweep", total=3):
+            tracer.unit("a", 0.1)
+            tracer.unit("b", 0.0, cached=True)
+            tracer.unit("c", 0.0, failed=True)
         line = self._lines(stream)[-1]
         assert "1 simulated" in line
         assert "1 cached" in line
         assert "1 failed" in line
 
     def test_empty_phase_prints_nothing(self):
-        import io
-        stream = io.StringIO()
-        progress = Progress(stream)
-        progress.start("before", 1)
-        progress.advance("a")
-        progress.finish()
+        stream, _sink, tracer = _console()
+        with tracer.span("before", "sweep", total=1):
+            tracer.unit("a", 0.1)
         lines_before = len(self._lines(stream))
-        progress.start("empty", 0)
-        progress.finish()
+        with tracer.span("empty", "sweep", total=0):
+            pass
         assert len(self._lines(stream)) == lines_before
 
 
@@ -411,21 +377,41 @@ class TestEngineTracing:
         assert sink.records[-1]["type"] == "counters"
 
     def test_case_rates_populated(self, tiny_config, tiny_cases):
-        with ExperimentEngine(config=tiny_config) as engine:
+        sink = RecordingSink()
+        with ExperimentEngine(config=tiny_config,
+                              tracer=Tracer([sink])) as engine:
             engine.run("figure9", quick=True, cases=tiny_cases)
-            assert set(engine.case_rates) == {case.key
-                                             for case in tiny_cases}
-            assert all(rate > 0 for rate in engine.case_rates.values())
+        rates = {unit["name"]: unit["attrs"]["sim_cycles_per_sec"]
+                 for unit in unit_ends(sink)}
+        assert set(rates) == {case.key for case in tiny_cases}
+        assert all(rate > 0 for rate in rates.values())
 
-    def test_trajectory_entry_carries_unit_rates(self, tmp_path,
-                                                 tiny_config, tiny_cases):
-        from repro.harness.bench import PerfTrajectory
-        bench = tmp_path / "BENCH_engine.json"
-        with ExperimentEngine(config=tiny_config, bench_path=bench) as engine:
-            engine.run("figure9", quick=True, cases=tiny_cases)
-        entry = PerfTrajectory(bench).last("sweep")
-        assert set(entry["unit_rates"]) == set(entry["cases"])
-        assert all(rate > 0 for rate in entry["unit_rates"].values())
+    def test_simulated_unit_spans_carry_rates(self, tiny_config,
+                                              tiny_cases):
+        sink = RecordingSink()
+        runs = run_cases(tiny_config, tiny_cases, num_workers=2,
+                         tracer=Tracer([sink]))
+        assert len(runs) == len(tiny_cases)
+        units = unit_ends(sink)
+        assert sorted(unit["name"] for unit in units) == sorted(
+            case.key for case in tiny_cases)
+        for unit in units:
+            assert unit["seconds"] > 0
+            assert unit["attrs"]["sim_cycles"] > 0
+            assert unit["attrs"]["sim_cycles_per_sec"] > 0
+
+    def test_cache_hits_are_cached_unit_spans_with_zero_seconds(
+            self, tmp_path, tiny_config, tiny_cases):
+        cache = ShardedDiskStore(tmp_path / "cache")
+        run_cases(tiny_config, tiny_cases, num_workers=2, cache=cache)
+        sink = RecordingSink()
+        run_cases(tiny_config, tiny_cases, num_workers=2, cache=cache,
+                  tracer=Tracer([sink]))
+        units = unit_ends(sink)
+        assert len(units) == len(tiny_cases)
+        for unit in units:
+            assert unit["attrs"] == {"cached": True}
+            assert unit["seconds"] == 0
 
 
 class TestCountersUnderFailure:
@@ -599,15 +585,11 @@ class TestCliTracing:
         assert "entries: 1" in out
         assert "lifetime: 1 hit(s), 1 miss(es), 1 store(s)" in out
 
-    def test_bench_trace(self, tmp_path, capsys):
-        trace = tmp_path / "bench.jsonl"
-        code = cli_main(["bench", "--events", "2000", "--repeats", "1",
-                         "--no-case", "--no-pool", "--output", "-",
-                         "--trace", str(trace)])
-        assert code == 0
-        records = read_trace(trace)
-        assert any(r["type"] == "event" and r["name"] == "bench.entry"
-                   for r in records)
+    def test_bench_subcommand_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["bench"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
 
 
 # --------------------------------------------------------------------- #
@@ -647,19 +629,11 @@ class TestStudyTrace:
 
     def test_direct_runner_progress_interface_unchanged(self, tiny_config,
                                                         tiny_cases):
-        calls = []
-
-        class Spy(Progress):
-            def start(self, label, total):
-                calls.append(("start", total))
-
-            def advance(self, description, cached=False, failed=False):
-                calls.append(("advance", description))
-
-            def finish(self):
-                calls.append(("finish",))
-
-        run_cases(tiny_config, tiny_cases, 4, progress=Spy())
-        assert calls[0] == ("start", len(tiny_cases))
-        assert calls[-1] == ("finish",)
-        assert len(calls) == len(tiny_cases) + 2
+        sink = RecordingSink()
+        run_cases(tiny_config, tiny_cases, 4, tracer=Tracer([sink]))
+        first, last = sink.records[0], sink.records[-1]
+        assert (first["type"], first["kind"]) == ("span_start", "sweep")
+        assert first["attrs"]["total"] == len(tiny_cases)
+        assert (last["type"], last["kind"]) == ("span_end", "sweep")
+        assert [unit["name"] for unit in unit_ends(sink)] == \
+            [case.key for case in tiny_cases]
