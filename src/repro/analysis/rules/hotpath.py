@@ -37,6 +37,10 @@ HOT_FUNCTIONS: Dict[str, FrozenSet[str]] = {
         "_notify", "_land",
     }),
     "repro/sim/arbiters.py": frozenset({"_kick", "_grant"}),
+    "repro/memory/mesi.py": frozenset({"access"}),
+    "repro/memory/hierarchy.py": frozenset({
+        "load", "store", "atomic_rmw", "touch_lines", "_access",
+    }),
     "repro/runtime/base.py": frozenset({
         "wait_for_signals", "scenario_release_gate",
         "scenario_note_completion",

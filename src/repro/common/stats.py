@@ -107,6 +107,15 @@ class Stats:
         """Histogram ``name`` (an empty one if never observed)."""
         return self._histograms.get(name, Histogram())
 
+    def counter_map(self) -> Dict[str, float]:
+        """The live counter mapping, for hot paths that bind it once.
+
+        Absent names read as 0.0 and appear once touched, so
+        ``counter_map()[name] += amount`` is :meth:`incr` without the call.
+        :meth:`reset` clears it in place, so a bound mapping stays live.
+        """
+        return self._counters
+
     def counters(self) -> Mapping[str, float]:
         """Read-only view of all counters."""
         return dict(self._counters)

@@ -13,7 +13,7 @@ from repro.memory.hierarchy import (
     SharedFlag,
     SoftwareMutex,
 )
-from repro.memory.mesi import AccessResult, AccessType, CoherenceDirectory, LineState
+from repro.memory.mesi import AccessType, CoherenceDirectory, LineState
 
 __all__ = [
     "AddressAllocator",
@@ -25,7 +25,6 @@ __all__ = [
     "SharedCounter",
     "SharedFlag",
     "SoftwareMutex",
-    "AccessResult",
     "AccessType",
     "CoherenceDirectory",
     "LineState",

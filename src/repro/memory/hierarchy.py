@@ -4,7 +4,8 @@
 with the operations the rest of the simulator actually performs:
 
 * ``load`` / ``store`` / ``atomic_rmw`` on byte addresses of arbitrary size
-  (split into per-line accesses),
+  (an access inside one line is one directory access; only an access that
+  crosses a line boundary is split into per-line accesses),
 * :class:`SharedCounter` and :class:`SharedFlag` — modelled shared variables
   that the runtimes poll and update (these are where cache-line bouncing
   shows up),
@@ -33,6 +34,9 @@ __all__ = ["MemorySystem", "SharedCounter", "SharedFlag", "SoftwareMutex"]
 
 class MemorySystem:
     """Chip-level memory model: one coherence directory + an allocator."""
+
+    __slots__ = ("num_cores", "costs", "line_bytes", "stats", "directory",
+                 "allocator", "_computing_cores")
 
     def __init__(self, num_cores: int, costs: MemoryCosts,
                  line_bytes: int = CACHE_LINE_BYTES) -> None:
@@ -104,15 +108,20 @@ class MemorySystem:
         kind = AccessType.WRITE if write else AccessType.READ
         cycles = 0
         for line in region.lines:
-            cycles += self.directory.access(core, line, kind).cycles
+            cycles += self.directory.access(core, line, kind)
         return cycles
 
     def _access(self, core: int, address: int, size: int, kind: AccessType) -> int:
         if size <= 0:
             raise MemoryModelError("access size must be positive")
+        line_bytes = self.line_bytes
+        line = address // line_bytes
+        if address >= 0 and line == (address + size - 1) // line_bytes:
+            return self.directory.access(core, line, kind)
+        # Crosses a line boundary (or is negative, which span_lines rejects).
         cycles = 0
-        for line in span_lines(address, size, self.line_bytes):
-            cycles += self.directory.access(core, line, kind).cycles
+        for line in span_lines(address, size, line_bytes):
+            cycles += self.directory.access(core, line, kind)
         return cycles
 
     # ------------------------------------------------------------------ #
@@ -227,6 +236,9 @@ class SoftwareMutex:
     release by a core that lost the holder race to a later acquirer is
     charged normally and leaves the newer holder in place.
     """
+
+    __slots__ = ("memory", "region", "syscall_cycles", "uncontended_spins",
+                 "holder", "acquisitions", "contended_acquisitions")
 
     def __init__(self, memory: MemorySystem, region: MemoryRegion,
                  syscall_cycles: int, uncontended_spins: int) -> None:

@@ -1,8 +1,16 @@
-"""Workload factories and telemetry helpers shared by the test suite."""
+"""Workload factories, telemetry helpers and a reference MESI directory
+shared by the test suite."""
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import Dict, Optional, Set, Tuple
+
+from repro.common.config import MemoryCosts
+from repro.common.errors import MemoryModelError
+from repro.common.stats import Stats
 from repro.harness.telemetry import TelemetrySink
+from repro.memory.mesi import AccessType, LineState
 from repro.runtime.phentos import PhentosRuntime
 from repro.runtime.task import Task, TaskProgram, in_dep, inout_dep, out_dep
 
@@ -72,3 +80,163 @@ def unit_ends(sink: RecordingSink) -> list:
     """The unit ``span_end`` records ``sink`` saw, in emission order."""
     return [record for record in sink.records
             if record["type"] == "span_end" and record["kind"] == "unit"]
+
+
+# ---------------------------------------------------------------------- #
+# Reference MESI directory
+# ---------------------------------------------------------------------- #
+@dataclass(frozen=True)
+class ReferenceAccessResult:
+    """Outcome of one line access: its latency and coherence side effects."""
+
+    cycles: int
+    hit: bool
+    new_state: LineState
+    invalidated: Tuple[int, ...] = ()
+    writeback_through_memory: bool = False
+
+
+class ReferenceDirectory:
+    """The straightforward MESI directory that ``CoherenceDirectory``
+    replaced: one ``LineState`` per holder, a result object per access, and
+    sharer/owner scans.  Differential tests drive both with the same
+    sequence and require identical cycles, states and counters.
+    """
+
+    def __init__(self, num_cores: int, costs: MemoryCosts,
+                 stats: Optional[Stats] = None) -> None:
+        self.num_cores = num_cores
+        self.costs = costs
+        self.stats = stats if stats is not None else Stats("coherence")
+        # line -> {core: state}; absent cores are Invalid.
+        self._lines: Dict[int, Dict[int, LineState]] = {}
+
+    def state_of(self, core: int, line: int) -> LineState:
+        self._check_core(core)
+        return self._lines.get(line, {}).get(core, LineState.INVALID)
+
+    def sharers(self, line: int) -> Set[int]:
+        return {
+            core
+            for core, state in self._lines.get(line, {}).items()
+            if state is not LineState.INVALID
+        }
+
+    def owner(self, line: int) -> Optional[int]:
+        for core, state in self._lines.get(line, {}).items():
+            if state is LineState.MODIFIED:
+                return core
+        return None
+
+    def lines_tracked(self) -> int:
+        return sum(1 for line in self._lines.values()
+                   if any(s is not LineState.INVALID for s in line.values()))
+
+    def access(self, core: int, line: int,
+               kind: AccessType) -> ReferenceAccessResult:
+        self._check_core(core)
+        if kind is AccessType.READ:
+            result = self._read(core, line)
+        elif kind is AccessType.WRITE:
+            result = self._write(core, line, atomic=False)
+        elif kind is AccessType.RMW:
+            result = self._write(core, line, atomic=True)
+        else:
+            raise MemoryModelError(f"unknown access type {kind!r}")
+        self._record(result, kind)
+        return result
+
+    def evict(self, core: int, line: int) -> int:
+        state = self.state_of(core, line)
+        self._set(core, line, LineState.INVALID)
+        if state is LineState.MODIFIED:
+            self.stats.incr("writebacks")
+            return self.costs.store_buffer_drain + self.costs.l1_miss_to_memory
+        return 0
+
+    def _read(self, core: int, line: int) -> ReferenceAccessResult:
+        state = self.state_of(core, line)
+        if state is not LineState.INVALID:
+            return ReferenceAccessResult(self.costs.l1_hit, True, state)
+        owner = self.owner(line)
+        sharers = self.sharers(line)
+        if owner is not None:
+            self._set(owner, line, LineState.SHARED)
+            self._set(core, line, LineState.SHARED)
+            return ReferenceAccessResult(
+                self.costs.dirty_remote_transfer, False, LineState.SHARED,
+                writeback_through_memory=True,
+            )
+        if sharers:
+            for sharer in sharers:
+                if self.state_of(sharer, line) is LineState.EXCLUSIVE:
+                    self._set(sharer, line, LineState.SHARED)
+            self._set(core, line, LineState.SHARED)
+            return ReferenceAccessResult(self.costs.l1_miss_to_memory, False,
+                                         LineState.SHARED)
+        self._set(core, line, LineState.EXCLUSIVE)
+        return ReferenceAccessResult(self.costs.l1_miss_to_memory, False,
+                                     LineState.EXCLUSIVE)
+
+    def _write(self, core: int, line: int,
+               atomic: bool) -> ReferenceAccessResult:
+        extra = self.costs.atomic_rmw_extra if atomic else 0
+        state = self.state_of(core, line)
+        others = self.sharers(line) - {core}
+        if state in (LineState.MODIFIED, LineState.EXCLUSIVE):
+            self._set(core, line, LineState.MODIFIED)
+            return ReferenceAccessResult(self.costs.l1_hit + extra, True,
+                                         LineState.MODIFIED)
+        if state is LineState.SHARED:
+            for other in others:
+                self._set(other, line, LineState.INVALID)
+            self._set(core, line, LineState.MODIFIED)
+            cost = self.costs.l1_hit + extra
+            if others:
+                cost += self.costs.invalidate_remote
+            return ReferenceAccessResult(cost, True, LineState.MODIFIED,
+                                         invalidated=tuple(sorted(others)))
+        owner = self.owner(line)
+        cost = extra
+        writeback = False
+        if owner is not None:
+            cost += self.costs.dirty_remote_transfer
+            writeback = True
+        elif others:
+            cost += self.costs.l1_miss_to_memory + self.costs.invalidate_remote
+        else:
+            cost += self.costs.l1_miss_to_memory
+        for other in others:
+            self._set(other, line, LineState.INVALID)
+        self._set(core, line, LineState.MODIFIED)
+        return ReferenceAccessResult(cost, False, LineState.MODIFIED,
+                                     invalidated=tuple(sorted(others)),
+                                     writeback_through_memory=writeback)
+
+    def _set(self, core: int, line: int, state: LineState) -> None:
+        per_line = self._lines.setdefault(line, {})
+        if state is LineState.INVALID:
+            per_line.pop(core, None)
+            if not per_line:
+                self._lines.pop(line, None)
+        else:
+            per_line[core] = state
+
+    def _record(self, result: ReferenceAccessResult, kind: AccessType) -> None:
+        self.stats.incr("accesses")
+        self.stats.incr(f"accesses_{kind.value}")
+        self.stats.add("access_cycles", result.cycles)
+        if result.hit:
+            self.stats.incr("hits")
+        else:
+            self.stats.incr("misses")
+        if result.invalidated:
+            self.stats.add("invalidations", len(result.invalidated))
+        if result.writeback_through_memory:
+            self.stats.incr("dirty_transfers_through_memory")
+
+    def _check_core(self, core: int) -> None:
+        if not 0 <= core < self.num_cores:
+            raise MemoryModelError(
+                f"core {core} out of range 0..{self.num_cores - 1}"
+            )

@@ -169,6 +169,29 @@ def test_hotpath_negative(tmp_path):
                         HOTPATH_GOOD, rules=["hot-path"]) == []
 
 
+def test_hotpath_covers_the_mesi_access_path(tmp_path):
+    source = ("class CoherenceDirectory:\n"
+              "    __slots__ = ('_lines',)\n"
+              "    def access(self, core, line, kind):\n"
+              "        return sum(1 for _ in self._lines.get(line, ()))\n"
+              "    def sharers(self, line):\n"
+              "        return set(c for c in self._lines.get(line, ()))\n")
+    findings = lint_snippet(tmp_path, "src/repro/memory/mesi.py", source,
+                            rules=["hot-path"])
+    assert [(f.line, f.message) for f in findings] == [
+        (4, "generator expression in hot function 'access' allocates per "
+            "event")]
+
+
+def test_hotpath_requires_slots_in_memory_modules(tmp_path):
+    source = "class SoftwareMutex:\n    def acquire(self, core):\n        pass\n"
+    findings = lint_snippet(tmp_path, "src/repro/memory/hierarchy.py",
+                            source, rules=["hot-path"])
+    assert len(findings) == 1
+    assert "'SoftwareMutex'" in findings[0].message
+    assert "does not declare __slots__" in findings[0].message
+
+
 def test_hotpath_dataclasses_are_slots_exempt(tmp_path):
     source = ("from dataclasses import dataclass\n"
               "@dataclass\n"

@@ -13,6 +13,7 @@ from repro.memory.address import (
     line_of,
     span_lines,
 )
+from repro.memory import hierarchy
 from repro.memory.hierarchy import MemorySystem
 from repro.memory.mesi import AccessType, CoherenceDirectory, LineState
 
@@ -87,64 +88,80 @@ class TestAddressAllocator:
 
 
 class TestCoherenceDirectory:
+    """``access`` returns only cycles; side effects show in the directory
+    queries and in the counter deltas."""
+
     def setup_method(self):
         self.costs = MemoryCosts()
         self.directory = CoherenceDirectory(4, self.costs)
 
+    def access(self, core, line, kind):
+        """``(cycles, counter deltas)`` of one access."""
+        before = self.directory.stats.counters()
+        cycles = self.directory.access(core, line, kind)
+        after = self.directory.stats.counters()
+        delta = {name: value - before.get(name, 0.0)
+                 for name, value in after.items()
+                 if value != before.get(name, 0.0)}
+        return cycles, delta
+
     def test_cold_read_is_exclusive_miss(self):
-        result = self.directory.access(0, 100, AccessType.READ)
-        assert not result.hit
-        assert result.new_state is LineState.EXCLUSIVE
-        assert result.cycles == self.costs.l1_miss_to_memory
+        cycles, delta = self.access(0, 100, AccessType.READ)
+        assert delta.get("misses") == 1 and "hits" not in delta
+        assert self.directory.state_of(0, 100) is LineState.EXCLUSIVE
+        assert cycles == self.costs.l1_miss_to_memory
 
     def test_repeat_read_hits(self):
         self.directory.access(0, 100, AccessType.READ)
-        result = self.directory.access(0, 100, AccessType.READ)
-        assert result.hit
-        assert result.cycles == self.costs.l1_hit
+        cycles, delta = self.access(0, 100, AccessType.READ)
+        assert delta.get("hits") == 1 and "misses" not in delta
+        assert cycles == self.costs.l1_hit
 
     def test_second_reader_shares_line(self):
         self.directory.access(0, 100, AccessType.READ)
-        result = self.directory.access(1, 100, AccessType.READ)
-        assert result.new_state is LineState.SHARED
+        self.directory.access(1, 100, AccessType.READ)
+        assert self.directory.state_of(1, 100) is LineState.SHARED
         assert self.directory.state_of(0, 100) is LineState.SHARED
         assert self.directory.sharers(100) == {0, 1}
 
     def test_write_upgrade_invalidates_sharers(self):
         self.directory.access(0, 100, AccessType.READ)
         self.directory.access(1, 100, AccessType.READ)
-        result = self.directory.access(0, 100, AccessType.WRITE)
-        assert result.new_state is LineState.MODIFIED
-        assert result.invalidated == (1,)
+        _, delta = self.access(0, 100, AccessType.WRITE)
+        assert self.directory.state_of(0, 100) is LineState.MODIFIED
+        # Exactly core 1 was invalidated.
+        assert delta.get("invalidations") == 1
+        assert self.directory.sharers(100) == {0}
         assert self.directory.state_of(1, 100) is LineState.INVALID
 
     def test_dirty_line_travels_through_memory(self):
         self.directory.access(0, 200, AccessType.WRITE)
-        result = self.directory.access(1, 200, AccessType.READ)
-        assert result.writeback_through_memory
-        assert result.cycles == self.costs.dirty_remote_transfer
+        cycles, delta = self.access(1, 200, AccessType.READ)
+        assert delta.get("dirty_transfers_through_memory") == 1
+        assert cycles == self.costs.dirty_remote_transfer
         # After the transfer both copies are Shared (MESI, no owned state).
         assert self.directory.state_of(0, 200) is LineState.SHARED
         assert self.directory.state_of(1, 200) is LineState.SHARED
+        assert self.directory.owner(200) is None
 
     def test_write_to_remote_dirty_line(self):
         self.directory.access(0, 300, AccessType.WRITE)
-        result = self.directory.access(1, 300, AccessType.WRITE)
-        assert result.writeback_through_memory
+        _, delta = self.access(1, 300, AccessType.WRITE)
+        assert delta.get("dirty_transfers_through_memory") == 1
         assert self.directory.owner(300) == 1
         assert self.directory.state_of(0, 300) is LineState.INVALID
 
     def test_exclusive_write_is_silent_upgrade(self):
         self.directory.access(0, 400, AccessType.READ)
-        result = self.directory.access(0, 400, AccessType.WRITE)
-        assert result.hit
-        assert result.new_state is LineState.MODIFIED
-        assert result.invalidated == ()
+        _, delta = self.access(0, 400, AccessType.WRITE)
+        assert delta.get("hits") == 1 and "misses" not in delta
+        assert self.directory.state_of(0, 400) is LineState.MODIFIED
+        assert "invalidations" not in delta
 
     def test_atomic_rmw_costs_extra(self):
-        plain = self.directory.access(0, 500, AccessType.WRITE).cycles
+        plain = self.directory.access(0, 500, AccessType.WRITE)
         atomic = self.directory.access(1, 501 * CACHE_LINE_BYTES,
-                                       AccessType.RMW).cycles
+                                       AccessType.RMW)
         assert atomic == plain + self.costs.atomic_rmw_extra
 
     def test_cache_line_bouncing_is_expensive(self):
@@ -152,7 +169,7 @@ class TestCoherenceDirectory:
         self.directory.access(0, 600, AccessType.RMW)
         total = 0
         for i in range(1, 9):
-            total += self.directory.access(i % 2, 600, AccessType.RMW).cycles
+            total += self.directory.access(i % 2, 600, AccessType.RMW)
         assert total >= 8 * self.costs.dirty_remote_transfer
 
     def test_evict_dirty_line_charges_writeback(self):
@@ -230,3 +247,43 @@ class TestMemorySystem:
     def test_access_size_must_be_positive(self):
         with pytest.raises(MemoryModelError):
             self.memory.load(0, 0, size=0)
+
+    @pytest.mark.parametrize("op", ["load", "store", "atomic_rmw"])
+    def test_zero_and_negative_sizes_rejected_before_any_access(self, op):
+        for size in (0, -8):
+            with pytest.raises(MemoryModelError, match="size must be positive"):
+                getattr(self.memory, op)(0, 0x1000, size=size)
+        assert self.memory.stats.counters() == {}
+
+    @pytest.mark.parametrize("size", [1, 8, 64])
+    def test_negative_address_rejected(self, size):
+        with pytest.raises(MemoryModelError, match="negative address"):
+            self.memory.load(0, -8, size=size)
+        assert self.memory.stats.counters() == {}
+
+    def test_one_line_access_skips_span_lines(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(hierarchy, "span_lines",
+                            lambda *args: calls.append(args) or [])
+        base = self.memory.allocate("one", CACHE_LINE_BYTES).base
+        assert self.memory.load(0, base + 56, size=8) == \
+            self.memory.costs.l1_miss_to_memory
+        assert self.memory.store(0, base, size=CACHE_LINE_BYTES) == \
+            self.memory.costs.l1_hit
+        assert calls == []
+        assert self.memory.stats.counter("accesses") == 2
+
+    def test_line_crossing_access_charges_both_lines(self):
+        base = self.memory.allocate("pair", 2 * CACHE_LINE_BYTES).base
+        costs = self.memory.costs
+        # Bytes 60..67 straddle the boundary: two cold misses.
+        assert self.memory.load(0, base + 60, size=8) == \
+            2 * costs.l1_miss_to_memory
+        line = base // CACHE_LINE_BYTES
+        directory = self.memory.directory
+        assert directory.state_of(0, line) is LineState.EXCLUSIVE
+        assert directory.state_of(0, line + 1) is LineState.EXCLUSIVE
+        assert self.memory.stats.counter("accesses_read") == 2
+        # A write across the same boundary hits both Exclusive lines.
+        assert self.memory.store(0, base + 60, size=8) == 2 * costs.l1_hit
+        assert directory.owner(line) == 0 and directory.owner(line + 1) == 0

@@ -295,3 +295,64 @@ def test_scenario_is_a_pure_function_of_its_seed(shape, scheduler, seed):
     stats_b = SerialRuntime(SimConfig()).run(
         second.program, scenario=second.runtime_run("serial")).stats
     assert stats_a == stats_b
+
+
+# --------------------------------------------------------------------- #
+# MESI directory against the reference implementation
+# --------------------------------------------------------------------- #
+import pytest  # noqa: E402
+
+from repro.common.config import MemoryCosts  # noqa: E402
+from repro.common.errors import MemoryModelError  # noqa: E402
+from repro.memory.mesi import AccessType, CoherenceDirectory  # noqa: E402
+from tests.helpers import ReferenceDirectory  # noqa: E402
+
+_EVICT = "evict"
+
+
+@st.composite
+def directory_programs(draw):
+    """``(num_cores, steps)``: accesses and evictions on a few lines.
+
+    A core index of ``num_cores`` is out of range and must be refused."""
+    num_cores = draw(st.integers(min_value=1, max_value=8))
+    step = st.tuples(
+        st.sampled_from([AccessType.READ, AccessType.WRITE, AccessType.RMW,
+                         _EVICT]),
+        st.integers(min_value=0, max_value=num_cores),
+        st.integers(min_value=0, max_value=4),
+    )
+    return num_cores, draw(st.lists(step, max_size=60))
+
+
+@settings(max_examples=300, deadline=None)
+@given(directory_programs())
+def test_directory_matches_reference(program):
+    num_cores, steps = program
+    costs = MemoryCosts()
+    directory = CoherenceDirectory(num_cores, costs)
+    reference = ReferenceDirectory(num_cores, costs)
+    lines = range(5)
+    for op, core, line in steps:
+        if core == num_cores:
+            for model in (directory, reference):
+                with pytest.raises(MemoryModelError):
+                    if op is _EVICT:
+                        model.evict(core, line)
+                    else:
+                        model.access(core, line, op)
+        elif op is _EVICT:
+            assert directory.evict(core, line) == reference.evict(core, line)
+        else:
+            assert (directory.access(core, line, op)
+                    == reference.access(core, line, op).cycles)
+        for other in lines:
+            assert directory.owner(other) == reference.owner(other)
+            assert directory.sharers(other) == reference.sharers(other)
+            for holder in range(num_cores):
+                assert (directory.state_of(holder, other)
+                        is reference.state_of(holder, other))
+        assert directory.lines_tracked() == reference.lines_tracked()
+        # Same values, and the same first-touch order the reports keep.
+        assert (list(directory.stats.counters().items())
+                == list(reference.stats.counters().items()))
