@@ -41,6 +41,14 @@ HOT_FUNCTIONS: Dict[str, FrozenSet[str]] = {
     "repro/memory/hierarchy.py": frozenset({
         "load", "store", "atomic_rmw", "touch_lines", "_access",
     }),
+    "repro/picos/device.py": frozenset({
+        "_submission_pipeline", "_insert_task", "_retirement_pipeline",
+        "_kick_emitter", "_emit_ready",
+    }),
+    "repro/picos/dependence.py": frozenset({
+        "submit", "retire", "has_capacity", "predecessors_for",
+        "forget_task",
+    }),
     "repro/runtime/base.py": frozenset({
         "wait_for_signals", "scenario_release_gate",
         "scenario_note_completion",

@@ -31,6 +31,8 @@ __all__ = ["TaskState", "TrackedTask", "DependenceTracker", "TaskGraph"]
 class TaskState(enum.Enum):
     """Lifecycle of a task inside the dependence tracker."""
 
+    __slots__ = ()
+
     PENDING = "pending"
     READY = "ready"
     RUNNING = "running"
@@ -64,6 +66,8 @@ class _AddressRecord:
 
 class DependenceTracker:
     """Computes RAW / WAW / WAR predecessors for newly submitted tasks."""
+
+    __slots__ = ("_records", "raw_edges", "waw_edges", "war_edges")
 
     def __init__(self) -> None:
         self._records: Dict[int, _AddressRecord] = {}
@@ -114,17 +118,25 @@ class DependenceTracker:
         """Number of distinct addresses with a version record."""
         return len(self._records)
 
-    def forget_task(self, task_id: int) -> None:
-        """Drop references to a retired task (keeps records bounded)."""
-        stale = []
-        for address, record in self._records.items():
+    def forget_task(self, task_id: int,
+                    dependences: Sequence[TaskDependence]) -> None:
+        """Drop references to a retired task (keeps records bounded).
+
+        A task only ever appears in the records of addresses it named, so
+        only ``dependences`` (the ones it was submitted with) are visited.
+        """
+        records = self._records
+        for dependence in dependences:
+            address = dependence.address
+            record = records.get(address)
+            if record is None:
+                continue
             if record.last_writer == task_id:
                 record.last_writer = None
-            record.readers_since_last_write.discard(task_id)
-            if record.last_writer is None and not record.readers_since_last_write:
-                stale.append(address)
-        for address in stale:
-            del self._records[address]
+            readers = record.readers_since_last_write
+            readers.discard(task_id)
+            if record.last_writer is None and not readers:
+                del records[address]
 
 
 class TaskGraph:
@@ -134,6 +146,9 @@ class TaskGraph:
     ``capacity`` non-retired tasks; :meth:`has_capacity` is what produces the
     back-pressure that ultimately makes submission instructions fail.
     """
+
+    __slots__ = ("capacity", "tracker", "_tasks", "_next_task_id",
+                 "total_submitted", "total_retired", "max_concurrent")
 
     def __init__(self, capacity: int = 256) -> None:
         if capacity <= 0:
@@ -230,6 +245,6 @@ class TaskGraph:
                 newly_ready.append(successor_id)
         record.state = TaskState.RETIRED
         del self._tasks[task_id]
-        self.tracker.forget_task(task_id)
+        self.tracker.forget_task(task_id, record.dependences)
         self.total_retired += 1
         return newly_ready

@@ -14,6 +14,13 @@ zero.  The model charges the per-stage latencies from
 :class:`~repro.common.config.PicosCosts` and applies the reservation-station
 capacity as back-pressure on the submission queue, which is what eventually
 makes the non-blocking submission instructions return their failure flag.
+
+Back-pressure is event-driven: a full station parks the inserter on a
+one-shot "slot freed" event that the retirement pipeline triggers, so a
+stall costs no host time however many cycles it lasts.  On wake-up the
+inserter resumes on the grid of a re-check every ``retire_cycles`` cycles
+from the moment it stalled, so tasks are accepted in exactly the cycles a
+polling inserter would accept them.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ from repro.picos.packets import (
     TaskDescriptor,
     decode_descriptor,
 )
-from repro.sim.engine import Delay, Engine, Get, ProcessGen
+from repro.sim.engine import Delay, Engine, Event, Get, ProcessGen, Wait
 from repro.sim.queues import DecoupledQueue
 
 __all__ = ["ReadyPacket", "ReadyTask", "PicosDevice"]
@@ -59,6 +66,11 @@ class ReadyTask:
 class PicosDevice:
     """The Picos accelerator, driven through its three hardware queues."""
 
+    __slots__ = ("engine", "costs", "name", "stats", "graph", "_sw_ids",
+                 "submission_queue", "ready_queue", "retirement_queue",
+                 "_ready_backlog", "_emitter_busy", "_slot_freed",
+                 "_submission_process", "_retirement_process")
+
     def __init__(self, engine: Engine, costs: PicosCosts,
                  name: str = "picos") -> None:
         self.engine = engine
@@ -81,6 +93,8 @@ class PicosDevice:
         #: packets have not yet been pushed into the ready queue.
         self._ready_backlog: Deque[ReadyTask] = deque()
         self._emitter_busy = False
+        #: The event a stalled inserter waits on; set only while it waits.
+        self._slot_freed: Optional[Event] = None
         # Whenever the consumer drains ready packets, try to emit more.
         self.ready_queue.subscribe_dequeue(self._kick_emitter)
         self._submission_process = engine.spawn(
@@ -127,20 +141,32 @@ class PicosDevice:
             yield from self._insert_task(descriptor)
 
     def _insert_task(self, descriptor: TaskDescriptor) -> ProcessGen:
+        costs = self.costs
         analysis = (
-            self.costs.task_insert_cycles
-            + self.costs.dependence_analysis_cycles * descriptor.num_dependences
+            costs.task_insert_cycles
+            + costs.dependence_analysis_cycles * descriptor.num_dependences
         )
         if analysis:
             yield Delay(analysis)
-        # Capacity back-pressure: wait until the reservation station frees a
-        # slot.  While waiting, the submission queue fills up and the
-        # Submission Handler (and ultimately the non-blocking instructions)
-        # observe the back-pressure.
-        while not self.graph.has_capacity():
-            yield Delay(self.costs.retire_cycles)
-        task_id, ready = self.graph.submit(descriptor.sw_id,
-                                           descriptor.dependences)
+        graph = self.graph
+        if not graph.has_capacity():
+            # Capacity back-pressure: park until the retirement pipeline frees
+            # a slot.  While waiting, the submission queue fills up and the
+            # Submission Handler (and ultimately the non-blocking
+            # instructions) observe the back-pressure.
+            engine = self.engine
+            start = engine.now
+            self._slot_freed = slot_freed = Event(engine, f"{self.name}.slot_freed")
+            yield Wait(slot_freed)
+            # Resume on the grid of a re-check every ``retire_cycles`` since
+            # ``start``.  A re-check due in the freeing cycle was scheduled
+            # ahead of the retirement's own ``retire_cycles`` delay, so it ran
+            # first and failed; the next one is the first to succeed.
+            period = costs.retire_cycles
+            if period:
+                waited = engine.now - start
+                yield Delay(period - waited % period)
+        task_id, ready = graph.submit(descriptor.sw_id, descriptor.dependences)
         self._sw_ids[task_id] = descriptor.sw_id
         self.stats.incr("tasks_accepted")
         self.stats.observe("dependences_per_task", descriptor.num_dependences)
@@ -149,19 +175,24 @@ class PicosDevice:
 
     def _retirement_pipeline(self) -> ProcessGen:
         """Consume retirement packets and wake dependent tasks."""
+        costs = self.costs
+        graph = self.graph
+        retirement_queue = self.retirement_queue
         while True:
-            picos_id = yield Get(self.retirement_queue)
-            yield Delay(self.costs.retire_cycles)
-            newly_ready = self.graph.retire(picos_id)
+            picos_id = yield Get(retirement_queue)
+            yield Delay(costs.retire_cycles)
+            newly_ready = graph.retire(picos_id)
+            slot_freed = self._slot_freed
+            if slot_freed is not None:
+                self._slot_freed = None
+                slot_freed.trigger()
             self._sw_ids.pop(picos_id, None)
             self.stats.incr("tasks_retired")
             if newly_ready:
-                yield Delay(
-                    self.costs.wakeup_per_dependant_cycles * len(newly_ready)
-                )
+                yield Delay(costs.wakeup_per_dependant_cycles * len(newly_ready))
             for ready_id in newly_ready:
                 self._schedule_ready(
-                    ReadyTask(ready_id, self.graph.task(ready_id).sw_id)
+                    ReadyTask(ready_id, graph.task(ready_id).sw_id)
                 )
 
     # ------------------------------------------------------------------ #

@@ -1,18 +1,22 @@
-"""Workload factories, telemetry helpers and a reference MESI directory
-shared by the test suite."""
+"""Workload factories, telemetry helpers, a reference MESI directory and a
+polling Picos device shared by the test suite."""
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Dict, Optional, Set, Tuple
 
-from repro.common.config import MemoryCosts
+from repro.common.config import MemoryCosts, SimConfig
 from repro.common.errors import MemoryModelError
 from repro.common.stats import Stats
 from repro.harness.telemetry import TelemetrySink
 from repro.memory.mesi import AccessType, LineState
+from repro.picos.device import PicosDevice, ReadyTask
+from repro.picos.packets import TaskDescriptor
 from repro.runtime.phentos import PhentosRuntime
 from repro.runtime.task import Task, TaskProgram, in_dep, inout_dep, out_dep
+from repro.sim.engine import Delay, ProcessGen
 
 
 class PluginRuntime(PhentosRuntime):
@@ -240,3 +244,41 @@ class ReferenceDirectory:
             raise MemoryModelError(
                 f"core {core} out of range 0..{self.num_cores - 1}"
             )
+
+
+# ---------------------------------------------------------------------- #
+# Polling Picos device
+# ---------------------------------------------------------------------- #
+def picos_config(config: Optional[SimConfig] = None,
+                 **overrides) -> SimConfig:
+    """``config`` (default: the default machine) with some ``PicosCosts``
+    fields replaced."""
+    config = config if config is not None else SimConfig()
+    picos = dataclasses.replace(config.costs.picos, **overrides)
+    return dataclasses.replace(
+        config, costs=dataclasses.replace(config.costs, picos=picos))
+
+
+class PollingPicosDevice(PicosDevice):
+    """``PicosDevice`` with the timed-spin inserter that the "slot freed"
+    event replaced: a full reservation station is re-checked every
+    ``retire_cycles``.  Differential tests drive both with the same program
+    and require identical accept cycles, results and stats.
+    """
+
+    def _insert_task(self, descriptor: TaskDescriptor) -> ProcessGen:
+        analysis = (
+            self.costs.task_insert_cycles
+            + self.costs.dependence_analysis_cycles * descriptor.num_dependences
+        )
+        if analysis:
+            yield Delay(analysis)
+        while not self.graph.has_capacity():
+            yield Delay(self.costs.retire_cycles)
+        task_id, ready = self.graph.submit(descriptor.sw_id,
+                                           descriptor.dependences)
+        self._sw_ids[task_id] = descriptor.sw_id
+        self.stats.incr("tasks_accepted")
+        self.stats.observe("dependences_per_task", descriptor.num_dependences)
+        if ready:
+            self._schedule_ready(ReadyTask(task_id, descriptor.sw_id))

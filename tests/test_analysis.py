@@ -192,6 +192,31 @@ def test_hotpath_requires_slots_in_memory_modules(tmp_path):
     assert "does not declare __slots__" in findings[0].message
 
 
+def test_hotpath_covers_the_picos_inserter(tmp_path):
+    source = ("class PicosDevice:\n"
+              "    __slots__ = ('graph',)\n"
+              "    def _insert_task(self, descriptor):\n"
+              "        return sum(1 for _ in descriptor.dependences)\n"
+              "    def sw_id_of(self, picos_id):\n"
+              "        return list(i for i in (picos_id,))\n")
+    findings = lint_snippet(tmp_path, "src/repro/picos/device.py", source,
+                            rules=["hot-path"])
+    assert [(f.line, f.message) for f in findings] == [
+        (4, "generator expression in hot function '_insert_task' allocates "
+            "per event")]
+
+
+def test_hotpath_requires_slots_in_picos_dependence(tmp_path):
+    source = ("class DependenceTracker:\n"
+              "    def forget_task(self, task_id, dependences):\n"
+              "        pass\n")
+    findings = lint_snippet(tmp_path, "src/repro/picos/dependence.py",
+                            source, rules=["hot-path"])
+    assert len(findings) == 1
+    assert "'DependenceTracker'" in findings[0].message
+    assert "does not declare __slots__" in findings[0].message
+
+
 def test_hotpath_dataclasses_are_slots_exempt(tmp_path):
     source = ("from dataclasses import dataclass\n"
               "@dataclass\n"

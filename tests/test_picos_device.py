@@ -2,13 +2,21 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import pytest
 
-from repro.common.config import PicosCosts
+from repro.apps.granularity import task_free_program
+from repro.common.config import PicosCosts, SimConfig
+from repro.common.errors import DeadlockError
+from repro.picos.dependence import TaskGraph
 from repro.picos.device import PicosDevice, ReadyTask
 from repro.picos.packets import Direction, TaskDependence, TaskDescriptor, \
     encode_descriptor
+from repro.runtime.nanos_axi import NanosAXIRuntime
+from repro.runtime.phentos import PhentosRuntime
 from repro.sim.engine import Delay, Engine, Put
+from tests.helpers import PollingPicosDevice, picos_config
 
 
 def make_device(engine, **overrides):
@@ -158,6 +166,63 @@ class TestCapacityBackpressure:
         engine.run(until=60_000)
         drained += drain_ready(device)
         assert len(drained) >= 3
+
+
+def count_capacity_checks(device_class, config, program, workers):
+    """``(result, TaskGraph.has_capacity calls)`` of one Phentos run."""
+    has_capacity = TaskGraph.has_capacity
+    with mock.patch("repro.cpu.soc.PicosDevice", device_class), \
+            mock.patch.object(TaskGraph, "has_capacity", autospec=True,
+                              side_effect=has_capacity) as checks:
+        result = PhentosRuntime(config).run(program, num_workers=workers)
+    return result, checks.call_count
+
+
+class TestEventDrivenBackpressure:
+    def test_capacity_bound_run_checks_capacity_twice_per_task(self):
+        # Once in the inserter and once in TaskGraph.submit, however long
+        # the station stays full: a timed spin would scale with the stall.
+        config = picos_config(max_in_flight_tasks=2)
+        program = task_free_program(40, 1, 20_000)
+        result, checks = count_capacity_checks(PicosDevice, config, program, 2)
+        assert result.tasks_executed == 40
+        assert checks <= 2 * 40
+        polled, polls = count_capacity_checks(PollingPicosDevice, config,
+                                              program, 2)
+        assert polled == result
+        assert polls > 10 * checks      # the run really is capacity-bound
+
+    def test_zero_retire_cycles_resumes_in_the_freeing_cycle(self):
+        # A station full at retire_cycles=0 used to re-check in the same
+        # cycle forever.
+        config = picos_config(retire_cycles=0, max_in_flight_tasks=2)
+        result = PhentosRuntime(config).run(task_free_program(20, 1),
+                                            num_workers=2)
+        assert result.tasks_executed == 20
+        assert result.stats["picos.tasks_retired"] == 20
+
+    def test_station_that_never_drains_is_a_deadlock(self):
+        engine = Engine()
+        device = make_device(engine, max_in_flight_tasks=1,
+                             submission_queue_depth=8)
+        # Nothing retires: the second descriptor parks the inserter and the
+        # third backs up the submission queue until the feeder's put blocks.
+        submit(engine, device, *(descriptor_with(index) for index in range(3)))
+        with pytest.raises(DeadlockError,
+                           match=r"feeder\[put\(DecoupledQueue\('picos\."
+                                 r"submission', 8/8\)\)\]"):
+            engine.run()
+        assert device.in_flight_tasks == 1
+
+    def test_nanos_axi_stall_is_reported_as_a_deadlock(self):
+        # Known model limitation: Nanos-AXI stops retiring once the station
+        # fills (Task-Free, 1 dependence, from 260 tasks on one worker).
+        # It must fail fast, naming the blocked submission, not hang.
+        with pytest.raises(DeadlockError,
+                           match=r"nanos_axi_main\[put\(DecoupledQueue\("
+                                 r"'picos\.submission'"):
+            NanosAXIRuntime(SimConfig()).run(task_free_program(260, 1),
+                                             num_workers=1)
 
 
 class TestRetirementPipeline:

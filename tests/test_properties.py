@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.common.stats import geometric_mean
 from repro.cpu.rocc import RoccInstruction
-from repro.picos.dependence import TaskGraph
+from repro.picos.dependence import DependenceTracker, TaskGraph
 from repro.picos.packets import (
     Direction,
     TaskDependence,
@@ -158,6 +158,66 @@ def test_task_graph_matches_transitive_oracle(task_accesses):
         record = graph.task(task_id)
         assert record.pending_predecessors == 0
         graph.retire(task_id)
+
+
+class _FullScanTracker(DependenceTracker):
+    """The tracker with the forget rule it had before ``forget_task`` was
+    scoped to the retiring task's addresses: scan every record."""
+
+    def forget_task(self, task_id, dependences):
+        stale = []
+        for address, record in self._records.items():
+            if record.last_writer == task_id:
+                record.last_writer = None
+            record.readers_since_last_write.discard(task_id)
+            if record.last_writer is None and \
+                    not record.readers_since_last_write:
+                stale.append(address)
+        for address in stale:
+            del self._records[address]
+
+
+graph_steps = st.lists(st.one_of(
+    st.tuples(st.just("submit"),
+              st.lists(st.tuples(small_addresses, directions), max_size=3)),
+    st.tuples(st.just("retire"), st.integers(min_value=0, max_value=7)),
+), max_size=40)
+
+
+@settings(max_examples=200, deadline=None)
+@given(graph_steps)
+def test_scoped_forget_matches_full_scan(steps):
+    graph = TaskGraph(capacity=64)
+    reference = TaskGraph(capacity=64)
+    reference.tracker = _FullScanTracker()
+    runnable = []
+    for op, argument in steps:
+        if op == "submit":
+            deps = tuple(TaskDependence(address, direction)
+                         for address, direction in argument)
+            submitted = graph.submit(len(runnable), deps)
+            assert reference.submit(len(runnable), deps) == submitted
+            if submitted[1]:
+                runnable.append(submitted[0])
+        elif runnable:
+            task_id = runnable.pop(argument % len(runnable))
+            woken = graph.retire(task_id)
+            assert reference.retire(task_id) == woken
+            runnable.extend(woken)
+        # Same records, in the same order, and nothing else tracked.
+        assert (list(graph.tracker._records.items())
+                == list(reference.tracker._records.items()))
+        assert (graph.tracker.tracked_addresses
+                == reference.tracker.tracked_addresses)
+    # Draining every task leaves no record behind.
+    while runnable:
+        task_id = runnable.pop(0)
+        woken = graph.retire(task_id)
+        assert reference.retire(task_id) == woken
+        runnable.extend(woken)
+    assert graph.in_flight == reference.in_flight == 0
+    assert graph.tracker.tracked_addresses == 0
+    assert reference.tracker.tracked_addresses == 0
 
 
 @settings(max_examples=40, deadline=None)
@@ -356,3 +416,97 @@ def test_directory_matches_reference(program):
         # Same values, and the same first-touch order the reports keep.
         assert (list(directory.stats.counters().items())
                 == list(reference.stats.counters().items()))
+
+
+# --------------------------------------------------------------------- #
+# Event-driven Picos back-pressure against the polling inserter
+# --------------------------------------------------------------------- #
+from unittest import mock  # noqa: E402
+
+from repro import registry  # noqa: E402
+from repro.common.config import SimConfig  # noqa: E402
+from repro.common.errors import SimulationError  # noqa: E402
+from repro.picos.device import PicosDevice  # noqa: E402
+from repro.runtime.base import RuntimeResult  # noqa: E402
+from tests.helpers import PollingPicosDevice, picos_config  # noqa: E402
+
+
+class _AcceptLog(TaskGraph):
+    """A task graph that logs ``(sw_id, cycle)`` for every accepted task."""
+
+    def __init__(self, capacity, engine, log):
+        super().__init__(capacity)
+        self.engine = engine
+        self.log = log
+
+    def submit(self, sw_id, dependences):
+        self.log.append((sw_id, self.engine.now))
+        return super().submit(sw_id, dependences)
+
+
+def _run_logged(device_class, runtime_name, config, program, workers):
+    """Run ``program`` on an SoC whose Picos is ``device_class``.
+
+    Returns the accept log and the ``RuntimeResult``, or the failure as
+    ``(exception class name, message)``: some generated programs hit a
+    lost wake-up in the runtime models, and both devices must then fail
+    the same way."""
+    log = []
+
+    class Logged(device_class):
+        def __init__(self, engine, costs, name="picos"):
+            super().__init__(engine, costs, name)
+            self.graph = _AcceptLog(costs.max_in_flight_tasks, engine, log)
+
+    runtime = registry.runtime(runtime_name).cls(config)
+    try:
+        with mock.patch("repro.cpu.soc.PicosDevice", Logged):
+            outcome = runtime.run(program, num_workers=workers)
+    except SimulationError as exc:
+        outcome = (type(exc).__name__, str(exc))
+    return log, outcome
+
+
+@st.composite
+def stalling_runs(draw):
+    """A program on a shrunken reservation station that it fills."""
+    num_tasks = draw(st.integers(min_value=1, max_value=24))
+    tasks = []
+    for index in range(num_tasks):
+        accesses = draw(st.dictionaries(st.integers(0, 3), directions,
+                                        max_size=3))
+        tasks.append(Task(
+            index=index,
+            payload_cycles=draw(st.integers(0, 3000)),
+            dependences=tuple(TaskDependence(0x9000_0000 + 64 * slot, how)
+                              for slot, how in sorted(accesses.items())),
+        ))
+    taskwaits = draw(st.lists(st.integers(0, num_tasks - 1), max_size=2,
+                              unique=True))
+    program = TaskProgram(name="stall", tasks=tasks,
+                          taskwait_after=set(taskwaits))
+    config = picos_config(SimConfig(max_cycles=2_000_000),
+                          max_in_flight_tasks=draw(st.integers(1, 4)),
+                          retire_cycles=draw(st.integers(1, 16)))
+    return (draw(st.sampled_from(["phentos", "nanos-rv"])), config, program,
+            draw(st.integers(1, 4)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(stalling_runs())
+def test_event_wait_matches_polling_inserter(run):
+    runtime_name, config, program, workers = run
+    polled_log, polled = _run_logged(PollingPicosDevice, runtime_name,
+                                     config, program, workers)
+    event_log, event = _run_logged(PicosDevice, runtime_name, config,
+                                   program, workers)
+    assert event_log == polled_log
+    if isinstance(polled, tuple) and "exceeded max_cycles" in polled[1]:
+        # A station that can never drain again: the poll spins to the cycle
+        # limit, while the parked inserter lets the engine see the deadlock.
+        assert event[0] == "DeadlockError"
+        return
+    assert event == polled
+    if isinstance(polled, RuntimeResult):
+        # Same values, and the same first-touch order the reports keep.
+        assert list(event.stats.items()) == list(polled.stats.items())
