@@ -11,13 +11,19 @@ rule pins them:
 * inside the known hot dispatch functions: no ``isinstance`` calls, no
   generator expressions, and no reads of ``self.<prop>`` where ``<prop>``
   is a ``@property`` defined in the same module (cross-object descriptor
-  reads are the polymorphic interface and stay allowed).
+  reads are the polymorphic interface and stay allowed),
+* every name in :data:`HOT_FUNCTIONS` is a function of its module.  A
+  stale entry would silently lint nothing, so when this file itself is
+  linted the rule reads the table from it and reports, at the entry, each
+  name that its module (resolved next to this file's package) does not
+  define.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, FrozenSet, Iterable
+from pathlib import Path
+from typing import Dict, FrozenSet, Iterable, Set
 
 from repro.analysis.core import FileContext, Finding, LintRule, decorator_name
 from repro.analysis.registry import register_rule
@@ -26,10 +32,9 @@ from repro.analysis.registry import register_rule
 #: defs and lambdas inside these count as hot too.
 HOT_FUNCTIONS: Dict[str, FrozenSet[str]] = {
     "repro/sim/engine.py": frozenset({
-        "_run_fast", "_run_complete_fast", "_step", "_dispatch", "_finish",
-        "_schedule", "_resume", "_handle_delay", "_handle_put",
-        "_handle_get", "_handle_wait", "_handle_fork", "_handle_join",
-        "schedule_callback", "trigger",
+        "__new__", "_loop", "_finish", "_schedule", "_resume",
+        "_handle_delay", "_handle_put", "_handle_get", "_handle_wait",
+        "_handle_fork", "_handle_join", "schedule_callback", "trigger",
     }),
     "repro/sim/queues.py": frozenset({
         "try_put", "try_get", "_blocking_put", "_blocking_get", "_enqueue",
@@ -42,13 +47,14 @@ HOT_FUNCTIONS: Dict[str, FrozenSet[str]] = {
         "load", "store", "atomic_rmw", "touch_lines", "_access",
     }),
     "repro/picos/device.py": frozenset({
-        "_submission_pipeline", "_insert_task", "_retirement_pipeline",
-        "_kick_emitter", "_emit_ready",
+        "try_intake", "_submission_pipeline", "_insert_task",
+        "_retirement_pipeline", "_kick_emitter", "_emit_ready",
     }),
     "repro/picos/dependence.py": frozenset({
         "submit", "retire", "has_capacity", "predecessors_for",
         "forget_task",
     }),
+    "repro/manager/submission.py": frozenset({"_pump"}),
     "repro/runtime/base.py": frozenset({
         "wait_for_signals", "scenario_release_gate",
         "scenario_note_completion",
@@ -56,6 +62,9 @@ HOT_FUNCTIONS: Dict[str, FrozenSet[str]] = {
 }
 
 _DATACLASS_DECORATORS = ("dataclass", "dataclasses.dataclass")
+
+#: This file, where :data:`HOT_FUNCTIONS` is checked for stale entries.
+_TABLE_PATH = "repro/analysis/rules/hotpath.py"
 
 
 @register_rule
@@ -65,7 +74,7 @@ class HotPathRule(LintRule):
                    "property reads in per-event dispatch")
     hint = ("declare __slots__; use _tag dispatch instead of isinstance; "
             "inline property bodies on hot paths")
-    paths = tuple(HOT_FUNCTIONS)
+    paths = tuple(HOT_FUNCTIONS) + (_TABLE_PATH,)
     node_types = (ast.ClassDef, ast.GeneratorExp, ast.Call, ast.Attribute)
 
     def _in_hot_function(self, ctx: FileContext) -> bool:
@@ -78,6 +87,8 @@ class HotPathRule(LintRule):
         return False
 
     def visit(self, node: ast.AST, ctx: FileContext) -> Iterable[Finding]:
+        if ctx.relpath not in HOT_FUNCTIONS:
+            return
         if isinstance(node, ast.ClassDef):
             yield from self._check_class(node, ctx)
             return
@@ -129,3 +140,42 @@ class HotPathRule(LintRule):
             "__slots__",
             hint="add __slots__ with the instance attributes (dataclasses "
                  "are exempt)")
+
+    def finish(self, ctx: FileContext) -> Iterable[Finding]:
+        if ctx.relpath != _TABLE_PATH:
+            return
+        # The directory the table's module paths are relative to.
+        root = ctx.path.parents[len(Path(_TABLE_PATH).parts) - 1]
+        for module, entries in _table_entries(ctx.tree):
+            path = root / module
+            defined = _function_names(path) if path.is_file() else set()
+            for entry in entries:
+                if entry.value not in defined:
+                    yield self.finding(
+                        ctx, entry,
+                        f"hot function {entry.value!r} is not defined in "
+                        f"{module}",
+                        hint="rename or delete the stale HOT_FUNCTIONS "
+                             "entry")
+
+
+def _table_entries(tree: ast.Module):
+    """``(module, [name constants])`` per key of the annotated
+    ``HOT_FUNCTIONS`` dict literal in ``tree``."""
+    for statement in tree.body:
+        if (isinstance(statement, ast.AnnAssign)
+                and isinstance(statement.target, ast.Name)
+                and statement.target.id == "HOT_FUNCTIONS"
+                and isinstance(statement.value, ast.Dict)):
+            table = statement.value
+            for key, names in zip(table.keys, table.values):
+                if isinstance(key, ast.Constant):
+                    yield key.value, [node for node in ast.walk(names)
+                                      if isinstance(node, ast.Constant)]
+
+
+def _function_names(path: Path) -> Set[str]:
+    """Names of every def in the Python file at ``path``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return {node.name for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}

@@ -12,6 +12,14 @@ Delegates to the single Picos submission interface.  It guarantees:
 3. **Protocol crossing** — per-core Chisel-style buffers feed the Picos
    submission queue through a final buffer.
 
+Each pump still spends ``submission_packet_cycles`` and a zero-delay
+hand-off on every packet, but once the Picos inserter has caught up (it is
+parked on the empty submission queue) the pump hands it the packets of the
+rest of the descriptor directly (:meth:`PicosDevice.try_intake`) and wakes
+it only with the last one, through the queue.  The per-packet steps stay
+because the pump's place in each cycle decides where that last wake-up and
+the next core's grant land.
+
 Software interacts with the handler only through the two non-blocking hooks
 used by the delegate instructions: :meth:`announce` (Submission Request) and
 :meth:`push_packet` / :meth:`push_packets` (Submit Packet / Submit Three
@@ -22,7 +30,7 @@ are full, which is what lets the ISA stay deadlock-free (Section IV-C).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.common.config import PicosCosts
 from repro.common.errors import ProtocolError
@@ -63,6 +71,9 @@ class PendingSubmission:
 
 class SubmissionHandler:
     """Moves per-core packet streams onto the Picos submission interface."""
+
+    __slots__ = ("engine", "device", "num_cores", "costs", "name", "stats",
+                 "arbiter", "_buffers", "_announcements", "_pumps")
 
     def __init__(self, engine: Engine, device: PicosDevice, num_cores: int,
                  costs: PicosCosts, name: str = "submission_handler") -> None:
@@ -122,36 +133,37 @@ class SubmissionHandler:
         self.stats.add("packets_buffered", len(words))
         return True
 
-    def can_announce(self, core_id: int) -> bool:
-        """True when a new Submission Request from ``core_id`` would succeed."""
-        self._check_core(core_id)
-        return self._announcements[core_id].ready
-
     # ------------------------------------------------------------------ #
     # The per-core pump processes
     # ------------------------------------------------------------------ #
     def _pump(self, core_id: int) -> ProcessGen:
         """Stream announced submissions from ``core_id`` into Picos."""
+        announcements = self._announcements[core_id]
+        next_word = Get(self._buffers[core_id])
+        device = self.device
+        submission_queue = device.submission_queue
+        try_intake = device.try_intake
+        transfer_beat = self.arbiter.transfer_beat
+        stats = self.stats
+        packet_delay = Delay(self.costs.submission_packet_cycles)
+        handoff = Delay(0)
         while True:
-            pending: PendingSubmission = yield Get(self._announcements[core_id])
+            pending: PendingSubmission = yield Get(announcements)
             grant = self.arbiter.request(core_id, PACKETS_PER_DESCRIPTOR)
             yield Wait(grant)
-            # Forward the announced non-zero prefix at one packet per cycle.
-            for _ in range(pending.nonzero_packets):
-                word = yield Get(self._buffers[core_id])
-                yield Delay(self.costs.submission_packet_cycles)
-                yield Put(self.device.submission_queue, word)
-                self.arbiter.transfer_beat(core_id)
-            # Zero Padder: complete the 48-packet sequence.
-            for _ in range(PACKETS_PER_DESCRIPTOR - pending.nonzero_packets):
-                yield Delay(self.costs.submission_packet_cycles)
-                yield Put(self.device.submission_queue, 0)
-                self.arbiter.transfer_beat(core_id)
-            self.stats.incr("descriptors_forwarded")
-            self.stats.add(
-                "zero_packets_padded",
-                PACKETS_PER_DESCRIPTOR - pending.nonzero_packets,
-            )
+            # Forward the announced non-zero prefix at one packet per cycle,
+            # then let the Zero Padder complete the 48-packet sequence.
+            nonzero = pending.nonzero_packets
+            for index in range(PACKETS_PER_DESCRIPTOR):
+                word = (yield next_word) if index < nonzero else 0
+                yield packet_delay
+                if try_intake(word):
+                    yield handoff
+                else:
+                    yield Put(submission_queue, word)
+                transfer_beat(core_id)
+            stats.incr("descriptors_forwarded")
+            stats.add("zero_packets_padded", PACKETS_PER_DESCRIPTOR - nonzero)
 
     def _check_core(self, core_id: int) -> None:
         if not 0 <= core_id < self.num_cores:

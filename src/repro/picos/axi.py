@@ -22,7 +22,7 @@ from repro.common.errors import PicosError
 from repro.common.stats import Stats
 from repro.picos.device import PicosDevice, ReadyTask
 from repro.picos.packets import TaskDescriptor, encode_descriptor
-from repro.sim.engine import Delay, Engine, ProcessGen
+from repro.sim.engine import Delay, Engine, ProcessGen, Put
 
 __all__ = ["AxiPicosInterface"]
 
@@ -57,8 +57,6 @@ class AxiPicosInterface:
         # The DMA engine streams all 48 packets into the Picos submission
         # queue; the stream itself proceeds at queue speed.
         for packet in encode_descriptor(descriptor):
-            from repro.sim.engine import Put
-
             yield Put(self.device.submission_queue, packet)
 
     # ------------------------------------------------------------------ #
@@ -113,6 +111,4 @@ class AxiPicosInterface:
         """Notify the scheduler that ``picos_id`` finished (AXI write)."""
         self.stats.incr("axi_retirements")
         yield Delay(self.costs.retire_transaction)
-        from repro.sim.engine import Put
-
         yield Put(self.device.retirement_queue, picos_id)

@@ -21,6 +21,14 @@ stall costs no host time however many cycles it lasts.  On wake-up the
 inserter resumes on the grid of a re-check every ``retire_cycles`` cycles
 from the moment it stalled, so tasks are accepted in exactly the cycles a
 polling inserter would accept them.
+
+Intake is direct when the inserter has caught up: while it is parked on
+an empty submission queue, the Submission Handler appends each packet but
+a descriptor's last straight to the partial descriptor
+(:meth:`PicosDevice.try_intake`) instead of waking the inserter for every
+packet.  The last packet goes through the queue and wakes the inserter in
+the cycle, and at the place in that cycle, where the per-packet path
+would have.
 """
 
 from __future__ import annotations
@@ -68,7 +76,7 @@ class PicosDevice:
 
     __slots__ = ("engine", "costs", "name", "stats", "graph", "_sw_ids",
                  "submission_queue", "ready_queue", "retirement_queue",
-                 "_ready_backlog", "_emitter_busy", "_slot_freed",
+                 "_partial", "_ready_backlog", "_emitter_busy", "_slot_freed",
                  "_submission_process", "_retirement_process")
 
     def __init__(self, engine: Engine, costs: PicosCosts,
@@ -89,6 +97,8 @@ class PicosDevice:
         self.retirement_queue: DecoupledQueue[int] = DecoupledQueue(
             engine, costs.retirement_queue_depth, name=f"{name}.retirement"
         )
+        #: Packets of the descriptor being reassembled, in arrival order.
+        self._partial: List[int] = []
         #: Tasks whose predecessors are satisfied but whose three ready
         #: packets have not yet been pushed into the ready queue.
         self._ready_backlog: Deque[ReadyTask] = deque()
@@ -112,10 +122,6 @@ class PicosDevice:
         """Number of tasks currently tracked by the reservation station."""
         return self.graph.in_flight
 
-    def can_accept_submission(self) -> bool:
-        """True when the submission queue can take one more packet."""
-        return self.submission_queue.ready
-
     def sw_id_of(self, picos_id: int) -> int:
         """The software id the runtime attached to ``picos_id``."""
         try:
@@ -123,21 +129,44 @@ class PicosDevice:
         except KeyError as exc:
             raise PicosError(f"unknown picos id {picos_id}") from exc
 
+    def try_intake(self, packet: int) -> bool:
+        """Hand ``packet`` straight to a caught-up inserter.
+
+        When the inserter is parked on the empty submission queue and
+        ``packet`` does not complete the descriptor, append it to the
+        partial descriptor and return True: that is what the inserter would
+        do ``submission_packet_cycles`` after a queue hand-off, and it stays
+        parked meanwhile.  Otherwise return False, and the caller puts
+        ``packet`` into the submission queue.
+
+        The two paths give identical results only for a producer that is
+        the queue's sole writer for the whole descriptor and waits at least
+        ``submission_packet_cycles`` between packets, as the Submission
+        Handler's pumps do.
+        """
+        partial = self._partial
+        if (self.submission_queue._get_waiters
+                and len(partial) < PACKETS_PER_DESCRIPTOR - 1):
+            partial.append(packet)
+            self.stats.incr("submission_packets")
+            return True
+        return False
+
     # ------------------------------------------------------------------ #
     # Pipelines
     # ------------------------------------------------------------------ #
     def _submission_pipeline(self) -> ProcessGen:
         """Reassemble 48-packet descriptors and insert them in the graph."""
-        buffer: List[int] = []
+        partial = self._partial
         while True:
             packet = yield Get(self.submission_queue)
             yield Delay(self.costs.submission_packet_cycles)
-            buffer.append(packet)
+            partial.append(packet)
             self.stats.incr("submission_packets")
-            if len(buffer) < PACKETS_PER_DESCRIPTOR:
+            if len(partial) < PACKETS_PER_DESCRIPTOR:
                 continue
-            descriptor = decode_descriptor(buffer)
-            buffer = []
+            descriptor = decode_descriptor(partial)
+            partial.clear()
             yield from self._insert_task(descriptor)
 
     def _insert_task(self, descriptor: TaskDescriptor) -> ProcessGen:

@@ -1,5 +1,6 @@
-"""Workload factories, telemetry helpers, a reference MESI directory and a
-polling Picos device shared by the test suite."""
+"""Workload factories, telemetry helpers, a reference MESI directory, a
+polling Picos device and a per-packet Submission Handler shared by the test
+suite."""
 
 from __future__ import annotations
 
@@ -11,12 +12,13 @@ from repro.common.config import MemoryCosts, SimConfig
 from repro.common.errors import MemoryModelError
 from repro.common.stats import Stats
 from repro.harness.telemetry import TelemetrySink
+from repro.manager.submission import PendingSubmission, SubmissionHandler
 from repro.memory.mesi import AccessType, LineState
 from repro.picos.device import PicosDevice, ReadyTask
-from repro.picos.packets import TaskDescriptor
+from repro.picos.packets import PACKETS_PER_DESCRIPTOR, TaskDescriptor
 from repro.runtime.phentos import PhentosRuntime
 from repro.runtime.task import Task, TaskProgram, in_dep, inout_dep, out_dep
-from repro.sim.engine import Delay, ProcessGen
+from repro.sim.engine import Delay, Get, ProcessGen, Put, Wait
 
 
 class PluginRuntime(PhentosRuntime):
@@ -282,3 +284,34 @@ class PollingPicosDevice(PicosDevice):
         self.stats.observe("dependences_per_task", descriptor.num_dependences)
         if ready:
             self._schedule_ready(ReadyTask(task_id, descriptor.sw_id))
+
+
+# ---------------------------------------------------------------------- #
+# Per-packet Submission Handler
+# ---------------------------------------------------------------------- #
+class PerPacketSubmissionHandler(SubmissionHandler):
+    """``SubmissionHandler`` with the pump that direct intake replaced:
+    every packet, zero padding included, goes through the Picos submission
+    queue and wakes the inserter.  Differential tests drive both with the
+    same program and require identical accept cycles, results and stats.
+    """
+
+    def _pump(self, core_id: int) -> ProcessGen:
+        while True:
+            pending: PendingSubmission = yield Get(self._announcements[core_id])
+            grant = self.arbiter.request(core_id, PACKETS_PER_DESCRIPTOR)
+            yield Wait(grant)
+            for _ in range(pending.nonzero_packets):
+                word = yield Get(self._buffers[core_id])
+                yield Delay(self.costs.submission_packet_cycles)
+                yield Put(self.device.submission_queue, word)
+                self.arbiter.transfer_beat(core_id)
+            for _ in range(PACKETS_PER_DESCRIPTOR - pending.nonzero_packets):
+                yield Delay(self.costs.submission_packet_cycles)
+                yield Put(self.device.submission_queue, 0)
+                self.arbiter.transfer_beat(core_id)
+            self.stats.incr("descriptors_forwarded")
+            self.stats.add(
+                "zero_packets_padded",
+                PACKETS_PER_DESCRIPTOR - pending.nonzero_packets,
+            )

@@ -133,7 +133,7 @@ class Helper:
     def empty(self):
         return self.size == 0
 
-    def _dispatch(self, items):
+    def _loop(self, items):
         if isinstance(items, list) and not self.empty:
             return sum(x for x in items)
         return None
@@ -146,7 +146,7 @@ class Helper:
     def __init__(self):
         self.size = 0
 
-    def _dispatch(self, items):
+    def _loop(self, items):
         total = 0
         for x in items:
             total += x
@@ -159,7 +159,7 @@ def test_hotpath_positive(tmp_path):
                             HOTPATH_BAD, rules=["hot-path"])
     messages = "\n".join(f.message for f in findings)
     assert "does not declare __slots__" in messages
-    assert "isinstance() in hot function '_dispatch'" in messages
+    assert "isinstance() in hot function '_loop'" in messages
     assert "generator expression in hot function" in messages
     assert "read of property self.empty" in messages
 
@@ -215,6 +215,36 @@ def test_hotpath_requires_slots_in_picos_dependence(tmp_path):
     assert len(findings) == 1
     assert "'DependenceTracker'" in findings[0].message
     assert "does not declare __slots__" in findings[0].message
+
+
+HOTPATH_TABLE = """\
+HOT_FUNCTIONS: Dict[str, FrozenSet[str]] = {
+    "repro/sim/mod.py": frozenset({
+        "present",
+        "gone",
+    }),
+    "repro/sim/missing.py": frozenset({"anything"}),
+}
+"""
+
+
+def test_hotpath_reports_stale_table_entries(tmp_path):
+    module = tmp_path / "src" / "repro" / "sim" / "mod.py"
+    module.parent.mkdir(parents=True)
+    module.write_text("def present():\n    pass\n", encoding="utf-8")
+    findings = lint_snippet(tmp_path, "src/repro/analysis/rules/hotpath.py",
+                            HOTPATH_TABLE, rules=["hot-path"])
+    assert [(f.line, f.message) for f in findings] == [
+        (4, "hot function 'gone' is not defined in repro/sim/mod.py"),
+        (6, "hot function 'anything' is not defined in "
+            "repro/sim/missing.py"),
+    ]
+
+
+def test_hotpath_table_names_only_existing_functions():
+    table = REPO_ROOT / "src" / "repro" / "analysis" / "rules" / "hotpath.py"
+    assert lint_paths([table], root=REPO_ROOT,
+                      rules=select_rules(["hot-path"])) == []
 
 
 def test_hotpath_dataclasses_are_slots_exempt(tmp_path):

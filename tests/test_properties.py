@@ -426,9 +426,14 @@ from unittest import mock  # noqa: E402
 from repro import registry  # noqa: E402
 from repro.common.config import SimConfig  # noqa: E402
 from repro.common.errors import SimulationError  # noqa: E402
+from repro.manager.submission import SubmissionHandler  # noqa: E402
 from repro.picos.device import PicosDevice  # noqa: E402
 from repro.runtime.base import RuntimeResult  # noqa: E402
-from tests.helpers import PollingPicosDevice, picos_config  # noqa: E402
+from tests.helpers import (  # noqa: E402
+    PerPacketSubmissionHandler,
+    PollingPicosDevice,
+    picos_config,
+)
 
 
 class _AcceptLog(TaskGraph):
@@ -444,12 +449,14 @@ class _AcceptLog(TaskGraph):
         return super().submit(sw_id, dependences)
 
 
-def _run_logged(device_class, runtime_name, config, program, workers):
-    """Run ``program`` on an SoC whose Picos is ``device_class``.
+def _run_logged(runtime_name, config, program, workers,
+                device_class=PicosDevice, handler_class=SubmissionHandler):
+    """Run ``program`` on an SoC whose Picos is ``device_class`` and whose
+    Picos Manager forwards submissions through ``handler_class``.
 
     Returns the accept log and the ``RuntimeResult``, or the failure as
     ``(exception class name, message)``: some generated programs hit a
-    lost wake-up in the runtime models, and both devices must then fail
+    lost wake-up in the runtime models, and both variants must then fail
     the same way."""
     log = []
 
@@ -460,7 +467,9 @@ def _run_logged(device_class, runtime_name, config, program, workers):
 
     runtime = registry.runtime(runtime_name).cls(config)
     try:
-        with mock.patch("repro.cpu.soc.PicosDevice", Logged):
+        with mock.patch("repro.cpu.soc.PicosDevice", Logged), \
+                mock.patch("repro.manager.submission.SubmissionHandler",
+                           handler_class):
             outcome = runtime.run(program, num_workers=workers)
     except SimulationError as exc:
         outcome = (type(exc).__name__, str(exc))
@@ -496,10 +505,9 @@ def stalling_runs(draw):
 @given(stalling_runs())
 def test_event_wait_matches_polling_inserter(run):
     runtime_name, config, program, workers = run
-    polled_log, polled = _run_logged(PollingPicosDevice, runtime_name,
-                                     config, program, workers)
-    event_log, event = _run_logged(PicosDevice, runtime_name, config,
-                                   program, workers)
+    polled_log, polled = _run_logged(runtime_name, config, program, workers,
+                                     device_class=PollingPicosDevice)
+    event_log, event = _run_logged(runtime_name, config, program, workers)
     assert event_log == polled_log
     if isinstance(polled, tuple) and "exceeded max_cycles" in polled[1]:
         # A station that can never drain again: the poll spins to the cycle
@@ -510,3 +518,52 @@ def test_event_wait_matches_polling_inserter(run):
     if isinstance(polled, RuntimeResult):
         # Same values, and the same first-touch order the reports keep.
         assert list(event.stats.items()) == list(polled.stats.items())
+
+
+# --------------------------------------------------------------------- #
+# Direct descriptor intake against the per-packet Submission Handler
+# --------------------------------------------------------------------- #
+@st.composite
+def intake_runs(draw):
+    """A program with up to 15 dependences per task on random Picos costs."""
+    num_tasks = draw(st.integers(min_value=1, max_value=16))
+    tasks = []
+    for index in range(num_tasks):
+        accesses = draw(st.dictionaries(st.integers(0, 19), directions,
+                                        max_size=15))
+        tasks.append(Task(
+            index=index,
+            payload_cycles=draw(st.integers(0, 3000)),
+            dependences=tuple(TaskDependence(0x9000_0000 + 64 * slot, how)
+                              for slot, how in sorted(accesses.items())),
+        ))
+    taskwaits = draw(st.lists(st.integers(0, num_tasks - 1), max_size=3,
+                              unique=True))
+    program = TaskProgram(name="intake", tasks=tasks,
+                          taskwait_after=set(taskwaits))
+    config = picos_config(
+        SimConfig(max_cycles=2_000_000),
+        submission_packet_cycles=draw(st.integers(0, 3)),
+        submission_queue_depth=draw(st.integers(1, 64)),
+        max_in_flight_tasks=draw(st.integers(1, 8)),
+        task_insert_cycles=draw(st.integers(0, 20)),
+        dependence_analysis_cycles=draw(st.integers(0, 8)),
+        retire_cycles=draw(st.integers(0, 16)),
+    )
+    return (draw(st.sampled_from(["phentos", "nanos-rv"])), config, program,
+            draw(st.integers(1, 4)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(intake_runs())
+def test_direct_intake_matches_per_packet_pump(run):
+    runtime_name, config, program, workers = run
+    packet_log, per_packet = _run_logged(
+        runtime_name, config, program, workers,
+        handler_class=PerPacketSubmissionHandler)
+    direct_log, direct = _run_logged(runtime_name, config, program, workers)
+    assert direct_log == packet_log
+    assert direct == per_packet
+    if isinstance(per_packet, RuntimeResult):
+        # Same values, and the same first-touch order the reports keep.
+        assert list(direct.stats.items()) == list(per_packet.stats.items())

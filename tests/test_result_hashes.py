@@ -1,0 +1,35 @@
+"""Every quick Figure 9 result stays byte-identical.
+
+``tests/data/quick_result_hashes.json`` holds one SHA-256 per (input,
+runtime) result of the quick sweep at eight workers, recorded by
+``tools/record_quick_result_hashes.py``.  A change that only makes the
+simulator faster or simpler must leave every hash alone; a change meant to
+move the modelled numbers re-records the fixture and says so.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import json
+from pathlib import Path
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+RECORDER = REPO_ROOT / "tools" / "record_quick_result_hashes.py"
+
+
+def _load_recorder():
+    spec = importlib.util.spec_from_file_location("record_quick_result_hashes",
+                                                  RECORDER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_quick_results_match_recorded_hashes():
+    recorder = _load_recorder()
+    expected = json.loads(recorder.OUT.read_text(encoding="utf-8"))
+    assert len(expected) == 36
+    actual = recorder.quick_result_hashes()
+    changed = sorted(key for key in expected if actual.get(key) != expected[key])
+    assert not changed, f"results changed: {changed}"
+    assert list(actual) == list(expected)
