@@ -2,8 +2,8 @@
 
 The reproduction's credibility rests on invariants nothing in the Python
 language enforces: bit-identical simulation results, byte-stable cache
-keys, seeded determinism in the scenario layer, and the hot-path coding
-rules that keep the event loop fast.  This package makes those invariants
+keys, entropy-free simulation code, and the hot-path coding rules that
+keep the event loop fast.  This package makes those invariants
 mechanical.  It is dependency-free (stdlib ``ast`` + ``tokenize`` only)
 and lints the whole tree in one pass per file.
 

@@ -23,24 +23,18 @@ from typing import Dict, FrozenSet, Iterable
 from repro.analysis.core import FileContext, Finding, LintRule
 from repro.analysis.registry import register_rule
 
-#: Files linted in full: every line feeds keys, hashes or seeded streams.
+#: Files linted in full: every line feeds keys or hashes.
 _FULL_FILES = (
     "repro/harness/hashing.py",
-    "repro/scenario/stream.py",
 )
 
 #: Files where only the named key-feeding functions are in scope.
 _TARGETED: Dict[str, FrozenSet[str]] = {
-    "repro/scenario/spec.py": frozenset({
-        "context", "canonical_scenario", "_canonical_params", "is_default",
-    }),
     "repro/eval/experiments.py": frozenset({"canonical_runtime_selection"}),
 }
 
 #: Functions allowed to stringify: they *are* the canonicalizer.
-_CANONICALIZERS = frozenset({
-    "_jsonable", "_context_jsonable", "_canonical_params", "__repr__",
-})
+_CANONICALIZERS = frozenset({"_jsonable", "__repr__"})
 
 _MAPPING_VIEWS = frozenset({"items", "keys", "values"})
 _STRINGIFIERS = frozenset({"str", "repr", "format"})

@@ -1,12 +1,10 @@
-"""Determinism rule: simulation and scenario code must be seed-pure.
+"""Determinism rule: simulation and hashing code must be entropy-free.
 
 Results are pinned by golden traces and byte-stable fingerprints, so code
-in ``repro/sim/``, ``repro/scenario/`` and ``repro/harness/hashing.py``
-may not consult ambient entropy (``random``, ``uuid``, ``secrets``,
-``os.urandom``, wall-clock time) and may not iterate ``set`` objects,
-whose order is salted per interpreter run.  Scenario randomness flows
-exclusively through :class:`repro.scenario.stream.Pcg64Stream` /
-``derive_stream``.
+in ``repro/sim/`` and ``repro/harness/hashing.py`` may not consult
+ambient entropy (``random``, ``uuid``, ``secrets``, ``os.urandom``,
+wall-clock time) and may not iterate ``set`` objects, whose order is
+salted per interpreter run.
 """
 
 from __future__ import annotations
@@ -48,12 +46,11 @@ def _is_set_expr(node: ast.AST) -> bool:
 class DeterminismRule(LintRule):
     id = "determinism"
     description = ("no ambient entropy or salted set iteration in "
-                   "sim/scenario/hashing code")
-    hint = ("route randomness through Pcg64Stream/derive_stream; wrap set "
-            "iteration in sorted()")
+                   "sim/hashing code")
+    hint = ("keep entropy and clocks out of the model; wrap set iteration "
+            "in sorted()")
     paths = (
         "repro/sim/*.py",
-        "repro/scenario/*.py",
         "repro/harness/hashing.py",
     )
     node_types = (ast.Import, ast.ImportFrom, ast.Call, ast.For,

@@ -55,10 +55,7 @@ HOT_FUNCTIONS: Dict[str, FrozenSet[str]] = {
         "forget_task",
     }),
     "repro/manager/submission.py": frozenset({"_pump"}),
-    "repro/runtime/base.py": frozenset({
-        "wait_for_signals", "scenario_release_gate",
-        "scenario_note_completion",
-    }),
+    "repro/runtime/base.py": frozenset({"wait_for_signals"}),
 }
 
 _DATACLASS_DECORATORS = ("dataclass", "dataclasses.dataclass")

@@ -1,7 +1,7 @@
 """Spawn-safety rule: registered objects must be importable by name.
 
-Warm-pool workers re-import registered workloads/runtimes/scenario
-components by ``(module, name)`` — see ``plugin_file_of`` and the
+Warm-pool workers re-import registered workloads and runtimes by
+``(module, name)`` — see ``plugin_file_of`` and the
 ``ensure_*`` helpers in :mod:`repro.registry`.  A lambda, closure or
 locally-defined class registered from inside a function exists only in
 the registering process and silently diverges (or crashes) in a spawned
@@ -22,20 +22,14 @@ from typing import Iterable, Optional
 from repro.analysis.core import FileContext, Finding, LintRule
 from repro.analysis.registry import register_rule
 
-_REGISTER_NAMES = frozenset({
-    "register_workload", "register_runtime", "register_arrival",
-    "register_etm", "register_scheduler",
-})
-_ENSURE_NAMES = frozenset({
-    "ensure_workload", "ensure_runtime", "ensure_arrival", "ensure_etm",
-    "ensure_scheduler",
-})
+_REGISTER_NAMES = frozenset({"register_workload", "register_runtime"})
+_ENSURE_NAMES = frozenset({"ensure_workload", "ensure_runtime"})
 
 _FUNCTION_NODES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 
 
 def _callable_name(node: ast.AST) -> Optional[str]:
-    """Last dotted segment of a call target ("registry.register_etm" -> ...)."""
+    """Last dotted segment of a call target ("registry.register_runtime" -> ...)."""
     if isinstance(node, ast.Attribute):
         return node.attr
     if isinstance(node, ast.Name):
@@ -55,8 +49,8 @@ def _nested_in_function(node: ast.AST, ctx: FileContext) -> bool:
 @register_rule
 class SpawnSafetyRule(LintRule):
     id = "spawn-safety"
-    description = ("registered workloads/runtimes/scenario components must "
-                   "be module-level (warm-pool workers re-import them)")
+    description = ("registered workloads/runtimes must be module-level "
+                   "(warm-pool workers re-import them)")
     hint = ("move the registered def/class to module level; lambdas and "
             "closures cannot be re-imported by spawned workers")
     paths = ("repro/*", "examples/*")

@@ -39,7 +39,6 @@ from repro.eval.experiments import (
     checked_geometric_mean,
 )
 from repro.eval.scaling import ScalingCurve
-from repro.scenario import ScenarioSpec, canonical_scenario
 
 if TYPE_CHECKING:  # imported lazily at runtime (harness imports this module)
     from repro.harness.executor import UnitFailure
@@ -49,15 +48,10 @@ __all__ = ["Study", "StudyResult", "StudySweep"]
 
 @dataclass(frozen=True)
 class StudySweep:
-    """All benchmark runs of one core count (and seed) of a study.
-
-    ``seed`` is the stochastic-scenario seed the sweep ran under, or
-    ``None`` for a deterministic (scenario-free) sweep.
-    """
+    """All benchmark runs of one core count of a study."""
 
     cores: int
     runs: Tuple[BenchmarkRun, ...]
-    seed: Optional[int] = None
 
 
 @dataclass
@@ -86,13 +80,6 @@ class StudyResult:
     #: Where the study's telemetry trace was recorded (``Study.trace``),
     #: or None for an untraced study.
     trace_path: Optional[str] = None
-    #: Human-readable description of the stochastic scenario
-    #: (:meth:`~repro.scenario.ScenarioSpec.describe`), or ``None`` for a
-    #: deterministic study.
-    scenario: Optional[str] = None
-    #: The seeds the scenario ran under (one :class:`StudySweep` per
-    #: core count per seed); empty for a deterministic study.
-    seeds: Tuple[int, ...] = ()
 
     @property
     def case_keys(self) -> List[str]:
@@ -101,21 +88,14 @@ class StudyResult:
             return []
         return [run.case.key for run in self.sweeps[0].runs]
 
-    def sweep_at(self, cores: int,
-                 seed: Optional[int] = None) -> StudySweep:
-        """The sweep executed at ``cores`` simulated cores.
-
-        For a seeded study, ``seed`` selects among the per-seed sweeps of
-        that core count (default: the first seed's).
-        """
+    def sweep_at(self, cores: int) -> StudySweep:
+        """The sweep executed at ``cores`` simulated cores."""
         for sweep in self.sweeps:
-            if sweep.cores == cores and (seed is None or sweep.seed == seed):
+            if sweep.cores == cores:
                 return sweep
         raise EvaluationError(
-            f"study {self.label!r} has no {cores}-core sweep"
-            f"{'' if seed is None else f' at seed {seed}'}; "
-            f"core counts: {list(self.core_counts)}; "
-            f"seeds: {list(self.seeds)}"
+            f"study {self.label!r} has no {cores}-core sweep; "
+            f"core counts: {list(self.core_counts)}"
         )
 
     def runs(self, cores: Optional[int] = None) -> List[BenchmarkRun]:
@@ -174,11 +154,6 @@ class Study:
         self._scale = 1.0
         self._keep_going = False
         self._retries = 1
-        self._arrival: Optional[Tuple[str, dict]] = None
-        self._etm: Optional[Tuple[str, dict]] = None
-        self._scheduler: Optional[Tuple[str, dict]] = None
-        self._deadline_factor = 0.0
-        self._seeds: Optional[List[int]] = None
         self._label: Optional[str] = None
         self._cache_dir = None
         self._cache_budget = None
@@ -186,7 +161,7 @@ class Study:
         self._trace_path: Optional[Path] = None
 
     # ------------------------------------------------------------------ #
-    # Scenario selection
+    # Workload, runtime and machine selection
     # ------------------------------------------------------------------ #
     def workloads(self, *names: str,
                   tags: Optional[Sequence[str]] = None) -> "Study":
@@ -239,90 +214,6 @@ class Study:
                 )
         self._cores = sorted(set(counts))
         return self
-
-    # ------------------------------------------------------------------ #
-    # Stochastic scenario
-    # ------------------------------------------------------------------ #
-    def arrivals(self, name: str, **params: object) -> "Study":
-        """Release tasks over time via a registered arrival model.
-
-        ``name`` resolves through the arrival registry (``"periodic"``,
-        ``"poisson"``, ``"bursty"`` built in; ``"none"`` restores the
-        default everything-ready-at-once behaviour).  ``params`` override
-        the model's registered defaults, e.g. ``arrivals("bursty",
-        load=0.8, burst=16)``.
-        """
-        if name != "none":
-            registry.arrival(name)  # did-you-mean on unknown, eagerly
-        self._arrival = (name, dict(params))
-        return self
-
-    def etm(self, name: str, **params: object) -> "Study":
-        """Perturb task execution times via an execution-time model.
-
-        ``name`` resolves through the ETM registry (``"constant"``,
-        ``"uniform"``, ``"lognormal"`` built in; ``"none"`` keeps nominal
-        payloads).
-        """
-        if name != "none":
-            registry.etm(name)  # did-you-mean on unknown, eagerly
-        self._etm = (name, dict(params))
-        return self
-
-    def scheduler(self, name: str, **params: object) -> "Study":
-        """Reorder ready queues via a registered scheduler policy.
-
-        ``name`` resolves through the scheduler registry (``"fifo"`` —
-        the paper's Picos order and the default — plus ``"priority"``,
-        ``"random"`` and ``"lifo"``).
-        """
-        registry.scheduler(name)  # did-you-mean on unknown, eagerly
-        self._scheduler = (name, dict(params))
-        return self
-
-    def deadlines(self, factor: float) -> "Study":
-        """Stamp per-task deadlines at ``factor`` × payload after release.
-
-        Deadline misses are counted per run in the ``scenario.*`` stats;
-        0 (the default) disables deadlines.
-        """
-        if factor < 0:
-            raise EvaluationError("deadline factor must be >= 0")
-        self._deadline_factor = float(factor)
-        return self
-
-    def seeds(self, *values: int) -> "Study":
-        """Run the scenario under these explicit seeds, one sweep each.
-
-        Each seed produces its own :class:`StudySweep` per core count
-        (``StudySweep.seed`` says which); use ``.seeds(*range(5))`` for a
-        5-replicate study.  Same (scenario, seed) always reproduces
-        byte-identical results.
-        """
-        if not values:
-            raise EvaluationError("Study.seeds() needs at least one seed")
-        for value in values:
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise EvaluationError(
-                    f"seeds must be integers, got {value!r}")
-        self._seeds = list(dict.fromkeys(values))
-        return self
-
-    def _scenario_spec(self) -> Optional[ScenarioSpec]:
-        """The study's base scenario (seed 0), or ``None`` if untouched."""
-        if (self._arrival is None and self._etm is None
-                and self._scheduler is None and not self._deadline_factor
-                and self._seeds is None):
-            return None
-        arrival, arrival_params = self._arrival or ("none", {})
-        etm, etm_params = self._etm or ("none", {})
-        scheduler, scheduler_params = self._scheduler or ("fifo", {})
-        return ScenarioSpec.make(
-            arrival=arrival, arrival_params=arrival_params,
-            etm=etm, etm_params=etm_params,
-            scheduler=scheduler, scheduler_params=scheduler_params,
-            seed=0, deadline_factor=self._deadline_factor,
-        )
 
     # ------------------------------------------------------------------ #
     # Execution knobs
@@ -443,31 +334,18 @@ class Study:
                      else benchmark_cases_for(self._workloads,
                                               self._workload_tags,
                                               self._quick, self._scale))
-            base_spec = self._scenario_spec()
-            if base_spec is None:
-                seeded: List[Tuple[Optional[int],
-                                   Optional[ScenarioSpec]]] = [(None, None)]
-            else:
-                seed_values = (self._seeds if self._seeds is not None
-                               else [base_spec.seed])
-                seeded = [(seed, base_spec.with_seed(seed))
-                          for seed in seed_values]
             curves: Tuple[ScalingCurve, ...] = ()
             if len(counts) > 1:
-                # Scaling curves compare speedups, so they run under the
-                # first seed only; per-seed spread lives in the sweeps.
                 curves = tuple(engine.run(
                     "scaling_curves", quick=self._quick, scale=self._scale,
                     cases=cases, core_counts=counts,
-                    runtimes=self._runtimes, scenario=seeded[0][1],
+                    runtimes=self._runtimes,
                 ))
             sweeps = tuple(
                 StudySweep(count, tuple(engine.run(
                     "figure9", quick=self._quick, scale=self._scale,
                     cases=cases, num_workers=count, runtimes=self._runtimes,
-                    scenario=spec,
-                )), seed=seed)
-                for seed, spec in seeded
+                )))
                 for count in counts
             )
             # Memo-served partial sweeps re-report their failures (so a
@@ -495,12 +373,6 @@ class Study:
             trace_path=(str(self._trace_path)
                         if self._trace_path is not None and owns_engine
                         else None),
-            scenario=(seeded[0][1].describe()
-                      if seeded[0][1] is not None
-                      and canonical_scenario(seeded[0][1]) is not None
-                      else None),
-            seeds=tuple(seed for seed, _spec in seeded
-                        if seed is not None),
         )
         if self._artifact_dir is not None:
             from repro.harness.artifacts import ArtifactStore

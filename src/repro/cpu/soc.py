@@ -77,10 +77,6 @@ class SoC:
                                              self.config.costs.rocc)
                     core.attach_accelerator(delegate)
                     self.delegates.append(delegate)
-        #: The active :class:`~repro.scenario.ScenarioRun`, installed by
-        #: :meth:`Runtime.run <repro.runtime.base.Runtime.run>` when a
-        #: stochastic scenario is selected; ``None`` on deterministic runs.
-        self.scenario = None
         self._workers: List[Process] = []
 
     # ------------------------------------------------------------------ #

@@ -43,8 +43,6 @@ from repro.eval.resources import ResourceEntry, resource_table
 from repro.registry import RegistryError
 from repro.runtime.base import RuntimeResult
 from repro.runtime.task import TaskProgram
-from repro.scenario import (canonical_scenario, compile_scenario,
-                            scenario_case_context)
 
 __all__ = [
     "BenchmarkCase",
@@ -286,7 +284,6 @@ def run_benchmark_case(
     config: Optional[SimConfig] = None,
     num_workers: Optional[int] = None,
     runtimes: Optional[Sequence[str]] = None,
-    scenario=None,
 ) -> BenchmarkRun:
     """Execute one benchmark input on the case runtimes (registry-driven).
 
@@ -298,12 +295,6 @@ def run_benchmark_case(
     the parallel harness (:mod:`repro.harness.runner`): a case is
     self-contained, so executing it in a worker process yields results
     identical to the in-process loop.
-
-    ``scenario`` — an optional :class:`~repro.scenario.ScenarioSpec` — is
-    compiled here, once per case: the arrival/ETM draws are shared by all
-    selected runtimes (apples-to-apples under jitter), while each runtime
-    gets its own scheduler stream.  The default / ``None`` spec leaves the
-    deterministic path byte-identical.
     """
     config = config if config is not None else SimConfig()
     workers = num_workers if num_workers is not None else \
@@ -312,22 +303,11 @@ def run_benchmark_case(
     names = (list(_PAPER_CASE_RUNTIMES) if selection is None
              else list(selection))
     program = case.build()
-    compiled = None
-    spec = canonical_scenario(scenario)
-    if spec is not None:
-        compiled = compile_scenario(spec, scenario_case_context(case),
-                                    program)
-        program = compiled.program
     run = BenchmarkRun(case=case, mean_task_cycles=program.mean_task_cycles)
     for name in names:
         runtime = registry.runtime(name).cls(config)
         run_workers = 1 if name == "serial" else workers
-        if compiled is None:
-            run.results[name] = runtime.run(program, num_workers=run_workers)
-        else:
-            run.results[name] = runtime.run(
-                program, num_workers=run_workers,
-                scenario=compiled.runtime_run(name))
+        run.results[name] = runtime.run(program, num_workers=run_workers)
     return run
 
 
@@ -338,15 +318,13 @@ def figure9_benchmarks(
     num_workers: Optional[int] = None,
     cases: Optional[Sequence[BenchmarkCase]] = None,
     runtimes: Optional[Sequence[str]] = None,
-    scenario=None,
 ) -> List[BenchmarkRun]:
     """Run every benchmark input on serial, Nanos-SW, Nanos-RV and Phentos."""
     config = config if config is not None else SimConfig()
     workers = num_workers if num_workers is not None else \
         config.machine.num_cores
     selected = list(cases) if cases is not None else benchmark_cases(quick, scale)
-    return [run_benchmark_case(case, config, workers, runtimes,
-                               scenario=scenario)
+    return [run_benchmark_case(case, config, workers, runtimes)
             for case in selected]
 
 

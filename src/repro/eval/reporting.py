@@ -131,46 +131,9 @@ def benchmarks_report(runs: Sequence[BenchmarkRun],
             run.case.label,
             f"{run.mean_task_cycles:.0f}",
         ] + [f"{run.speedup_vs_serial(name):.2f}" for name in names])
-    report = format_table(
+    return format_table(
         ["benchmark", "input", "mean task (cy)"]
         + [_RUNTIME_DISPLAY.get(name, name) for name in names],
-        rows,
-    )
-    scenario = _scenario_metrics_table(runs)
-    if scenario:
-        report += "\n\nscenario metrics (task latency, cycles):\n" + scenario
-    return report
-
-
-def _scenario_metrics_table(runs: Sequence[BenchmarkRun]) -> Optional[str]:
-    """Latency percentiles / deadline misses of a stochastic sweep.
-
-    Returns ``None`` when no run carries ``scenario.*`` stats — the
-    deterministic report stays byte-identical to pre-scenario releases.
-    """
-    rows = []
-    for run in runs:
-        for name, result in run.results.items():
-            stats = result.stats
-            if "scenario.latency_p50" not in stats:
-                continue
-            misses = stats.get("scenario.deadline_misses")
-            deadline_tasks = stats.get("scenario.deadline_tasks", 0)
-            rows.append([
-                run.case.benchmark,
-                run.case.label,
-                _RUNTIME_DISPLAY.get(name, name),
-                f"{stats['scenario.latency_p50']:.0f}",
-                f"{stats['scenario.latency_p95']:.0f}",
-                f"{stats['scenario.latency_p99']:.0f}",
-                (f"{misses:.0f}/{deadline_tasks:.0f}"
-                 if deadline_tasks else "-"),
-            ])
-    if not rows:
-        return None
-    return format_table(
-        ["benchmark", "input", "runtime", "p50", "p95", "p99",
-         "deadline misses"],
         rows,
     )
 

@@ -5,22 +5,13 @@ Subcommands::
     python -m repro list                      # experiment registry
     python -m repro workloads --tag paper     # workload plugin registry
     python -m repro runtimes                  # runtime plugin registry
-    python -m repro arrivals / etms / schedulers  # scenario registries
     python -m repro run figure9 --quick --jobs 8
     python -m repro run figure9 --workload jacobi --runtime phentos
-    python -m repro run figure9 --arrival bursty:load=0.8 --seed 7
     python -m repro run all --cache-dir /tmp/repro-cache
     python -m repro sweep --experiment scaling_curves --cores 1,2,4,8
     python -m repro cache --stats / --clear
     python -m repro cache evict --cache-budget 512M  # LRU shrink
     python -m repro trace summary trace.jsonl # digest a telemetry trace
-
-``run``/``sweep`` also accept a stochastic scenario: ``--arrival`` /
-``--etm`` / ``--scheduler`` select registered scenario components (with
-inline ``NAME:key=value,...`` parameters), ``--seed`` picks the
-deterministic random stream and ``--deadline-factor`` stamps per-task
-deadlines.  The same seeded scenario always reproduces byte-identical
-results, under any ``--jobs`` value (:mod:`repro.scenario`).
 
 ``run``/``sweep`` accept ``--workload``/``--runtime``/``--tag``
 filters resolved through the plugin registries (:mod:`repro.registry`), so
@@ -96,7 +87,6 @@ from repro.harness.artifacts import encode
 from repro.harness.cache import CACHE_BUDGET_ENV, open_store, resolve_budget
 from repro.harness.engine import ExperimentEngine
 from repro.harness.sweep import SweepGrid
-from repro.scenario import ScenarioSpec
 
 __all__ = ["main", "build_parser", "render_report"]
 
@@ -173,37 +163,6 @@ def _parse_names(text: str) -> List[str]:
     return [item.strip() for item in text.split(",") if item.strip()]
 
 
-def _parse_component(text: str):
-    """argparse type for scenario components: 'bursty:load=0.8,burst=16'.
-
-    Returns ``(name, params)``; parameter values parse as JSON literals
-    where possible (``load=0.8`` → float, ``edf=true`` → bool) and fall
-    back to strings.
-    """
-    name, _, params_text = text.partition(":")
-    name = name.strip()
-    if not name:
-        raise argparse.ArgumentTypeError(
-            f"invalid scenario component {text!r}; expected "
-            f"NAME or NAME:key=value[,key=value...]"
-        )
-    params = {}
-    for item in params_text.split(","):
-        item = item.strip()
-        if not item:
-            continue
-        key, sep, value = item.partition("=")
-        if not sep or not key.strip():
-            raise argparse.ArgumentTypeError(
-                f"invalid parameter {item!r} in {text!r}; expected key=value"
-            )
-        try:
-            params[key.strip()] = json.loads(value.strip())
-        except ValueError:
-            params[key.strip()] = value.strip()
-    return name, params
-
-
 #: Experiments whose execution honours a ``--runtime`` selection (the
 #: derived figures hard-code the paper's three-way comparison).
 _RUNTIME_AWARE = ("figure9", "scaling_curves")
@@ -250,52 +209,6 @@ def _runtimes_for(args: argparse.Namespace, experiment_id: str):
               file=sys.stderr)
         return None
     return runtimes
-
-
-def _cli_scenario(args: argparse.Namespace) -> Optional[ScenarioSpec]:
-    """The :class:`ScenarioSpec` of ``--arrival``/``--etm``/... flags.
-
-    ``None`` when no scenario flag was given, so the default invocation
-    stays exactly the deterministic pre-scenario path (and its cache
-    keys).  Component names resolve eagerly through the scenario
-    registries with did-you-mean suggestions.
-    """
-    arrival = getattr(args, "arrival", None)
-    etm = getattr(args, "etm", None)
-    scheduler = getattr(args, "scheduler", None)
-    seed = getattr(args, "seed", None)
-    deadline = getattr(args, "deadline_factor", None)
-    if (arrival is None and etm is None and scheduler is None
-            and seed is None and deadline is None):
-        return None
-    arrival_name, arrival_params = arrival or ("none", {})
-    etm_name, etm_params = etm or ("none", {})
-    scheduler_name, scheduler_params = scheduler or ("fifo", {})
-    if arrival_name != "none":
-        registry.arrival(arrival_name)  # did-you-mean on unknown
-    if etm_name != "none":
-        registry.etm(etm_name)
-    registry.scheduler(scheduler_name)
-    return ScenarioSpec.make(
-        arrival=arrival_name, arrival_params=arrival_params,
-        etm=etm_name, etm_params=etm_params,
-        scheduler=scheduler_name, scheduler_params=scheduler_params,
-        seed=seed if seed is not None else 0,
-        deadline_factor=deadline if deadline is not None else 0.0,
-    )
-
-
-def _scenario_for(args: argparse.Namespace,
-                  experiment_id: str) -> Optional[ScenarioSpec]:
-    """The scenario flags, where the experiment consumes them."""
-    scenario = _cli_scenario(args)
-    if scenario is None:
-        return None
-    if not _is_case_aware(experiment_id):
-        print(f"note: scenario flags apply to the benchmark-sweep "
-              f"experiments; ignored for {experiment_id}", file=sys.stderr)
-        return None
-    return scenario
 
 
 def _default_jobs() -> int:
@@ -413,34 +326,9 @@ def build_parser() -> argparse.ArgumentParser:
                               f"also honours ${TRACE_ENV}; digest it with "
                               "'trace summary'")
 
-    scenario = argparse.ArgumentParser(add_help=False)
-    scenario.add_argument("--arrival", type=_parse_component, default=None,
-                          metavar="NAME[:k=v,...]",
-                          help="release tasks over time via this registered "
-                               "arrival model (see 'arrivals'), e.g. "
-                               "bursty:load=0.8,burst=16")
-    scenario.add_argument("--etm", type=_parse_component, default=None,
-                          metavar="NAME[:k=v,...]",
-                          help="perturb task execution times via this "
-                               "execution-time model (see 'etms'), e.g. "
-                               "lognormal:sigma=0.5")
-    scenario.add_argument("--scheduler", type=_parse_component, default=None,
-                          metavar="NAME[:k=v,...]",
-                          help="reorder ready queues via this scheduler "
-                               "policy (see 'schedulers'; default fifo, "
-                               "the paper's Picos order)")
-    scenario.add_argument("--seed", type=int, default=None,
-                          help="seed of the scenario's random streams "
-                               "(default 0); same seed, same results, "
-                               "under any --jobs value")
-    scenario.add_argument("--deadline-factor", type=float, default=None,
-                          metavar="FACTOR",
-                          help="stamp per-task deadlines at FACTOR x "
-                               "payload after release and count misses")
-
     run = sub.add_parser(
         "run", help="run one or more experiments (or 'all')",
-        parents=[plugins, resilience, tracing, scenario],
+        parents=[plugins, resilience, tracing],
     )
     run.add_argument("experiments", nargs="+",
                      help=f"experiment ids ({', '.join(_RUN_ORDER)}) or 'all'")
@@ -488,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
         "sweep",
         help="grid sweeps: an experiment across core counts "
              "(default: scaling_curves)",
-        parents=[plugins, resilience, tracing, scenario],
+        parents=[plugins, resilience, tracing],
     )
     sweep.add_argument("--experiment", default="scaling_curves",
                        help="experiment to sweep (default scaling_curves)")
@@ -551,18 +439,6 @@ def build_parser() -> argparse.ArgumentParser:
     runtimes.add_argument("--tag", type=_parse_names, action="extend",
                           default=None, metavar="TAG[,TAG...]",
                           help="only runtimes carrying every listed tag")
-
-    for kind, title in (("arrivals", "arrival-model"),
-                        ("etms", "execution-time-model"),
-                        ("schedulers", "scheduler-policy")):
-        components = sub.add_parser(
-            kind, help=f"list the {title} scenario registry",
-            parents=[plugins],
-        )
-        components.add_argument("--tag", type=_parse_names, action="extend",
-                                default=None, metavar="TAG[,TAG...]",
-                                help="only components carrying every "
-                                     "listed tag")
 
     cache = sub.add_parser(
         "cache", help="inspect, clear or evict the result cache")
@@ -641,32 +517,6 @@ def _cmd_runtimes(args: argparse.Namespace, out) -> int:
     return 0
 
 
-#: Scenario-component listing subcommands and their registries.
-_COMPONENT_REGISTRIES = {
-    "arrivals": lambda: registry.ARRIVALS,
-    "etms": lambda: registry.ETMS,
-    "schedulers": lambda: registry.SCHEDULERS,
-}
-
-
-def _cmd_components(args: argparse.Namespace, out) -> int:
-    """Print one scenario registry: name, tags, defaults, description."""
-    reg = _COMPONENT_REGISTRIES[args.command]()
-    specs = reg.specs(tags=args.tag or None)
-    if not specs:
-        print(f"no registered {reg.kind} carries every tag in "
-              f"{args.tag!r}", file=sys.stderr)
-        return 1
-    for spec in specs:
-        tags = ",".join(spec.tags) if spec.tags else "-"
-        defaults = (",".join(f"{key}={value}" for key, value
-                             in sorted(dict(spec.defaults).items()))
-                    if spec.defaults else "-")
-        print(f"{spec.name:<14} {tags:<24} {defaults:<28} "
-              f"{spec.description}", file=out)
-    return 0
-
-
 def _cmd_cache(args: argparse.Namespace, out) -> int:
     """Inspect, clear or evict the result cache."""
     cache_dir = args.cache_dir if args.cache_dir else default_cache_dir()
@@ -734,8 +584,7 @@ def _run_sweep_command(args: argparse.Namespace, engine: ExperimentEngine,
     if args.experiment == "scaling_curves":
         result = engine.run("scaling_curves", quick=args.quick,
                             scale=args.scale, core_counts=cores,
-                            runtimes=args.runtimes, cases=cases,
-                            scenario=_scenario_for(args, "scaling_curves"))
+                            runtimes=args.runtimes, cases=cases)
         if args.format == "json":
             print(json.dumps({"scaling_curves": encode(result)},
                              indent=2, sort_keys=True), file=out)
@@ -750,9 +599,7 @@ def _run_sweep_command(args: argparse.Namespace, engine: ExperimentEngine,
         results = engine.run_grid(grid, quick=args.quick, scale=args.scale,
                                   cases=_cases_for(args, cases,
                                                    args.experiment),
-                                  runtimes=runtimes,
-                                  scenario=_scenario_for(args,
-                                                         args.experiment))
+                                  runtimes=runtimes)
         if args.format == "json":
             payload = {item.point.label: encode(item.result)
                        for item in results}
@@ -800,7 +647,6 @@ def _cmd_run(args: argparse.Namespace, out) -> int:
                 num_tasks=args.num_tasks,
                 cases=_cases_for(args, cases, experiment_id),
                 runtimes=_runtimes_for(args, experiment_id),
-                scenario=_scenario_for(args, experiment_id),
             )
             if args.format == "json":
                 json_payload[experiment_id] = encode(result)
@@ -830,8 +676,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             return _cmd_workloads(args, sys.stdout)
         if args.command == "runtimes":
             return _cmd_runtimes(args, sys.stdout)
-        if args.command in _COMPONENT_REGISTRIES:
-            return _cmd_components(args, sys.stdout)
         if args.command == "cache":
             return _cmd_cache(args, sys.stdout)
         if args.command == "trace":

@@ -87,10 +87,8 @@ from repro.harness.hashing import (
     canonical_case_config,
     experiment_cache_key,
     grid_cache_key,
-    scenario_fingerprint,
 )
 from repro.registry import suggest
-from repro.scenario import ScenarioSpec, canonical_scenario
 from repro.harness.runner import CaseUnit, run_case_grid, run_cases
 from repro.harness.sweep import GridPoint, GridResult, SweepGrid
 from repro.harness.telemetry import (
@@ -274,7 +272,6 @@ class ExperimentEngine:
         cases: Optional[Sequence[BenchmarkCase]] = None,
         core_counts: Optional[Sequence[int]] = None,
         runtimes: Optional[Sequence[str]] = None,
-        scenario: Optional[ScenarioSpec] = None,
     ) -> object:
         """Run one experiment, chaining its dependencies as needed.
 
@@ -283,10 +280,8 @@ class ExperimentEngine:
         ``quick``/``scale``/``cases`` select the benchmark sweep inputs and
         ``num_tasks`` the micro-benchmark length of the overhead-based
         experiments; ``core_counts``/``runtimes`` parameterise the
-        ``scaling_curves`` grid; ``scenario`` applies a stochastic
-        :class:`~repro.scenario.ScenarioSpec` to the benchmark sweeps
-        (canonicalised, so the default spec behaves exactly like ``None``);
-        irrelevant knobs are ignored per experiment.
+        ``scaling_curves`` grid; irrelevant knobs are ignored per
+        experiment.
         """
         spec = EXPERIMENT_SPECS.get(experiment_id)
         if spec is None:
@@ -299,15 +294,13 @@ class ExperimentEngine:
                               quick=quick, scale=scale):
             if experiment_id == "scaling_curves":
                 result = self._run_scaling(quick, scale, cases, core_counts,
-                                           runtimes, scenario=scenario)
+                                           runtimes)
             elif experiment_id == "figure9":
                 result = self._run_sweep(quick, scale, num_workers, cases,
-                                         runtimes=runtimes,
-                                         scenario=scenario)
+                                         runtimes=runtimes)
             elif spec.is_derived:
                 result = self._run_derived(experiment_id, quick, scale,
-                                           num_workers, num_tasks, cases,
-                                           scenario=scenario)
+                                           num_workers, num_tasks, cases)
             else:
                 result = self._run_simple(experiment_id, num_tasks)
         if self.artifacts is not None:
@@ -323,7 +316,6 @@ class ExperimentEngine:
         num_tasks: Optional[int] = None,
         cases: Optional[Sequence[BenchmarkCase]] = None,
         runtimes: Optional[Sequence[str]] = None,
-        scenario: Optional[ScenarioSpec] = None,
     ) -> List[GridResult]:
         """Execute every point of ``grid`` and return its results in order.
 
@@ -340,11 +332,11 @@ class ExperimentEngine:
         with self.tracer.span("grid", "phase", points=len(points),
                               quick=quick, scale=scale):
             self._prime_grid_sweeps(points, quick, scale, cases,
-                                    runtimes=runtimes, scenario=scenario)
+                                    runtimes=runtimes)
             return [
                 GridResult(point, self._run_point(point, quick, scale,
                                                   num_tasks, cases,
-                                                  runtimes, scenario))
+                                                  runtimes))
                 for point in points
             ]
 
@@ -359,26 +351,22 @@ class ExperimentEngine:
         num_workers: Optional[int],
         cases: Optional[Sequence[BenchmarkCase]],
         runtimes: Optional[Sequence[str]] = None,
-        scenario: Optional[ScenarioSpec] = None,
     ):
-        """The (workers, cases, selection, spec, memo key) of one sweep.
+        """The (workers, cases, selection, memo key) of one sweep.
 
         The memo key folds the worker count into the configuration
         (:func:`~repro.harness.hashing.canonical_case_config`) exactly like
         the disk cache, so a scaling column at N cores and a direct
-        ``num_workers=N`` sweep share one in-memory entry too.  The
-        canonical scenario (``None`` for the default) is a key component,
-        so seeded stochastic sweeps never alias deterministic ones.
+        ``num_workers=N`` sweep share one in-memory entry too.
         """
         workers = (num_workers if num_workers is not None
                    else point_config.machine.num_cores)
         selected = (list(cases) if cases is not None
                     else benchmark_cases(quick, scale))
         selection = canonical_runtime_selection(runtimes)
-        spec = canonical_scenario(scenario)
         memo_key = (canonical_case_config(point_config, workers),
-                    tuple(selected), selection, spec)
-        return workers, selected, selection, spec, memo_key
+                    tuple(selected), selection)
+        return workers, selected, selection, memo_key
 
     def _run_sweep(
         self,
@@ -388,11 +376,10 @@ class ExperimentEngine:
         cases: Optional[Sequence[BenchmarkCase]],
         config: Optional[SimConfig] = None,
         runtimes: Optional[Sequence[str]] = None,
-        scenario: Optional[ScenarioSpec] = None,
     ) -> List[BenchmarkRun]:
         config = config if config is not None else self.config
-        workers, selected, selection, spec, memo_key = self._sweep_inputs(
-            config, quick, scale, num_workers, cases, runtimes, scenario)
+        workers, selected, selection, memo_key = self._sweep_inputs(
+            config, quick, scale, num_workers, cases, runtimes)
         if memo_key in self._sweep_memo:
             # A memo-served *partial* sweep re-reports its failures, so
             # the result is never mistaken for a complete one.
@@ -403,7 +390,7 @@ class ExperimentEngine:
                          cache=self.cache, runtimes=selection,
                          executor=self.executor, keep_going=self.keep_going,
                          retries=self.retries, failures=failures,
-                         tracer=self.tracer, scenario=spec)
+                         tracer=self.tracer)
         self.unit_failures.extend(failures)
         if failures:
             self._partial_memo[memo_key] = tuple(failures)
@@ -421,7 +408,6 @@ class ExperimentEngine:
         cases: Optional[Sequence[BenchmarkCase]],
         base_config: Optional[SimConfig] = None,
         runtimes: Optional[Sequence[str]] = None,
-        scenario: Optional[ScenarioSpec] = None,
     ) -> None:
         """Batch the benchmark units of every sweep-backed grid point.
 
@@ -434,7 +420,7 @@ class ExperimentEngine:
         base_config = (base_config if base_config is not None
                        else self.config)
         pending: List[tuple] = []  # (memo_key, config, workers, cases,
-        #                            selection, scenario)
+        #                            selection)
         seen = set()
         for point in points:
             exp_spec = EXPERIMENT_SPECS[point.experiment_id]
@@ -450,20 +436,18 @@ class ExperimentEngine:
             # the assembly never looks up.
             point_runtimes = (runtimes if point.experiment_id == "figure9"
                               else None)
-            workers, selected, selection, spec, memo_key = \
+            workers, selected, selection, memo_key = \
                 self._sweep_inputs(config, quick, scale, None, cases,
-                                   point_runtimes, scenario)
+                                   point_runtimes)
             if memo_key in self._sweep_memo or memo_key in seen:
                 continue
             seen.add(memo_key)
-            pending.append((memo_key, config, workers, selected, selection,
-                            spec))
+            pending.append((memo_key, config, workers, selected, selection))
         if not pending:
             return
         units = [
-            CaseUnit(config, case, workers, selection, spec)
-            for _memo_key, config, workers, selected, selection, spec
-            in pending
+            CaseUnit(config, case, workers, selection)
+            for _memo_key, config, workers, selected, selection in pending
             for case in selected
         ]
         failures: List[UnitFailure] = []
@@ -478,7 +462,7 @@ class ExperimentEngine:
         # even for partial sweeps; each point memoises its completed runs
         # and, when partial, the failures that belong to its slot range.
         offset = 0
-        for memo_key, _config, _workers, selected, _sel, _spec in pending:
+        for memo_key, _config, _workers, selected, _sel in pending:
             point_runs = runs[offset:offset + len(selected)]
             self._sweep_memo[memo_key] = [run for run in point_runs
                                           if run is not None]
@@ -497,7 +481,6 @@ class ExperimentEngine:
         num_tasks: Optional[int],
         cases: Optional[Sequence[BenchmarkCase]],
         runtimes: Optional[Sequence[str]] = None,
-        scenario: Optional[ScenarioSpec] = None,
     ) -> object:
         """Execute one grid point under its overridden configuration."""
         config = point.apply(self.config)
@@ -505,14 +488,13 @@ class ExperimentEngine:
         spec = EXPERIMENT_SPECS[experiment_id]
         if experiment_id == "scaling_curves":
             return self._run_scaling(quick, scale, cases, None, runtimes,
-                                     config=config, scenario=scenario)
+                                     config=config)
         if experiment_id == "figure9":
             return self._run_sweep(quick, scale, None, cases, config=config,
-                                   runtimes=runtimes, scenario=scenario)
+                                   runtimes=runtimes)
         if spec.is_derived:
             return self._run_derived(experiment_id, quick, scale, None,
-                                     num_tasks, cases, config=config,
-                                     scenario=scenario)
+                                     num_tasks, cases, config=config)
         return self._run_simple(experiment_id, num_tasks, config=config)
 
     def _run_simple(self, experiment_id: str,
@@ -561,7 +543,6 @@ class ExperimentEngine:
         num_tasks: Optional[int],
         cases: Optional[Sequence[BenchmarkCase]],
         config: Optional[SimConfig] = None,
-        scenario: Optional[ScenarioSpec] = None,
     ) -> object:
         """Experiments computed from the Figure 9 sweep."""
         config = config if config is not None else self.config
@@ -575,7 +556,7 @@ class ExperimentEngine:
         # they share the memo/cache without re-saving the figure9 artifact
         # once per derived experiment.
         runs = self._run_sweep(quick, scale, num_workers, cases,
-                               config=config, scenario=scenario)
+                               config=config)
         runner = spec.runner
         if experiment_id == "figure10":
             # Figure 10 overlays the runs on the MTT bound curves, which
@@ -625,7 +606,6 @@ class ExperimentEngine:
         core_counts: Optional[Sequence[int]],
         runtimes: Optional[Sequence[str]],
         config: Optional[SimConfig] = None,
-        scenario: Optional[ScenarioSpec] = None,
     ) -> object:
         """The scaling-curve grid: every case at every core count.
 
@@ -639,8 +619,6 @@ class ExperimentEngine:
         selected_runtimes = normalize_runtimes(runtimes)
         # Whole-result caching under a grid-aware key: a warm re-run skips
         # even the per-case lookups and the bound-overhead measurements.
-        # The scenario fingerprint only enters the key when non-default, so
-        # deterministic scaling keys stay byte-identical to older releases.
         key = None
         if self.cache is not None:
             parameters = {
@@ -653,9 +631,6 @@ class ExperimentEngine:
                     for case in cases
                 ],
             }
-            scenario_payload = scenario_fingerprint(scenario)
-            if scenario_payload is not None:
-                parameters["scenario"] = scenario_payload
             key = grid_cache_key(
                 "scaling_curves", config,
                 [{"num_cores": count} for count in counts],
@@ -676,15 +651,14 @@ class ExperimentEngine:
         failures_before = len(self.unit_failures)
         self._prime_grid_sweeps(points, quick, scale, cases,
                                 base_config=config,
-                                runtimes=selected_runtimes,
-                                scenario=scenario)
+                                runtimes=selected_runtimes)
         runs_by_cores: Dict[int, List[BenchmarkRun]] = {}
         for point in points:
             point_config = point.apply(config)
             cores = point_config.machine.num_cores
             runs_by_cores[cores] = self._run_sweep(
                 quick, scale, None, cases, config=point_config,
-                runtimes=selected_runtimes, scenario=scenario)
+                runtimes=selected_runtimes)
         partial = len(self.unit_failures) > failures_before
         if partial:
             # Keep-going mode with failures: assemble curves from the

@@ -31,14 +31,12 @@ import repro
 from repro.common.config import SimConfig
 from repro.common.errors import EvaluationError
 from repro.eval.experiments import BenchmarkCase, canonical_runtime_selection
-from repro.scenario import ScenarioSpec, canonical_scenario
 
 __all__ = [
     "CACHE_SCHEMA",
     "stable_hash",
     "config_fingerprint",
     "canonical_case_config",
-    "scenario_fingerprint",
     "case_cache_key",
     "experiment_cache_key",
     "grid_cache_key",
@@ -95,26 +93,10 @@ def canonical_case_config(config: SimConfig,
     return config.with_cores(workers)
 
 
-def scenario_fingerprint(scenario: Optional[ScenarioSpec]) -> Optional[dict]:
-    """The cache-key payload of a scenario, or ``None`` for the default.
-
-    Mirrors :func:`canonical_runtime_selection`: the default (or absent)
-    scenario contributes *nothing* to a key, so deterministic-harness keys
-    stay byte-identical to pre-scenario releases, while any non-default
-    component — including a bare non-zero seed — changes every key it
-    touches.
-    """
-    spec = canonical_scenario(scenario)
-    if spec is None:
-        return None
-    return _jsonable(spec)
-
-
 def case_cache_key(case: BenchmarkCase, config: SimConfig,
                    num_workers: Optional[int] = None,
                    version: Optional[str] = None,
-                   runtimes: Optional[Sequence[str]] = None,
-                   scenario: Optional[ScenarioSpec] = None) -> str:
+                   runtimes: Optional[Sequence[str]] = None) -> str:
     """Cache key of one benchmark case execution.
 
     Case-level keys make overlapping sweeps share work: the quick sweep is
@@ -128,9 +110,7 @@ def case_cache_key(case: BenchmarkCase, config: SimConfig,
     :func:`~repro.eval.experiments.canonical_runtime_selection` and only
     enters the key when the selection reaches outside the default case
     runtimes — a default-selection key is byte-identical to pre-registry
-    releases, so existing caches stay 100%-hit.  ``scenario`` enters the
-    same way through :func:`scenario_fingerprint`: only non-default
-    stochastic scenarios change the key.
+    releases, so existing caches stay 100%-hit.
     """
     payload = {
         "kind": "benchmark-case",
@@ -146,9 +126,6 @@ def case_cache_key(case: BenchmarkCase, config: SimConfig,
     selection = canonical_runtime_selection(runtimes)
     if selection is not None:
         payload["runtimes"] = list(selection)
-    scenario_payload = scenario_fingerprint(scenario)
-    if scenario_payload is not None:
-        payload["scenario"] = scenario_payload
     return stable_hash(payload)
 
 

@@ -76,7 +76,6 @@ from repro.harness.executor import (
 )
 from repro.harness.hashing import case_cache_key
 from repro.harness.telemetry import Tracer, null_tracer
-from repro.scenario import ScenarioSpec, canonical_scenario
 
 __all__ = ["CaseUnit", "run_cases", "run_case_grid"]
 
@@ -88,18 +87,12 @@ class CaseUnit:
     ``runtimes`` is the canonical runtime selection of the unit (``None``
     means the default case runtimes; see
     :func:`~repro.eval.experiments.canonical_runtime_selection`).
-    ``scenario`` is the canonical stochastic scenario (``None`` means the
-    deterministic default; see
-    :func:`~repro.scenario.canonical_scenario`) — it travels with the unit
-    so a pool worker derives exactly the same seeded streams an in-process
-    run would.
     """
 
     config: SimConfig
     case: BenchmarkCase
     num_workers: int
     runtimes: Optional[Tuple[str, ...]] = None
-    scenario: Optional[ScenarioSpec] = None
 
     @property
     def key(self) -> str:
@@ -108,7 +101,7 @@ class CaseUnit:
 
 
 def _plugin_payload(unit: "CaseUnit"
-                    ) -> Tuple[Optional[object], Dict, Tuple, Dict]:
+                    ) -> Tuple[Optional[object], Dict, Tuple]:
     """The plugin payload a worker needs to resolve ``unit`` by name.
 
     Cases travel to workers as registry *names*; a spawned (or forkserver)
@@ -145,37 +138,12 @@ def _plugin_payload(unit: "CaseUnit"
             else:
                 plugin_runtimes[name] = (runtime_spec.cls,
                                          runtime_spec.rank)
-    plugin_scenarios = {}
-    if unit.scenario is not None:
-        for kind, lookup in (("arrival", registry.arrival),
-                             ("etm", registry.etm),
-                             ("scheduler", registry.scheduler)):
-            name = getattr(unit.scenario, kind)
-            if name == "none":
-                continue
-            component = lookup(name)
-            if (component.factory.__module__ or "") \
-                    .partition(".")[0] != "repro":
-                source = registry.plugin_file_of(component.factory)
-                if source is not None:
-                    plugin_files.append(source)
-                else:
-                    plugin_scenarios[(kind, name)] = component.factory
-    return (builder, plugin_runtimes, tuple(dict.fromkeys(plugin_files)),
-            plugin_scenarios)
-
-
-_SCENARIO_ENSURES = {
-    "arrival": registry.ensure_arrival,
-    "etm": registry.ensure_etm,
-    "scheduler": registry.ensure_scheduler,
-}
+    return builder, plugin_runtimes, tuple(dict.fromkeys(plugin_files))
 
 
 def _register_payload(builders: Dict[str, object],
                       plugin_runtimes: Dict[str, Tuple[type, int]],
-                      plugin_files: Tuple[str, ...],
-                      plugin_scenarios: Optional[Dict] = None) -> None:
+                      plugin_files: Tuple[str, ...]) -> None:
     """Worker-side plugin registration; idempotent, so warm workers that
     already saw a payload in an earlier batch re-register nothing."""
     for path in plugin_files:
@@ -184,8 +152,6 @@ def _register_payload(builders: Dict[str, object],
         registry.ensure_workload(name, builder)
     for name, (cls, rank) in plugin_runtimes.items():
         registry.ensure_runtime(name, cls, rank=rank)
-    for (kind, name), factory in (plugin_scenarios or {}).items():
-        _SCENARIO_ENSURES[kind](name, factory)
 
 
 def _execute_case(config: SimConfig, case: BenchmarkCase, num_workers: int,
@@ -193,8 +159,6 @@ def _execute_case(config: SimConfig, case: BenchmarkCase, num_workers: int,
                   plugin_builder: Optional[object] = None,
                   plugin_runtimes: Optional[Dict] = None,
                   plugin_files: Tuple[str, ...] = (),
-                  scenario: Optional[ScenarioSpec] = None,
-                  plugin_scenarios: Optional[Dict] = None,
                   ) -> Tuple[BenchmarkRun, float]:
     """Single-unit worker entry point: run and time one case.
 
@@ -207,33 +171,30 @@ def _execute_case(config: SimConfig, case: BenchmarkCase, num_workers: int,
     """
     builders = ({case.builder: plugin_builder}
                 if plugin_builder is not None else {})
-    _register_payload(builders, plugin_runtimes or {}, plugin_files,
-                      plugin_scenarios)
+    _register_payload(builders, plugin_runtimes or {}, plugin_files)
     started = time.perf_counter()
-    run = run_benchmark_case(case, config, num_workers, runtimes,
-                             scenario=scenario)
+    run = run_benchmark_case(case, config, num_workers, runtimes)
     return run, time.perf_counter() - started
 
 
-def _execute_batch(payload: Tuple[Dict, Dict, Tuple, Dict],
+def _execute_batch(payload: Tuple[Dict, Dict, Tuple],
                    tasks: Tuple[Tuple, ...]) -> List[Tuple]:
     """Batched worker entry point with per-unit failure isolation.
 
     ``payload`` is the merged plugin payload of the whole batch,
     registered once per dispatch (and a no-op in a warm worker that
     already saw it); ``tasks`` are ``(config, case, num_workers,
-    runtimes, scenario)`` tuples.  Returns one outcome per task, in order:
+    runtimes)`` tuples.  Returns one outcome per task, in order:
     ``("ok", run, seconds)`` or ``("err", error_type, error_text)`` — unit
     exceptions are *data*, never raised, so one bad unit cannot take the
     batch (or the pool) down with it.
     """
     _register_payload(*payload)
     outcomes: List[Tuple] = []
-    for config, case, num_workers, runtimes, scenario in tasks:
+    for config, case, num_workers, runtimes in tasks:
         started = time.perf_counter()
         try:
-            run = run_benchmark_case(case, config, num_workers, runtimes,
-                                     scenario=scenario)
+            run = run_benchmark_case(case, config, num_workers, runtimes)
         except Exception as exc:
             outcomes.append(("err", type(exc).__name__, str(exc)))
         else:
@@ -257,27 +218,22 @@ def _decode_cached_run(cache: CacheStore, key: str) -> Optional[BenchmarkRun]:
 
 
 def _merged_payload(items: Sequence[Tuple[int, CaseUnit, Optional[str]]]
-                    ) -> Tuple[Dict, Dict, Tuple, Dict]:
+                    ) -> Tuple[Dict, Dict, Tuple]:
     """One deduplicated plugin payload for a whole batch of units."""
     builders: Dict[str, object] = {}
     plugin_runtimes: Dict[str, Tuple[type, int]] = {}
     plugin_files: List[str] = []
-    plugin_scenarios: Dict[Tuple[str, str], object] = {}
     for _slot, unit, _key in items:
-        builder, unit_runtimes, unit_files, unit_scenarios = \
-            _plugin_payload(unit)
+        builder, unit_runtimes, unit_files = _plugin_payload(unit)
         if builder is not None:
             builders[unit.case.builder] = builder
         plugin_runtimes.update(unit_runtimes)
         plugin_files.extend(unit_files)
-        plugin_scenarios.update(unit_scenarios)
-    return (builders, plugin_runtimes, tuple(dict.fromkeys(plugin_files)),
-            plugin_scenarios)
+    return builders, plugin_runtimes, tuple(dict.fromkeys(plugin_files))
 
 
 def _unit_task(unit: CaseUnit) -> Tuple:
-    return (unit.config, unit.case, unit.num_workers, unit.runtimes,
-            unit.scenario)
+    return (unit.config, unit.case, unit.num_workers, unit.runtimes)
 
 
 def _describe_error(exc: BaseException) -> Tuple[str, str]:
@@ -421,8 +377,7 @@ def _run_units(
             key = None
             if cache is not None:
                 key = case_cache_key(unit.case, unit.config, unit.num_workers,
-                                     runtimes=unit.runtimes,
-                                     scenario=unit.scenario)
+                                     runtimes=unit.runtimes)
                 run = _decode_cached_run(cache, key)
                 if run is not None:
                     results[slot] = run
@@ -480,7 +435,6 @@ def run_cases(
     retries: int = 1,
     failures: Optional[List[UnitFailure]] = None,
     tracer: Optional[Tracer] = None,
-    scenario: Optional[ScenarioSpec] = None,
 ) -> List[Optional[BenchmarkRun]]:
     """Execute ``cases`` under one config; runs come back in input order.
 
@@ -500,13 +454,10 @@ def run_cases(
     ``tracer`` carries the sweep's telemetry: one sweep span, and one unit
     span per case named ``case.key`` (a cache hit is ``cached`` with zero
     seconds; a simulated case carries its wall clock and sim-core
-    throughput).  ``scenario`` applies one stochastic scenario to every
-    case of the sweep; it is canonicalised (default → ``None``) before
-    entering units and cache keys, so deterministic sweeps are unaffected.
+    throughput).
     """
     selection = canonical_runtime_selection(runtimes)
-    spec = canonical_scenario(scenario)
-    units = [CaseUnit(config, case, num_workers, selection, spec)
+    units = [CaseUnit(config, case, num_workers, selection)
              for case in cases]
     return _run_units(units, [case.key for case in cases], jobs, cache,
                       "benchmark sweep", executor=executor,

@@ -1,6 +1,6 @@
 """Plugin registries for workloads and runtimes.
 
-Scenario growth used to require cross-layer edits: a new benchmark meant
+Adding a workload or runtime used to require cross-layer edits: a new benchmark meant
 hand-editing three parallel dicts in :mod:`repro.eval.experiments`
 (``CASE_BUILDERS``, ``CASE_RUNTIMES``, ``_COMPARED_RUNTIMES``) plus the
 CLI.  This module turns both axes into drop-in plugins:
@@ -53,35 +53,19 @@ __all__ = [
     "CaseInput",
     "WorkloadSpec",
     "RuntimeSpec",
-    "ScenarioComponentSpec",
     "Registry",
     "WORKLOADS",
     "RUNTIMES",
-    "ARRIVALS",
-    "ETMS",
-    "SCHEDULERS",
     "register_workload",
     "register_runtime",
-    "register_arrival",
-    "register_etm",
-    "register_scheduler",
     "ensure_workload",
     "ensure_runtime",
-    "ensure_arrival",
-    "ensure_etm",
-    "ensure_scheduler",
     "load_plugin",
     "plugin_file_of",
     "workload",
     "runtime",
-    "arrival",
-    "etm",
-    "scheduler",
     "workload_names",
     "runtime_names",
-    "arrival_names",
-    "etm_names",
-    "scheduler_names",
     "case_runtime_names",
     "compared_runtime_names",
     "scaled_size",
@@ -180,29 +164,6 @@ class RuntimeSpec:
         return self.cls(config)
 
 
-@dataclass(frozen=True)
-class ScenarioComponentSpec:
-    """Registry entry for one stochastic-scenario component.
-
-    Shared by the arrival-model, execution-time-model and scheduler
-    registries: ``factory`` maps keyword arguments to a model instance
-    (see :mod:`repro.scenario` for the three protocols), ``defaults``
-    are merged under user parameters exactly like workload defaults.
-    """
-
-    name: str
-    factory: Callable
-    tags: Tuple[str, ...] = ()
-    defaults: Tuple[Tuple[str, object], ...] = ()
-    description: str = ""
-
-    def create(self, **params: object):
-        """Instantiate the component (defaults merged under params)."""
-        merged = dict(self.defaults)
-        merged.update(params)
-        return self.factory(**merged)
-
-
 class Registry:
     """An ordered, name-keyed plugin registry with tag filtering."""
 
@@ -283,15 +244,6 @@ WORKLOADS = Registry("workload")
 #: The global runtime registry (``repro.runtime.*`` self-register on import).
 RUNTIMES = Registry("runtime")
 
-#: Arrival models for stochastic scenarios (``repro.scenario`` built-ins).
-ARRIVALS = Registry("arrival")
-
-#: Execution-time models for stochastic scenarios.
-ETMS = Registry("etm")
-
-#: Scheduler policies applied to the simulated ready queues.
-SCHEDULERS = Registry("scheduler")
-
 _populated = False
 
 
@@ -308,7 +260,6 @@ def _ensure_populated() -> None:
     _populated = True  # set first: the imports below re-enter via decorators
     import repro.apps  # noqa: F401  (self-registration side effect)
     import repro.runtime  # noqa: F401  (self-registration side effect)
-    import repro.scenario  # noqa: F401  (self-registration side effect)
 
 
 def register_workload(
@@ -358,76 +309,6 @@ def register_runtime(
         ))
         return cls
     return decorate
-
-
-def _register_scenario_component(
-    registry: Registry,
-    name: str,
-    tags: Sequence[str],
-    defaults: Optional[Mapping[str, object]],
-    description: str,
-) -> Callable:
-    def decorate(factory: Callable) -> Callable:
-        registry.add(ScenarioComponentSpec(
-            name=name,
-            factory=factory,
-            tags=tuple(tags),
-            defaults=tuple(sorted((defaults or {}).items())),
-            description=description or (factory.__doc__ or "").strip()
-                .split("\n")[0],
-        ))
-        return factory
-    return decorate
-
-
-def register_arrival(
-    name: str,
-    tags: Sequence[str] = (),
-    defaults: Optional[Mapping[str, object]] = None,
-    description: str = "",
-) -> Callable:
-    """Decorator registering an arrival-model factory under ``name``.
-
-    The factory maps keyword arguments to an object exposing
-    ``inter_arrivals(stream, count, mean_task_cycles) -> List[int]``
-    (see :mod:`repro.scenario.arrivals`).  Like workload names, the
-    name enters the cache fingerprint of every case that selects it.
-    """
-    return _register_scenario_component(ARRIVALS, name, tags, defaults,
-                                        description)
-
-
-def register_etm(
-    name: str,
-    tags: Sequence[str] = (),
-    defaults: Optional[Mapping[str, object]] = None,
-    description: str = "",
-) -> Callable:
-    """Decorator registering an execution-time-model factory.
-
-    The factory maps keyword arguments to an object exposing
-    ``sample(stream, nominal_cycles) -> int``
-    (see :mod:`repro.scenario.etm`).
-    """
-    return _register_scenario_component(ETMS, name, tags, defaults,
-                                        description)
-
-
-def register_scheduler(
-    name: str,
-    tags: Sequence[str] = (),
-    defaults: Optional[Mapping[str, object]] = None,
-    description: str = "",
-) -> Callable:
-    """Decorator registering a scheduler-policy factory.
-
-    The factory maps keyword arguments to an object exposing
-    ``select(items, view, stream) -> int`` (an index into ``items``), or
-    carrying ``passthrough = True`` for the paper's FIFO hot path
-    (see :mod:`repro.scenario.schedulers`).
-    """
-    return _register_scenario_component(SCHEDULERS, name, tags, defaults,
-                                        description)
 
 
 #: Module-name prefix of plugins loaded from a ``.py`` file path.  Such
@@ -511,28 +392,6 @@ def ensure_runtime(name: str, cls: Type, rank: int = 100) -> None:
         RUNTIMES.add(RuntimeSpec(name=name, cls=cls, rank=rank))
 
 
-def ensure_arrival(name: str, factory: Callable) -> None:
-    """Idempotently register arrival ``factory`` under ``name`` if absent.
-
-    The worker-side counterpart of :func:`ensure_workload` for plugin
-    arrival models shipped to pool workers by reference.
-    """
-    if name not in ARRIVALS:
-        ARRIVALS.add(ScenarioComponentSpec(name=name, factory=factory))
-
-
-def ensure_etm(name: str, factory: Callable) -> None:
-    """Idempotently register ETM ``factory`` under ``name`` if absent."""
-    if name not in ETMS:
-        ETMS.add(ScenarioComponentSpec(name=name, factory=factory))
-
-
-def ensure_scheduler(name: str, factory: Callable) -> None:
-    """Idempotently register scheduler ``factory`` under ``name`` if absent."""
-    if name not in SCHEDULERS:
-        SCHEDULERS.add(ScenarioComponentSpec(name=name, factory=factory))
-
-
 def workload(name: str) -> WorkloadSpec:
     """Look up one workload spec by name (did-you-mean on unknown)."""
     return WORKLOADS.get(name)
@@ -541,21 +400,6 @@ def workload(name: str) -> WorkloadSpec:
 def runtime(name: str) -> RuntimeSpec:
     """Look up one runtime spec by name (did-you-mean on unknown)."""
     return RUNTIMES.get(name)
-
-
-def arrival(name: str) -> ScenarioComponentSpec:
-    """Look up one arrival-model spec by name (did-you-mean on unknown)."""
-    return ARRIVALS.get(name)
-
-
-def etm(name: str) -> ScenarioComponentSpec:
-    """Look up one execution-time-model spec by name."""
-    return ETMS.get(name)
-
-
-def scheduler(name: str) -> ScenarioComponentSpec:
-    """Look up one scheduler-policy spec by name."""
-    return SCHEDULERS.get(name)
 
 
 def workload_names(tags: Optional[Sequence[str]] = None) -> List[str]:
@@ -567,21 +411,6 @@ def runtime_names(tags: Optional[Sequence[str]] = None) -> List[str]:
     """Registered runtime names in rank order, optionally tag-filtered."""
     return [spec.name
             for spec in sorted(RUNTIMES.specs(tags), key=lambda s: s.rank)]
-
-
-def arrival_names(tags: Optional[Sequence[str]] = None) -> List[str]:
-    """Registered arrival-model names, optionally filtered to ``tags``."""
-    return ARRIVALS.names(tags)
-
-
-def etm_names(tags: Optional[Sequence[str]] = None) -> List[str]:
-    """Registered execution-time-model names."""
-    return ETMS.names(tags)
-
-
-def scheduler_names(tags: Optional[Sequence[str]] = None) -> List[str]:
-    """Registered scheduler-policy names."""
-    return SCHEDULERS.names(tags)
 
 
 def case_runtime_names() -> List[str]:

@@ -21,12 +21,11 @@ from repro.common.errors import RuntimeModelError
 from repro.common.stats import Stats
 from repro.cpu.soc import SoC
 from repro.runtime.task import TaskProgram
-from repro.sim.engine import Delay, Event, ProcessGen, Wait
+from repro.sim.engine import Event, ProcessGen, Wait
 from repro.sim.queues import DecoupledQueue
 
 __all__ = ["RuntimeResult", "Runtime", "wait_for_signals",
-           "wait_for_queue_or_event", "scenario_release_gate",
-           "scenario_note_completion"]
+           "wait_for_queue_or_event"]
 
 
 @dataclass
@@ -103,29 +102,17 @@ class Runtime(abc.ABC):
     # Public API
     # ------------------------------------------------------------------ #
     def run(self, program: TaskProgram,
-            num_workers: Optional[int] = None,
-            scenario=None) -> RuntimeResult:
-        """Execute ``program`` on a freshly built SoC and report the result.
-
-        ``scenario`` — an optional :class:`~repro.scenario.ScenarioRun` —
-        installs stochastic-scenario hooks (release gating, scheduler
-        selectors, latency bookkeeping) on the SoC before execution and
-        merges its metrics into the result's ``stats``.  ``None`` (the
-        default) reproduces the deterministic harness bit-for-bit.
-        """
+            num_workers: Optional[int] = None) -> RuntimeResult:
+        """Execute ``program`` on a freshly built SoC and report the result."""
         program.validate()
         workers = self._resolve_workers(num_workers)
         soc = self.build_soc(workers)
-        if scenario is not None:
-            scenario.install(soc)
         self._execute(soc, program, workers)
         elapsed = soc.now
         if elapsed <= 0:
             # Guard against empty programs finishing at cycle zero.
             elapsed = 1
         stats = soc.stats_report()
-        if scenario is not None:
-            stats.update(scenario.metrics())
         return RuntimeResult(
             runtime=self.name,
             program=program.name,
@@ -169,27 +156,6 @@ class Runtime(abc.ABC):
         if workers <= 0:
             raise RuntimeModelError("num_workers must be positive")
         return workers
-
-
-def scenario_release_gate(soc: SoC, task) -> ProcessGen:
-    """Delay the submitting thread until ``task``'s release cycle.
-
-    The deterministic harness leaves every ``release_cycle`` at 0, so
-    this is a cheap no-op generator there; under a stochastic arrival
-    model the main thread stalls exactly like a producer that has not
-    yet created the task.
-    """
-    if task.release_cycle > 0:
-        wait = task.release_cycle - soc.engine.now
-        if wait > 0:
-            yield Delay(wait)
-
-
-def scenario_note_completion(soc: SoC, task) -> None:
-    """Report ``task``'s completion to the installed scenario, if any."""
-    scenario = getattr(soc, "scenario", None)
-    if scenario is not None:
-        scenario.note_completion(task.index, soc.engine.now)
 
 
 def wait_for_signals(soc: SoC, queues=(), counters=(), events=(),

@@ -20,9 +20,7 @@ from repro.cpu.soc import SoC
 from repro.picos.axi import AxiPicosInterface
 from repro.registry import register_runtime
 from repro.picos.packets import TaskDescriptor
-from repro.runtime.base import (Runtime, scenario_note_completion,
-                                scenario_release_gate,
-                                wait_for_queue_or_event)
+from repro.runtime.base import Runtime
 from repro.runtime.nanos_machinery import NanosMachinery
 from repro.runtime.task import Task, TaskProgram
 from repro.sim.engine import Event, ProcessGen
@@ -79,7 +77,6 @@ class NanosAXIRuntime(Runtime):
             yield from core.compute(program.serial_sections_cycles)
         submitted = 0
         for task in program.tasks:
-            yield from scenario_release_gate(soc, task)
             yield from machinery.charge_submission(core, task)
             yield from machinery.charge_plugin_marshalling(core, task)
             yield from self._submit_axi(axi, task)
@@ -150,7 +147,6 @@ class NanosAXIRuntime(Runtime):
         task = program.tasks[pending_index]
         task.run_kernel()
         yield from core.compute(task.payload_cycles)
-        scenario_note_completion(soc, task)
         yield from machinery.charge_retirement(core)
         picos_id = picos_ids.pop(pending_index)
         yield from axi.retire_task(picos_id)

@@ -61,11 +61,6 @@ class NanosMachinery:
         self.scheduler_queue: DecoupledQueue = DecoupledQueue(
             soc.engine, max(program.num_tasks, 1) + 1, name="nanos.scheduler_queue"
         )
-        # Stochastic scenarios reorder ready tasks here: the Scheduler
-        # singleton is the software analogue of the Picos ready queue.
-        scenario = getattr(soc, "scenario", None)
-        if scenario is not None:
-            scenario.attach_queue(self.scheduler_queue)
         self.scheduler_mutex: SoftwareMutex = memory.mutex(
             "nanos.scheduler_mutex", syscall_cycles=costs.syscall_cycles
         )

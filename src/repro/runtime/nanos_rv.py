@@ -23,9 +23,7 @@ from repro.common.config import SimConfig
 from repro.cpu.core import Core
 from repro.cpu.soc import SoC
 from repro.registry import register_runtime
-from repro.runtime.base import (Runtime, scenario_note_completion,
-                                scenario_release_gate,
-                                wait_for_queue_or_event)
+from repro.runtime.base import Runtime
 from repro.runtime.hw_interface import retire_task_hw, submit_task_hw
 from repro.runtime.nanos_machinery import NanosMachinery
 from repro.runtime.task import TaskProgram
@@ -92,7 +90,6 @@ class NanosRVRuntime(Runtime):
                                      picos_ids, core, context)
 
         for task in program.tasks:
-            yield from scenario_release_gate(soc, task)
             yield from machinery.charge_submission(core, task)
             yield from machinery.charge_plugin_marshalling(core, task)
             yield from submit_task_hw(core, task, sw_id=task.index,
@@ -168,7 +165,6 @@ class NanosRVRuntime(Runtime):
         task = program.tasks[pending_index]
         task.run_kernel()
         yield from core.compute(task.payload_cycles)
-        scenario_note_completion(soc, task)
         yield from machinery.charge_retirement(core)
         picos_id = picos_ids.pop(pending_index)
         yield from retire_task_hw(core, picos_id)

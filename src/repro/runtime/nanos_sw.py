@@ -24,9 +24,7 @@ from repro.common.config import SimConfig
 from repro.cpu.core import Core
 from repro.cpu.soc import SoC
 from repro.registry import register_runtime
-from repro.runtime.base import (Runtime, scenario_note_completion,
-                                scenario_release_gate,
-                                wait_for_queue_or_event)
+from repro.runtime.base import Runtime, wait_for_queue_or_event
 from repro.runtime.nanos_machinery import NanosMachinery
 from repro.runtime.task import TaskProgram
 from repro.sim.engine import Event, ProcessGen
@@ -74,7 +72,6 @@ class NanosSWRuntime(Runtime):
             yield from core.compute(program.serial_sections_cycles)
         submitted = 0
         for task in program.tasks:
-            yield from scenario_release_gate(soc, task)
             yield from machinery.charge_submission(core, task)
             yield from machinery.software_submit(core, task)
             submitted += 1
@@ -129,7 +126,6 @@ class NanosSWRuntime(Runtime):
         task = program.tasks[task_index]
         task.run_kernel()
         yield from core.compute(task.payload_cycles)
-        scenario_note_completion(soc, task)
         yield from machinery.charge_retirement(core)
         yield from machinery.software_retire(core, task_index)
         yield from machinery.record_retirement_counter(core)

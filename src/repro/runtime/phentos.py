@@ -29,9 +29,7 @@ from repro.common.config import CACHE_LINE_BYTES, PhentosCosts, SimConfig
 from repro.cpu.soc import SoC
 from repro.registry import register_runtime
 from repro.memory.hierarchy import SharedCounter
-from repro.runtime.base import (Runtime, scenario_note_completion,
-                                scenario_release_gate,
-                                wait_for_queue_or_event)
+from repro.runtime.base import Runtime
 from repro.runtime.hw_interface import retire_task_hw, submit_task_hw
 from repro.runtime.task import Task, TaskProgram
 from repro.runtime.worker import HwWorkerContext
@@ -79,7 +77,6 @@ class PhentosRuntime(Runtime):
             yield from core.compute(program.serial_sections_cycles)
         submitted = 0
         for task in program.tasks:
-            yield from scenario_release_gate(soc, task)
             yield from self._submit(state, core, context, task)
             submitted += 1
             if task.index in program.taskwait_after:
@@ -183,7 +180,6 @@ class PhentosRuntime(Runtime):
             yield from core.load(element_address + line * CACHE_LINE_BYTES)
         task.run_kernel()
         yield from core.compute(task.payload_cycles)
-        scenario_note_completion(state.soc, task)
         yield from core.execute(self.costs.retire_instructions)
         yield from retire_task_hw(core, picos_id)
         state.private_counters[core.core_id] += 1

@@ -12,8 +12,7 @@ from typing import Optional
 
 from repro.cpu.soc import SoC
 from repro.registry import register_runtime
-from repro.runtime.base import (Runtime, scenario_note_completion,
-                                scenario_release_gate)
+from repro.runtime.base import Runtime
 from repro.runtime.task import TaskProgram
 from repro.sim.engine import ProcessGen
 
@@ -33,10 +32,9 @@ class SerialRuntime(Runtime):
     name = "serial"
     uses_picos = False
 
-    def run(self, program: TaskProgram, num_workers: Optional[int] = None,
-            scenario=None):
+    def run(self, program: TaskProgram, num_workers: Optional[int] = None):
         # A serial binary always uses exactly one core, whatever the machine.
-        return super().run(program, num_workers=1, scenario=scenario)
+        return super().run(program, num_workers=1)
 
     def _execute(self, soc: SoC, program: TaskProgram, num_workers: int) -> None:
         main = soc.spawn_worker(0, self._main(soc, program), name="serial_main")
@@ -47,8 +45,6 @@ class SerialRuntime(Runtime):
         if program.serial_sections_cycles:
             yield from core.compute(program.serial_sections_cycles)
         for task in program.tasks:
-            yield from scenario_release_gate(soc, task)
             yield from core.execute(_LOOP_INSTRUCTIONS_PER_TASK)
             task.run_kernel()
             yield from core.compute(task.payload_cycles)
-            scenario_note_completion(soc, task)

@@ -56,13 +56,6 @@ class Task:
     dependences: Tuple[TaskDependence, ...] = ()
     name: str = ""
     kernel: Optional[Callable[[], None]] = None
-    #: Earliest cycle at which the generating thread may submit this task.
-    #: 0 (the default) means "immediately", i.e. the deterministic harness;
-    #: stochastic arrival models fill it in (see :mod:`repro.scenario`).
-    release_cycle: int = 0
-    #: Absolute completion deadline in cycles, or ``None`` when no deadline
-    #: is modelled.  Only scenario metrics and scheduler policies read it.
-    deadline_cycle: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.index < 0:
@@ -70,10 +63,6 @@ class Task:
         if self.payload_cycles < 0:
             raise WorkloadError(
                 f"payload_cycles must be non-negative, got {self.payload_cycles}"
-            )
-        if self.release_cycle < 0:
-            raise WorkloadError(
-                f"release_cycle must be non-negative, got {self.release_cycle}"
             )
         if len(self.dependences) > MAX_DEPENDENCES:
             raise WorkloadError(

@@ -35,7 +35,7 @@ class DecoupledQueue(Generic[T]):
     __slots__ = ("engine", "capacity", "name", "_items", "_put_waiters",
                  "_get_waiters", "total_enqueued", "total_dequeued",
                  "high_watermark", "_enqueue_observers",
-                 "_dequeue_observers", "selector")
+                 "_dequeue_observers")
 
     def __init__(self, engine: Engine, capacity: int, name: str = "queue") -> None:
         if capacity <= 0:
@@ -51,12 +51,6 @@ class DecoupledQueue(Generic[T]):
         self.high_watermark = 0
         self._enqueue_observers: List[Any] = []
         self._dequeue_observers: List[Any] = []
-        #: Optional scheduling policy hook: ``selector(items) -> index``
-        #: names which queued entry the next dequeue serves.  ``None``
-        #: (the default, and the paper's FIFO behaviour) keeps the
-        #: zero-overhead ``popleft`` fast path.  Installed by the
-        #: stochastic scenario layer (:mod:`repro.scenario`).
-        self.selector = None
 
     def subscribe_enqueue(self, callback) -> None:
         """Register ``callback()`` to run after every enqueue (HW wake-up)."""
@@ -163,24 +157,9 @@ class DecoupledQueue(Generic[T]):
             self._notify(self._enqueue_observers)
 
     def _pop_item(self) -> T:
-        """Remove and return the entry the active policy selects.
-
-        Every dequeue path (non-blocking, blocking, waiter wake-up) funnels
-        through here so a selector cannot be bypassed.  Out-of-range
-        selector answers are clamped rather than raised: a policy bug must
-        not deadlock the simulated hardware.
-        """
-        items = self._items
-        selector = self.selector
+        """Remove and return the head entry (every dequeue path counts here)."""
         self.total_dequeued += 1
-        if selector is not None and len(items) > 1:
-            index = selector(items)
-            index = max(0, min(int(index), len(items) - 1))
-            if index:
-                item = items[index]
-                del items[index]
-                return item
-        return items.popleft()
+        return self._items.popleft()
 
     def _dequeue(self) -> T:
         item = self._pop_item()

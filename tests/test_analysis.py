@@ -94,12 +94,9 @@ def jitter(values):
 """
 
 DETERMINISM_GOOD = """\
-from repro.scenario.stream import derive_stream
-
-def jitter(values, seed):
-    stream = derive_stream(seed, "jitter")
+def rotate(values, offset):
     order = sorted(set(values))
-    return [values[i] for i in range(len(order))], stream.random()
+    return [order[(offset + i) % len(order)] for i in range(len(order))]
 """
 
 
@@ -117,7 +114,7 @@ def test_determinism_positive(tmp_path):
 
 
 def test_determinism_negative(tmp_path):
-    assert lint_snippet(tmp_path, "src/repro/scenario/good.py",
+    assert lint_snippet(tmp_path, "src/repro/sim/good.py",
                         DETERMINISM_GOOD, rules=["determinism"]) == []
 
 
@@ -294,14 +291,15 @@ def test_cachekey_negative(tmp_path):
 
 
 def test_cachekey_targets_only_named_functions(tmp_path):
-    # Outside the targeted functions of spec.py the rule stays silent.
+    # Outside the targeted functions of experiments.py the rule stays
+    # silent.
     source = ("def describe(params):\n"
               "    return {k: v for k, v in params.items()}\n")
-    assert lint_snippet(tmp_path, "src/repro/scenario/spec.py", source,
+    assert lint_snippet(tmp_path, "src/repro/eval/experiments.py", source,
                         rules=["cache-key"]) == []
-    targeted = ("def context(params):\n"
+    targeted = ("def canonical_runtime_selection(params):\n"
                 "    return {k: v for k, v in params.items()}\n")
-    assert len(lint_snippet(tmp_path, "src/repro/scenario/spec.py",
+    assert len(lint_snippet(tmp_path, "src/repro/eval/experiments.py",
                             targeted, rules=["cache-key"])) == 1
 
 
@@ -427,7 +425,7 @@ def test_json_report_round_trip():
     findings = [
         Finding(rule="determinism", file="repro/sim/bad.py", line=3,
                 col=5, message="import of entropy module 'random'",
-                hint="use Pcg64Stream"),
+                hint="wrap set iteration in sorted()"),
         Finding(rule="hot-path", file="repro/sim/engine.py", line=10,
                 col=1, message="class 'X' does not declare __slots__"),
     ]

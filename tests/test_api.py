@@ -211,8 +211,7 @@ class TestPluginTransport:
         try:
             cases = benchmark_cases(workloads=[name])
             unit = CaseUnit(tiny_config, cases[0], 2)
-            builder, plugin_runtimes, plugin_files, plugin_scenarios = \
-                _plugin_payload(unit)
+            builder, plugin_runtimes, plugin_files = _plugin_payload(unit)
             assert builder is plugin_chain_builder
             assert plugin_runtimes == {}
             assert plugin_files == ()
@@ -234,9 +233,8 @@ class TestPluginTransport:
         from repro.harness.runner import CaseUnit, _plugin_payload
 
         case = benchmark_cases(quick=True)[0]
-        builder, plugin_runtimes, plugin_files, plugin_scenarios = \
-            _plugin_payload(
-                CaseUnit(tiny_config, case, 2, ("serial", "nanos-axi")))
+        builder, plugin_runtimes, plugin_files = _plugin_payload(
+            CaseUnit(tiny_config, case, 2, ("serial", "nanos-axi")))
         assert builder is None
         assert plugin_runtimes == {}
         assert plugin_files == ()
@@ -250,7 +248,7 @@ class TestPluginTransport:
         register_runtime(name, rank=5)(PluginRuntime)
         try:
             case = benchmark_cases(quick=True)[0]
-            _builder, plugin_runtimes, _files, _scen = _plugin_payload(
+            _builder, plugin_runtimes, _files = _plugin_payload(
                 CaseUnit(tiny_config, case, 2, ("serial", name)))
             # rank travels with the class, so worker-side canonical
             # ordering matches the parent's
@@ -283,7 +281,7 @@ class TestPluginTransport:
         load_plugin(str(plugin))
         try:
             cases = benchmark_cases(workloads=["file-plug-wl"])
-            builder, _runtimes, plugin_files, _scen = _plugin_payload(
+            builder, _runtimes, plugin_files = _plugin_payload(
                 CaseUnit(tiny_config, cases[0], 2))
             assert builder is None  # not picklable by reference...
             assert plugin_files == (str(plugin),)  # ...so the path ships

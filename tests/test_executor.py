@@ -329,7 +329,7 @@ class TestPluginPayloadGuards:
         register_runtime(name, rank=7)(NoModuleRuntime)
         try:
             unit = CaseUnit(tiny_config, tiny_cases[0], 2, ("serial", name))
-            _builder, plugin_runtimes, _files, _scen = _plugin_payload(unit)
+            _builder, plugin_runtimes, _files = _plugin_payload(unit)
             assert plugin_runtimes == {name: (NoModuleRuntime, 7)}
         finally:
             registry.RUNTIMES.remove(name)

@@ -244,120 +244,6 @@ def test_geometric_mean_bounds(values):
 
 
 # --------------------------------------------------------------------- #
-# Stochastic-scenario invariants over (task graph, scheduler, seed)
-# --------------------------------------------------------------------- #
-from repro.common.config import SimConfig  # noqa: E402
-from repro.runtime.nanos_sw import NanosSWRuntime  # noqa: E402
-from repro.runtime.serial import SerialRuntime  # noqa: E402
-from repro.runtime.task import inout_dep, out_dep  # noqa: E402
-from repro.scenario import ScenarioSpec, compile_scenario  # noqa: E402
-
-#: Stable stand-in for a benchmark case identity in stream derivation.
-_PROP_CONTEXT = {"benchmark": "prop", "label": "hyp", "builder": "prop",
-                 "params": []}
-
-payload_graphs = st.lists(
-    st.tuples(st.integers(min_value=50, max_value=2000), st.booleans()),
-    min_size=1, max_size=8,
-)
-scheduler_names = st.sampled_from(["fifo", "priority", "random", "lifo"])
-scenario_seeds = st.integers(min_value=0, max_value=(1 << 32) - 1)
-
-
-def _graph_program(shape) -> TaskProgram:
-    """A mixed graph: chained tasks share an inout address, the rest are
-    independent writers — so every scheduler has real choices to make."""
-    chain_address = 0xC000_0000
-    tasks = []
-    for index, (payload, chained) in enumerate(shape):
-        if chained:
-            deps = (inout_dep(chain_address),)
-        else:
-            deps = (out_dep(0xC100_0000 + 4096 * index),)
-        tasks.append(Task(index=index, payload_cycles=payload,
-                          dependences=deps))
-    return TaskProgram(name="prop-scenario", tasks=tasks)
-
-
-def _compiled(shape, scheduler, seed, deadline_factor=5.0):
-    spec = ScenarioSpec.make(arrival="poisson", etm="uniform",
-                             scheduler=scheduler, seed=seed,
-                             deadline_factor=deadline_factor)
-    return compile_scenario(spec, _PROP_CONTEXT, _graph_program(shape))
-
-
-@settings(max_examples=25, deadline=None)
-@given(payload_graphs, scheduler_names, scenario_seeds)
-def test_scenario_run_never_loses_or_duplicates_tasks(shape, scheduler,
-                                                      seed):
-    """Whatever the (graph, scheduler, seed) triple, a serial execution
-    completes every compiled task exactly once, deadline misses never
-    exceed the deadline-carrying task count, and the latency percentiles
-    are monotone (p50 <= p95 <= p99)."""
-    compiled = _compiled(shape, scheduler, seed)
-    assert [task.index for task in compiled.program.tasks] == \
-        list(range(len(shape)))
-    for task in compiled.program.tasks:
-        assert task.payload_cycles >= 0
-        assert task.release_cycle >= 0
-        assert task.deadline_cycle is not None
-        assert task.deadline_cycle >= task.release_cycle + 1
-    result = SerialRuntime(SimConfig()).run(
-        compiled.program, scenario=compiled.runtime_run("serial"))
-    stats = result.stats
-    assert stats["scenario.tasks"] == float(len(shape))
-    assert result.tasks_executed == len(shape)
-    assert 0.0 <= stats["scenario.deadline_misses"] \
-        <= stats["scenario.deadline_tasks"] <= float(len(shape))
-    assert stats["scenario.latency_p50"] <= stats["scenario.latency_p95"] \
-        <= stats["scenario.latency_p99"]
-    assert stats["scenario.latency_mean"] >= 0.0
-
-
-@settings(max_examples=10, deadline=None)
-@given(payload_graphs, scenario_seeds)
-def test_scheduler_choice_never_changes_the_offered_work(shape, seed):
-    """Schedulers reorder execution; they must not alter the compiled
-    workload.  Payloads and releases are drawn from streams keyed by
-    role — not by policy — so all four policies see identical programs,
-    and a parallel runtime completes every task under each of them."""
-    compiled = {name: _compiled(shape, name, seed)
-                for name in ("fifo", "priority", "random", "lifo")}
-    reference = [(task.payload_cycles, task.release_cycle,
-                  task.deadline_cycle)
-                 for task in compiled["fifo"].program.tasks]
-    for name, bundle in compiled.items():
-        assert [(task.payload_cycles, task.release_cycle,
-                 task.deadline_cycle)
-                for task in bundle.program.tasks] == reference
-    config = SimConfig().with_cores(2)
-    for name, bundle in compiled.items():
-        result = NanosSWRuntime(config).run(
-            bundle.program, num_workers=2,
-            scenario=bundle.runtime_run("nanos-sw"))
-        assert result.tasks_executed == len(shape)
-        assert result.stats["scenario.tasks"] == float(len(shape))
-
-
-@settings(max_examples=10, deadline=None)
-@given(payload_graphs, scheduler_names, scenario_seeds)
-def test_scenario_is_a_pure_function_of_its_seed(shape, scheduler, seed):
-    """Two compilations and executions of the same triple are identical —
-    the determinism contract the cache and the sweep harness rely on."""
-    first = _compiled(shape, scheduler, seed)
-    second = _compiled(shape, scheduler, seed)
-    assert [(task.payload_cycles, task.release_cycle, task.deadline_cycle)
-            for task in first.program.tasks] == \
-        [(task.payload_cycles, task.release_cycle, task.deadline_cycle)
-         for task in second.program.tasks]
-    stats_a = SerialRuntime(SimConfig()).run(
-        first.program, scenario=first.runtime_run("serial")).stats
-    stats_b = SerialRuntime(SimConfig()).run(
-        second.program, scenario=second.runtime_run("serial")).stats
-    assert stats_a == stats_b
-
-
-# --------------------------------------------------------------------- #
 # MESI directory against the reference implementation
 # --------------------------------------------------------------------- #
 import pytest  # noqa: E402

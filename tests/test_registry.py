@@ -186,28 +186,6 @@ class TestByteStability:
                                  separators=(",", ":"))
             assert encoded == FIXTURE["artifact_runs"][key]
 
-    def test_default_scenario_keys_match_scenario_free_keys(self):
-        # A default ScenarioSpec must hash exactly like no scenario at
-        # all: the stochastic layer contributes nothing to deterministic
-        # cache keys (pinned as scenario_default_keys in the fixture).
-        from repro.scenario import ScenarioSpec
-
-        config = SimConfig()
-        keys = {case.key: case_cache_key(case, config,
-                                         scenario=ScenarioSpec())
-                for case in benchmark_cases()}
-        assert keys == FIXTURE["scenario_default_keys"]
-        assert FIXTURE["scenario_default_keys"] == FIXTURE["full_case_keys"]
-
-    def test_non_default_scenario_changes_every_key(self):
-        from repro.scenario import ScenarioSpec
-
-        config = SimConfig()
-        spec = ScenarioSpec.make(arrival="poisson", seed=1)
-        for case in benchmark_cases(quick=True):
-            assert case_cache_key(case, config, scenario=spec) != \
-                FIXTURE["quick_case_keys"][case.key]
-
 
 class TestRuntimeSelection:
     def test_default_and_subsets_canonicalise_to_none(self):

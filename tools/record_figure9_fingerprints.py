@@ -6,14 +6,10 @@ Run from the repository root (PYTHONPATH=src) to (re)generate
 
 * the cache key of every full-sweep and quick-sweep Figure 9 case,
 * the canonical JSON encoding of the full case list,
-* the full artifact JSON of two real (reduced-scale) case runs, and
-* the full-sweep keys computed under an explicit *default*
-  :class:`~repro.scenario.ScenarioSpec` (``scenario_default_keys``),
-  which must equal ``full_case_keys`` byte-for-byte — the scenario layer
-  must contribute nothing to deterministic keys,
+* the full artifact JSON of two real (reduced-scale) case runs,
 
-so that refactors of the case/registry/scenario machinery can prove
-their cache keys and artifacts stayed byte-identical.
+so that refactors of the case/registry machinery can prove their cache
+keys and artifacts stayed byte-identical.
 """
 
 import json
@@ -23,7 +19,6 @@ from repro.common.config import SimConfig
 from repro.eval.experiments import benchmark_cases, run_benchmark_case
 from repro.harness.artifacts import encode
 from repro.harness.hashing import case_cache_key
-from repro.scenario import ScenarioSpec
 
 OUT = Path(__file__).resolve().parent.parent / "tests" / "data" / \
     "figure9_fingerprints.json"
@@ -43,11 +38,6 @@ def main() -> None:
         },
         "full_cases_encoded": json.dumps(
             encode(full), sort_keys=True, separators=(",", ":")),
-        "scenario_default_keys": {
-            case.key: case_cache_key(case, config,
-                                     scenario=ScenarioSpec())
-            for case in full
-        },
         "artifact_runs": {},
     }
     tiny = benchmark_cases(quick=True, scale=0.05)[:2]
