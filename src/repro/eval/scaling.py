@@ -287,7 +287,8 @@ def scaling_curves(
     Without ``runs_by_cores`` this executes the benchmark sweep once per
     core count in-process — correct but serial; the harness engine passes
     pre-computed sweeps instead, fanned out over its process pool and
-    served from its result cache (``python -m repro sweep``).
+    served from its result cache
+    (``python -m repro run scaling_curves --cores ...``).
     """
     config = config if config is not None else SimConfig()
     counts = normalize_core_counts(core_counts)

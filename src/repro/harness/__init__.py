@@ -16,12 +16,10 @@ The harness is the orchestration layer above :mod:`repro.eval`:
   over an executor backend with deterministic, order-independent result
   assembly, per-dispatch batching and retry-in-a-fresh-worker failure
   handling.
-* :mod:`repro.harness.sweep` — grid sweeps: :class:`SweepGrid` products of
-  experiments and config overrides (e.g. core counts), the substrate of
-  the ``scaling_curves`` experiment.
 * :mod:`repro.harness.engine` — the experiment engine driving the
   :data:`repro.eval.EXPERIMENTS` registry, chaining derived experiments
-  behind their inputs and executing grid sweeps end to end.
+  behind their inputs and batching the ``scaling_curves`` (case × core
+  count) units through one pool.
 * :mod:`repro.harness.telemetry` — structured run telemetry: hierarchical
   spans (run → phase → sweep → unit), counters, run manifests and the
   pluggable sinks (JSONL trace files, the live stderr status lines) they
@@ -63,12 +61,6 @@ from repro.harness.hashing import (
     stable_hash,
 )
 from repro.harness.runner import CaseUnit, run_case_grid, run_cases
-from repro.harness.sweep import (
-    GridPoint,
-    GridResult,
-    SweepGrid,
-    apply_overrides,
-)
 from repro.harness.telemetry import (
     ConsoleSink,
     JsonlSink,
@@ -93,8 +85,6 @@ __all__ = [
     "ConsoleSink",
     "ExecutorBackend",
     "ExperimentEngine",
-    "GridPoint",
-    "GridResult",
     "JsonlSink",
     "MemoryStore",
     "NullSink",
@@ -104,12 +94,10 @@ __all__ = [
     "ShardedDiskStore",
     "SpanHandle",
     "SweepError",
-    "SweepGrid",
     "TelemetrySink",
     "TraceSummary",
     "Tracer",
     "UnitFailure",
-    "apply_overrides",
     "build_manifest",
     "canonical_case_config",
     "case_cache_key",

@@ -8,16 +8,16 @@ Subcommands::
     python -m repro run figure9 --quick --jobs 8
     python -m repro run figure9 --workload jacobi --runtime phentos
     python -m repro run all --cache-dir /tmp/repro-cache
-    python -m repro sweep --experiment scaling_curves --cores 1,2,4,8
+    python -m repro run scaling_curves --cores 1,2,4,8
     python -m repro cache --stats / --clear
     python -m repro cache evict --cache-budget 512M  # LRU shrink
     python -m repro trace summary trace.jsonl # digest a telemetry trace
 
-``run``/``sweep`` accept ``--workload``/``--runtime``/``--tag``
-filters resolved through the plugin registries (:mod:`repro.registry`), so
-a workload or runtime registered by a drop-in plugin is immediately
-runnable from the command line; unknown names fail with a did-you-mean
-suggestion listing the registered names.
+``run`` accepts ``--workload``/``--runtime``/``--tag`` filters resolved
+through the plugin registries (:mod:`repro.registry`), so a workload or
+runtime registered by a drop-in plugin is immediately runnable from the
+command line; unknown names fail with a did-you-mean suggestion listing
+the registered names.
 
 ``run`` drives the :class:`~repro.harness.engine.ExperimentEngine`, so every
 invocation benefits from the result cache and the engine's persistent warm
@@ -31,17 +31,16 @@ experiments accept tuning knobs — ``--num-tasks`` here, explicit task-size
 grids in ``examples/reproduce_paper.py`` — so absolute bound values may
 differ between entry points when those knobs differ.)
 
-``sweep`` runs grid sweeps: the ``scaling_curves`` experiment over a
-``--cores`` grid (optionally filtered to ``--runtimes``), or any other
-registry experiment repeated per core count.  All grid work shares one
-process pool (``--jobs``, defaulting to ``$REPRO_JOBS``) and the result
-cache, and the 8-core column of a scaling sweep addresses exactly the
-Figure 9 cache entries — re-running a sweep, with any ``--jobs`` value,
-is a pure cache hit.
+``--cores`` gives the core counts of the ``scaling_curves`` experiment;
+the other experiments ignore it.  Its (case × core count) units share one
+process pool and the result cache, and its 8-core column addresses
+exactly the Figure 9 cache entries.  ``--jobs`` defaults to
+``$REPRO_JOBS`` (else 1) and never enters a cache key, so re-running with
+any ``--jobs`` value is a pure cache hit.
 
-``run`` and ``sweep`` print live status lines on stderr (one per sweep
-unit, rendered from the telemetry stream; ``--quiet`` suppresses them)
-and accept ``--trace PATH`` (default ``$REPRO_TRACE``) to record the
+``run`` prints live status lines on stderr (one per sweep unit,
+rendered from the telemetry stream; ``--quiet`` suppresses them) and
+accepts ``--trace PATH`` (default ``$REPRO_TRACE``) to record the
 invocation's telemetry stream — run manifest, phase/sweep/unit spans,
 cache and pool counters — as JSONL (:mod:`repro.harness.telemetry`);
 ``trace summary FILE`` digests such a file into per-phase wall-clock,
@@ -86,7 +85,6 @@ from repro.eval.reporting import (
 from repro.harness.artifacts import encode
 from repro.harness.cache import CACHE_BUDGET_ENV, open_store, resolve_budget
 from repro.harness.engine import ExperimentEngine
-from repro.harness.sweep import SweepGrid
 
 __all__ = ["main", "build_parser", "render_report"]
 
@@ -95,7 +93,7 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 DEFAULT_CACHE_DIR = ".repro_cache"
 
 #: Environment variable giving the default host-process fan-out of
-#: ``sweep`` (never part of any cache key, so changing it cannot
+#: ``run`` (never part of any cache key, so changing it cannot
 #: invalidate results).
 JOBS_ENV = "REPRO_JOBS"
 
@@ -106,12 +104,13 @@ JOBS_ENV = "REPRO_JOBS"
 PLUGINS_ENV = "REPRO_PLUGINS"
 
 #: Environment variable giving the default ``--trace`` path of
-#: ``run``/``sweep`` (never part of any cache key, so tracing a
+#: ``run`` (never part of any cache key, so tracing a
 #: run cannot change its results).
 TRACE_ENV = "REPRO_TRACE"
 
 #: Experiment identifiers in presentation order ("all" runs these in order;
-#: ``scaling_curves`` is grid-shaped and runs through ``sweep`` instead).
+#: ``scaling_curves`` goes beyond the paper's one machine, so "all" leaves
+#: it out and it runs by name).
 _RUN_ORDER = ("figure7", "figure6", "figure9", "figure8", "figure10",
               "table2", "headline")
 
@@ -249,7 +248,7 @@ def _resolve_trace(args: argparse.Namespace) -> Optional[Path]:
 
 def _build_engine(args: argparse.Namespace, jobs: int,
                   run_label: Optional[str] = None) -> ExperimentEngine:
-    """The shared engine wiring of the ``run`` and ``sweep`` subcommands."""
+    """The engine wiring of the ``run`` subcommand."""
     cache_dir = None
     if not args.no_cache:
         cache_dir = args.cache_dir if args.cache_dir else default_cache_dir()
@@ -349,12 +348,16 @@ def build_parser() -> argparse.ArgumentParser:
                      metavar="NAME[,NAME...]",
                      help="runtimes to compare for figure9/scaling_curves "
                           "(serial always runs; see 'runtimes')")
-    run.add_argument("--jobs", "-j", type=int, default=1,
-                     help="host processes for the sweep (default 1)")
+    run.add_argument("--jobs", "-j", type=int, default=None,
+                     help=f"host processes for the sweep (default "
+                          f"${JOBS_ENV} or 1; never part of cache keys)")
     run.add_argument("--workers", type=int, default=None,
                      help="simulated cores per run (default: config)")
     run.add_argument("--num-tasks", type=int, default=None,
                      help="micro-benchmark task count for figures 6/7")
+    run.add_argument("--cores", type=_parse_cores, default=None,
+                     help="comma-separated core counts for scaling_curves "
+                          "(default 1,2,4,8,16,32,64)")
     run.add_argument("--cache-dir", default=None, metavar="DIR_OR_SPEC",
                      help=f"result cache directory, or mem: for an "
                           f"in-process cache (default ${CACHE_DIR_ENV} "
@@ -371,56 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="report format (default text)")
     run.add_argument("--quiet", action="store_true",
                      help="suppress progress output")
-
-    sweep = sub.add_parser(
-        "sweep",
-        help="grid sweeps: an experiment across core counts "
-             "(default: scaling_curves)",
-        parents=[plugins, resilience, tracing],
-    )
-    sweep.add_argument("--experiment", default="scaling_curves",
-                       help="experiment to sweep (default scaling_curves)")
-    sweep.add_argument("--cores", type=_parse_cores, default=None,
-                       help="comma-separated core counts "
-                            "(default 1,2,4,8,16,32,64)")
-    sweep.add_argument("--runtimes", "--runtime", dest="runtimes",
-                       type=_parse_names, action="extend", default=None,
-                       metavar="NAME[,NAME...]",
-                       help="runtime filter for figure9/scaling_curves "
-                            "sweeps (default nanos-sw,nanos-rv,phentos)")
-    sweep.add_argument("--workload", type=_parse_names, action="extend",
-                       default=None, metavar="NAME[,NAME...]",
-                       help="restrict the swept cases to these registered "
-                            "workloads (see 'workloads')")
-    sweep.add_argument("--tag", type=_parse_names, action="extend",
-                       default=None, metavar="TAG[,TAG...]",
-                       help="restrict the swept cases to workloads carrying "
-                            "every listed tag")
-    sweep.add_argument("--quick", action="store_true",
-                       help="reduced benchmark sweep")
-    sweep.add_argument("--scale", type=float, default=1.0,
-                       help="shrink problem sizes proportionally "
-                            "(default 1.0)")
-    sweep.add_argument("--jobs", "-j", type=int, default=None,
-                       help=f"host processes for the grid (default "
-                            f"${JOBS_ENV} or 1; never part of cache keys)")
-    sweep.add_argument("--cache-dir", default=None, metavar="DIR_OR_SPEC",
-                       help=f"result cache directory, or mem: for an "
-                            f"in-process cache (default ${CACHE_DIR_ENV} "
-                            f"or {DEFAULT_CACHE_DIR})")
-    sweep.add_argument("--cache-budget", default=None, metavar="SIZE",
-                       help=f"cache size budget with LRU eviction, e.g. "
-                            f"512M (default ${CACHE_BUDGET_ENV} or "
-                            f"unbounded)")
-    sweep.add_argument("--no-cache", action="store_true",
-                       help="disable the result cache")
-    sweep.add_argument("--artifact-dir", type=Path, default=None,
-                       help="also archive the sweep result as a JSON "
-                            "artifact here")
-    sweep.add_argument("--format", choices=("text", "json"), default="text",
-                       help="report format (default text)")
-    sweep.add_argument("--quiet", action="store_true",
-                       help="suppress progress output")
 
     sub.add_parser("list", help="list the experiment registry")
 
@@ -480,8 +433,6 @@ def _cmd_list(out) -> int:
         spec = EXPERIMENT_SPECS[experiment_id]
         needs = (f" (derived from {', '.join(spec.depends_on)})"
                  if spec.depends_on else "")
-        if experiment_id == "scaling_curves":
-            needs += " [grid-shaped; run via 'sweep']"
         print(f"{experiment_id:<14} {spec.title}{needs}", file=out)
     print("\nSee 'workloads' and 'runtimes' for the plugin registries.",
           file=out)
@@ -558,68 +509,6 @@ def _cmd_trace(args: argparse.Namespace, out) -> int:
     return 0
 
 
-def _cmd_sweep(args: argparse.Namespace, out) -> int:
-    """Run a grid sweep (scaling curves by default) and render it."""
-    from repro.eval.scaling import DEFAULT_CORE_COUNTS
-
-    if args.experiment not in EXPERIMENT_SPECS:
-        print(f"error: unknown experiment {args.experiment!r}"
-              f"{registry.suggest(args.experiment, list(EXPERIMENT_SPECS))}",
-              file=sys.stderr)
-        return 2
-    cores = args.cores if args.cores else list(DEFAULT_CORE_COUNTS)
-    jobs = args.jobs if args.jobs is not None else _default_jobs()
-    engine = _build_engine(args, jobs,
-                           run_label=f"cli:sweep {args.experiment}")
-    try:
-        return _run_sweep_command(args, engine, cores, out)
-    finally:
-        engine.close()
-
-
-def _run_sweep_command(args: argparse.Namespace, engine: ExperimentEngine,
-                       cores: List[int], out) -> int:
-    """The body of ``sweep``, with the engine's lifetime managed above."""
-    cases = _selected_cases(args)
-    if args.experiment == "scaling_curves":
-        result = engine.run("scaling_curves", quick=args.quick,
-                            scale=args.scale, core_counts=cores,
-                            runtimes=args.runtimes, cases=cases)
-        if args.format == "json":
-            print(json.dumps({"scaling_curves": encode(result)},
-                             indent=2, sort_keys=True), file=out)
-        else:
-            print(f"\n=== scaling_curves: "
-                  f"{EXPERIMENT_SPECS['scaling_curves'].title} ===",
-                  file=out)
-            print(render_report("scaling_curves", result), file=out)
-    else:
-        runtimes = _runtimes_for(args, args.experiment)
-        grid = SweepGrid.cores((args.experiment,), cores)
-        results = engine.run_grid(grid, quick=args.quick, scale=args.scale,
-                                  cases=_cases_for(args, cases,
-                                                   args.experiment),
-                                  runtimes=runtimes)
-        if args.format == "json":
-            payload = {item.point.label: encode(item.result)
-                       for item in results}
-            print(json.dumps(payload, indent=2, sort_keys=True), file=out)
-        else:
-            for item in results:
-                print(f"\n=== {item.point.label} ===", file=out)
-                print(render_report(args.experiment, item.result), file=out)
-        if args.artifact_dir is not None:
-            # run_grid has no single experiment id; archive per point.
-            from repro.harness.artifacts import ArtifactStore
-            store = ArtifactStore(args.artifact_dir)
-            for item in results:
-                store.save(item.point.label.replace("/", "_"),
-                           item.result, cores=dict(item.point.overrides))
-    _print_failures(engine)
-    _print_cache_stats(engine, args.quiet)
-    return 0
-
-
 def _cmd_run(args: argparse.Namespace, out) -> int:
     """Run the selected experiments through one shared engine."""
     selected: List[str] = []
@@ -633,7 +522,8 @@ def _cmd_run(args: argparse.Namespace, out) -> int:
                   f"{registry.suggest(name, list(EXPERIMENT_SPECS) + ['all'])}",
                   file=sys.stderr)
             return 2
-    engine = _build_engine(args, args.jobs,
+    jobs = args.jobs if args.jobs is not None else _default_jobs()
+    engine = _build_engine(args, jobs,
                            run_label=f"cli:run {','.join(selected)}")
     try:
         cases = _selected_cases(args)
@@ -646,6 +536,7 @@ def _cmd_run(args: argparse.Namespace, out) -> int:
                 num_workers=args.workers,
                 num_tasks=args.num_tasks,
                 cases=_cases_for(args, cases, experiment_id),
+                core_counts=args.cores,
                 runtimes=_runtimes_for(args, experiment_id),
             )
             if args.format == "json":
@@ -683,8 +574,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.command == "lint":
             from repro.analysis.cli import run_lint
             return run_lint(args, sys.stdout, sys.stderr)
-        if args.command == "sweep":
-            return _cmd_sweep(args, sys.stdout)
         return _cmd_run(args, sys.stdout)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -8,19 +8,17 @@ content-addressed result cache.  The examples, the benchmark conftest and
 the ``python -m repro`` CLI all sit on top of this one class, so they cannot
 drift apart.
 
-Beyond the paper's single-machine experiments the engine executes **grid
-sweeps** (:meth:`run_grid`): a :class:`~repro.harness.sweep.SweepGrid` of
-(experiment × config-override) points whose benchmark work — across *all*
-grid points — is fanned through one process pool and the shared result
-cache.  The ``scaling_curves`` experiment is built on this: every Figure 9
-case at every requested core count, assembled into speedup-versus-cores
-curves against the MTT bounds (:mod:`repro.eval.scaling`).  Because cache
-keys canonicalise the worker count into the configuration, the 8-core
-column of a scaling sweep addresses exactly the Figure 9 entries.
+Beyond the paper's single machine the engine runs the ``scaling_curves``
+experiment: every Figure 9 case at every requested core count, batched
+through one process pool and the shared result cache, and assembled into
+speedup-versus-cores curves against the MTT bounds
+(:mod:`repro.eval.scaling`).  Because cache keys canonicalise the worker
+count into the configuration, the 8-core column of a scaling run
+addresses exactly the Figure 9 entries.
 
 The engine owns one :class:`~repro.harness.executor.ExecutorBackend`
 (serial for ``jobs=1``, a persistent warm process pool otherwise) shared
-by every sweep, grid and scaling phase it drives, so a multi-phase study
+by every sweep and scaling phase it drives, so a multi-phase study
 builds one pool and reuses warm workers instead of re-importing the
 package per sweep; :meth:`close` (or using the engine as a context
 manager) releases it.  Failure isolation is engine-wide too: a failing
@@ -36,10 +34,10 @@ one :class:`~repro.harness.telemetry.Tracer` shared with its cache and
 executor, opens the *run* span (stamped with the
 :class:`~repro.harness.telemetry.RunManifest` — version, config
 fingerprint, jobs, host, plugin registries) on the first experiment, nests
-a *phase* span per :meth:`run`/:meth:`run_grid` around the runner's sweep
-and unit spans, and snapshots every counter when :meth:`close` ends the
-run.  Unit spans are the only record of what a sweep did (each carries
-its wall clock, simulated cycles and throughput).  ``trace_path``
+a *phase* span per :meth:`run` around the runner's sweep and unit spans,
+and snapshots every counter when :meth:`close` ends the run.  Unit spans
+are the only record of what a sweep did (each carries its wall clock,
+simulated cycles and throughput).  ``trace_path``
 attaches a :class:`~repro.harness.telemetry.JsonlSink` (the ``--trace`` /
 ``$REPRO_TRACE`` surface) and ``progress=True`` a
 :class:`~repro.harness.telemetry.ConsoleSink`, so the stderr status line
@@ -90,7 +88,6 @@ from repro.harness.hashing import (
 )
 from repro.registry import suggest
 from repro.harness.runner import CaseUnit, run_case_grid, run_cases
-from repro.harness.sweep import GridPoint, GridResult, SweepGrid
 from repro.harness.telemetry import (
     ConsoleSink,
     JsonlSink,
@@ -184,7 +181,7 @@ class ExperimentEngine:
         # first experiment, ended by close()).
         self._run_span = None
         # In-memory memo of completed sweeps keyed by (config, workers,
-        # cases), so chained derived experiments and grid points in one
+        # cases), so chained derived experiments and scaling columns in one
         # engine share the Figure 9 runs even with no disk cache.
         self._sweep_memo: dict = {}
         # Failures of partial (keep-going) sweeps, by memo key: a
@@ -193,7 +190,7 @@ class ExperimentEngine:
         # result for a complete one.
         self._partial_memo: dict = {}
         # The persistent execution backend, built lazily on first use and
-        # shared by every sweep/grid/scaling phase this engine drives.
+        # shared by every sweep/scaling phase this engine drives.
         self._executor: Optional[ExecutorBackend] = None
 
     @property
@@ -201,7 +198,7 @@ class ExperimentEngine:
         """The engine's execution backend (a warm pool when ``jobs > 1``).
 
         Created on first access and kept until :meth:`close`, so
-        multi-phase runs (a Study's scaling grid plus its per-count
+        multi-phase runs (a Study's scaling run plus its per-count
         sweeps, or ``repro run all``) reuse one set of warm workers.
         """
         if self._executor is None:
@@ -308,38 +305,6 @@ class ExperimentEngine:
                                 quick=quick, scale=scale)
         return result
 
-    def run_grid(
-        self,
-        grid: SweepGrid,
-        quick: bool = False,
-        scale: float = 1.0,
-        num_tasks: Optional[int] = None,
-        cases: Optional[Sequence[BenchmarkCase]] = None,
-        runtimes: Optional[Sequence[str]] = None,
-    ) -> List[GridResult]:
-        """Execute every point of ``grid`` and return its results in order.
-
-        All benchmark-sweep work behind the grid — every (case × config
-        override) unit of every figure9-backed point — is batched through
-        *one* process-pool invocation and the shared result cache before
-        the points are assembled, so grid wall-clock tracks total work and
-        repeated columns are pure cache hits.  ``runtimes`` selects the
-        case runtimes of figure9-backed points (default: the registry's
-        case set).
-        """
-        points = grid.points()
-        self._ensure_run_span()
-        with self.tracer.span("grid", "phase", points=len(points),
-                              quick=quick, scale=scale):
-            self._prime_grid_sweeps(points, quick, scale, cases,
-                                    runtimes=runtimes)
-            return [
-                GridResult(point, self._run_point(point, quick, scale,
-                                                  num_tasks, cases,
-                                                  runtimes))
-                for point in points
-            ]
-
     # ------------------------------------------------------------------ #
     # Execution strategies
     # ------------------------------------------------------------------ #
@@ -400,45 +365,29 @@ class ExperimentEngine:
         self._sweep_memo[memo_key] = runs
         return list(runs)
 
-    def _prime_grid_sweeps(
+    def _prime_sweeps(
         self,
-        points: Sequence[GridPoint],
+        configs: Sequence[SimConfig],
         quick: bool,
         scale: float,
         cases: Optional[Sequence[BenchmarkCase]],
-        base_config: Optional[SimConfig] = None,
         runtimes: Optional[Sequence[str]] = None,
     ) -> None:
-        """Batch the benchmark units of every sweep-backed grid point.
+        """Batch the benchmark units of one sweep per configuration.
 
-        Collects the (config × case) units of every figure9-backed point
-        that is not already memoised, executes them through one
+        Collects the (config × case) units of every configuration whose
+        sweep is not already memoised, executes them through one
         :func:`run_case_grid` call (one pool, shared cache), then memoises
-        the per-point run lists so :meth:`_run_point` assembly is pure
-        lookup.
+        the per-config run lists so the :meth:`_run_sweep` calls that
+        follow are pure lookup.
         """
-        base_config = (base_config if base_config is not None
-                       else self.config)
         pending: List[tuple] = []  # (memo_key, config, workers, cases,
         #                            selection)
         seen = set()
-        for point in points:
-            exp_spec = EXPERIMENT_SPECS[point.experiment_id]
-            if point.experiment_id != "figure9" \
-                    and exp_spec.depends_on != ("figure9",):
-                continue
-            if point.experiment_id == "scaling_curves":
-                continue  # runs its own nested grid
-            config = point.apply(base_config)
-            # Derived figures hard-code the paper's comparison and their
-            # assembly path (_run_derived) always sweeps the default
-            # runtimes — priming them under a selection would batch units
-            # the assembly never looks up.
-            point_runtimes = (runtimes if point.experiment_id == "figure9"
-                              else None)
+        for config in configs:
             workers, selected, selection, memo_key = \
                 self._sweep_inputs(config, quick, scale, None, cases,
-                                   point_runtimes)
+                                   runtimes)
             if memo_key in self._sweep_memo or memo_key in seen:
                 continue
             seen.add(memo_key)
@@ -458,50 +407,24 @@ class ExperimentEngine:
                              tracer=self.tracer)
         self.unit_failures.extend(failures)
         # Results are slot-aligned with the submitted units (failed slots
-        # are None under keep-going), so per-point slicing stays correct
-        # even for partial sweeps; each point memoises its completed runs
+        # are None under keep-going), so per-config slicing stays correct
+        # even for partial sweeps; each config memoises its completed runs
         # and, when partial, the failures that belong to its slot range.
         offset = 0
         for memo_key, _config, _workers, selected, _sel in pending:
-            point_runs = runs[offset:offset + len(selected)]
-            self._sweep_memo[memo_key] = [run for run in point_runs
+            config_runs = runs[offset:offset + len(selected)]
+            self._sweep_memo[memo_key] = [run for run in config_runs
                                           if run is not None]
-            point_failures = tuple(
+            config_failures = tuple(
                 failure for failure in failures
                 if offset <= failure.slot < offset + len(selected))
-            if point_failures:
-                self._partial_memo[memo_key] = point_failures
+            if config_failures:
+                self._partial_memo[memo_key] = config_failures
             offset += len(selected)
 
-    def _run_point(
-        self,
-        point: GridPoint,
-        quick: bool,
-        scale: float,
-        num_tasks: Optional[int],
-        cases: Optional[Sequence[BenchmarkCase]],
-        runtimes: Optional[Sequence[str]] = None,
-    ) -> object:
-        """Execute one grid point under its overridden configuration."""
-        config = point.apply(self.config)
-        experiment_id = point.experiment_id
-        spec = EXPERIMENT_SPECS[experiment_id]
-        if experiment_id == "scaling_curves":
-            return self._run_scaling(quick, scale, cases, None, runtimes,
-                                     config=config)
-        if experiment_id == "figure9":
-            return self._run_sweep(quick, scale, None, cases, config=config,
-                                   runtimes=runtimes)
-        if spec.is_derived:
-            return self._run_derived(experiment_id, quick, scale, None,
-                                     num_tasks, cases, config=config)
-        return self._run_simple(experiment_id, num_tasks, config=config)
-
     def _run_simple(self, experiment_id: str,
-                    num_tasks: Optional[int],
-                    config: Optional[SimConfig] = None) -> object:
+                    num_tasks: Optional[int]) -> object:
         """Self-contained experiments: run the registry runner, cached."""
-        config = config if config is not None else self.config
         runner = EXPERIMENT_SPECS[experiment_id].runner
         parameters = {}
         if experiment_id in _DEFAULT_NUM_TASKS:
@@ -511,17 +434,16 @@ class ExperimentEngine:
             )
         return self._run_cached(
             experiment_id, parameters,
-            lambda: runner(config, **parameters),
-            config=config,
+            lambda: runner(self.config, **parameters),
         )
 
     def _run_cached(self, experiment_id: str, parameters: dict,
-                    compute, config: Optional[SimConfig] = None) -> object:
+                    compute) -> object:
         """Whole-result caching for the non-sweep experiments."""
-        config = config if config is not None else self.config
         key = None
         if self.cache is not None:
-            key = experiment_cache_key(experiment_id, config, parameters)
+            key = experiment_cache_key(experiment_id, self.config,
+                                       parameters)
             payload = self.cache.get(key)
             if payload is not None:
                 try:
@@ -542,10 +464,9 @@ class ExperimentEngine:
         num_workers: Optional[int],
         num_tasks: Optional[int],
         cases: Optional[Sequence[BenchmarkCase]],
-        config: Optional[SimConfig] = None,
     ) -> object:
         """Experiments computed from the Figure 9 sweep."""
-        config = config if config is not None else self.config
+        config = self.config
         spec = EXPERIMENT_SPECS[experiment_id]
         if spec.depends_on != ("figure9",):
             raise EvaluationError(
@@ -555,8 +476,7 @@ class ExperimentEngine:
         # Dependency runs go through _run_sweep directly (not self.run) so
         # they share the memo/cache without re-saving the figure9 artifact
         # once per derived experiment.
-        runs = self._run_sweep(quick, scale, num_workers, cases,
-                               config=config)
+        runs = self._run_sweep(quick, scale, num_workers, cases)
         runner = spec.runner
         if experiment_id == "figure10":
             # Figure 10 overlays the runs on the MTT bound curves, which
@@ -568,23 +488,17 @@ class ExperimentEngine:
                 "figure6", {"num_tasks": tasks, "task_sizes": sizes},
                 lambda: figure6_mtt_bounds(config, task_sizes=sizes,
                                            num_tasks=tasks),
-                config=config,
             )
             return runner(runs, config, bounds)
         return runner(runs)
 
-    def scaling_overheads(
-        self,
-        runtimes: Sequence[str],
-        config: Optional[SimConfig] = None,
-    ) -> Dict[str, float]:
+    def scaling_overheads(self, runtimes: Sequence[str]) -> Dict[str, float]:
         """Single-worker Task-Chain ``Lo`` per runtime, engine-cached.
 
         The measurement behind every scaling curve's MTT bound; whole-result
         cached per runtime, so repeated studies/sweeps measure each runtime
         once.
         """
-        config = config if config is not None else self.config
         return {
             runtime: self._run_cached(
                 f"scaling-overhead-{runtime}",
@@ -592,8 +506,7 @@ class ExperimentEngine:
                  "num_tasks": DEFAULT_OVERHEAD_NUM_TASKS},
                 lambda runtime=runtime: measure_lifetime_overhead(
                     runtime, "task-chain", 1, DEFAULT_OVERHEAD_NUM_TASKS,
-                    config),
-                config=config,
+                    self.config),
             )
             for runtime in runtimes
         }
@@ -605,16 +518,15 @@ class ExperimentEngine:
         cases: Optional[Sequence[BenchmarkCase]],
         core_counts: Optional[Sequence[int]],
         runtimes: Optional[Sequence[str]],
-        config: Optional[SimConfig] = None,
     ) -> object:
-        """The scaling-curve grid: every case at every core count.
+        """The scaling curves: every case at every core count.
 
         Fans the (case × core count) product through the shared pool/cache
-        via :meth:`run_grid` machinery, measures (and caches) the
+        in one :meth:`_prime_sweeps` batch, measures (and caches) the
         single-worker lifetime overheads behind the MTT bounds, and
         assembles :class:`~repro.eval.scaling.ScalingCurve` records.
         """
-        config = config if config is not None else self.config
+        config = self.config
         counts = normalize_core_counts(core_counts)
         selected_runtimes = normalize_runtimes(runtimes)
         # Whole-result caching under a grid-aware key: a warm re-run skips
@@ -646,26 +558,23 @@ class ExperimentEngine:
                         isinstance(curve, ScalingCurve) for curve in curves):
                     return curves
                 self.cache.demote_hit(key)
-        grid = SweepGrid.cores(("figure9",), counts)
-        points = grid.points()
+        configs = [config.with_cores(count) for count in counts]
         failures_before = len(self.unit_failures)
-        self._prime_grid_sweeps(points, quick, scale, cases,
-                                base_config=config,
-                                runtimes=selected_runtimes)
-        runs_by_cores: Dict[int, List[BenchmarkRun]] = {}
-        for point in points:
-            point_config = point.apply(config)
-            cores = point_config.machine.num_cores
-            runs_by_cores[cores] = self._run_sweep(
-                quick, scale, None, cases, config=point_config,
-                runtimes=selected_runtimes)
+        self._prime_sweeps(configs, quick, scale, cases,
+                           runtimes=selected_runtimes)
+        runs_by_cores: Dict[int, List[BenchmarkRun]] = {
+            count: self._run_sweep(quick, scale, None, cases,
+                                   config=count_config,
+                                   runtimes=selected_runtimes)
+            for count, count_config in zip(counts, configs)
+        }
         partial = len(self.unit_failures) > failures_before
         if partial:
             # Keep-going mode with failures: assemble curves from the
             # cases that completed at *every* core count, so one failed
             # column doesn't abort the whole experiment.
             runs_by_cores, _dropped = align_runs_by_cores(runs_by_cores)
-        overheads = self.scaling_overheads(selected_runtimes, config=config)
+        overheads = self.scaling_overheads(selected_runtimes)
         curves = build_scaling_curves(runs_by_cores, overheads,
                                       selected_runtimes)
         if self.cache is not None and key is not None and not partial:

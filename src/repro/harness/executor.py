@@ -6,7 +6,7 @@ full pool cold-start (re-importing the ~100-module package per worker), and
 one crashed worker aborted the whole sweep with every in-flight unit
 discarded.  This module decomposes that into an :class:`ExecutorBackend`
 abstraction the :class:`~repro.harness.engine.ExperimentEngine` owns and
-shares across every sweep, grid and scaling phase it drives:
+shares across every sweep and scaling phase it drives:
 
 * :class:`SerialBackend` — everything in-process, the ``jobs=1`` path;
 * :class:`ProcessPoolBackend` — a persistent **warm pool** of worker

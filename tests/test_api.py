@@ -1,7 +1,7 @@
 """Tests for the unified Study API and the registry-aware CLI surface.
 
 Exercises the ISSUE-4 tentpole end to end: the fluent builder dispatches
-to the engine's sweep/grid/scaling machinery, returns a typed
+to the engine's sweep/scaling machinery, returns a typed
 :class:`~repro.api.StudyResult` that round-trips through the artifact
 codec, and a workload registered only via ``@register_workload`` runs
 through both :class:`Study` and ``python -m repro run`` with no edits to
@@ -343,31 +343,6 @@ class TestPluginTransport:
         assert "failed to import" in capsys.readouterr().err
 
 
-class TestDerivedGridSelection:
-    def test_derived_grid_points_ignore_runtime_selection(self, tiny_config,
-                                                          monkeypatch):
-        # A runtimes selection on a grid containing derived points must
-        # not prime units the derived assembly never looks up: after
-        # priming, assembly is pure memo lookup (no second sweep).
-        import repro.harness.engine as engine_module
-        from repro.harness.sweep import SweepGrid
-
-        calls = {"run_cases": 0}
-        real_run_cases = engine_module.run_cases
-
-        def counting_run_cases(*args, **kwargs):
-            calls["run_cases"] += 1
-            return real_run_cases(*args, **kwargs)
-
-        monkeypatch.setattr(engine_module, "run_cases", counting_run_cases)
-        engine = ExperimentEngine(config=tiny_config)
-        cases = benchmark_cases(quick=True, scale=0.1)[:1]
-        results = engine.run_grid(SweepGrid.cores(("figure8",), [2]),
-                                  cases=cases, runtimes=["nanos-axi"])
-        assert calls["run_cases"] == 0  # assembly fully memo-served
-        assert results[0].result  # granularity points came back
-
-
 class TestCliRegistrySurface:
     def test_workloads_subcommand(self, capsys):
         assert cli_main(["workloads"]) == 0
@@ -430,7 +405,7 @@ class TestCliRegistrySurface:
         assert len(payload["figure9"]) == 1
 
     def test_sweep_workload_filter(self, capsys):
-        code = cli_main(["sweep", "--experiment", "scaling_curves",
+        code = cli_main(["run", "scaling_curves",
                          "--cores", "1,2", "--workload", "jacobi",
                          "--runtimes", "phentos", "--quick", "--scale",
                          "0.05", "--no-cache", "--quiet"])

@@ -134,7 +134,7 @@ def test_public_harness_api_is_documented():
     modules = [
         importlib.import_module(f"repro.harness.{name}")
         for name in ("artifacts", "cache", "cli", "engine", "executor",
-                     "hashing", "runner", "sweep", "telemetry")
+                     "hashing", "runner", "telemetry")
     ]
     for module in modules:
         assert module.__doc__, f"{module.__name__} lacks a module docstring"

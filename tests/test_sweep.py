@@ -1,15 +1,14 @@
-"""Tests for grid sweeps and the scaling-curves experiment.
+"""Tests for core-count sweeps and the scaling-curves experiment.
 
-Covers the SweepGrid product/override machinery, the grid runner's
-parallel==serial determinism, cache behaviour (hits independent of the
-host-process fan-out, the 8-core scaling column sharing Figure 9 entries),
-scaling-curve semantics against the MTT bound, the EvaluationError
-wrapping of empty/degenerate speedup series, and the ``repro sweep`` CLI.
+Covers the grid runner's parallel==serial determinism, cache behaviour
+(hits independent of the host-process fan-out, the 8-core scaling column
+sharing Figure 9 entries), scaling-curve semantics against the MTT bound,
+the EvaluationError wrapping of empty/degenerate speedup series, and
+``repro run scaling_curves --cores`` on the command line.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 
 import pytest
@@ -36,10 +35,7 @@ from repro.eval.scaling import (
 from repro.harness import (
     CaseUnit,
     ExperimentEngine,
-    GridPoint,
     ShardedDiskStore,
-    SweepGrid,
-    apply_overrides,
     case_cache_key,
     decode,
     encode,
@@ -81,45 +77,6 @@ def _make_run(case_key, cores, speedups, serial=1000):
         run.results[runtime] = _make_result(
             runtime, cores, int(round(serial / speedup)), serial)
     return run
-
-
-class TestSweepGrid:
-    def test_points_are_the_cartesian_product(self):
-        grid = SweepGrid(("figure9", "table2"),
-                         [{"num_cores": 2}, {"num_cores": 4}])
-        labels = [point.label for point in grid.points()]
-        assert labels == [
-            "figure9[num_cores=2]", "figure9[num_cores=4]",
-            "table2[num_cores=2]", "table2[num_cores=4]",
-        ]
-        assert len(grid) == 4
-
-    def test_cores_classmethod(self):
-        grid = SweepGrid.cores(("figure9",), (1, 8))
-        assert [dict(p.overrides) for p in grid.points()] == \
-            [{"num_cores": 1}, {"num_cores": 8}]
-
-    def test_unknown_experiment_rejected(self):
-        with pytest.raises(EvaluationError):
-            SweepGrid(("figure99",))
-        with pytest.raises(EvaluationError):
-            SweepGrid(())
-
-    def test_apply_overrides_machine_and_simconfig_fields(self):
-        config = SimConfig()
-        tweaked = apply_overrides(config, {"num_cores": 16,
-                                           "max_cycles": 123})
-        assert tweaked.machine.num_cores == 16
-        assert tweaked.max_cycles == 123
-        # Untouched fields carry over.
-        assert tweaked.machine.l1_size_bytes == config.machine.l1_size_bytes
-        with pytest.raises(EvaluationError):
-            apply_overrides(config, {"turbo": True})
-
-    def test_point_apply_and_default_label(self):
-        point = GridPoint("figure9")
-        assert point.label == "figure9"
-        assert point.apply(SimConfig()) == SimConfig()
 
 
 class TestGridHashing:
@@ -344,16 +301,6 @@ class TestScalingExperiment:
                                 core_counts=(1, 2), runtimes=("phentos",))
         assert direct == via_engine
 
-    def test_run_grid_over_non_sweep_experiment(self, tmp_path, tiny_config):
-        engine = ExperimentEngine(config=tiny_config, cache_dir=tmp_path)
-        grid = SweepGrid.cores(("table2",), (2, 4))
-        results = engine.run_grid(grid)
-        assert [item.point.label for item in results] == \
-            ["table2[num_cores=2]", "table2[num_cores=4]"]
-        # Re-running the grid is served from the whole-result cache.
-        engine.run_grid(grid)
-        assert engine.cache_stats.hits >= 2
-
 
 class TestEvaluationErrorWrapping:
     def test_headline_names_series_on_degenerate_speedups(self):
@@ -396,9 +343,11 @@ class TestEvaluationErrorWrapping:
 
 
 class TestSweepCli:
+    """``repro run scaling_curves --cores``: the core-count sweep."""
+
     def test_sweep_smoke_and_rerun_is_pure_cache_hit(self, tmp_path,
                                                      capsys):
-        argv = ["sweep", "--experiment", "scaling_curves",
+        argv = ["run", "scaling_curves",
                 "--cores", "1,2", "--runtimes", "phentos",
                 "--quick", "--scale", "0.05", "--quiet",
                 "--cache-dir", str(tmp_path)]
@@ -407,14 +356,17 @@ class TestSweepCli:
         assert "scaling_curves" in first
         assert "1c" in first and "2c" in first
         assert "geomean" in first
-        # Second invocation: identical report, 100% served from cache.
-        assert cli_main(argv[:-2] + ["--cache-dir", str(tmp_path)]) == 0
-        assert capsys.readouterr().out == first
+        # Second invocation (not --quiet, so the cache line prints):
+        # identical report, 100% served from cache.
+        assert cli_main(argv[:-3] + ["--cache-dir", str(tmp_path)]) == 0
+        rerun = capsys.readouterr()
+        assert rerun.out == first
+        assert "0 miss(es)" in rerun.err
 
     def test_sweep_json_round_trips(self, tmp_path, capsys):
-        argv = ["sweep", "--cores", "1,2", "--runtimes", "phentos",
-                "--quick", "--scale", "0.05", "--quiet",
-                "--format", "json", "--cache-dir", str(tmp_path)]
+        argv = ["run", "scaling_curves", "--cores", "1,2",
+                "--runtimes", "phentos", "--quick", "--scale", "0.05",
+                "--quiet", "--format", "json", "--cache-dir", str(tmp_path)]
         assert cli_main(argv) == 0
         payload = json.loads(capsys.readouterr().out)
         curves = decode(payload["scaling_curves"])
@@ -422,22 +374,11 @@ class TestSweepCli:
         assert {point.cores for curve in curves
                 for point in curve.points} == {1, 2}
 
-    def test_sweep_generic_experiment(self, capsys):
-        assert cli_main(["sweep", "--experiment", "table2",
-                         "--cores", "2,4", "--no-cache", "--quiet"]) == 0
-        out = capsys.readouterr().out
-        assert "table2[num_cores=2]" in out
-        assert "table2[num_cores=4]" in out
-
-    def test_sweep_unknown_experiment_exits_nonzero(self, capsys):
-        assert cli_main(["sweep", "--experiment", "figure99",
-                         "--quiet"]) == 2
-
     def test_sweep_rejects_bad_core_list(self, capsys):
         with pytest.raises(SystemExit):
-            cli_main(["sweep", "--cores", "two,four"])
+            cli_main(["run", "scaling_curves", "--cores", "two,four"])
 
     def test_sweep_rejects_unknown_runtime(self, capsys):
-        assert cli_main(["sweep", "--cores", "1",
+        assert cli_main(["run", "scaling_curves", "--cores", "1",
                          "--runtimes", "fortran", "--no-cache",
                          "--quick", "--scale", "0.05", "--quiet"]) == 1

@@ -572,6 +572,18 @@ class TestCliTracing:
         assert code == 0
         assert read_trace(trace)
 
+    def test_run_jobs_defaults_to_env(self, tmp_path, capsys, monkeypatch):
+        trace = tmp_path / "jobs.jsonl"
+        monkeypatch.setenv("REPRO_JOBS", "2")
+        code = cli_main(["run", "figure9", "--workload", "jacobi",
+                         "--runtime", "phentos", "--quick", "--scale",
+                         "0.05", "--no-cache", "--quiet",
+                         "--trace", str(trace)])
+        assert code == 0
+        run_start = next(r for r in read_trace(trace)
+                         if r["type"] == "span_start" and r["kind"] == "run")
+        assert run_start["attrs"]["manifest.jobs"] == 2
+
     def test_cache_stats_flag(self, tmp_path, capsys):
         cache_dir = tmp_path / "cache"
         cache = ShardedDiskStore(cache_dir)
@@ -590,6 +602,12 @@ class TestCliTracing:
             cli_main(["bench"])
         assert exc.value.code == 2
         assert "invalid choice: 'bench'" in capsys.readouterr().err
+
+    def test_sweep_subcommand_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["sweep", "--cores", "2,4"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'sweep'" in capsys.readouterr().err
 
 
 # --------------------------------------------------------------------- #
