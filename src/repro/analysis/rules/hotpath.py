@@ -56,6 +56,9 @@ HOT_FUNCTIONS: Dict[str, FrozenSet[str]] = {
     }),
     "repro/manager/submission.py": frozenset({"_pump"}),
     "repro/runtime/base.py": frozenset({"wait_for_signals"}),
+    "repro/runtime/nanos_machinery.py": frozenset({
+        "_touch_shared_lines", "_mutex_ops",
+    }),
 }
 
 _DATACLASS_DECORATORS = ("dataclass", "dataclasses.dataclass")

@@ -24,7 +24,7 @@ from typing import Any, Generator, Optional
 from repro.common.config import SimConfig
 from repro.common.errors import ConfigurationError, ProtocolError
 from repro.common.stats import Stats
-from repro.cpu.rocc import RoccCommand, RoccResponse
+from repro.cpu.rocc import RoccCommand, RoccResponse, TaskSchedulingFunct
 from repro.memory.hierarchy import MemorySystem
 from repro.sim.engine import Delay, Engine, ProcessGen
 
@@ -34,6 +34,11 @@ __all__ = ["Core"]
 #: single-issue in-order; loads/branches introduce bubbles, so the effective
 #: CPI of runtime bookkeeping code is slightly above 1.
 _CYCLES_PER_INSTRUCTION = 1.2
+
+#: Per-instruction stat names, built once instead of on every issue.
+_ROCC_COUNTERS = {
+    funct: f"rocc_{funct.name.lower()}" for funct in TaskSchedulingFunct
+}
 
 
 class Core:
@@ -155,7 +160,7 @@ class Core:
             )
         issue_cycles = self.config.costs.rocc.issue
         self.stats.incr("rocc_instructions")
-        self.stats.incr(f"rocc_{command.funct.name.lower()}")
+        self.stats.incr(_ROCC_COUNTERS[command.funct])
         self.overhead_cycles += issue_cycles
         yield Delay(issue_cycles)
         response = yield from self.accelerator.execute(command)

@@ -40,6 +40,14 @@ __all__ = ["PicosDelegate"]
 
 _WORD = (1 << 32) - 1
 
+#: Per-instruction stat names, built once instead of on every execute.
+_INSTR_COUNTERS = {
+    funct: f"instr_{funct.name.lower()}" for funct in TaskSchedulingFunct
+}
+_FAIL_COUNTERS = {
+    funct: f"fail_{funct.name.lower()}" for funct in TaskSchedulingFunct
+}
+
 
 class PicosDelegate:
     """RoCC accelerator stub exposing Picos to one core."""
@@ -66,7 +74,7 @@ class PicosDelegate:
     def execute(self, command: RoccCommand) -> Generator[Any, Any, RoccResponse]:
         """Execute one custom instruction; returns its :class:`RoccResponse`."""
         funct = command.funct
-        self.stats.incr(f"instr_{funct.name.lower()}")
+        self.stats.incr(_INSTR_COUNTERS[funct])
         yield Delay(self.costs.manager_handshake)
         if funct is TaskSchedulingFunct.SUBMISSION_REQUEST:
             response = self._submission_request(command)
@@ -85,7 +93,7 @@ class PicosDelegate:
         else:  # pragma: no cover - enum is exhaustive
             raise ProtocolError(f"unknown funct {funct!r}")
         if response.failed:
-            self.stats.incr(f"fail_{funct.name.lower()}")
+            self.stats.incr(_FAIL_COUNTERS[funct])
         return response
 
     # ------------------------------------------------------------------ #

@@ -29,7 +29,7 @@ from repro.cpu.soc import SoC
 from repro.memory.hierarchy import SharedCounter, SoftwareMutex
 from repro.picos.dependence import TaskGraph
 from repro.runtime.task import Task, TaskProgram
-from repro.sim.engine import ProcessGen
+from repro.sim.engine import Delay, ProcessGen
 from repro.sim.queues import DecoupledQueue
 
 __all__ = ["NanosMachinery"]
@@ -42,6 +42,11 @@ _SHARED_POOL_LINES = 64
 
 class NanosMachinery:
     """Cost and bookkeeping model of the Nanos runtime core."""
+
+    __slots__ = ("soc", "program", "costs", "software_graph", "stats",
+                 "shared_pool", "_pool_cursor", "scheduler_queue",
+                 "scheduler_mutex", "graph_mutex", "retired", "sw_graph",
+                 "_sw_ids", "_known_addresses", "idle_checks")
 
     def __init__(self, soc: SoC, program: TaskProgram, costs: NanosCosts,
                  software_graph: bool) -> None:
@@ -82,14 +87,27 @@ class NanosMachinery:
     # Generic cost helpers
     # ------------------------------------------------------------------ #
     def _touch_shared_lines(self, core: Core, count: int) -> ProcessGen:
-        """Access ``count`` lines of the shared pool, alternating writes."""
+        """Access ``count`` lines of the shared pool, alternating writes.
+
+        Charges each access the way :meth:`Core.load`/:meth:`Core.store`
+        do, without their per-access generator frame.
+        """
+        memory = self.soc.memory
+        core_id = core.core_id
+        counters = core.stats.counter_map()
         for offset in range(count):
+            # Read the cursor live: another core's call may advance it
+            # while this one waits on an access.
             index = (self._pool_cursor + offset) % _SHARED_POOL_LINES
             address = self.shared_pool.address_of(index * CACHE_LINE_BYTES)
             if offset % 2:
-                yield from core.store(address)
+                cycles = memory.store(core_id, address)
+                counters["stores"] += 1
             else:
-                yield from core.load(address)
+                cycles = memory.load(core_id, address)
+                counters["loads"] += 1
+            core.overhead_cycles += cycles
+            yield Delay(cycles)
         self._pool_cursor = (self._pool_cursor + count) % _SHARED_POOL_LINES
 
     def _virtual_calls(self, core: Core, count: int) -> ProcessGen:
@@ -97,9 +115,17 @@ class NanosMachinery:
 
     def _mutex_ops(self, core: Core, mutex: SoftwareMutex,
                    count: int) -> ProcessGen:
+        """``count`` acquire/release pairs, charged like :meth:`Core.charge`."""
+        core_id = core.core_id
         for _ in range(count):
-            yield from core.charge(mutex.acquire(core.core_id))
-            yield from core.charge(mutex.release(core.core_id))
+            cycles = mutex.acquire(core_id)
+            core.overhead_cycles += cycles
+            if cycles:
+                yield Delay(cycles)
+            cycles = mutex.release(core_id)
+            core.overhead_cycles += cycles
+            if cycles:
+                yield Delay(cycles)
 
     # ------------------------------------------------------------------ #
     # Submission / fetch / retirement bookkeeping (all Nanos flavours)

@@ -1,15 +1,16 @@
 """Workload factories, telemetry helpers, a reference MESI directory, a
-polling Picos device and a per-packet Submission Handler shared by the test
-suite."""
+polling Picos device, a per-packet Submission Handler and a reference engine
+loop shared by the test suite."""
 
 from __future__ import annotations
 
 import dataclasses
+import heapq
 from dataclasses import dataclass
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.common.config import MemoryCosts, SimConfig
-from repro.common.errors import MemoryModelError
+from repro.common.errors import MemoryModelError, SimulationError
 from repro.common.stats import Stats
 from repro.harness.telemetry import TelemetrySink
 from repro.manager.submission import PendingSubmission, SubmissionHandler
@@ -18,7 +19,7 @@ from repro.picos.device import PicosDevice, ReadyTask
 from repro.picos.packets import PACKETS_PER_DESCRIPTOR, TaskDescriptor
 from repro.runtime.phentos import PhentosRuntime
 from repro.runtime.task import Task, TaskProgram, in_dep, inout_dep, out_dep
-from repro.sim.engine import Delay, Get, ProcessGen, Put, Wait
+from repro.sim.engine import Delay, Engine, Get, ProcessGen, Put, Wait
 
 
 class PluginRuntime(PhentosRuntime):
@@ -315,3 +316,69 @@ class PerPacketSubmissionHandler(SubmissionHandler):
                 "zero_packets_padded",
                 PACKETS_PER_DESCRIPTOR - pending.nonzero_packets,
             )
+
+
+# ---------------------------------------------------------------------- #
+# Reference engine loop
+# ---------------------------------------------------------------------- #
+class ReferenceEngine(Engine):
+    """``Engine`` with the loop that run-ahead dispatch replaced: every
+    ``Delay`` goes through the heap, or through the same-cycle bucket when
+    it is zero, and the process waits there for its turn.  Differential
+    tests drive both with the same processes and require identical traces,
+    times, results and stats.
+    """
+
+    def _loop(self, remaining: List[int], horizon: int, clamp: bool) -> bool:
+        heap = self._heap
+        bucket = self._bucket
+        now = self.now
+        while remaining[0]:
+            if not bucket:
+                if not heap:
+                    return True
+                now = heap[0][0]
+                if now > horizon:
+                    if not clamp:
+                        raise SimulationError(
+                            f"simulation exceeded max_cycles={self.max_cycles}"
+                        )
+                    self.now = horizon
+                    return False
+                self.now = now
+                while heap and heap[0][0] == now:
+                    entry = heapq.heappop(heap)
+                    bucket.append((entry[2], entry[3]))
+            process, payload = bucket.popleft()
+            if process is None:
+                payload()
+                continue
+            if process.finished:
+                continue
+            try:
+                command = process.generator.send(payload)
+            except StopIteration as stop:
+                self._finish(process, stop.value)
+                continue
+            if command.__class__ is Delay:
+                process._waiting = command
+                cycles = command.cycles
+                if cycles:
+                    heapq.heappush(heap, (now + cycles, next(self._sequence),
+                                          process, None))
+                else:
+                    bucket.append((process, None))
+            else:
+                try:
+                    handler = self._handlers[command._tag]
+                except (AttributeError, TypeError, IndexError):
+                    raise SimulationError(
+                        f"process {process.name!r} yielded a non-Command "
+                        f"value: {command!r}"
+                    )
+                handler(process, command)
+            if self.trace:
+                self._trace_log.append(
+                    f"[{now}] {process.name} -> {type(command).__name__}"
+                )
+        return False

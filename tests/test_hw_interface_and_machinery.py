@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.common.config import SimConfig
+from repro.common.config import CACHE_LINE_BYTES, SimConfig
 from repro.cpu.soc import SoC
+from repro.memory.hierarchy import MemorySystem
 from repro.runtime.hw_interface import (
     FetchedTask,
     fetch_ready_task,
@@ -13,7 +14,7 @@ from repro.runtime.hw_interface import (
     retire_task_hw,
     submit_task_hw,
 )
-from repro.runtime.nanos_machinery import NanosMachinery
+from repro.runtime.nanos_machinery import _SHARED_POOL_LINES, NanosMachinery
 from repro.runtime.task import Task, out_dep
 from repro.runtime.worker import HwWorkerContext
 from tests.helpers import make_independent_program
@@ -159,3 +160,37 @@ class TestNanosMachinery:
 
         run_on_core(soc, 0, driver())
         assert core.stats.counter("syscalls") == 1
+
+    def test_interleaved_pool_touches_follow_the_live_cursor(self,
+                                                             monkeypatch):
+        soc, _program, machinery = self._build(software_graph=False)
+        pool = machinery.shared_pool
+        touched = {0: [], 1: []}
+
+        def recording(kind):
+            original = getattr(MemorySystem, kind)
+
+            def access(memory, core, address, size=8):
+                line = (address - pool.base) // CACHE_LINE_BYTES
+                touched[core].append((kind, line))
+                return original(memory, core, address, size)
+            return access
+
+        for kind in ("load", "store"):
+            monkeypatch.setattr(MemorySystem, kind, recording(kind))
+        machinery._pool_cursor = _SHARED_POOL_LINES - 2
+        first = machinery._touch_shared_lines(soc.core(0), 4)
+        next(first)
+        # Core 1 runs a whole call while core 0 waits on its first access.
+        for _ in machinery._touch_shared_lines(soc.core(1), 3):
+            pass
+        for _ in first:
+            pass
+        assert touched[1] == [("load", 62), ("store", 63), ("load", 0)]
+        # Core 0's later offsets start from the cursor core 1 advanced.
+        assert touched[0] == [("load", 62), ("store", 2), ("load", 3),
+                              ("store", 4)]
+        assert machinery._pool_cursor == 5
+        assert soc.core(0).stats.counter("loads") == 2
+        assert soc.core(0).stats.counter("stores") == 2
+        assert soc.core(1).stats.counter("loads") == 2

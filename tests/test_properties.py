@@ -453,3 +453,175 @@ def test_direct_intake_matches_per_packet_pump(run):
     if isinstance(per_packet, RuntimeResult):
         # Same values, and the same first-touch order the reports keep.
         assert list(direct.stats.items()) == list(per_packet.stats.items())
+
+
+# --------------------------------------------------------------------- #
+# Run-ahead dispatch against the reference engine loop
+# --------------------------------------------------------------------- #
+from repro.sim.engine import Delay, Fork, Get, Join, Put, Wait  # noqa: E402
+from tests.helpers import ReferenceEngine  # noqa: E402
+
+_EVENTS = 3
+_QUEUES = 2
+
+#: Small cycle counts, so delays often end on another entry's timestamp.
+_cycles = st.integers(min_value=0, max_value=6)
+#: ``delay`` is listed twice so that delays make up more of each process.
+_leaf_ops = st.one_of(
+    st.tuples(st.just("delay"), _cycles),
+    st.tuples(st.just("delay"), _cycles),
+    st.tuples(st.just("wait"), st.integers(0, _EVENTS - 1)),
+    st.tuples(st.just("trigger"), st.integers(0, _EVENTS - 1)),
+    st.tuples(st.just("put"), st.integers(0, _QUEUES - 1)),
+    st.tuples(st.just("get"), st.integers(0, _QUEUES - 1)),
+    st.tuples(st.just("callback"), _cycles, st.integers(0, _EVENTS - 1)),
+)
+_ops = st.lists(st.one_of(
+    _leaf_ops,
+    st.tuples(st.just("fork"), st.lists(_leaf_ops, max_size=4)),
+    st.tuples(st.just("join")),
+), max_size=8)
+
+
+def _interpret(engine, name, ops, events, queues, log):
+    """A process that performs ``ops`` and logs what each one returned."""
+    children = []
+    for step, op in enumerate(ops):
+        kind = op[0]
+        value = None
+        if kind == "delay":
+            value = yield Delay(op[1])
+        elif kind == "wait":
+            value = yield Wait(events[op[1]])
+        elif kind == "trigger":
+            if not events[op[1]].triggered:
+                events[op[1]].trigger((name, step))
+        elif kind == "put":
+            yield Put(queues[op[1]], (name, step))
+        elif kind == "get":
+            value = yield Get(queues[op[1]])
+        elif kind == "callback":
+            def fire(event=events[op[2]], tag=(name, step)):
+                log.append(("callback", tag, engine.now))
+                if not event.triggered:
+                    event.trigger(tag)
+            engine.schedule_callback(op[1], fire)
+        elif kind == "fork":
+            child = yield Fork(
+                _interpret(engine, f"{name}.{step}", op[1], events, queues,
+                           log),
+                name=f"{name}.{step}")
+            children.append(child)
+            value = child.name
+        elif children:
+            value = yield Join(children.pop())
+        log.append((name, step, kind, engine.now, value))
+    return name, engine.now
+
+
+def _drain(engine, name, queue, period, log):
+    """A daemon that consumes ``queue`` forever, parking when it is empty."""
+    while True:
+        item = yield Get(queue)
+        log.append((name, "got", engine.now, item))
+        yield Delay(period)
+
+
+@st.composite
+def engine_runs(draw):
+    """Processes, daemons, an engine limit and a sequence of run calls."""
+    programs = draw(st.lists(_ops, min_size=1, max_size=5))
+    daemons = draw(st.lists(st.tuples(st.integers(0, _QUEUES - 1), _cycles),
+                            max_size=2))
+    capacities = draw(st.lists(st.integers(1, 3), min_size=_QUEUES,
+                               max_size=_QUEUES))
+    max_cycles = draw(st.sampled_from([8, 20, 1000]))
+    calls = draw(st.lists(st.one_of(
+        st.just(("run",)),
+        st.tuples(st.just("until"), st.integers(0, 30)),
+        st.just(("complete",)),
+    ), min_size=1, max_size=3))
+    return programs, daemons, capacities, max_cycles, calls
+
+
+def _drive(engine_class, programs, daemons, capacities, max_cycles, calls):
+    """Run one generated process set; return everything observable."""
+    engine = engine_class(max_cycles=max_cycles, trace=True)
+    events = [engine.event(f"e{index}") for index in range(_EVENTS)]
+    queues = [DecoupledQueue(engine, capacity, name=f"q{index}")
+              for index, capacity in enumerate(capacities)]
+    log = []
+    processes = [
+        engine.spawn(_interpret(engine, f"p{index}", ops, events, queues,
+                                log), name=f"p{index}")
+        for index, ops in enumerate(programs)
+    ]
+    for index, (queue, period) in enumerate(daemons):
+        engine.spawn(_drain(engine, f"d{index}", queues[queue], period, log),
+                     name=f"d{index}", daemon=True)
+    outcomes = []
+    for call in calls:
+        try:
+            if call[0] == "run":
+                outcomes.append(engine.run())
+            elif call[0] == "until":
+                outcomes.append(engine.run(until=call[1]))
+            else:
+                outcomes.append(engine.run_until_complete(processes))
+        except SimulationError as exc:
+            outcomes.append((type(exc).__name__, str(exc)))
+            break
+    return (outcomes, engine.now, engine.trace_log, log,
+            [(process.finished, process.result) for process in processes])
+
+
+@settings(max_examples=400, deadline=None)
+@given(engine_runs())
+def test_run_ahead_matches_reference_loop(run):
+    assert _drive(Engine, *run) == _drive(ReferenceEngine, *run)
+
+
+@st.composite
+def runtime_runs(draw):
+    """A small program for any runtime, on random worker counts."""
+    num_tasks = draw(st.integers(min_value=1, max_value=12))
+    tasks = []
+    for index in range(num_tasks):
+        accesses = draw(st.dictionaries(st.integers(0, 5), directions,
+                                        max_size=4))
+        tasks.append(Task(
+            index=index,
+            payload_cycles=draw(st.integers(0, 3000)),
+            dependences=tuple(TaskDependence(0x9000_0000 + 64 * slot, how)
+                              for slot, how in sorted(accesses.items())),
+        ))
+    taskwaits = draw(st.lists(st.integers(0, num_tasks - 1), max_size=2,
+                              unique=True))
+    program = TaskProgram(name="ahead", tasks=tasks,
+                          taskwait_after=set(taskwaits))
+    return program, draw(st.integers(1, 4))
+
+
+def _run_on(engine_class, runtime_name, program, workers):
+    """``program`` on ``runtime_name`` with the SoC built on
+    ``engine_class``; the result, or the failure as ``(class, message)``."""
+    config = SimConfig(max_cycles=2_000_000)
+    runtime = registry.runtime(runtime_name).cls(config)
+    try:
+        with mock.patch("repro.cpu.soc.Engine", engine_class):
+            return runtime.run(program, num_workers=workers)
+    except SimulationError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(runtime_runs())
+def test_runtimes_match_reference_loop(run):
+    program, workers = run
+    for runtime_name in registry.runtime_names():
+        reference = _run_on(ReferenceEngine, runtime_name, program, workers)
+        ahead = _run_on(Engine, runtime_name, program, workers)
+        assert ahead == reference, runtime_name
+        if isinstance(reference, RuntimeResult):
+            # Same values, and the same first-touch order the reports keep.
+            assert list(ahead.stats.items()) == list(reference.stats.items())

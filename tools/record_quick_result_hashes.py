@@ -11,12 +11,32 @@ model refactor that claims byte-identical results can prove it.
 
 Regenerate only when a change is meant to move the modelled numbers, and
 say so in the change description.
+
+Options:
+
+``--full``
+    Hash the full-size sweep instead: 37 inputs × 4 runtimes = 148
+    results, about a minute serially.  Nothing in the repository pins these,
+    so the hashes are printed to standard output as JSON instead of written
+    to the fixture; save them from the commit before a change::
+
+        python tools/record_quick_result_hashes.py --full > full.json
+
+``--check FILE``
+    Compare the hashes (quick, or full with ``--full``) against the JSON
+    saved in ``FILE`` and write nothing.  Exits 0 when they are identical;
+    otherwise exits 1 after naming every key that changed, appeared or
+    disappeared::
+
+        python tools/record_quick_result_hashes.py --full --check full.json
 """
 
+import argparse
 import hashlib
 import json
+import sys
 from pathlib import Path
-from typing import Dict
+from typing import Dict, List, Optional
 
 from repro.common.config import SimConfig
 from repro.eval.experiments import benchmark_cases, run_benchmark_case
@@ -29,11 +49,11 @@ OUT = Path(__file__).resolve().parent.parent / "tests" / "data" / \
 WORKERS = 8
 
 
-def quick_result_hashes() -> Dict[str, str]:
-    """``"<case key>/<runtime>" -> sha256`` over the quick sweep's results."""
+def result_hashes(quick: bool) -> Dict[str, str]:
+    """``"<case key>/<runtime>" -> sha256`` over a sweep's results."""
     config = SimConfig()
     hashes: Dict[str, str] = {}
-    for case in benchmark_cases(quick=True):
+    for case in benchmark_cases(quick=quick):
         run = run_benchmark_case(case, config, num_workers=WORKERS)
         for runtime, result in run.results.items():
             text = json.dumps(encode(result), separators=(",", ":"))
@@ -42,11 +62,41 @@ def quick_result_hashes() -> Dict[str, str]:
     return hashes
 
 
-def main() -> None:
-    hashes = quick_result_hashes()
-    OUT.write_text(json.dumps(hashes, indent=2) + "\n", encoding="utf-8")
-    print(f"wrote {OUT} ({len(hashes)} results)")
+def quick_result_hashes() -> Dict[str, str]:
+    """The hashes of the quick sweep, as pinned by the fixture."""
+    return result_hashes(quick=True)
+
+
+def changed_keys(actual: Dict[str, str], expected: Dict[str, str]) -> List[str]:
+    """Every key whose hash differs, or that only one side has, sorted."""
+    return sorted(key for key in set(actual) | set(expected)
+                  if actual.get(key) != expected.get(key))
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    parser = argparse.ArgumentParser(
+        description="Hash every Figure 9 result of the quick (or full) sweep.")
+    parser.add_argument("--full", action="store_true",
+                        help="hash the 148 full-size results and print them")
+    parser.add_argument("--check", metavar="FILE", type=Path,
+                        help="compare against saved hashes; write nothing")
+    args = parser.parse_args(argv)
+    hashes = result_hashes(quick=not args.full)
+    if args.check is not None:
+        expected = json.loads(args.check.read_text(encoding="utf-8"))
+        changed = changed_keys(hashes, expected)
+        for key in changed:
+            print(f"changed: {key}", file=sys.stderr)
+        print(f"{len(hashes)} results, {len(changed)} changed")
+        return 1 if changed else 0
+    text = json.dumps(hashes, indent=2) + "\n"
+    if args.full:
+        sys.stdout.write(text)
+    else:
+        OUT.write_text(text, encoding="utf-8")
+        print(f"wrote {OUT} ({len(hashes)} results)")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
