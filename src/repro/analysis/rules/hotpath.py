@@ -35,6 +35,7 @@ HOT_FUNCTIONS: Dict[str, FrozenSet[str]] = {
         "__new__", "_loop", "_finish", "_schedule", "_resume",
         "_handle_delay", "_handle_put", "_handle_get", "_handle_wait",
         "_handle_fork", "_handle_join", "schedule_callback", "trigger",
+        "advance",
     }),
     "repro/sim/queues.py": frozenset({
         "try_put", "try_get", "_blocking_put", "_blocking_get", "_enqueue",
@@ -44,7 +45,12 @@ HOT_FUNCTIONS: Dict[str, FrozenSet[str]] = {
     "repro/sim/arbiters.py": frozenset({"_kick", "_grant"}),
     "repro/memory/mesi.py": frozenset({"access"}),
     "repro/memory/hierarchy.py": frozenset({
-        "load", "store", "atomic_rmw", "touch_lines", "_access",
+        "load", "store", "atomic_rmw", "touch_lines", "_access", "acquire",
+        "release",
+    }),
+    "repro/cpu/core.py": frozenset({
+        "execute", "load", "store", "atomic", "charge", "compute", "syscall",
+        "rocc",
     }),
     "repro/picos/device.py": frozenset({
         "try_intake", "_submission_pipeline", "_insert_task",

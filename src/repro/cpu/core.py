@@ -14,7 +14,8 @@ what the real binary would do:
 
 Every helper is a generator; callers compose them with ``yield from`` inside
 their own process generators, so all time accounting flows through the
-discrete-event engine.
+discrete-event engine.  A helper whose charge would resume it at once moves
+the clock itself (:meth:`Engine.advance`) instead of yielding the ``Delay``.
 """
 
 from __future__ import annotations
@@ -44,6 +45,10 @@ _ROCC_COUNTERS = {
 class Core:
     """One in-order RV64GC core with an optional RoCC accelerator attached."""
 
+    __slots__ = ("core_id", "engine", "memory", "config", "stats",
+                 "accelerator", "busy_cycles", "overhead_cycles",
+                 "_issue_cycles", "_issue_delay")
+
     def __init__(self, core_id: int, engine: Engine, memory: MemorySystem,
                  config: SimConfig) -> None:
         if core_id < 0 or core_id >= config.machine.num_cores:
@@ -61,6 +66,9 @@ class Core:
         self.busy_cycles = 0
         #: Cycles spent in runtime bookkeeping / scheduling.
         self.overhead_cycles = 0
+        #: RoCC issue cost, and its ``Delay`` built once.
+        self._issue_cycles = config.costs.rocc.issue
+        self._issue_delay = Delay(self._issue_cycles)
 
     # ------------------------------------------------------------------ #
     # Wiring
@@ -81,7 +89,7 @@ class Core:
         cycles = int(round(instructions * _CYCLES_PER_INSTRUCTION))
         self.stats.add("instructions", instructions)
         self.overhead_cycles += cycles
-        if cycles:
+        if cycles and not self.engine.advance(cycles):
             yield Delay(cycles)
 
     def load(self, address: int, size: int = 8) -> ProcessGen:
@@ -89,21 +97,24 @@ class Core:
         cycles = self.memory.load(self.core_id, address, size)
         self.stats.incr("loads")
         self.overhead_cycles += cycles
-        yield Delay(cycles)
+        if not self.engine.advance(cycles):
+            yield Delay(cycles)
 
     def store(self, address: int, size: int = 8) -> ProcessGen:
         """Store ``size`` bytes to ``address`` through the MESI model."""
         cycles = self.memory.store(self.core_id, address, size)
         self.stats.incr("stores")
         self.overhead_cycles += cycles
-        yield Delay(cycles)
+        if not self.engine.advance(cycles):
+            yield Delay(cycles)
 
     def atomic(self, address: int, size: int = 8) -> ProcessGen:
         """Atomic read-modify-write at ``address``."""
         cycles = self.memory.atomic_rmw(self.core_id, address, size)
         self.stats.incr("atomics")
         self.overhead_cycles += cycles
-        yield Delay(cycles)
+        if not self.engine.advance(cycles):
+            yield Delay(cycles)
 
     def charge(self, cycles: int, useful: bool = False) -> ProcessGen:
         """Charge a pre-computed cycle cost (e.g. from a SoftwareMutex)."""
@@ -113,7 +124,7 @@ class Core:
             self.busy_cycles += cycles
         else:
             self.overhead_cycles += cycles
-        if cycles:
+        if cycles and not self.engine.advance(cycles):
             yield Delay(cycles)
 
     def compute(self, cycles: int) -> ProcessGen:
@@ -143,7 +154,7 @@ class Core:
             raise ProtocolError("syscall cost must be non-negative")
         self.stats.incr("syscalls")
         self.overhead_cycles += cycles
-        if cycles:
+        if cycles and not self.engine.advance(cycles):
             yield Delay(cycles)
 
     def rocc(self, command: RoccCommand) -> Generator[Any, Any, RoccResponse]:
@@ -158,13 +169,14 @@ class Core:
             raise ProtocolError(
                 f"core {self.core_id} has no RoCC accelerator attached"
             )
-        issue_cycles = self.config.costs.rocc.issue
+        issue_cycles = self._issue_cycles
         self.stats.incr("rocc_instructions")
         self.stats.incr(_ROCC_COUNTERS[command.funct])
         self.overhead_cycles += issue_cycles
-        yield Delay(issue_cycles)
+        if not self.engine.advance(issue_cycles):
+            yield self._issue_delay
         response = yield from self.accelerator.execute(command)
-        if not isinstance(response, RoccResponse):
+        if response.__class__ is not RoccResponse:
             raise ProtocolError(
                 "RoCC accelerator returned a non-RoccResponse value"
             )

@@ -18,7 +18,8 @@ parked on the empty submission queue) the pump hands it the packets of the
 rest of the descriptor directly (:meth:`PicosDevice.try_intake`) and wakes
 it only with the last one, through the queue.  The per-packet steps stay
 because the pump's place in each cycle decides where that last wake-up and
-the next core's grant land.
+the next core's grant land; a step that would resume the pump at once
+moves the clock in place (:meth:`Engine.advance`).
 
 Software interacts with the handler only through the two non-blocking hooks
 used by the delegate instructions: :meth:`announce` (Submission Request) and
@@ -145,7 +146,9 @@ class SubmissionHandler:
         try_intake = device.try_intake
         transfer_beat = self.arbiter.transfer_beat
         stats = self.stats
-        packet_delay = Delay(self.costs.submission_packet_cycles)
+        advance = self.engine.advance
+        packet_cycles = self.costs.submission_packet_cycles
+        packet_delay = Delay(packet_cycles)
         handoff = Delay(0)
         while True:
             pending: PendingSubmission = yield Get(announcements)
@@ -156,9 +159,11 @@ class SubmissionHandler:
             nonzero = pending.nonzero_packets
             for index in range(PACKETS_PER_DESCRIPTOR):
                 word = (yield next_word) if index < nonzero else 0
-                yield packet_delay
+                if not advance(packet_cycles):
+                    yield packet_delay
                 if try_intake(word):
-                    yield handoff
+                    if not advance(0):
+                        yield handoff
                 else:
                     yield Put(submission_queue, word)
                 transfer_beat(core_id)

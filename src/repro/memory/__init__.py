@@ -10,7 +10,6 @@ from repro.memory.address import (
 from repro.memory.hierarchy import (
     MemorySystem,
     SharedCounter,
-    SharedFlag,
     SoftwareMutex,
 )
 from repro.memory.mesi import AccessType, CoherenceDirectory, LineState
@@ -23,7 +22,6 @@ __all__ = [
     "span_lines",
     "MemorySystem",
     "SharedCounter",
-    "SharedFlag",
     "SoftwareMutex",
     "AccessType",
     "CoherenceDirectory",

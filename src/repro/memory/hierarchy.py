@@ -6,16 +6,17 @@ with the operations the rest of the simulator actually performs:
 * ``load`` / ``store`` / ``atomic_rmw`` on byte addresses of arbitrary size
   (an access inside one line is one directory access; only an access that
   crosses a line boundary is split into per-line accesses),
-* :class:`SharedCounter` and :class:`SharedFlag` — modelled shared variables
-  that the runtimes poll and update (these are where cache-line bouncing
-  shows up),
+* :class:`SharedCounter` — a modelled shared variable that the runtimes
+  poll and update (this is where cache-line bouncing shows up),
 * :class:`SoftwareMutex` — a lock built from an atomic RMW plus optional
   futex-style syscalls, matching how Nanos coordinates its shared
-  structures.
+  structures.  Its lock word is one line, so it charges the directory
+  directly.
 
 Every method returns the number of core cycles the operation costs; the
-calling process is responsible for yielding that latency to the engine
-(usually via :meth:`repro.cpu.core.Core.mem_access`).
+calling process is responsible for charging that latency to the engine
+(usually via :meth:`repro.cpu.core.Core.load`, ``store``, ``atomic`` or
+``charge``).
 """
 
 from __future__ import annotations
@@ -29,7 +30,9 @@ from repro.common.stats import Stats
 from repro.memory.address import AddressAllocator, MemoryRegion, span_lines
 from repro.memory.mesi import AccessType, CoherenceDirectory
 
-__all__ = ["MemorySystem", "SharedCounter", "SharedFlag", "SoftwareMutex"]
+__all__ = ["MemorySystem", "SharedCounter", "SoftwareMutex"]
+
+_RMW = AccessType.RMW
 
 
 class MemorySystem:
@@ -132,11 +135,6 @@ class MemorySystem:
         region = self.allocate(name, self.line_bytes)
         return SharedCounter(self, region, initial)
 
-    def shared_flag(self, name: str, initial: bool = False) -> "SharedFlag":
-        """Create a modelled shared boolean flag on its own cache line."""
-        region = self.allocate(name, self.line_bytes)
-        return SharedFlag(self, region, initial)
-
     def mutex(self, name: str, syscall_cycles: int = 0,
               uncontended_spins: int = 1) -> "SoftwareMutex":
         """Create a modelled mutex (atomic word + optional futex syscalls)."""
@@ -198,26 +196,6 @@ class SharedCounter:
             callback()
 
 
-@dataclass
-class SharedFlag:
-    """A shared boolean flag with modelled access costs."""
-
-    memory: MemorySystem
-    region: MemoryRegion
-    value: bool = False
-
-    def read(self, core: int) -> Tuple[bool, int]:
-        """Return ``(value, cycles)`` for a read by ``core``."""
-        cycles = self.memory.load(core, self.region.base)
-        return self.value, cycles
-
-    def write(self, core: int, value: bool) -> int:
-        """Store ``value``; returns the cycle cost."""
-        cycles = self.memory.store(core, self.region.base)
-        self.value = value
-        return cycles
-
-
 class SoftwareMutex:
     """A cost model of a pthread-style mutex (atomic word + futex syscalls).
 
@@ -238,7 +216,7 @@ class SoftwareMutex:
     """
 
     __slots__ = ("memory", "region", "syscall_cycles", "uncontended_spins",
-                 "holder", "acquisitions", "contended_acquisitions")
+                 "holder", "acquisitions", "contended_acquisitions", "_line")
 
     def __init__(self, memory: MemorySystem, region: MemoryRegion,
                  syscall_cycles: int, uncontended_spins: int) -> None:
@@ -249,15 +227,19 @@ class SoftwareMutex:
         self.holder: Optional[int] = None
         self.acquisitions = 0
         self.contended_acquisitions = 0
+        #: The lock word is 8 bytes at a line's start, so every RMW on it is
+        #: one directory access to this line, as ``atomic_rmw`` would make.
+        self._line = region.base // memory.line_bytes
 
     def acquire(self, core: int) -> int:
         """Acquire the mutex for ``core``; returns the cycle cost."""
-        cycles = self.memory.atomic_rmw(core, self.region.base)
+        directory = self.memory.directory
+        cycles = directory.access(core, self._line, _RMW)
         if self.holder is not None and self.holder != core:
             # Contended path: futex wait + wake once the holder releases.
             self.contended_acquisitions += 1
             cycles += self.syscall_cycles
-            cycles += self.memory.atomic_rmw(core, self.region.base)
+            cycles += directory.access(core, self._line, _RMW)
         self.holder = core
         self.acquisitions += 1
         return cycles
@@ -266,7 +248,7 @@ class SoftwareMutex:
         """Release the mutex; returns the cycle cost."""
         if self.holder == core:
             self.holder = None
-        return self.memory.atomic_rmw(core, self.region.base)
+        return self.memory.directory.access(core, self._line, _RMW)
 
     @property
     def contention_ratio(self) -> float:

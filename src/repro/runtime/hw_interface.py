@@ -42,6 +42,7 @@ _RETRY_LOOP_INSTRUCTIONS = 4
 #: not hammered every cycle (software is free to choose; Phentos uses a
 #: short pause).
 _RETRY_BACKOFF_CYCLES = 12
+_RETRY_BACKOFF = Delay(_RETRY_BACKOFF_CYCLES)
 #: Give up threshold: if the hardware never accepts after this many retries
 #: something is structurally wrong with the model and we fail loudly rather
 #: than spin forever.
@@ -157,4 +158,4 @@ def _issue_until_success(core: Core, command: RoccCommand,
         if stall_handler is not None:
             yield from stall_handler()
         else:
-            yield Delay(_RETRY_BACKOFF_CYCLES)
+            yield _RETRY_BACKOFF

@@ -27,6 +27,7 @@ from repro.common.stats import Stats
 from repro.cpu.core import Core
 from repro.cpu.soc import SoC
 from repro.memory.hierarchy import SharedCounter, SoftwareMutex
+from repro.memory.mesi import AccessType
 from repro.picos.dependence import TaskGraph
 from repro.runtime.task import Task, TaskProgram
 from repro.sim.engine import Delay, ProcessGen
@@ -39,14 +40,18 @@ __all__ = ["NanosMachinery"]
 #: the same lines from each other (the bouncing the paper describes).
 _SHARED_POOL_LINES = 64
 
+_READ = AccessType.READ
+_WRITE = AccessType.WRITE
+
 
 class NanosMachinery:
     """Cost and bookkeeping model of the Nanos runtime core."""
 
     __slots__ = ("soc", "program", "costs", "software_graph", "stats",
-                 "shared_pool", "_pool_cursor", "scheduler_queue",
-                 "scheduler_mutex", "graph_mutex", "retired", "sw_graph",
-                 "_sw_ids", "_known_addresses", "idle_checks")
+                 "shared_pool", "_pool_lines", "_pool_cursor",
+                 "scheduler_queue", "scheduler_mutex", "graph_mutex",
+                 "retired", "sw_graph", "_sw_ids", "_known_addresses",
+                 "idle_checks")
 
     def __init__(self, soc: SoC, program: TaskProgram, costs: NanosCosts,
                  software_graph: bool) -> None:
@@ -59,6 +64,12 @@ class NanosMachinery:
         #: Descriptor pool + scheduler structures shared between all threads.
         self.shared_pool = memory.allocate(
             "nanos.shared_pool", _SHARED_POOL_LINES * CACHE_LINE_BYTES
+        )
+        #: Directory line of each pool line's first word.
+        self._pool_lines = tuple(
+            self.shared_pool.address_of(index * CACHE_LINE_BYTES)
+            // memory.line_bytes
+            for index in range(_SHARED_POOL_LINES)
         )
         self._pool_cursor = 0
         #: The central Scheduler singleton queue every ready task goes
@@ -90,24 +101,28 @@ class NanosMachinery:
         """Access ``count`` lines of the shared pool, alternating writes.
 
         Charges each access the way :meth:`Core.load`/:meth:`Core.store`
-        do, without their per-access generator frame.
+        do, without their per-access generator frame.  Each access is one
+        8-byte word at a line's start, so it goes straight to the
+        directory as the single line access ``MemorySystem`` would make.
         """
-        memory = self.soc.memory
+        access = self.soc.memory.directory.access
+        advance = self.soc.engine.advance
+        pool_lines = self._pool_lines
         core_id = core.core_id
         counters = core.stats.counter_map()
         for offset in range(count):
             # Read the cursor live: another core's call may advance it
             # while this one waits on an access.
-            index = (self._pool_cursor + offset) % _SHARED_POOL_LINES
-            address = self.shared_pool.address_of(index * CACHE_LINE_BYTES)
+            line = pool_lines[(self._pool_cursor + offset) % _SHARED_POOL_LINES]
             if offset % 2:
-                cycles = memory.store(core_id, address)
+                cycles = access(core_id, line, _WRITE)
                 counters["stores"] += 1
             else:
-                cycles = memory.load(core_id, address)
+                cycles = access(core_id, line, _READ)
                 counters["loads"] += 1
             core.overhead_cycles += cycles
-            yield Delay(cycles)
+            if not advance(cycles):
+                yield Delay(cycles)
         self._pool_cursor = (self._pool_cursor + count) % _SHARED_POOL_LINES
 
     def _virtual_calls(self, core: Core, count: int) -> ProcessGen:
@@ -116,15 +131,16 @@ class NanosMachinery:
     def _mutex_ops(self, core: Core, mutex: SoftwareMutex,
                    count: int) -> ProcessGen:
         """``count`` acquire/release pairs, charged like :meth:`Core.charge`."""
+        advance = self.soc.engine.advance
         core_id = core.core_id
         for _ in range(count):
             cycles = mutex.acquire(core_id)
             core.overhead_cycles += cycles
-            if cycles:
+            if cycles and not advance(cycles):
                 yield Delay(cycles)
             cycles = mutex.release(core_id)
             core.overhead_cycles += cycles
-            if cycles:
+            if cycles and not advance(cycles):
                 yield Delay(cycles)
 
     # ------------------------------------------------------------------ #

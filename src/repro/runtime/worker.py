@@ -28,6 +28,7 @@ __all__ = ["HwWorkerContext"]
 #: Short pause after a rejected Ready Task Request before retrying, so the
 #: routing queue is not hammered every cycle.
 _REQUEST_RETRY_CYCLES = 16
+_REQUEST_RETRY = Delay(_REQUEST_RETRY_CYCLES)
 
 
 class HwWorkerContext:
@@ -59,7 +60,7 @@ class HwWorkerContext:
             return True
         # Routing queue full: retry a bit later; the caller decides whether
         # to do alternative work in the meantime.
-        yield Delay(_REQUEST_RETRY_CYCLES)
+        yield _REQUEST_RETRY
         return False
 
     def try_fetch(self) -> Generator:

@@ -316,3 +316,101 @@ def test_trace_log_records_when_enabled():
     engine.spawn(proc(), name="traced")
     engine.run()
     assert any("traced" in line for line in engine.trace_log)
+
+
+# --------------------------------------------------------------------- #
+# In-place advance
+# --------------------------------------------------------------------- #
+def _advancer(engine, steps, seen):
+    """Call ``advance(c)`` for each ``c`` of ``steps``, logging the answer
+    and the clock, and yield the ``Delay`` whenever it refuses."""
+    for cycles in steps:
+        moved = engine.advance(cycles)
+        seen.append((cycles, moved, engine.now))
+        if not moved:
+            yield Delay(cycles)
+
+
+def test_advance_moves_the_clock_of_a_lone_process():
+    engine = Engine()
+    seen = []
+    engine.spawn(_advancer(engine, [7, 0, 3], seen))
+    assert engine.run() == 10
+    assert seen == [(7, True, 7), (0, True, 7), (3, True, 10)]
+
+
+def test_advance_refuses_outside_a_running_loop():
+    engine = Engine()
+    assert not engine.advance(5)
+    engine.spawn(_advancer(engine, [4], []))
+    engine.run()
+    assert engine.now == 4
+    assert not engine.advance(5)
+    assert engine.now == 4
+
+
+def test_advance_refuses_while_tracing():
+    engine = Engine(trace=True)
+    seen = []
+    engine.spawn(_advancer(engine, [7], seen), name="traced")
+    engine.run()
+    assert seen == [(7, False, 0)]
+    assert engine.now == 7
+    assert "[0] traced -> Delay" in engine.trace_log
+
+
+def test_advance_refuses_with_a_non_empty_bucket():
+    engine = Engine()
+    seen = []
+    engine.spawn(_advancer(engine, [3], seen))
+    engine.spawn(_advancer(engine, [], []))  # still in the bucket at 0
+    engine.run()
+    assert seen == [(3, False, 0)]
+
+
+def test_advance_refuses_a_tie_with_a_heap_entry():
+    engine = Engine()
+    seen = []
+
+    def sleeper():
+        yield Delay(5)
+
+    def prober():
+        # Runs after the sleeper has parked in the heap at cycle 5.
+        for cycles in (5, 4, 1):
+            seen.append((cycles, engine.advance(cycles), engine.now))
+        yield Delay(1)
+
+    engine.spawn(sleeper())
+    engine.spawn(prober())
+    engine.run()
+    # An entry due at the same cycle was pushed earlier and runs first.
+    assert seen == [(5, False, 0), (4, True, 4), (1, False, 4)]
+
+
+def test_advance_refuses_past_the_run_horizon():
+    engine = Engine()
+    seen = []
+    engine.spawn(_advancer(engine, [11, 10], seen))
+    engine.run(until=10)
+    assert seen[0] == (11, False, 0)
+    engine.run()
+    bounded = Engine(max_cycles=20)
+    capped = []
+    bounded.spawn(_advancer(bounded, [21, 20], capped))
+    with pytest.raises(SimulationError):
+        bounded.run()
+    assert capped == [(21, False, 0)]
+
+
+def test_advance_refuses_negative_cycles():
+    engine = Engine()
+    seen = []
+
+    def proc():
+        seen.append(engine.advance(-1))
+        yield Delay(1)
+
+    engine.spawn(proc())
+    engine.run()
+    assert seen == [False]

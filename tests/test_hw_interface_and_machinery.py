@@ -6,7 +6,7 @@ import pytest
 
 from repro.common.config import CACHE_LINE_BYTES, SimConfig
 from repro.cpu.soc import SoC
-from repro.memory.hierarchy import MemorySystem
+from repro.memory.mesi import AccessType, CoherenceDirectory
 from repro.runtime.hw_interface import (
     FetchedTask,
     fetch_ready_task,
@@ -164,20 +164,17 @@ class TestNanosMachinery:
     def test_interleaved_pool_touches_follow_the_live_cursor(self,
                                                              monkeypatch):
         soc, _program, machinery = self._build(software_graph=False)
-        pool = machinery.shared_pool
+        first_line = machinery.shared_pool.base // CACHE_LINE_BYTES
         touched = {0: [], 1: []}
+        kinds = {AccessType.READ: "load", AccessType.WRITE: "store"}
+        original = CoherenceDirectory.access
 
-        def recording(kind):
-            original = getattr(MemorySystem, kind)
+        def recording(directory, core, line, kind):
+            touched[core].append((kinds[kind], line - first_line))
+            return original(directory, core, line, kind)
 
-            def access(memory, core, address, size=8):
-                line = (address - pool.base) // CACHE_LINE_BYTES
-                touched[core].append((kind, line))
-                return original(memory, core, address, size)
-            return access
-
-        for kind in ("load", "store"):
-            monkeypatch.setattr(MemorySystem, kind, recording(kind))
+        # The pool charges go straight to the directory, so record there.
+        monkeypatch.setattr(CoherenceDirectory, "access", recording)
         machinery._pool_cursor = _SHARED_POOL_LINES - 2
         first = machinery._touch_shared_lines(soc.core(0), 4)
         next(first)

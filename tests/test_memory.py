@@ -219,12 +219,6 @@ class TestMemorySystem:
         counter.unsubscribe(lambda: None)  # unknown callback: no-op
         assert seen == [3, 10]
 
-    def test_shared_flag(self):
-        flag = self.memory.shared_flag("f")
-        assert flag.read(0)[0] is False
-        flag.write(1, True)
-        assert flag.read(0)[0] is True
-
     def test_mutex_contention_costs_more(self):
         mutex = self.memory.mutex("m", syscall_cycles=1000)
         uncontended = mutex.acquire(0)

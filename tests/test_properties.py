@@ -466,10 +466,13 @@ _QUEUES = 2
 
 #: Small cycle counts, so delays often end on another entry's timestamp.
 _cycles = st.integers(min_value=0, max_value=6)
-#: ``delay`` is listed twice so that delays make up more of each process.
+#: ``delay`` is listed twice so that delays make up more of each process;
+#: ``advance`` moves the clock in place when the engine allows it and
+#: yields the ``Delay`` otherwise.
 _leaf_ops = st.one_of(
     st.tuples(st.just("delay"), _cycles),
     st.tuples(st.just("delay"), _cycles),
+    st.tuples(st.just("advance"), _cycles),
     st.tuples(st.just("wait"), st.integers(0, _EVENTS - 1)),
     st.tuples(st.just("trigger"), st.integers(0, _EVENTS - 1)),
     st.tuples(st.just("put"), st.integers(0, _QUEUES - 1)),
@@ -483,14 +486,23 @@ _ops = st.lists(st.one_of(
 ), max_size=8)
 
 
-def _interpret(engine, name, ops, events, queues, log):
-    """A process that performs ``ops`` and logs what each one returned."""
+def _interpret(engine, name, ops, events, queues, log, moved):
+    """A process that performs ``ops`` and logs what each one returned.
+
+    ``moved`` counts the ``advance`` ops the engine granted; it is kept out
+    of ``log`` because the reference engine grants none.
+    """
     children = []
     for step, op in enumerate(ops):
         kind = op[0]
         value = None
         if kind == "delay":
             value = yield Delay(op[1])
+        elif kind == "advance":
+            if engine.advance(op[1]):
+                moved[0] += 1
+            else:
+                value = yield Delay(op[1])
         elif kind == "wait":
             value = yield Wait(events[op[1]])
         elif kind == "trigger":
@@ -509,7 +521,7 @@ def _interpret(engine, name, ops, events, queues, log):
         elif kind == "fork":
             child = yield Fork(
                 _interpret(engine, f"{name}.{step}", op[1], events, queues,
-                           log),
+                           log, moved),
                 name=f"{name}.{step}")
             children.append(child)
             value = child.name
@@ -541,19 +553,25 @@ def engine_runs(draw):
         st.tuples(st.just("until"), st.integers(0, 30)),
         st.just(("complete",)),
     ), min_size=1, max_size=3))
-    return programs, daemons, capacities, max_cycles, calls
+    # Tracing turns advance() off, so both settings are exercised.
+    trace = draw(st.booleans())
+    return programs, daemons, capacities, max_cycles, calls, trace
 
 
-def _drive(engine_class, programs, daemons, capacities, max_cycles, calls):
-    """Run one generated process set; return everything observable."""
-    engine = engine_class(max_cycles=max_cycles, trace=True)
+def _drive(engine_class, moved, programs, daemons, capacities, max_cycles,
+           calls, trace):
+    """Run one generated process set; return everything observable.
+
+    ``moved[0]`` is increased by the number of granted ``advance`` ops.
+    """
+    engine = engine_class(max_cycles=max_cycles, trace=trace)
     events = [engine.event(f"e{index}") for index in range(_EVENTS)]
     queues = [DecoupledQueue(engine, capacity, name=f"q{index}")
               for index, capacity in enumerate(capacities)]
     log = []
     processes = [
         engine.spawn(_interpret(engine, f"p{index}", ops, events, queues,
-                                log), name=f"p{index}")
+                                log, moved), name=f"p{index}")
         for index, ops in enumerate(programs)
     ]
     for index, (queue, period) in enumerate(daemons):
@@ -575,10 +593,18 @@ def _drive(engine_class, programs, daemons, capacities, max_cycles, calls):
             [(process.finished, process.result) for process in processes])
 
 
-@settings(max_examples=400, deadline=None)
-@given(engine_runs())
-def test_run_ahead_matches_reference_loop(run):
-    assert _drive(Engine, *run) == _drive(ReferenceEngine, *run)
+def test_run_ahead_matches_reference_loop():
+    moved = [0]
+
+    @settings(max_examples=400, deadline=None)
+    @given(engine_runs())
+    def check(run):
+        assert _drive(Engine, moved, *run) == \
+            _drive(ReferenceEngine, [0], *run)
+
+    check()
+    # The generated runs must really have advanced in place.
+    assert moved[0] > 0
 
 
 @st.composite

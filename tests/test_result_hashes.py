@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -33,3 +34,13 @@ def test_quick_results_match_recorded_hashes():
     changed = sorted(key for key in expected if actual.get(key) != expected[key])
     assert not changed, f"results changed: {changed}"
     assert list(actual) == list(expected)
+
+
+def test_parallel_hashes_are_byte_identical_to_the_fixture(monkeypatch):
+    recorder = _load_recorder()
+    # Spawned workers import ``case_hashes`` by its module's name.
+    monkeypatch.syspath_prepend(str(RECORDER.parent))
+    monkeypatch.setitem(sys.modules, recorder.__name__, recorder)
+    hashes = recorder.result_hashes(quick=True, jobs=2)
+    text = json.dumps(hashes, indent=2) + "\n"
+    assert text == recorder.OUT.read_text(encoding="utf-8")
