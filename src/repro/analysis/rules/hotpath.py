@@ -35,7 +35,7 @@ HOT_FUNCTIONS: Dict[str, FrozenSet[str]] = {
         "__new__", "_loop", "_finish", "_schedule", "_resume",
         "_handle_delay", "_handle_put", "_handle_get", "_handle_wait",
         "_handle_fork", "_handle_join", "schedule_callback", "trigger",
-        "advance",
+        "advance", "run_ahead_limit",
     }),
     "repro/sim/queues.py": frozenset({
         "try_put", "try_get", "_blocking_put", "_blocking_get", "_enqueue",
@@ -62,9 +62,7 @@ HOT_FUNCTIONS: Dict[str, FrozenSet[str]] = {
     }),
     "repro/manager/submission.py": frozenset({"_pump"}),
     "repro/runtime/base.py": frozenset({"wait_for_signals"}),
-    "repro/runtime/nanos_machinery.py": frozenset({
-        "_touch_shared_lines", "_mutex_ops",
-    }),
+    "repro/runtime/nanos_machinery.py": frozenset({"_charge"}),
 }
 
 _DATACLASS_DECORATORS = ("dataclass", "dataclasses.dataclass")

@@ -34,7 +34,7 @@ __all__ = ["Core"]
 #: Average cycles per plain instruction on the in-order pipeline.  Rocket is
 #: single-issue in-order; loads/branches introduce bubbles, so the effective
 #: CPI of runtime bookkeeping code is slightly above 1.
-_CYCLES_PER_INSTRUCTION = 1.2
+CYCLES_PER_INSTRUCTION = 1.2
 
 #: Per-instruction stat names, built once instead of on every issue.
 _ROCC_COUNTERS = {
@@ -86,7 +86,7 @@ class Core:
         """Execute ``instructions`` plain instructions."""
         if instructions < 0:
             raise ProtocolError("instruction count must be non-negative")
-        cycles = int(round(instructions * _CYCLES_PER_INSTRUCTION))
+        cycles = int(round(instructions * CYCLES_PER_INSTRUCTION))
         self.stats.add("instructions", instructions)
         self.overhead_cycles += cycles
         if cycles and not self.engine.advance(cycles):

@@ -38,7 +38,7 @@ _RMW = AccessType.RMW
 class MemorySystem:
     """Chip-level memory model: one coherence directory + an allocator."""
 
-    __slots__ = ("num_cores", "costs", "line_bytes", "stats", "directory",
+    __slots__ = ("num_cores", "costs", "line_bytes", "directory",
                  "allocator", "_computing_cores")
 
     def __init__(self, num_cores: int, costs: MemoryCosts,
@@ -46,12 +46,16 @@ class MemorySystem:
         self.num_cores = num_cores
         self.costs = costs
         self.line_bytes = line_bytes
-        self.stats = Stats("memory")
-        self.directory = CoherenceDirectory(num_cores, costs, self.stats)
+        self.directory = CoherenceDirectory(num_cores, costs, Stats("memory"))
         self.allocator = AddressAllocator(line_bytes=line_bytes)
         #: Cores currently executing task payloads, used by the bandwidth
         #: contention model (see ``MemoryCosts.payload_contention_per_core``).
         self._computing_cores: set = set()
+
+    @property
+    def stats(self) -> Stats:
+        """The ``memory`` counters, kept by the directory."""
+        return self.directory.stats
 
     # ------------------------------------------------------------------ #
     # Memory-bandwidth contention between concurrently running payloads
@@ -135,11 +139,10 @@ class MemorySystem:
         region = self.allocate(name, self.line_bytes)
         return SharedCounter(self, region, initial)
 
-    def mutex(self, name: str, syscall_cycles: int = 0,
-              uncontended_spins: int = 1) -> "SoftwareMutex":
+    def mutex(self, name: str, syscall_cycles: int = 0) -> "SoftwareMutex":
         """Create a modelled mutex (atomic word + optional futex syscalls)."""
         region = self.allocate(name, self.line_bytes)
-        return SoftwareMutex(self, region, syscall_cycles, uncontended_spins)
+        return SoftwareMutex(self, region, syscall_cycles)
 
 
 @dataclass
@@ -215,15 +218,14 @@ class SoftwareMutex:
     charged normally and leaves the newer holder in place.
     """
 
-    __slots__ = ("memory", "region", "syscall_cycles", "uncontended_spins",
-                 "holder", "acquisitions", "contended_acquisitions", "_line")
+    __slots__ = ("memory", "region", "syscall_cycles", "holder",
+                 "acquisitions", "contended_acquisitions", "_line")
 
     def __init__(self, memory: MemorySystem, region: MemoryRegion,
-                 syscall_cycles: int, uncontended_spins: int) -> None:
+                 syscall_cycles: int) -> None:
         self.memory = memory
         self.region = region
         self.syscall_cycles = syscall_cycles
-        self.uncontended_spins = max(uncontended_spins, 1)
         self.holder: Optional[int] = None
         self.acquisitions = 0
         self.contended_acquisitions = 0

@@ -14,22 +14,31 @@ invalidations, writebacks through memory) update the directory and the
 
 Every simulated memory access goes through
 :meth:`CoherenceDirectory.access`, so its bookkeeping is kept to a few
-dict operations:
+integer operations:
 
-* ``_lines`` maps each line to ``{core: code}`` with Shared = 1,
-  Exclusive = 2 and Modified = 3.  An absent core is Invalid, and a line
-  no core holds is absent.
-* ``_owner`` maps each line held Modified to its owning core, so the miss
-  paths never scan the holders.  Under MESI a line held Exclusive or
-  Modified has exactly one holder, and a line held Shared has only Shared
-  holders.
-* The counters are updated in place with literal keys.
+* ``_lines`` maps each line to one int.  Its low ``num_cores`` bits are
+  the holder bitmask (bit ``c`` is set while core ``c`` holds a valid
+  copy), and the two bits above them are the mode: Exclusive, Modified,
+  or neither when every holder is Shared.  Under MESI a line held
+  Exclusive or Modified has exactly one holder, so the mode needs no
+  per-core state.  A line no core holds is absent.
+* Each access ends in one of 15 outcomes (3 for a read, 6 each for a write
+  and an RMW), whose latency is fixed by ``MemoryCosts`` and computed once.
+  ``access`` only tallies the outcome, plus the number of invalidated
+  copies, which varies.
+* The ``memory`` counters are derived from the tallies when
+  :attr:`CoherenceDirectory.stats` is read.  The outcomes are replayed in
+  the order they were first seen since the last read, each adding to its
+  counters in the order the counters were bumped one access at a time.
+  So the values, and the first-touch key order that reports keep, are
+  those of per-access counting.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Dict, Optional, Set
+from collections import defaultdict
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.common.config import MemoryCosts
 from repro.common.errors import MemoryModelError
@@ -59,16 +68,60 @@ class AccessType(enum.Enum):
     RMW = "rmw"  # atomic read-modify-write (amoadd/lr-sc)
 
 
-# Directory codes of the valid states; Invalid is "absent".
-_SHARED = 1
-_EXCLUSIVE = 2
-_MODIFIED = 3
-_STATE_OF_CODE = (LineState.INVALID, LineState.SHARED, LineState.EXCLUSIVE,
-                  LineState.MODIFIED)
-
 _READ = AccessType.READ
 _WRITE = AccessType.WRITE
 _RMW = AccessType.RMW
+
+# Outcomes of an access, as tally indices.  A read ends in one of the first
+# three; a write or an RMW in one of six, counted from its base.
+_READ_HIT = 0
+_READ_DIRTY = 1
+_READ_MISS = 2
+_WRITE_BASE = 3
+_RMW_BASE = 9
+_HIT = 0                  # Exclusive or Modified here
+_UPGRADE = 1              # Shared here, no other holder
+_UPGRADE_INVALIDATE = 2   # Shared here and elsewhere
+_MISS_DIRTY = 3           # Modified in one remote L1
+_MISS_INVALIDATE = 4      # clean copies elsewhere
+_MISS = 5                 # no copy anywhere
+
+
+def _outcome_table(costs: MemoryCosts) -> List[Tuple[int, Tuple[str, ...]]]:
+    """``(cycles, counters)`` of each outcome, in tally order.
+
+    ``counters`` lists, after ``accesses``, the names an access with that
+    outcome bumps after ``access_cycles``; the first is bumped before it.
+    ``invalidations`` stands for the varying invalidation count.
+    """
+    hit = costs.l1_hit
+    miss = costs.l1_miss_to_memory
+    dirty = costs.dirty_remote_transfer
+    table = [
+        (hit, ("accesses_read", "hits")),
+        # Dirty in a remote L1: with no shared L2 the line is written back
+        # to main memory and then refilled here — the expensive path the
+        # paper blames for cache-line bouncing.
+        (dirty, ("accesses_read", "misses", "dirty_transfers_through_memory")),
+        # The refill comes from memory even when a clean copy exists
+        # elsewhere (no L2, no cache-to-cache transfer of clean lines).
+        (miss, ("accesses_read", "misses")),
+    ]
+    for name, extra in (("accesses_write", 0),
+                        ("accesses_rmw", costs.atomic_rmw_extra)):
+        table += [
+            (extra + hit, (name, "hits")),
+            (extra + hit, (name, "hits")),
+            (extra + hit + costs.invalidate_remote,
+             (name, "hits", "invalidations")),
+            (extra + dirty,
+             (name, "misses", "invalidations",
+              "dirty_transfers_through_memory")),
+            (extra + miss + costs.invalidate_remote,
+             (name, "misses", "invalidations")),
+            (extra + miss, (name, "misses")),
+        ]
+    return table
 
 
 class CoherenceDirectory:
@@ -81,8 +134,9 @@ class CoherenceDirectory:
     access is performed inside a core's process.
     """
 
-    __slots__ = ("num_cores", "costs", "stats", "_lines", "_owner",
-                 "_counters")
+    __slots__ = ("num_cores", "costs", "_stats", "_lines", "_holders",
+                 "_exclusive", "_modified", "_outcomes", "_cycles",
+                 "_tally", "_invalidated")
 
     def __init__(self, num_cores: int, costs: MemoryCosts,
                  stats: Optional[Stats] = None) -> None:
@@ -90,26 +144,52 @@ class CoherenceDirectory:
             raise MemoryModelError("num_cores must be positive")
         self.num_cores = num_cores
         self.costs = costs
-        self.stats = stats if stats is not None else Stats("coherence")
-        self._lines: Dict[int, Dict[int, int]] = {}
-        self._owner: Dict[int, int] = {}
-        self._counters = self.stats.counter_map()
+        self._stats = stats if stats is not None else Stats("coherence")
+        self._lines: Dict[int, int] = {}
+        #: Masks of the holder bits and of the two mode bits above them.
+        self._holders = (1 << num_cores) - 1
+        self._exclusive = 1 << num_cores
+        self._modified = 2 << num_cores
+        self._outcomes = _outcome_table(costs)
+        self._cycles = tuple(cycles for cycles, _ in self._outcomes)
+        #: Accesses per outcome since the last flush, in first-seen order.
+        self._tally: Dict[int, int] = defaultdict(int)
+        #: Copies invalidated since the last flush.
+        self._invalidated = 0
 
     # ------------------------------------------------------------------ #
     # Queries
     # ------------------------------------------------------------------ #
+    @property
+    def stats(self) -> Stats:
+        """The counters, brought up to date from the outcome tallies."""
+        if self._tally:
+            self._flush()
+        return self._stats
+
     def state_of(self, core: int, line: int) -> LineState:
         """MESI state of ``line`` in ``core``'s L1."""
         self._check_core(core)
-        return _STATE_OF_CODE[self._lines.get(line, {}).get(core, 0)]
+        state = self._lines.get(line, 0)
+        if not state & (1 << core):
+            return LineState.INVALID
+        if state & self._modified:
+            return LineState.MODIFIED
+        if state & self._exclusive:
+            return LineState.EXCLUSIVE
+        return LineState.SHARED
 
     def sharers(self, line: int) -> Set[int]:
         """Cores holding ``line`` in any valid state."""
-        return set(self._lines.get(line, ()))
+        state = self._lines.get(line, 0)
+        return {core for core in range(self.num_cores) if state >> core & 1}
 
     def owner(self, line: int) -> Optional[int]:
         """The core holding ``line`` in Modified state, if any."""
-        return self._owner.get(line)
+        state = self._lines.get(line, 0)
+        if state & self._modified:
+            return (state & self._holders).bit_length() - 1
+        return None
 
     def lines_tracked(self) -> int:
         """Number of lines with at least one valid copy (for tests)."""
@@ -122,110 +202,87 @@ class CoherenceDirectory:
         """Perform one access and return its latency in core cycles."""
         if not 0 <= core < self.num_cores:
             self._check_core(core)
-        costs = self.costs
-        counters = self._counters
-        holders = self._lines.get(line)
+        lines = self._lines
+        state = lines.get(line, 0)
+        bit = 1 << core
         if kind is _READ:
-            counters["accesses"] += 1
-            counters["accesses_read"] += 1
-            if holders is not None and core in holders:
-                cycles = costs.l1_hit
-                counters["access_cycles"] += cycles
-                counters["hits"] += 1
-                return cycles
-            owner = self._owner.pop(line, None)
-            if owner is not None:
-                # Dirty in a remote L1: with no shared L2 the line is
-                # written back to main memory and then refilled here — the
-                # expensive path the paper blames for cache-line bouncing.
-                holders[owner] = _SHARED
-                holders[core] = _SHARED
-                cycles = costs.dirty_remote_transfer
-                counters["access_cycles"] += cycles
-                counters["misses"] += 1
-                counters["dirty_transfers_through_memory"] += 1
-                return cycles
-            if holders is None:
-                self._lines[line] = {core: _EXCLUSIVE}
+            if state & bit:
+                outcome = _READ_HIT
+            elif state & self._modified:
+                # The owner and the reader end up Shared.
+                lines[line] = state & self._holders | bit
+                outcome = _READ_DIRTY
+            elif state:
+                # A sole Exclusive holder downgrades to Shared.
+                lines[line] = state & self._holders | bit
+                outcome = _READ_MISS
             else:
-                # Clean copy exists elsewhere; a sole holder may be
-                # Exclusive and downgrades to Shared.  The refill still
-                # comes from memory (no L2, no cache-to-cache transfer of
-                # clean lines either).
-                if len(holders) == 1:
-                    for other in holders:
-                        holders[other] = _SHARED
-                holders[core] = _SHARED
-            cycles = costs.l1_miss_to_memory
-            counters["access_cycles"] += cycles
-            counters["misses"] += 1
-            return cycles
-        if kind is _WRITE:
-            counters["accesses"] += 1
-            counters["accesses_write"] += 1
-            cycles = 0
-        elif kind is _RMW:
-            counters["accesses"] += 1
-            counters["accesses_rmw"] += 1
-            cycles = costs.atomic_rmw_extra
-        else:  # pragma: no cover - enum is exhaustive
-            raise MemoryModelError(f"unknown access type {kind!r}")
-        state = 0 if holders is None else holders.get(core, 0)
-        if state >= _EXCLUSIVE:
-            holders[core] = _MODIFIED
-            self._owner[line] = core
-            cycles += costs.l1_hit
-            counters["access_cycles"] += cycles
-            counters["hits"] += 1
-            return cycles
-        # Shared or Invalid here: every other holder is invalidated and the
-        # writer becomes the sole, Modified holder.
-        if holders is None:
-            invalidated = 0
+                lines[line] = bit | self._exclusive
+                outcome = _READ_MISS
         else:
-            invalidated = len(holders) - 1 if state else len(holders)
-        owner = self._owner.get(line)
-        self._lines[line] = {core: _MODIFIED}
-        self._owner[line] = core
-        if state == _SHARED:
-            # Upgrade: invalidate the other sharers.
-            cycles += costs.l1_hit
-            if invalidated:
-                cycles += costs.invalidate_remote
-            counters["access_cycles"] += cycles
-            counters["hits"] += 1
-            if invalidated:
-                counters["invalidations"] += invalidated
-            return cycles
-        # Invalid here: fetch with intent to modify.
-        if owner is not None:
-            cycles += costs.dirty_remote_transfer
-        elif invalidated:
-            cycles += costs.l1_miss_to_memory + costs.invalidate_remote
-        else:
-            cycles += costs.l1_miss_to_memory
-        counters["access_cycles"] += cycles
-        counters["misses"] += 1
-        if invalidated:
-            counters["invalidations"] += invalidated
-        if owner is not None:
-            counters["dirty_transfers_through_memory"] += 1
-        return cycles
+            if kind is _WRITE:
+                outcome = _WRITE_BASE
+            elif kind is _RMW:
+                outcome = _RMW_BASE
+            else:  # pragma: no cover - enum is exhaustive
+                raise MemoryModelError(f"unknown access type {kind!r}")
+            # Every other holder is invalidated and the writer becomes the
+            # sole, Modified holder.
+            lines[line] = bit | self._modified
+            if state & bit:
+                if state & self._holders != state:
+                    outcome += _HIT
+                elif state != bit:
+                    self._invalidated += bin(state).count("1") - 1
+                    outcome += _UPGRADE_INVALIDATE
+                else:
+                    outcome += _UPGRADE
+            elif state & self._modified:
+                self._invalidated += 1
+                outcome += _MISS_DIRTY
+            elif state:
+                self._invalidated += bin(state & self._holders).count("1")
+                outcome += _MISS_INVALIDATE
+            else:
+                outcome += _MISS
+        self._tally[outcome] += 1
+        return self._cycles[outcome]
 
     def evict(self, core: int, line: int) -> int:
         """Evict ``line`` from ``core``'s L1, returning the cycle cost."""
         self._check_core(core)
-        holders = self._lines.get(line)
-        if holders is None or core not in holders:
+        state = self._lines.get(line, 0)
+        bit = 1 << core
+        if not state & bit:
             return 0
-        state = holders.pop(core)
-        if not holders:
+        if state == bit:
             del self._lines[line]
-        if state == _MODIFIED:
-            del self._owner[line]
-            self.stats.incr("writebacks")
-            return self.costs.store_buffer_drain + self.costs.l1_miss_to_memory
+        elif state & self._holders == state:
+            self._lines[line] = state ^ bit
+        else:
+            # The sole Exclusive or Modified holder.
+            del self._lines[line]
+            if state & self._modified:
+                self.stats.incr("writebacks")
+                return (self.costs.store_buffer_drain
+                        + self.costs.l1_miss_to_memory)
         return 0
+
+    def _flush(self) -> None:
+        """Add the tallied outcomes to the counters and clear the tallies."""
+        counters = self._stats.counter_map()
+        outcomes = self._outcomes
+        for outcome, count in self._tally.items():
+            cycles, names = outcomes[outcome]
+            counters["accesses"] += count
+            counters[names[0]] += count
+            counters["access_cycles"] += count * cycles
+            for name in names[1:]:
+                counters[name] += 0 if name == "invalidations" else count
+        if self._invalidated:
+            counters["invalidations"] += self._invalidated
+        self._tally.clear()
+        self._invalidated = 0
 
     def _check_core(self, core: int) -> None:
         if not 0 <= core < self.num_cores:

@@ -133,8 +133,7 @@ class NanosAXIRuntime(Runtime):
     def _run_one(self, soc: SoC, program: TaskProgram,
                  machinery: NanosMachinery, axi: AxiPicosInterface, picos_ids,
                  core: Core) -> ProcessGen:
-        yield from machinery.charge_fetch(core)
-        pending_index = yield from machinery.pop_ready(core)
+        pending_index = yield from machinery.fetch_ready(core)
         if pending_index is None:
             fetched = yield from axi.fetch_ready_task()
             if fetched is None:

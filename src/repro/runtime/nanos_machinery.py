@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Set
 from repro.common.config import CACHE_LINE_BYTES, NanosCosts
 from repro.common.errors import RuntimeModelError
 from repro.common.stats import Stats
-from repro.cpu.core import Core
+from repro.cpu.core import CYCLES_PER_INSTRUCTION, Core
 from repro.cpu.soc import SoC
 from repro.memory.hierarchy import SharedCounter, SoftwareMutex
 from repro.memory.mesi import AccessType
@@ -95,53 +95,90 @@ class NanosMachinery:
         self.idle_checks: List[int] = [0] * soc.num_cores
 
     # ------------------------------------------------------------------ #
-    # Generic cost helpers
+    # Generic cost helper
     # ------------------------------------------------------------------ #
-    def _touch_shared_lines(self, core: Core, count: int) -> ProcessGen:
-        """Access ``count`` lines of the shared pool, alternating writes.
+    def _charge(self, core: Core, instructions: Optional[int],
+                virtual_calls: int, lines: int,
+                mutex: Optional[SoftwareMutex], pairs: int) -> ProcessGen:
+        """Charge one bookkeeping sequence in a single generator frame.
 
-        Charges each access the way :meth:`Core.load`/:meth:`Core.store`
-        do, without their per-access generator frame.  Each access is one
-        8-byte word at a line's start, so it goes straight to the
-        directory as the single line access ``MemorySystem`` would make.
+        In order: ``instructions`` plain instructions, charged and counted
+        as :meth:`Core.execute` does (skipped, counter included, when
+        None); ``virtual_calls`` virtual calls, charged as
+        :meth:`Core.charge` does; ``lines`` accesses to the shared pool,
+        alternating reads and writes; and ``pairs`` acquire/release pairs
+        of ``mutex``.  Zero-cycle instruction, call and mutex charges yield
+        nothing.  A pool access is charged even at zero cycles, as
+        ``if not engine.advance(c): yield Delay(c)`` would.  The counts
+        come from ``NanosCosts``, which holds no negative value.
+
+        Each step moves the clock in place when it ends by the engine's
+        :meth:`~repro.sim.engine.Engine.run_ahead_limit`, else yields its
+        ``Delay``.  The limit is read once and again after every ``yield``.
+        That is exact, because only the directory, the mutexes and
+        counters run between two yields of this frame, and none of them
+        schedules an event.
+
+        Each pool access is one 8-byte word at a line's start, so it goes
+        straight to the directory as the single line access
+        ``MemorySystem`` would make.  The core's ``loads`` and ``stores``
+        counters are bumped once per run of accesses, ``loads`` first, as
+        the first access is a read.
         """
-        access = self.soc.memory.directory.access
-        advance = self.soc.engine.advance
-        pool_lines = self._pool_lines
-        core_id = core.core_id
+        engine = self.soc.engine
+        limit = engine.run_ahead_limit()
         counters = core.stats.counter_map()
-        for offset in range(count):
-            # Read the cursor live: another core's call may advance it
-            # while this one waits on an access.
-            line = pool_lines[(self._pool_cursor + offset) % _SHARED_POOL_LINES]
-            if offset % 2:
-                cycles = access(core_id, line, _WRITE)
-                counters["stores"] += 1
-            else:
-                cycles = access(core_id, line, _READ)
-                counters["loads"] += 1
+        execute = 0
+        if instructions is not None:
+            execute = int(round(instructions * CYCLES_PER_INSTRUCTION))
+            counters["instructions"] += instructions
+        for cycles in (execute, virtual_calls * self.costs.virtual_call_cycles):
             core.overhead_cycles += cycles
-            if not advance(cycles):
-                yield Delay(cycles)
-        self._pool_cursor = (self._pool_cursor + count) % _SHARED_POOL_LINES
-
-    def _virtual_calls(self, core: Core, count: int) -> ProcessGen:
-        yield from core.charge(count * self.costs.virtual_call_cycles)
-
-    def _mutex_ops(self, core: Core, mutex: SoftwareMutex,
-                   count: int) -> ProcessGen:
-        """``count`` acquire/release pairs, charged like :meth:`Core.charge`."""
-        advance = self.soc.engine.advance
+            if cycles:
+                due = engine.now + cycles
+                if due <= limit:
+                    engine.now = due
+                else:
+                    yield Delay(cycles)
+                    limit = engine.run_ahead_limit()
         core_id = core.core_id
-        for _ in range(count):
-            cycles = mutex.acquire(core_id)
+        if lines:
+            access = self.soc.memory.directory.access
+            pool_lines = self._pool_lines
+            counters["loads"] += (lines + 1) // 2
+            if lines > 1:
+                counters["stores"] += lines // 2
+            for offset in range(lines):
+                # Read the cursor live: another core's call may advance it
+                # while this one waits on an access.
+                line = pool_lines[
+                    (self._pool_cursor + offset) % _SHARED_POOL_LINES]
+                cycles = access(core_id, line, _WRITE if offset % 2 else _READ)
+                core.overhead_cycles += cycles
+                due = engine.now + cycles
+                if due <= limit:
+                    engine.now = due
+                else:
+                    yield Delay(cycles)
+                    limit = engine.run_ahead_limit()
+            self._pool_cursor = (self._pool_cursor + lines) % _SHARED_POOL_LINES
+        for step in range(2 * pairs):
+            if step % 2:
+                cycles = mutex.release(core_id)
+            else:
+                cycles = mutex.acquire(core_id)
             core.overhead_cycles += cycles
-            if cycles and not advance(cycles):
-                yield Delay(cycles)
-            cycles = mutex.release(core_id)
-            core.overhead_cycles += cycles
-            if cycles and not advance(cycles):
-                yield Delay(cycles)
+            if cycles:
+                due = engine.now + cycles
+                if due <= limit:
+                    engine.now = due
+                else:
+                    yield Delay(cycles)
+                    limit = engine.run_ahead_limit()
+
+    def _touch_shared_lines(self, core: Core, count: int) -> ProcessGen:
+        """Access ``count`` lines of the shared pool, alternating writes."""
+        return self._charge(core, None, 0, count, None, 0)
 
     # ------------------------------------------------------------------ #
     # Submission / fetch / retirement bookkeeping (all Nanos flavours)
@@ -150,11 +187,10 @@ class NanosMachinery:
         """Per-task submission bookkeeping of the Nanos core runtime."""
         costs = self.costs
         self.stats.incr("submissions")
-        yield from core.execute(costs.submit_instructions)
-        yield from self._virtual_calls(core, costs.submit_virtual_calls)
-        yield from self._touch_shared_lines(core, costs.submit_shared_lines)
-        yield from self._mutex_ops(core, self.scheduler_mutex,
-                                   costs.submit_mutex_ops)
+        yield from self._charge(core, costs.submit_instructions,
+                                costs.submit_virtual_calls,
+                                costs.submit_shared_lines,
+                                self.scheduler_mutex, costs.submit_mutex_ops)
 
     def charge_plugin_marshalling(self, core: Core, task: Task) -> ProcessGen:
         """Extra picos-plugin work proportional to the dependence count."""
@@ -162,25 +198,25 @@ class NanosMachinery:
             self.costs.plugin_per_dependence_instructions * task.num_dependences
         )
 
-    def charge_fetch(self, core: Core) -> ProcessGen:
-        """Per-fetch bookkeeping: scheduler singleton pop under its lock."""
+    def fetch_ready(self, core: Core) -> ProcessGen:
+        """Per-fetch bookkeeping, then one pop of the scheduler singleton
+        under its lock: the popped task index, or ``None``."""
         costs = self.costs
         self.stats.incr("fetches")
-        yield from core.execute(costs.fetch_instructions)
-        yield from self._virtual_calls(core, costs.fetch_virtual_calls)
-        yield from self._touch_shared_lines(core, costs.fetch_shared_lines)
-        yield from self._mutex_ops(core, self.scheduler_mutex,
-                                   costs.fetch_mutex_ops)
+        yield from self._charge(core, costs.fetch_instructions,
+                                costs.fetch_virtual_calls,
+                                costs.fetch_shared_lines,
+                                self.scheduler_mutex, costs.fetch_mutex_ops + 1)
+        return self.scheduler_queue.try_get()
 
     def charge_retirement(self, core: Core) -> ProcessGen:
         """Per-retirement bookkeeping common to every Nanos flavour."""
         costs = self.costs
         self.stats.incr("retirements")
-        yield from core.execute(costs.retire_instructions)
-        yield from self._virtual_calls(core, costs.retire_virtual_calls)
-        yield from self._touch_shared_lines(core, costs.retire_shared_lines)
-        yield from self._mutex_ops(core, self.graph_mutex,
-                                   costs.retire_mutex_ops)
+        yield from self._charge(core, costs.retire_instructions,
+                                costs.retire_virtual_calls,
+                                costs.retire_shared_lines,
+                                self.graph_mutex, costs.retire_mutex_ops)
 
     def charge_idle_check(self, core: Core) -> ProcessGen:
         """One failed work-fetch iteration; occasionally a futex sleep."""
@@ -206,21 +242,19 @@ class NanosMachinery:
         if self.sw_graph is None:
             raise RuntimeModelError("software_submit on a hardware-graph Nanos")
         costs = self.costs
-        yield from core.execute(costs.graph_insert_instructions)
-        yield from self._touch_shared_lines(core, costs.graph_insert_shared_lines)
-        yield from self._mutex_ops(core, self.graph_mutex, 1)
+        yield from self._charge(core, costs.graph_insert_instructions, 0,
+                                costs.graph_insert_shared_lines,
+                                self.graph_mutex, 1)
         for dependence in task.dependences:
             if dependence.address in self._known_addresses:
-                yield from core.execute(costs.dep_known_address_instructions)
-                yield from self._touch_shared_lines(
-                    core, costs.dep_known_address_shared_lines
-                )
+                yield from self._charge(
+                    core, costs.dep_known_address_instructions, 0,
+                    costs.dep_known_address_shared_lines, None, 0)
             else:
                 self._known_addresses.add(dependence.address)
-                yield from core.execute(costs.dep_new_address_instructions)
-                yield from self._touch_shared_lines(
-                    core, costs.dep_new_address_shared_lines
-                )
+                yield from self._charge(
+                    core, costs.dep_new_address_instructions, 0,
+                    costs.dep_new_address_shared_lines, None, 0)
         graph_id, ready = self.sw_graph.submit(task.index, task.dependences)
         self._sw_ids[task.index] = graph_id
         if ready:
@@ -237,10 +271,9 @@ class NanosMachinery:
         newly_ready = self.sw_graph.retire(graph_id)
         if has_successors:
             costs = self.costs
-            yield from core.execute(costs.retire_successor_update_instructions)
-            yield from self._touch_shared_lines(
-                core, costs.retire_successor_shared_lines
-            )
+            yield from self._charge(
+                core, costs.retire_successor_update_instructions, 0,
+                costs.retire_successor_shared_lines, None, 0)
         for graph_ready_id in newly_ready:
             yield from self._push_ready(
                 core, self._index_of_graph_id(graph_ready_id)
@@ -253,11 +286,11 @@ class NanosMachinery:
 
     def _push_ready(self, core: Core, task_index: int) -> ProcessGen:
         """Push a ready task into the central scheduler queue."""
-        yield from self._mutex_ops(core, self.scheduler_mutex, 1)
+        yield from self._charge(core, None, 0, 0, self.scheduler_mutex, 1)
         if not self.scheduler_queue.try_put(task_index):
             raise RuntimeModelError("Nanos scheduler queue overflowed")
 
     def pop_ready(self, core: Core) -> ProcessGen:
         """Pop one ready task index from the scheduler queue, or ``None``."""
-        yield from self._mutex_ops(core, self.scheduler_mutex, 1)
+        yield from self._charge(core, None, 0, 0, self.scheduler_mutex, 1)
         return self.scheduler_queue.try_get()

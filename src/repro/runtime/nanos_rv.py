@@ -145,8 +145,7 @@ class NanosRVRuntime(Runtime):
                  context: HwWorkerContext) -> ProcessGen:
         """Execute at most one task found via Picos or the Scheduler queue."""
         # First drain anything already redirected to the Scheduler singleton.
-        yield from machinery.charge_fetch(core)
-        pending_index = yield from machinery.pop_ready(core)
+        pending_index = yield from machinery.fetch_ready(core)
         if pending_index is None:
             # Ask Picos for one descriptor; if one arrives, Nanos pushes it
             # through the Scheduler queue before running it.

@@ -119,8 +119,7 @@ class NanosSWRuntime(Runtime):
     def _run_one(self, soc: SoC, program: TaskProgram,
                  machinery: NanosMachinery, core: Core) -> ProcessGen:
         """Pop one ready task, execute it and retire it; True if one ran."""
-        yield from machinery.charge_fetch(core)
-        task_index = yield from machinery.pop_ready(core)
+        task_index = yield from machinery.fetch_ready(core)
         if task_index is None:
             return False
         task = program.tasks[task_index]

@@ -325,13 +325,17 @@ class ReferenceEngine(Engine):
     """``Engine`` with the loop that run-ahead dispatch replaced: every
     ``Delay`` goes through the heap, or through the same-cycle bucket when
     it is zero, and the process waits there for its turn.  It never
-    advances in place either, so every cost helper yields its ``Delay``.
-    Differential tests drive both with the same processes and require
-    identical traces, times, results and stats.
+    advances in place either, and its run-ahead limit is below every cycle,
+    so every cost helper yields its ``Delay``.  Differential tests drive
+    both with the same processes and require identical traces, times,
+    results and stats.
     """
 
     def advance(self, cycles: int) -> bool:
         return False
+
+    def run_ahead_limit(self) -> int:
+        return -1
 
     def _loop(self, remaining: List[int], horizon: int, clamp: bool) -> bool:
         heap = self._heap

@@ -414,3 +414,80 @@ def test_advance_refuses_negative_cycles():
     engine.spawn(proc())
     engine.run()
     assert seen == [False]
+
+
+# --------------------------------------------------------------------- #
+# Run-ahead limit
+# --------------------------------------------------------------------- #
+def _limit_probe(engine, steps, seen):
+    """For each ``c`` of ``steps``, log ``(c, run_ahead_limit(), whether
+    the limit admits c, advance(c))`` without yielding in between."""
+    for cycles in steps:
+        limit = engine.run_ahead_limit()
+        fits = 0 <= cycles and engine.now + cycles <= limit
+        seen.append((cycles, limit, fits, engine.advance(cycles)))
+
+
+def _limit_prober(engine, steps, seen):
+    _limit_probe(engine, steps, seen)
+    yield Delay(1)
+
+
+def test_run_ahead_limit_is_the_horizon_of_a_lone_process():
+    engine = Engine(max_cycles=100)
+    seen = []
+    engine.spawn(_limit_prober(engine, [7, 0, 92, 2], seen))
+    assert engine.run() == 100
+    assert seen == [(7, 100, True, True), (0, 100, True, True),
+                    (92, 100, True, True), (2, 100, False, False)]
+
+
+def test_run_ahead_limit_refuses_with_a_non_empty_bucket():
+    engine = Engine()
+    seen = []
+    engine.spawn(_limit_prober(engine, [0, 3], seen))
+    engine.spawn(_limit_prober(engine, [], []))  # still in the bucket at 0
+    engine.run()
+    assert seen == [(0, -1, False, False), (3, -1, False, False)]
+
+
+def test_run_ahead_limit_stops_before_a_tie_with_a_heap_entry():
+    engine = Engine()
+    seen = []
+
+    def sleeper():
+        yield Delay(5)
+
+    engine.spawn(sleeper())
+    engine.spawn(_limit_prober(engine, [5, 4, 1, 0], seen))
+    engine.run()
+    # An entry due at the same cycle was pushed earlier and runs first.
+    assert seen == [(5, 4, False, False), (4, 4, True, True),
+                    (1, 4, False, False), (0, 4, True, True)]
+
+
+def test_run_ahead_limit_is_the_run_horizon():
+    engine = Engine()
+    seen = []
+    engine.spawn(_limit_prober(engine, [11, 10], seen))
+    engine.run(until=10)
+    assert seen == [(11, 10, False, False), (10, 10, True, True)]
+
+
+def test_run_ahead_limit_refuses_while_tracing():
+    engine = Engine(trace=True)
+    seen = []
+    engine.spawn(_limit_prober(engine, [0, 7], seen))
+    engine.run()
+    assert seen == [(0, -1, False, False), (7, -1, False, False)]
+
+
+def test_run_ahead_limit_refuses_outside_a_running_loop():
+    engine = Engine()
+    seen = []
+    _limit_probe(engine, [0, 5], seen)
+    engine.spawn(_limit_prober(engine, [], []))
+    engine.run()
+    _limit_probe(engine, [0, 5], seen)
+    assert seen == [(0, -1, False, False), (5, -1, False, False)] * 2
+    assert engine.now == 1

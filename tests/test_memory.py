@@ -16,6 +16,7 @@ from repro.memory.address import (
 from repro.memory import hierarchy
 from repro.memory.hierarchy import MemorySystem
 from repro.memory.mesi import AccessType, CoherenceDirectory, LineState
+from tests.helpers import ReferenceDirectory
 
 
 class TestAddressHelpers:
@@ -189,6 +190,43 @@ class TestCoherenceDirectory:
     def test_core_bounds_checked(self):
         with pytest.raises(MemoryModelError):
             self.directory.access(9, 0, AccessType.READ)
+
+    def test_tallied_counters_replay_in_first_touch_order(self):
+        read, write, rmw = AccessType.READ, AccessType.WRITE, AccessType.RMW
+        # Every outcome once, ordered so that each counter's first touch
+        # is visible: the plain upgrade comes before the first
+        # invalidation with a new counter in between, a dirty write
+        # introduces both ``invalidations`` and the dirty transfer, and a
+        # writeback is counted while everything before it is still only
+        # tallied.
+        steps = [
+            (read, 0, 0), (read, 0, 0), (read, 1, 0), ("evict", 1, 0),
+            (write, 0, 0),                      # upgrade, nothing to invalidate
+            (rmw, 2, 1),                        # cold RMW miss
+            (write, 0, 0),                      # hit on Modified
+            (write, 1, 0),                      # dirty miss
+            (read, 0, 0),                       # dirty read
+            (write, 2, 0),                      # miss invalidating two copies
+            (read, 0, 3), (read, 1, 3), (rmw, 0, 3),   # RMW upgrade + inval
+            (rmw, 1, 3),                        # dirty RMW miss
+            (read, 0, 4), (read, 1, 4), ("evict", 1, 4),
+            (rmw, 0, 4), (rmw, 0, 4),           # RMW upgrade, then RMW hit
+            (read, 2, 5), (read, 0, 5), (rmw, 1, 5),   # RMW miss + inval
+            (read, 0, 6), (read, 1, 6), (write, 0, 6),  # upgrade + inval
+            (write, 0, 7), ("evict", 0, 7),     # cold write miss, writeback
+        ]
+        reference = ReferenceDirectory(4, self.costs)
+        for index, (op, core, line) in enumerate(steps):
+            if index == len(steps) - 1:
+                # Every outcome is tallied, and nothing flushed yet.
+                assert len(self.directory._tally) == 15
+            for model in (self.directory, reference):
+                if op == "evict":
+                    model.evict(core, line)
+                else:
+                    model.access(core, line, op)
+        assert (list(self.directory.stats.counters().items())
+                == list(reference.stats.counters().items()))
 
 
 class TestMemorySystem:

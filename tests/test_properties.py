@@ -258,28 +258,32 @@ _EVICT = "evict"
 
 @st.composite
 def directory_programs(draw):
-    """``(num_cores, steps)``: accesses and evictions on a few lines.
+    """``(num_cores, steps, checks)``: accesses and evictions on a few
+    lines, and the steps after which the counters are compared.
 
     A core index of ``num_cores`` is out of range and must be refused."""
-    num_cores = draw(st.integers(min_value=1, max_value=8))
+    num_cores = draw(st.integers(min_value=1, max_value=12))
     step = st.tuples(
         st.sampled_from([AccessType.READ, AccessType.WRITE, AccessType.RMW,
                          _EVICT]),
         st.integers(min_value=0, max_value=num_cores),
         st.integers(min_value=0, max_value=4),
     )
-    return num_cores, draw(st.lists(step, max_size=60))
+    steps = draw(st.lists(step, max_size=60))
+    checks = draw(st.sets(st.integers(0, max(len(steps) - 1, 0)),
+                          max_size=3))
+    return num_cores, steps, checks
 
 
 @settings(max_examples=300, deadline=None)
 @given(directory_programs())
 def test_directory_matches_reference(program):
-    num_cores, steps = program
+    num_cores, steps, checks = program
     costs = MemoryCosts()
     directory = CoherenceDirectory(num_cores, costs)
     reference = ReferenceDirectory(num_cores, costs)
     lines = range(5)
-    for op, core, line in steps:
+    for index, (op, core, line) in enumerate(steps):
         if core == num_cores:
             for model in (directory, reference):
                 with pytest.raises(MemoryModelError):
@@ -299,9 +303,14 @@ def test_directory_matches_reference(program):
                 assert (directory.state_of(holder, other)
                         is reference.state_of(holder, other))
         assert directory.lines_tracked() == reference.lines_tracked()
-        # Same values, and the same first-touch order the reports keep.
-        assert (list(directory.stats.counters().items())
-                == list(reference.stats.counters().items()))
+        # Reading the counters brings them up to date, so they are read
+        # only after a few drawn steps: runs of tallied outcomes must
+        # replay to the same values and first-touch key order.
+        if index in checks:
+            assert (list(directory.stats.counters().items())
+                    == list(reference.stats.counters().items()))
+    assert (list(directory.stats.counters().items())
+            == list(reference.stats.counters().items()))
 
 
 # --------------------------------------------------------------------- #
@@ -628,13 +637,17 @@ def runtime_runs(draw):
     return program, draw(st.integers(1, 4))
 
 
-def _run_on(engine_class, runtime_name, program, workers):
+def _run_on(engine_class, runtime_name, program, workers,
+            directory_class=CoherenceDirectory):
     """``program`` on ``runtime_name`` with the SoC built on
-    ``engine_class``; the result, or the failure as ``(class, message)``."""
+    ``engine_class`` and ``directory_class``; the result, or the failure
+    as ``(class, message)``."""
     config = SimConfig(max_cycles=2_000_000)
     runtime = registry.runtime(runtime_name).cls(config)
     try:
-        with mock.patch("repro.cpu.soc.Engine", engine_class):
+        with mock.patch("repro.cpu.soc.Engine", engine_class), \
+                mock.patch("repro.memory.hierarchy.CoherenceDirectory",
+                           directory_class):
             return runtime.run(program, num_workers=workers)
     except SimulationError as exc:
         return type(exc).__name__, str(exc)
@@ -651,3 +664,29 @@ def test_runtimes_match_reference_loop(run):
         if isinstance(reference, RuntimeResult):
             # Same values, and the same first-touch order the reports keep.
             assert list(ahead.stats.items()) == list(reference.stats.items())
+
+
+class _ReferenceCyclesDirectory(ReferenceDirectory):
+    """``ReferenceDirectory`` answering each access with its cycles, as
+    the memory system expects of a directory."""
+
+    def access(self, core, line, kind):
+        return super().access(core, line, kind).cycles
+
+
+@settings(max_examples=40, deadline=None)
+@given(runtime_runs())
+def test_nanos_sw_memory_counters_match_reference_directory(run):
+    program, workers = run
+    tallied = _run_on(Engine, "nanos-sw", program, workers)
+    reference = _run_on(Engine, "nanos-sw", program, workers,
+                        _ReferenceCyclesDirectory)
+    assert tallied == reference
+    if isinstance(reference, RuntimeResult):
+        # ``stats`` is ``SoC.stats_report()``: the ``memory`` counters must
+        # keep the values and first-touch order of per-access counting.
+        memory = [item for item in tallied.stats.items()
+                  if item[0].startswith("memory.")]
+        assert memory == [item for item in reference.stats.items()
+                          if item[0].startswith("memory.")]
+        assert memory
