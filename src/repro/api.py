@@ -156,7 +156,6 @@ class Study:
         self._retries = 1
         self._label: Optional[str] = None
         self._cache_dir = None
-        self._cache_budget = None
         self._artifact_dir: Optional[Path] = None
         self._trace_path: Optional[Path] = None
 
@@ -258,19 +257,14 @@ class Study:
         self._label = text
         return self
 
-    def cache(self, cache_dir, budget=None) -> "Study":
+    def cache(self, cache_dir) -> "Study":
         """Enable the result cache.
 
-        ``cache_dir`` is a directory path, ``"mem:"`` for an in-process
-        store, or a pre-built :class:`~repro.harness.cache.CacheStore`.
-        ``budget`` bounds the store's size (bytes or a ``512M``-style
-        string) with LRU eviction; default unbounded (or
-        ``$REPRO_CACHE_BUDGET``).
+        ``cache_dir`` is a directory path or a pre-built
+        :class:`~repro.harness.cache.CacheStore`.  An entry is served only
+        while the ``repro`` sources that produced it are unchanged.
         """
-        self._cache_dir = (Path(cache_dir)
-                           if isinstance(cache_dir, (str, Path))
-                           and ":" not in str(cache_dir) else cache_dir)
-        self._cache_budget = budget
+        self._cache_dir = cache_dir
         return self
 
     def artifacts(self, artifact_dir) -> "Study":
@@ -321,7 +315,6 @@ class Study:
                 config=self._config,
                 jobs=jobs,
                 cache_dir=self._cache_dir,
-                cache_budget=self._cache_budget,
                 progress=progress,
                 run_label=label,
                 keep_going=self._keep_going,

@@ -36,13 +36,7 @@ Typical usage::
 """
 
 from repro.harness.artifacts import ArtifactStore, decode, encode
-from repro.harness.cache import (
-    CacheStats,
-    CacheStore,
-    MemoryStore,
-    ShardedDiskStore,
-    open_store,
-)
+from repro.harness.cache import CacheStats, CacheStore, open_store
 from repro.harness.engine import ExperimentEngine
 from repro.harness.executor import (
     ExecutorBackend,
@@ -86,12 +80,10 @@ __all__ = [
     "ExecutorBackend",
     "ExperimentEngine",
     "JsonlSink",
-    "MemoryStore",
     "NullSink",
     "ProcessPoolBackend",
     "RunManifest",
     "SerialBackend",
-    "ShardedDiskStore",
     "SpanHandle",
     "SweepError",
     "TelemetrySink",

@@ -1,209 +1,239 @@
-"""The :class:`CacheStore` contract every cache backend implements.
+"""The result cache: one directory of JSON entries.
 
-Consumers — :class:`~repro.harness.engine.ExperimentEngine`, the sweep
-runner's memoisation path, the CLI — program against this interface only;
-which backend actually holds the bytes (the sharded directory store, or
-memory for tests and dry runs) is decided once, by
-:func:`~repro.harness.cache.spec.open_store`.
+Entries are content-addressed into a two-level fan-out:
+``<cache_dir>/<key[:2]>/<key[2:]>.json`` — the first two hex digits name
+the shard directory, the remaining sixty-two the file.  Each entry is a
+``{"key", "metadata", "payload"}`` document.
 
-The base class owns everything backend-independent: the per-instance
-:class:`~repro.harness.cache.stats.CacheStats` counters, tracer
-instrumentation (``cache.hits`` / ``cache.misses`` / ``cache.stores`` /
-``cache.evictions`` counters plus cumulative ``cache.read_seconds`` /
-``cache.write_seconds`` latencies), hit demotion, and the locked
-lifetime-stats merge.  Backends implement the raw document IO
-(:meth:`_read` / :meth:`_write`) plus enumeration and deletion.
+Nothing locks.  A write goes to a temporary in the entry's own shard
+directory and is renamed into place, so readers in any number of
+processes see either the old complete document or the new one, never a
+torn read; concurrent writers of one key leave the last complete
+document.
+
+An entry is served only to the model that produced it: :meth:`put`
+records :func:`model_digest` — a hash of every ``.py`` source of the
+``repro`` package — in the entry's ``metadata`` under ``model``, and
+:meth:`get` treats a missing or different digest as a miss.  Keys do not
+include the digest, so an edited model re-stores the same key and an
+unchanged rerun is a pure hit.  A missing, unreadable or corrupt entry is
+a miss too; the cache never fails a run.
 """
 
 from __future__ import annotations
 
-import abc
+import functools
+import hashlib
+import json
+import os
+import tempfile
 import time
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Optional
 
-from repro.harness.cache.stats import (
-    CacheStats,
-    merge_lifetime_stats,
-    read_lifetime_stats,
-)
+__all__ = ["CacheStats", "CacheStore", "model_digest", "source_digest"]
 
-__all__ = ["CacheStore", "MISS"]
+#: Age (seconds) past which a ``*.tmp`` sibling counts as a dropping of a
+#: killed writer rather than a concurrent in-flight write.  Real writes
+#: live for milliseconds; an hour is conservatively beyond any of them.
+STALE_TMP_SECONDS = 3600.0
 
-#: Sentinel a backend's :meth:`CacheStore._read` returns on a miss, so a
-#: legitimately stored ``None`` payload is distinguishable internally.
-MISS = object()
+#: The ``repro`` package directory whose sources :func:`model_digest` hashes.
+_PACKAGE_DIR = Path(__file__).resolve().parents[2]
+
+#: What :meth:`CacheStore._read` returns on a miss, so a stored ``None``
+#: payload stays distinguishable.
+_MISS = object()
 
 
-class CacheStore(abc.ABC):
-    """Abstract content-addressed result store.
+def source_digest(package_dir: Path) -> str:
+    """SHA-256 over every ``.py`` file under ``package_dir``.
+
+    Files are taken in the order of their relative POSIX paths, and each
+    contributes its path, its length and its bytes, so renaming, moving
+    or editing any source file changes the digest.
+    """
+    digest = hashlib.sha256()
+    sources = sorted((path.relative_to(package_dir).as_posix(), path)
+                     for path in package_dir.rglob("*.py"))
+    for name, path in sources:
+        data = path.read_bytes()
+        digest.update(f"{name}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()
+
+
+@functools.lru_cache(maxsize=None)
+def model_digest() -> str:
+    """:func:`source_digest` of the running ``repro`` package.
+
+    Computed on first use and kept for the life of the process.
+    """
+    return source_digest(_PACKAGE_DIR)
+
+
+@dataclass
+class CacheStats:
+    """Hit/miss/store counters of one :class:`CacheStore` instance."""
+
+    hits: int = 0
+    misses: int = 0
+    stores: int = 0
+
+    @property
+    def lookups(self) -> int:
+        return self.hits + self.misses
+
+    @property
+    def hit_rate(self) -> float:
+        """Fraction of lookups served from the store (0.0 when never queried)."""
+        return self.hits / self.lookups if self.lookups else 0.0
+
+
+class CacheStore:
+    """Content-addressed JSON result cache rooted at ``cache_dir``.
 
     Keys are :func:`~repro.harness.hashing.stable_hash` digests of
-    everything that can affect a result, so there is no invalidation
-    protocol: changing any input simply addresses a different entry.
+    everything that can affect a result, so changing any input simply
+    addresses a different entry.  With a ``tracer``, lookups and stores
+    feed the ``cache.hits`` / ``cache.misses`` / ``cache.stores`` counters
+    and the cumulative ``cache.read_seconds`` / ``cache.write_seconds``.
     """
 
-    def __init__(self, tracer=None) -> None:
-        self.stats = CacheStats()
+    def __init__(self, cache_dir: os.PathLike, tracer=None) -> None:
+        self.root = Path(cache_dir)
         self.tracer = tracer
-        # Counters already folded into the lifetime document, so repeated
-        # persist_stats() calls write each lookup exactly once.
-        self._persisted = CacheStats()
-        # Lock-wait budget of the lifetime-stats merge; overridable for
-        # tests that exercise the cannot-lock path.
-        self._stats_lock_timeout = 5.0
+        self.stats = CacheStats()
 
-    # ------------------------------------------------------------------ #
-    # Backend hooks
-    # ------------------------------------------------------------------ #
-    @abc.abstractmethod
-    def _read(self, key: str) -> object:
-        """The payload stored under ``key``, or :data:`MISS`."""
+    def path_for(self, key: str) -> Path:
+        """Sharded location of the entry addressed by ``key``."""
+        return self.root / key[:2] / f"{key[2:]}.json"
 
-    @abc.abstractmethod
-    def _write(self, key: str, document: dict) -> object:
-        """Persist ``document`` under ``key``; returns its location."""
-
-    @abc.abstractmethod
-    def contains(self, key: str) -> bool:
-        """Whether an entry exists for ``key`` (does not touch the stats)."""
-
-    @abc.abstractmethod
-    def delete(self, key: str) -> bool:
-        """Drop the entry addressed by ``key``; True if one was removed."""
-
-    @abc.abstractmethod
-    def entries(self) -> Iterator:
-        """Every entry currently in the store (paths for disk backends).
-
-        The listing is a snapshot of state other processes may be
-        mutating; consumers (:meth:`size_bytes`, :meth:`clear`) tolerate
-        entries that vanish between listing and use.
-        """
-
-    @abc.abstractmethod
-    def size_bytes(self) -> int:
-        """Total stored size of all entries."""
-
-    @abc.abstractmethod
-    def clear(self) -> int:
-        """Delete every entry; returns the number of entries removed."""
-
-    # ------------------------------------------------------------------ #
-    # Lookup / store (instrumented template methods)
-    # ------------------------------------------------------------------ #
     def get(self, key: str) -> Optional[object]:
         """The JSON payload stored under ``key``, or None on a miss."""
         started = time.perf_counter() if self.tracer is not None else 0.0
         payload = self._read(key)
-        if payload is MISS:
+        hit = payload is not _MISS
+        if hit:
+            self.stats.hits += 1
+        else:
             self.stats.misses += 1
-            if self.tracer is not None:
-                self.tracer.count("cache.misses")
-                self.tracer.count("cache.read_seconds",
-                                  time.perf_counter() - started)
-            return None
-        self.stats.hits += 1
         if self.tracer is not None:
-            self.tracer.count("cache.hits")
+            self.tracer.count("cache.hits" if hit else "cache.misses")
             self.tracer.count("cache.read_seconds",
                               time.perf_counter() - started)
-        return payload
+        return payload if hit else None
 
-    def put(self, key: str, payload: object, **metadata: object) -> object:
-        """Atomically persist ``payload`` (JSON-serialisable) under ``key``."""
+    def _read(self, key: str) -> object:
+        try:
+            with self.path_for(key).open("r", encoding="utf-8") as handle:
+                document = json.load(handle)
+            if document["metadata"]["model"] == model_digest():
+                return document["payload"]
+        except (OSError, ValueError, KeyError, TypeError):
+            pass
+        return _MISS
+
+    def put(self, key: str, payload: object, **metadata: object) -> Path:
+        """Atomically persist ``payload`` (JSON-serialisable) under ``key``.
+
+        The temporary lives in the entry's shard directory, so the
+        :func:`os.replace` is a same-filesystem rename.
+        """
         started = time.perf_counter() if self.tracer is not None else 0.0
-        document = {"key": key, "metadata": metadata, "payload": payload}
-        location = self._write(key, document)
+        document = {"key": key,
+                    "metadata": {**metadata, "model": model_digest()},
+                    "payload": payload}
+        path = self.path_for(key)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        handle = tempfile.NamedTemporaryFile(
+            "w", encoding="utf-8", dir=path.parent,
+            prefix=f".{key[:8]}-", suffix=".tmp", delete=False,
+        )
+        try:
+            with handle:
+                json.dump(document, handle)
+            os.replace(handle.name, path)
+        except BaseException:
+            try:
+                os.unlink(handle.name)
+            except OSError:
+                pass
+            raise
         self.stats.stores += 1
         if self.tracer is not None:
             self.tracer.count("cache.stores")
             self.tracer.count("cache.write_seconds",
                               time.perf_counter() - started)
-        return location
+        return path
 
     def demote_hit(self, key: str) -> None:
         """Re-classify the last hit on ``key`` as a miss and drop the entry.
 
         Callers use this when an entry parsed as JSON but failed to decode
         into the expected result type — from the caller's point of view
-        that is a corrupt entry, i.e. a miss, and keeping it around would
-        make every future run trip over it again.  Backends with an
-        eviction index drop the entry's index row too (via
-        :meth:`delete`), so a demoted entry can never be "evicted" again
-        or resurrect a stale index row.
+        that is a corrupt entry, and keeping it would make every future
+        run trip over it again.
         """
         self.stats.hits = max(self.stats.hits - 1, 0)
         self.stats.misses += 1
+        self.delete(key)
+
+    def contains(self, key: str) -> bool:
+        """Whether an entry file exists for ``key`` (stats untouched)."""
+        return self.path_for(key).is_file()
+
+    def delete(self, key: str) -> bool:
+        """Drop the entry addressed by ``key``; True if one was removed."""
         try:
-            self.delete(key)
+            self.path_for(key).unlink()
         except OSError:
-            pass
+            return False
+        return True
+
+    def entries(self) -> Iterator[Path]:
+        """Every entry file currently in the cache.
+
+        A snapshot of a directory other processes may be changing:
+        :meth:`size_bytes` and :meth:`clear` skip entries that vanish
+        between listing and use.
+        """
+        if self.root.is_dir():
+            yield from sorted(self.root.glob("*/*.json"))
 
     def __len__(self) -> int:
         return sum(1 for _ in self.entries())
 
-    # ------------------------------------------------------------------ #
-    # Eviction
-    # ------------------------------------------------------------------ #
-    @abc.abstractmethod
-    def evict(self, budget: int, block: bool = True):
-        """Shrink the store under ``budget`` bytes, least recently used
-        first; returns a report dict (``removed`` / ``freed_bytes`` /
-        ``size_bytes`` / ``skipped``)."""
+    def size_bytes(self) -> int:
+        """Total on-disk size of all entries."""
+        total = 0
+        for path in self.entries():
+            try:
+                total += path.stat().st_size
+            except OSError:
+                continue
+        return total
 
-    # ------------------------------------------------------------------ #
-    # Lifetime statistics
-    # ------------------------------------------------------------------ #
-    @property
-    def stats_path(self) -> Optional[Path]:
-        """Location of the lifetime-counter document (None: not persisted)."""
-        return None
+    def clear(self) -> int:
+        """Delete every entry; returns the number of entries removed.
 
-    def lifetime_stats(self) -> CacheStats:
-        """Hit/miss/store/evict totals accumulated across persisted runs.
-
-        Reads the backend's ``stats.json``; a missing or corrupt document
-        (or a backend that persists nothing) reads as zeros — lifetime
-        counters are a dashboard, never a gate.
+        Also sweeps the ``*.tmp`` droppings of killed writers, but only
+        those older than :data:`STALE_TMP_SECONDS`, so a concurrent
+        writer's in-flight temporary survives.
         """
-        path = self.stats_path
-        if path is None:
-            return CacheStats()
-        return read_lifetime_stats(path)
-
-    def persist_stats(self) -> Optional[Path]:
-        """Fold this session's counters into the lifetime document.
-
-        Only the delta since the last successful persist is written, so
-        calling this repeatedly (the engine persists on ``close``, which
-        is idempotent) counts every lookup exactly once.  The merge runs
-        under the stats lock so two engines closing concurrently add
-        their deltas instead of overwriting each other; when the lock (or
-        the write) fails, the delta is *kept* — not dropped — and simply
-        retried by the next persist.  Returns the document path, or None
-        when there was nothing to write or the merge could not land.
-        """
-        path = self.stats_path
-        if path is None:
-            return None
-        delta = CacheStats(
-            hits=self.stats.hits - self._persisted.hits,
-            misses=self.stats.misses - self._persisted.misses,
-            stores=self.stats.stores - self._persisted.stores,
-            evictions=self.stats.evictions - self._persisted.evictions,
-        )
-        if not delta:
-            return None
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-        except OSError:
-            return None
-        if not merge_lifetime_stats(path, delta,
-                                    timeout=self._stats_lock_timeout):
-            return None
-        self._persisted = CacheStats(hits=self.stats.hits,
-                                     misses=self.stats.misses,
-                                     stores=self.stats.stores,
-                                     evictions=self.stats.evictions)
-        return path
+        removed = 0
+        for path in list(self.entries()):
+            try:
+                path.unlink()
+                removed += 1
+            except OSError:
+                pass
+        cutoff = time.time() - STALE_TMP_SECONDS
+        for stale in list(self.root.glob("*/*.tmp")):
+            try:
+                if stale.stat().st_mtime < cutoff:
+                    stale.unlink()
+            except OSError:
+                pass
+        return removed

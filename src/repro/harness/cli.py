@@ -9,8 +9,7 @@ Subcommands::
     python -m repro run figure9 --workload jacobi --runtime phentos
     python -m repro run all --cache-dir /tmp/repro-cache
     python -m repro run scaling_curves --cores 1,2,4,8
-    python -m repro cache --stats / --clear
-    python -m repro cache evict --cache-budget 512M  # LRU shrink
+    python -m repro cache [--clear]           # entry count and size
     python -m repro trace summary trace.jsonl # digest a telemetry trace
 
 ``run`` accepts ``--workload``/``--runtime``/``--tag`` filters resolved
@@ -45,18 +44,16 @@ invocation's telemetry stream — run manifest, phase/sweep/unit spans,
 cache and pool counters — as JSONL (:mod:`repro.harness.telemetry`);
 ``trace summary FILE`` digests such a file into per-phase wall-clock,
 unit-latency percentiles, cache hit ratio and the failure list.
-``cache --stats`` reports the cache directory's *lifetime*
-hit/miss/store/evict counters alongside its entry count and size.
+``cache`` reports the cache directory's entry count and size, and
+``cache --clear`` empties it.
 
-``--cache-dir`` accepts a directory path or ``mem:`` (an in-process
-store), and ``--cache-budget`` (default ``$REPRO_CACHE_BUDGET``) bounds
-the store with LRU eviction; ``cache evict`` shrinks explicitly — see
+``--cache-dir`` (default ``$REPRO_CACHE_DIR``, else ``.repro_cache``)
+names the result cache directory.  Entries are keyed by configuration,
+case parameters and package version, and each records a digest of the
+``repro`` sources that produced it: after any edit to the package, the
+next run misses and re-stores every entry it touches, so no
+``--no-cache`` is needed to see a model change — see
 ``docs/caching.md``.
-
-Note the cache is keyed by configuration, case parameters and the package
-*version* — it cannot see source edits.  After changing simulator code
-without bumping ``repro.__version__``, pass ``--no-cache`` or clear the
-cache to avoid being served pre-change results.
 """
 
 from __future__ import annotations
@@ -83,7 +80,7 @@ from repro.eval.reporting import (
     scaling_report,
 )
 from repro.harness.artifacts import encode
-from repro.harness.cache import CACHE_BUDGET_ENV, open_store, resolve_budget
+from repro.harness.cache import open_store
 from repro.harness.engine import ExperimentEngine
 
 __all__ = ["main", "build_parser", "render_report"]
@@ -256,7 +253,6 @@ def _build_engine(args: argparse.Namespace, jobs: int,
         config=SimConfig(),
         jobs=jobs,
         cache_dir=cache_dir,
-        cache_budget=getattr(args, "cache_budget", None),
         artifact_dir=args.artifact_dir,
         progress=not args.quiet,
         run_label=run_label,
@@ -270,11 +266,8 @@ def _print_cache_stats(engine: ExperimentEngine, quiet: bool) -> None:
     """Report hit/miss counters on stderr (suppressed by ``--quiet``)."""
     stats = engine.cache_stats
     if not quiet and stats.lookups:
-        evicted = (f", {stats.evictions} evicted"
-                   if getattr(stats, "evictions", 0) else "")
         print(f"cache: {stats.hits} hit(s), {stats.misses} miss(es) "
-              f"({stats.hit_rate * 100:.0f}% hit rate){evicted}",
-              file=sys.stderr)
+              f"({stats.hit_rate * 100:.0f}% hit rate)", file=sys.stderr)
 
 
 def _print_failures(engine: ExperimentEngine) -> None:
@@ -358,14 +351,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--cores", type=_parse_cores, default=None,
                      help="comma-separated core counts for scaling_curves "
                           "(default 1,2,4,8,16,32,64)")
-    run.add_argument("--cache-dir", default=None, metavar="DIR_OR_SPEC",
-                     help=f"result cache directory, or mem: for an "
-                          f"in-process cache (default ${CACHE_DIR_ENV} "
-                          f"or {DEFAULT_CACHE_DIR})")
-    run.add_argument("--cache-budget", default=None, metavar="SIZE",
-                     help=f"cache size budget with LRU eviction, e.g. "
-                          f"512M (default ${CACHE_BUDGET_ENV} or "
-                          f"unbounded)")
+    run.add_argument("--cache-dir", default=None, metavar="DIR",
+                     help=f"result cache directory (default "
+                          f"${CACHE_DIR_ENV} or {DEFAULT_CACHE_DIR})")
     run.add_argument("--no-cache", action="store_true",
                      help="disable the result cache")
     run.add_argument("--artifact-dir", type=Path, default=None,
@@ -394,19 +382,10 @@ def build_parser() -> argparse.ArgumentParser:
                           help="only runtimes carrying every listed tag")
 
     cache = sub.add_parser(
-        "cache", help="inspect, clear or evict the result cache")
-    cache.add_argument("cache_action", nargs="?", default=None,
-                       choices=("evict",), metavar="ACTION",
-                       help="evict: shrink to --cache-budget (LRU)")
-    cache.add_argument("--cache-dir", default=None, metavar="DIR_OR_SPEC")
-    cache.add_argument("--cache-budget", default=None, metavar="SIZE",
-                       help=f"size budget for 'evict' (e.g. 512M; "
-                            f"default ${CACHE_BUDGET_ENV})")
+        "cache", help="inspect or clear the result cache")
+    cache.add_argument("--cache-dir", default=None, metavar="DIR")
     cache.add_argument("--clear", action="store_true",
                        help="delete every cache entry")
-    cache.add_argument("--stats", action="store_true",
-                       help="also report the directory's lifetime "
-                            "hit/miss/store/evict counters")
 
     trace = sub.add_parser(
         "trace", help="inspect telemetry traces recorded with --trace")
@@ -469,35 +448,16 @@ def _cmd_runtimes(args: argparse.Namespace, out) -> int:
 
 
 def _cmd_cache(args: argparse.Namespace, out) -> int:
-    """Inspect, clear or evict the result cache."""
+    """Inspect or clear the result cache."""
     cache_dir = args.cache_dir if args.cache_dir else default_cache_dir()
-    cache = open_store(cache_dir, budget=args.cache_budget)
-    where = getattr(cache, "root", cache_dir)
-    if args.cache_action == "evict":
-        budget = resolve_budget(args.cache_budget)
-        if budget is None:
-            print("cache evict needs --cache-budget (or "
-                  f"${CACHE_BUDGET_ENV})", file=sys.stderr)
-            return 1
-        report = cache.evict(budget, block=True)
-        print(f"evicted {report['removed']} entries "
-              f"({report['freed_bytes'] / 1024:.1f} KiB) from {where}; "
-              f"now {report['size_bytes'] / 1024:.1f} KiB", file=out)
-        return 0
+    cache = open_store(cache_dir)
     if args.clear:
         removed = cache.clear()
-        print(f"removed {removed} entries from {where}", file=out)
+        print(f"removed {removed} entries from {cache.root}", file=out)
         return 0
-    print(f"cache directory: {where}", file=out)
+    print(f"cache directory: {cache.root}", file=out)
     print(f"entries: {len(cache)}", file=out)
     print(f"size: {cache.size_bytes() / 1024:.1f} KiB", file=out)
-    if args.stats:
-        lifetime = cache.lifetime_stats()
-        print(f"lifetime: {lifetime.hits} hit(s), "
-              f"{lifetime.misses} miss(es), {lifetime.stores} store(s) "
-              f"({lifetime.hit_rate * 100:.0f}% hit rate)", file=out)
-        if lifetime.evictions:
-            print(f"lifetime evictions: {lifetime.evictions}", file=out)
     return 0
 
 

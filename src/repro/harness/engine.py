@@ -4,9 +4,10 @@
 registry.  It resolves experiment dependencies (Figures 8/10 and the
 headline summary are derived from the Figure 9 sweep), fans the sweep out
 over a process pool, and serves anything it has computed before from the
-content-addressed result cache.  The examples, the benchmark conftest and
-the ``python -m repro`` CLI all sit on top of this one class, so they cannot
-drift apart.
+content-addressed result cache, as long as the model sources that
+computed it are unchanged (:mod:`repro.harness.cache.store`).  The
+examples, the benchmark conftest and the ``python -m repro`` CLI all sit
+on top of this one class, so they cannot drift apart.
 
 Beyond the paper's single machine the engine runs the ``scaling_curves``
 experiment: every Figure 9 case at every requested core count, batched
@@ -42,8 +43,6 @@ attaches a :class:`~repro.harness.telemetry.JsonlSink` (the ``--trace`` /
 ``$REPRO_TRACE`` surface) and ``progress=True`` a
 :class:`~repro.harness.telemetry.ConsoleSink`, so the stderr status line
 consumes the same stream.
-Closing also folds the session's cache counters into the cache
-directory's lifetime ``stats.json`` (``repro cache --stats``).
 """
 
 from __future__ import annotations
@@ -117,7 +116,6 @@ class ExperimentEngine:
         config: Optional[SimConfig] = None,
         jobs: int = 1,
         cache_dir: Optional[Path] = None,
-        cache_budget=None,
         artifact_dir: Optional[Path] = None,
         progress: bool = False,
         run_label: Optional[str] = None,
@@ -129,12 +127,9 @@ class ExperimentEngine:
         """Create an engine.
 
         ``jobs`` is the worker-pool width of the benchmark sweep;
-        ``cache_dir`` enables the result cache — a directory path,
-        ``"mem:"`` for an in-process store (see
-        :func:`repro.harness.cache.open_store`), or a pre-built
-        :class:`~repro.harness.cache.CacheStore`; ``cache_budget``
-        bounds its size (bytes or ``512M``-style string, LRU eviction,
-        default unbounded / ``$REPRO_CACHE_BUDGET``); ``artifact_dir``
+        ``cache_dir`` enables the result cache — a directory path or a
+        pre-built :class:`~repro.harness.cache.CacheStore` (see
+        :func:`repro.harness.cache.open_store`); ``artifact_dir``
         archives every experiment result as JSON; ``progress`` prints live
         status lines on stderr through a
         :class:`~repro.harness.telemetry.ConsoleSink`; ``run_label`` is
@@ -167,7 +162,7 @@ class ExperimentEngine:
             tracer = Tracer(sinks or [NullSink()])
         self.tracer = tracer
         self.cache: Optional[CacheStore] = (
-            open_store(cache_dir, tracer=self.tracer, budget=cache_budget)
+            open_store(cache_dir, tracer=self.tracer)
             if cache_dir is not None else None)
         self.artifacts = (ArtifactStore(artifact_dir)
                           if artifact_dir is not None else None)
@@ -224,9 +219,8 @@ class ExperimentEngine:
         """Shut the engine down (idempotent; everything lazily rebuilt).
 
         Releases the execution backend, closes the run span and snapshots
-        the telemetry counters into the trace, folds the session's cache
-        counters into the cache directory's lifetime stats, and — when the
-        engine built its own tracer — closes the trace sinks.
+        the telemetry counters into the trace, and — when the engine built
+        its own tracer — closes the trace sinks.
         """
         executor, self._executor = self._executor, None
         if executor is not None:
@@ -238,8 +232,6 @@ class ExperimentEngine:
             # Closes the run span opened in _ensure_run_span() (see the
             # pragma there for why it is not a with-block).
             self.tracer.end_span(run_span)  # repro: lint-ignore[telemetry]
-        if self.cache is not None:
-            self.cache.persist_stats()
         if self._owns_tracer:
             self.tracer.close()  # snapshots counters, closes sinks
         elif run_span is not None:

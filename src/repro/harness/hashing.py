@@ -6,6 +6,9 @@ the experiment identifier, the full :class:`~repro.common.config.SimConfig`
 Keys are SHA-256 digests of a canonical JSON rendering (sorted keys, no
 whitespace), so they are stable across processes, Python versions and dict
 insertion orders — unlike :func:`hash`, which is salted per process.
+The model sources are not part of the key: each cache entry records
+their digest instead, and a lookup under another digest is a miss
+(:mod:`repro.harness.cache.store`).
 
 Anything that **cannot** change a result stays out of the key.  In
 particular no host-side execution knob (``jobs`` / ``REPRO_JOBS`` process

@@ -222,8 +222,6 @@ COUNTER_NAMES = frozenset({
     "cache.hits",
     "cache.misses",
     "cache.stores",
-    "cache.evictions",
-    "cache.evicted_bytes",
     "cache.read_seconds",
     "cache.write_seconds",
     "pool.starts",

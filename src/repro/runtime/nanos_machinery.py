@@ -176,10 +176,6 @@ class NanosMachinery:
                     yield Delay(cycles)
                     limit = engine.run_ahead_limit()
 
-    def _touch_shared_lines(self, core: Core, count: int) -> ProcessGen:
-        """Access ``count`` lines of the shared pool, alternating writes."""
-        return self._charge(core, None, 0, count, None, 0)
-
     # ------------------------------------------------------------------ #
     # Submission / fetch / retirement bookkeeping (all Nanos flavours)
     # ------------------------------------------------------------------ #

@@ -22,8 +22,8 @@ from repro.eval import (
 )
 from repro.harness import (
     ArtifactStore,
+    CacheStore,
     ExperimentEngine,
-    ShardedDiskStore,
     case_cache_key,
     decode,
     encode,
@@ -103,7 +103,7 @@ class TestHashing:
 
 class TestResultCache:
     def test_miss_then_hit(self, tmp_path):
-        cache = ShardedDiskStore(tmp_path)
+        cache = CacheStore(tmp_path)
         assert cache.get("ab" * 32) is None
         cache.put("ab" * 32, {"x": 1})
         assert cache.get("ab" * 32) == {"x": 1}
@@ -112,14 +112,14 @@ class TestResultCache:
         assert cache.stats.hit_rate == pytest.approx(0.5)
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
-        cache = ShardedDiskStore(tmp_path)
+        cache = CacheStore(tmp_path)
         key = "cd" * 32
         cache.put(key, [1, 2, 3])
         cache.path_for(key).write_text("{not json", encoding="utf-8")
         assert cache.get(key) is None
 
     def test_clear_and_accounting(self, tmp_path):
-        cache = ShardedDiskStore(tmp_path)
+        cache = CacheStore(tmp_path)
         for i in range(3):
             cache.put(f"{i:02d}" + "e" * 60, {"i": i})
         assert len(cache) == 3
@@ -180,7 +180,7 @@ class TestParallelRunner:
 
     def test_cache_populated_and_reused(self, tmp_path, tiny_config,
                                         tiny_cases, serial_runs):
-        cache = ShardedDiskStore(tmp_path)
+        cache = CacheStore(tmp_path)
         first = run_cases(tiny_config, tiny_cases, num_workers=4,
                           jobs=2, cache=cache)
         assert cache.stats.misses == len(tiny_cases)
@@ -198,11 +198,10 @@ class TestParallelRunner:
                                              tiny_cases, serial_runs):
         # An entry that parses as JSON but not as a BenchmarkRun must be
         # treated as a miss (and dropped), not crash the sweep.
-        cache = ShardedDiskStore(tmp_path)
+        cache = CacheStore(tmp_path)
         run_cases(tiny_config, tiny_cases, num_workers=4, cache=cache)
         key = case_cache_key(tiny_cases[0], tiny_config, 4)
-        cache.path_for(key).write_text('{"payload": {"half": "baked"}}',
-                                       encoding="utf-8")
+        cache.put(key, {"half": "baked"})
         runs = run_cases(tiny_config, tiny_cases, num_workers=4, cache=cache)
         assert runs == serial_runs
         assert cache.stats.hits == len(tiny_cases) - 1
@@ -411,7 +410,7 @@ class TestCli:
         assert payload2 == payload
 
     def test_cache_subcommand(self, tmp_path, capsys):
-        cache = ShardedDiskStore(tmp_path)
+        cache = CacheStore(tmp_path)
         cache.put("ff" * 32, {"x": 1})
         assert cli_main(["cache", "--cache-dir", str(tmp_path)]) == 0
         assert "entries: 1" in capsys.readouterr().out

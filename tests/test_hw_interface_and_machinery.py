@@ -176,10 +176,10 @@ class TestNanosMachinery:
         # The pool charges go straight to the directory, so record there.
         monkeypatch.setattr(CoherenceDirectory, "access", recording)
         machinery._pool_cursor = _SHARED_POOL_LINES - 2
-        first = machinery._touch_shared_lines(soc.core(0), 4)
+        first = machinery._charge(soc.core(0), None, 0, 4, None, 0)
         next(first)
         # Core 1 runs a whole call while core 0 waits on its first access.
-        for _ in machinery._touch_shared_lines(soc.core(1), 3):
+        for _ in machinery._charge(soc.core(1), None, 0, 3, None, 0):
             pass
         for _ in first:
             pass

@@ -33,9 +33,9 @@ from repro.eval.scaling import (
     scaling_geomeans,
 )
 from repro.harness import (
+    CacheStore,
     CaseUnit,
     ExperimentEngine,
-    ShardedDiskStore,
     case_cache_key,
     decode,
     encode,
@@ -100,7 +100,7 @@ class TestGridHashing:
 class TestCacheVsWorkers:
     def test_cache_hits_independent_of_host_jobs(self, tmp_path,
                                                  tiny_config, tiny_cases):
-        cache = ShardedDiskStore(tmp_path)
+        cache = CacheStore(tmp_path)
         first = run_cases(tiny_config, tiny_cases, num_workers=2,
                           jobs=1, cache=cache)
         assert cache.stats.misses == len(tiny_cases)
@@ -152,7 +152,7 @@ class TestGridRunner:
 
     def test_grid_shares_cache_with_plain_sweeps(self, tmp_path,
                                                  tiny_config, tiny_cases):
-        cache = ShardedDiskStore(tmp_path)
+        cache = CacheStore(tmp_path)
         run_cases(tiny_config.with_cores(2), tiny_cases, num_workers=2,
                   cache=cache)
         units = [CaseUnit(tiny_config.with_cores(cores), case, cores)

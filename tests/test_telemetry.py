@@ -12,7 +12,7 @@ from repro.common.config import SimConfig
 from repro.common.errors import EvaluationError
 from repro.eval.experiments import benchmark_cases
 from repro.harness import ExperimentEngine
-from repro.harness.cache import ShardedDiskStore
+from repro.harness.cache import CacheStore
 from repro.harness.cli import main as cli_main
 from repro.harness.runner import run_cases
 from repro.harness.telemetry import (
@@ -402,7 +402,7 @@ class TestEngineTracing:
 
     def test_cache_hits_are_cached_unit_spans_with_zero_seconds(
             self, tmp_path, tiny_config, tiny_cases):
-        cache = ShardedDiskStore(tmp_path / "cache")
+        cache = CacheStore(tmp_path / "cache")
         run_cases(tiny_config, tiny_cases, num_workers=2, cache=cache)
         sink = RecordingSink()
         run_cases(tiny_config, tiny_cases, num_workers=2, cache=cache,
@@ -454,55 +454,6 @@ def poison_case():
 
     yield benchmark_cases(workloads=[name])[0]
     registry.WORKLOADS.remove(name)
-
-
-# --------------------------------------------------------------------- #
-# Cache lifetime stats
-# --------------------------------------------------------------------- #
-class TestCacheLifetimeStats:
-    def test_persist_accumulates_deltas(self, tmp_path):
-        cache = ShardedDiskStore(tmp_path)
-        cache.get("0" * 64)  # miss
-        cache.put("0" * 64, {"x": 1})
-        cache.get("0" * 64)  # hit
-        assert cache.persist_stats() == cache.stats_path
-        # A second persist with no new lookups writes nothing.
-        assert cache.persist_stats() is None
-        cache.get("0" * 64)
-        cache.persist_stats()
-        second = ShardedDiskStore(tmp_path)
-        lifetime = second.lifetime_stats()
-        assert (lifetime.hits, lifetime.misses, lifetime.stores) == (2, 1, 1)
-
-    def test_lifetime_survives_corrupt_document(self, tmp_path):
-        cache = ShardedDiskStore(tmp_path)
-        cache.stats_path.parent.mkdir(parents=True, exist_ok=True)
-        cache.stats_path.write_text("not json")
-        lifetime = cache.lifetime_stats()
-        assert (lifetime.hits, lifetime.misses) == (0, 0)
-        cache.get("0" * 64)
-        assert cache.persist_stats() is not None
-        assert ShardedDiskStore(tmp_path).lifetime_stats().misses == 1
-
-    def test_stats_file_is_not_a_cache_entry(self, tmp_path):
-        cache = ShardedDiskStore(tmp_path)
-        cache.put("ab" * 32, {"x": 1})
-        cache.get("ab" * 32)
-        cache.persist_stats()
-        assert len(cache) == 1
-        assert cache.clear() == 1
-        # Clearing entries leaves the lifetime counters alone.
-        assert ShardedDiskStore(tmp_path).lifetime_stats().hits == 1
-
-    def test_engine_close_persists_cache_stats(self, tmp_path, tiny_config,
-                                               tiny_cases):
-        cache_dir = tmp_path / "cache"
-        with ExperimentEngine(config=tiny_config,
-                              cache_dir=cache_dir) as engine:
-            engine.run("figure9", quick=True, cases=tiny_cases)
-        lifetime = ShardedDiskStore(cache_dir).lifetime_stats()
-        assert lifetime.misses == len(tiny_cases)
-        assert lifetime.stores == len(tiny_cases)
 
 
 # --------------------------------------------------------------------- #
@@ -583,19 +534,6 @@ class TestCliTracing:
         run_start = next(r for r in read_trace(trace)
                          if r["type"] == "span_start" and r["kind"] == "run")
         assert run_start["attrs"]["manifest.jobs"] == 2
-
-    def test_cache_stats_flag(self, tmp_path, capsys):
-        cache_dir = tmp_path / "cache"
-        cache = ShardedDiskStore(cache_dir)
-        cache.put("cd" * 32, {"x": 1})
-        cache.get("cd" * 32)
-        cache.get("0" * 64)
-        cache.persist_stats()
-        assert cli_main(["cache", "--stats",
-                         "--cache-dir", str(cache_dir)]) == 0
-        out = capsys.readouterr().out
-        assert "entries: 1" in out
-        assert "lifetime: 1 hit(s), 1 miss(es), 1 store(s)" in out
 
     def test_bench_subcommand_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:
