@@ -32,7 +32,7 @@ from repro.analysis.registry import register_rule
 #: defs and lambdas inside these count as hot too.
 HOT_FUNCTIONS: Dict[str, FrozenSet[str]] = {
     "repro/sim/engine.py": frozenset({
-        "__new__", "_loop", "_finish", "_schedule", "_resume",
+        "__new__", "__init__", "_loop", "_finish", "_schedule", "_resume",
         "_handle_delay", "_handle_put", "_handle_get", "_handle_wait",
         "_handle_fork", "_handle_join", "schedule_callback", "trigger",
         "advance", "run_ahead_limit",
@@ -42,7 +42,8 @@ HOT_FUNCTIONS: Dict[str, FrozenSet[str]] = {
         "_dequeue", "_pop_item", "_wake_getters", "_wake_putters",
         "_notify", "_land",
     }),
-    "repro/sim/arbiters.py": frozenset({"_kick", "_grant"}),
+    "repro/sim/arbiters.py": frozenset({"_kick", "_grant",
+                                        "transfer_beats"}),
     "repro/memory/mesi.py": frozenset({"access"}),
     "repro/memory/hierarchy.py": frozenset({
         "load", "store", "atomic_rmw", "touch_lines", "_access", "acquire",
@@ -53,7 +54,8 @@ HOT_FUNCTIONS: Dict[str, FrozenSet[str]] = {
         "rocc",
     }),
     "repro/picos/device.py": frozenset({
-        "try_intake", "_submission_pipeline", "_insert_task",
+        "try_intake", "take_zero_packets", "_submission_pipeline",
+        "_insert_task",
         "_retirement_pipeline", "_kick_emitter", "_emit_ready",
     }),
     "repro/picos/dependence.py": frozenset({

@@ -516,25 +516,43 @@ def _cmd_run(args: argparse.Namespace, out) -> int:
         engine.close()
 
 
+def _dispatch(args: argparse.Namespace) -> int:
+    _load_plugins(getattr(args, "plugins", None))
+    if args.command == "list":
+        return _cmd_list(sys.stdout)
+    if args.command == "workloads":
+        return _cmd_workloads(args, sys.stdout)
+    if args.command == "runtimes":
+        return _cmd_runtimes(args, sys.stdout)
+    if args.command == "cache":
+        return _cmd_cache(args, sys.stdout)
+    if args.command == "trace":
+        return _cmd_trace(args, sys.stdout)
+    if args.command == "lint":
+        from repro.analysis.cli import run_lint
+        return run_lint(args, sys.stdout, sys.stderr)
+    return _cmd_run(args, sys.stdout)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    """Entry point of ``python -m repro`` and the ``repro`` console script."""
+    """Entry point of ``python -m repro`` and the ``repro`` console script.
+
+    A reader that closes standard output early (``| grep -q``, ``| head``)
+    ends the command quietly with status 0: it has read what it wanted.
+    """
     args = build_parser().parse_args(argv)
     try:
-        _load_plugins(getattr(args, "plugins", None))
-        if args.command == "list":
-            return _cmd_list(sys.stdout)
-        if args.command == "workloads":
-            return _cmd_workloads(args, sys.stdout)
-        if args.command == "runtimes":
-            return _cmd_runtimes(args, sys.stdout)
-        if args.command == "cache":
-            return _cmd_cache(args, sys.stdout)
-        if args.command == "trace":
-            return _cmd_trace(args, sys.stdout)
-        if args.command == "lint":
-            from repro.analysis.cli import run_lint
-            return run_lint(args, sys.stdout, sys.stderr)
-        return _cmd_run(args, sys.stdout)
+        status = _dispatch(args)
+        # Flush here, so that a reader gone by now is caught below rather
+        # than at interpreter exit.
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # Send what is still buffered to devnull, so the exit-time flush
+        # does not fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 0
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -19,7 +19,10 @@ rest of the descriptor directly (:meth:`PicosDevice.try_intake`) and wakes
 it only with the last one, through the queue.  The per-packet steps stay
 because the pump's place in each cycle decides where that last wake-up and
 the next core's grant land; a step that would resume the pump at once
-moves the clock in place (:meth:`Engine.advance`).
+moves the clock in place (:meth:`Engine.advance`).  The Zero Padder's
+packets but the last move in one such step when every one of their steps
+would: the inserter is parked and they all end by
+:meth:`Engine.run_ahead_limit`, so nothing else can run between them.
 
 Software interacts with the handler only through the two non-blocking hooks
 used by the delegate instructions: :meth:`announce` (Submission Request) and
@@ -48,6 +51,8 @@ __all__ = ["SubmissionHandler", "PendingSubmission"]
 _CORE_BUFFER_DEPTH = 16
 #: Depth of the announcement queue per core (outstanding Submission Requests).
 _ANNOUNCE_DEPTH = 2
+#: Index of a descriptor's last packet, which always wakes the inserter.
+_LAST_PACKET = PACKETS_PER_DESCRIPTOR - 1
 
 
 @dataclass
@@ -144,9 +149,13 @@ class SubmissionHandler:
         device = self.device
         submission_queue = device.submission_queue
         try_intake = device.try_intake
+        take_zero_packets = device.take_zero_packets
         transfer_beat = self.arbiter.transfer_beat
+        transfer_beats = self.arbiter.transfer_beats
         stats = self.stats
-        advance = self.engine.advance
+        engine = self.engine
+        advance = engine.advance
+        run_ahead_limit = engine.run_ahead_limit
         packet_cycles = self.costs.submission_packet_cycles
         packet_delay = Delay(packet_cycles)
         handoff = Delay(0)
@@ -157,8 +166,23 @@ class SubmissionHandler:
             # Forward the announced non-zero prefix at one packet per cycle,
             # then let the Zero Padder complete the 48-packet sequence.
             nonzero = pending.nonzero_packets
-            for index in range(PACKETS_PER_DESCRIPTOR):
-                word = (yield next_word) if index < nonzero else 0
+            index = 0
+            while index < PACKETS_PER_DESCRIPTOR:
+                if index < nonzero:
+                    word = yield next_word
+                else:
+                    word = 0
+                    if index == nonzero:
+                        # The zero run but its last packet moves in one
+                        # step when every one of its packet steps would
+                        # advance in place into a parked inserter.
+                        run = _LAST_PACKET - index
+                        due = engine.now + run * packet_cycles
+                        if due <= run_ahead_limit() \
+                                and take_zero_packets(run):
+                            engine.now = due
+                            transfer_beats(core_id, run)
+                            index = _LAST_PACKET
                 if not advance(packet_cycles):
                     yield packet_delay
                 if try_intake(word):
@@ -167,6 +191,7 @@ class SubmissionHandler:
                 else:
                     yield Put(submission_queue, word)
                 transfer_beat(core_id)
+                index += 1
             stats.incr("descriptors_forwarded")
             stats.add("zero_packets_padded", PACKETS_PER_DESCRIPTOR - nonzero)
 

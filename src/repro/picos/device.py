@@ -25,7 +25,8 @@ polling inserter would accept them.
 Intake is direct when the inserter has caught up: while it is parked on
 an empty submission queue, the Submission Handler appends each packet but
 a descriptor's last straight to the partial descriptor
-(:meth:`PicosDevice.try_intake`) instead of waking the inserter for every
+(:meth:`PicosDevice.try_intake`, or :meth:`PicosDevice.take_zero_packets`
+for a run of zero padding) instead of waking the inserter for every
 packet.  The last packet goes through the queue and wakes the inserter in
 the cycle, and at the place in that cycle, where the per-packet path
 would have.
@@ -149,6 +150,22 @@ class PicosDevice:
                 and len(partial) < PACKETS_PER_DESCRIPTOR - 1):
             partial.append(packet)
             self.stats.incr("submission_packets")
+            return True
+        return False
+
+    def take_zero_packets(self, count: int) -> bool:
+        """Hand ``count`` zero packets straight to a caught-up inserter.
+
+        When ``count`` calls of :meth:`try_intake` with a zero packet would
+        all return True, do what they do in one step and return True;
+        otherwise change nothing and return False.  The Submission Handler
+        uses it for the Zero Padder's packets but a descriptor's last.
+        """
+        partial = self._partial
+        if (self.submission_queue._get_waiters
+                and len(partial) + count < PACKETS_PER_DESCRIPTOR):
+            partial += [0] * count
+            self.stats.add("submission_packets", count)
             return True
         return False
 

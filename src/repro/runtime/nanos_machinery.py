@@ -19,7 +19,7 @@ Nanos-SW.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, Generator, List, Optional, Set
 
 from repro.common.config import CACHE_LINE_BYTES, NanosCosts
 from repro.common.errors import RuntimeModelError
@@ -30,7 +30,7 @@ from repro.memory.hierarchy import SharedCounter, SoftwareMutex
 from repro.memory.mesi import AccessType
 from repro.picos.dependence import TaskGraph
 from repro.runtime.task import Task, TaskProgram
-from repro.sim.engine import Delay, ProcessGen
+from repro.sim.engine import Charge, ProcessGen
 from repro.sim.queues import DecoupledQueue
 
 __all__ = ["NanosMachinery"]
@@ -99,8 +99,9 @@ class NanosMachinery:
     # ------------------------------------------------------------------ #
     def _charge(self, core: Core, instructions: Optional[int],
                 virtual_calls: int, lines: int,
-                mutex: Optional[SoftwareMutex], pairs: int) -> ProcessGen:
-        """Charge one bookkeeping sequence in a single generator frame.
+                mutex: Optional[SoftwareMutex], pairs: int
+                ) -> Generator[int, int, None]:
+        """The steps of one bookkeeping sequence, in a single frame.
 
         In order: ``instructions`` plain instructions, charged and counted
         as :meth:`Core.execute` does (skipped, counter included, when
@@ -113,11 +114,14 @@ class NanosMachinery:
         come from ``NanosCosts``, which holds no negative value.
 
         Each step moves the clock in place when it ends by the engine's
-        :meth:`~repro.sim.engine.Engine.run_ahead_limit`, else yields its
-        ``Delay``.  The limit is read once and again after every ``yield``.
-        That is exact, because only the directory, the mutexes and
-        counters run between two yields of this frame, and none of them
-        schedules an event.
+        :meth:`~repro.sim.engine.Engine.run_ahead_limit`, read once at the
+        start, and otherwise yields its cycles and receives the limit
+        again when the step has ended.  A caller starts the steps with
+        ``next()``, so a charge that fits in place never leaves it; on the
+        first refused step it yields :class:`~repro.sim.engine.Charge`
+        once, and the engine loop drives the rest.  That is exact, because
+        only the directory, the mutexes and counters run between two
+        steps, and none of them schedules an event.
 
         Each pool access is one 8-byte word at a line's start, so it goes
         straight to the directory as the single line access
@@ -139,8 +143,7 @@ class NanosMachinery:
                 if due <= limit:
                     engine.now = due
                 else:
-                    yield Delay(cycles)
-                    limit = engine.run_ahead_limit()
+                    limit = yield cycles
         core_id = core.core_id
         if lines:
             access = self.soc.memory.directory.access
@@ -159,8 +162,7 @@ class NanosMachinery:
                 if due <= limit:
                     engine.now = due
                 else:
-                    yield Delay(cycles)
-                    limit = engine.run_ahead_limit()
+                    limit = yield cycles
             self._pool_cursor = (self._pool_cursor + lines) % _SHARED_POOL_LINES
         for step in range(2 * pairs):
             if step % 2:
@@ -173,8 +175,7 @@ class NanosMachinery:
                 if due <= limit:
                     engine.now = due
                 else:
-                    yield Delay(cycles)
-                    limit = engine.run_ahead_limit()
+                    limit = yield cycles
 
     # ------------------------------------------------------------------ #
     # Submission / fetch / retirement bookkeeping (all Nanos flavours)
@@ -183,10 +184,13 @@ class NanosMachinery:
         """Per-task submission bookkeeping of the Nanos core runtime."""
         costs = self.costs
         self.stats.incr("submissions")
-        yield from self._charge(core, costs.submit_instructions,
-                                costs.submit_virtual_calls,
-                                costs.submit_shared_lines,
-                                self.scheduler_mutex, costs.submit_mutex_ops)
+        steps = self._charge(core, costs.submit_instructions,
+                             costs.submit_virtual_calls,
+                             costs.submit_shared_lines,
+                             self.scheduler_mutex, costs.submit_mutex_ops)
+        cycles = next(steps, None)
+        if cycles is not None:
+            yield Charge(cycles, steps)
 
     def charge_plugin_marshalling(self, core: Core, task: Task) -> ProcessGen:
         """Extra picos-plugin work proportional to the dependence count."""
@@ -199,20 +203,26 @@ class NanosMachinery:
         under its lock: the popped task index, or ``None``."""
         costs = self.costs
         self.stats.incr("fetches")
-        yield from self._charge(core, costs.fetch_instructions,
-                                costs.fetch_virtual_calls,
-                                costs.fetch_shared_lines,
-                                self.scheduler_mutex, costs.fetch_mutex_ops + 1)
+        steps = self._charge(core, costs.fetch_instructions,
+                             costs.fetch_virtual_calls,
+                             costs.fetch_shared_lines,
+                             self.scheduler_mutex, costs.fetch_mutex_ops + 1)
+        cycles = next(steps, None)
+        if cycles is not None:
+            yield Charge(cycles, steps)
         return self.scheduler_queue.try_get()
 
     def charge_retirement(self, core: Core) -> ProcessGen:
         """Per-retirement bookkeeping common to every Nanos flavour."""
         costs = self.costs
         self.stats.incr("retirements")
-        yield from self._charge(core, costs.retire_instructions,
-                                costs.retire_virtual_calls,
-                                costs.retire_shared_lines,
-                                self.graph_mutex, costs.retire_mutex_ops)
+        steps = self._charge(core, costs.retire_instructions,
+                             costs.retire_virtual_calls,
+                             costs.retire_shared_lines,
+                             self.graph_mutex, costs.retire_mutex_ops)
+        cycles = next(steps, None)
+        if cycles is not None:
+            yield Charge(cycles, steps)
 
     def charge_idle_check(self, core: Core) -> ProcessGen:
         """One failed work-fetch iteration; occasionally a futex sleep."""
@@ -238,19 +248,25 @@ class NanosMachinery:
         if self.sw_graph is None:
             raise RuntimeModelError("software_submit on a hardware-graph Nanos")
         costs = self.costs
-        yield from self._charge(core, costs.graph_insert_instructions, 0,
-                                costs.graph_insert_shared_lines,
-                                self.graph_mutex, 1)
+        steps = self._charge(core, costs.graph_insert_instructions, 0,
+                             costs.graph_insert_shared_lines,
+                             self.graph_mutex, 1)
+        cycles = next(steps, None)
+        if cycles is not None:
+            yield Charge(cycles, steps)
         for dependence in task.dependences:
             if dependence.address in self._known_addresses:
-                yield from self._charge(
+                steps = self._charge(
                     core, costs.dep_known_address_instructions, 0,
                     costs.dep_known_address_shared_lines, None, 0)
             else:
                 self._known_addresses.add(dependence.address)
-                yield from self._charge(
+                steps = self._charge(
                     core, costs.dep_new_address_instructions, 0,
                     costs.dep_new_address_shared_lines, None, 0)
+            cycles = next(steps, None)
+            if cycles is not None:
+                yield Charge(cycles, steps)
         graph_id, ready = self.sw_graph.submit(task.index, task.dependences)
         self._sw_ids[task.index] = graph_id
         if ready:
@@ -267,9 +283,12 @@ class NanosMachinery:
         newly_ready = self.sw_graph.retire(graph_id)
         if has_successors:
             costs = self.costs
-            yield from self._charge(
+            steps = self._charge(
                 core, costs.retire_successor_update_instructions, 0,
                 costs.retire_successor_shared_lines, None, 0)
+            cycles = next(steps, None)
+            if cycles is not None:
+                yield Charge(cycles, steps)
         for graph_ready_id in newly_ready:
             yield from self._push_ready(
                 core, self._index_of_graph_id(graph_ready_id)
@@ -282,11 +301,17 @@ class NanosMachinery:
 
     def _push_ready(self, core: Core, task_index: int) -> ProcessGen:
         """Push a ready task into the central scheduler queue."""
-        yield from self._charge(core, None, 0, 0, self.scheduler_mutex, 1)
+        steps = self._charge(core, None, 0, 0, self.scheduler_mutex, 1)
+        cycles = next(steps, None)
+        if cycles is not None:
+            yield Charge(cycles, steps)
         if not self.scheduler_queue.try_put(task_index):
             raise RuntimeModelError("Nanos scheduler queue overflowed")
 
     def pop_ready(self, core: Core) -> ProcessGen:
         """Pop one ready task index from the scheduler queue, or ``None``."""
-        yield from self._charge(core, None, 0, 0, self.scheduler_mutex, 1)
+        steps = self._charge(core, None, 0, 0, self.scheduler_mutex, 1)
+        cycles = next(steps, None)
+        if cycles is not None:
+            yield Charge(cycles, steps)
         return self.scheduler_queue.try_get()

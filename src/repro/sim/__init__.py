@@ -2,6 +2,7 @@
 
 from repro.sim.arbiters import GuidedArbiter, InOrderArbiter, RoundRobinArbiter
 from repro.sim.engine import (
+    Charge,
     Command,
     Delay,
     Engine,
@@ -17,6 +18,7 @@ from repro.sim.engine import (
 from repro.sim.queues import DecoupledQueue, ProtocolCrossingQueue
 
 __all__ = [
+    "Charge",
     "Command",
     "Delay",
     "Engine",

@@ -19,7 +19,8 @@ from repro.picos.device import PicosDevice, ReadyTask
 from repro.picos.packets import PACKETS_PER_DESCRIPTOR, TaskDescriptor
 from repro.runtime.phentos import PhentosRuntime
 from repro.runtime.task import Task, TaskProgram, in_dep, inout_dep, out_dep
-from repro.sim.engine import Delay, Engine, Get, ProcessGen, Put, Wait
+from repro.sim.engine import (Charge, Delay, Engine, Get, ProcessGen, Put,
+                              Wait)
 
 
 class PluginRuntime(PhentosRuntime):
@@ -326,9 +327,11 @@ class ReferenceEngine(Engine):
     ``Delay`` goes through the heap, or through the same-cycle bucket when
     it is zero, and the process waits there for its turn.  It never
     advances in place either, and its run-ahead limit is below every cycle,
-    so every cost helper yields its ``Delay``.  Differential tests drive
-    both with the same processes and require identical traces, times,
-    results and stats.
+    so every cost helper yields its ``Delay`` and every step of a
+    ``Charge`` is refused.  Each of those steps waits as a ``Delay`` would,
+    with one trace line, and the process resumes when the steps are done.
+    Differential tests drive both with the same processes and require
+    identical traces, times, results and stats.
     """
 
     def advance(self, cycles: int) -> bool:
@@ -359,14 +362,28 @@ class ReferenceEngine(Engine):
                     bucket.append((entry[2], entry[3]))
             process, payload = bucket.popleft()
             if process is None:
-                payload()
-                continue
+                if payload.__class__ is not Charge:
+                    payload()
+                    continue
+                charge = payload
+                try:
+                    cycles = charge.steps.send(-1)
+                except StopIteration:
+                    process, payload = charge.process, None
+                else:
+                    self._wait_step(charge, cycles)
+                    continue
             if process.finished:
                 continue
             try:
                 command = process.generator.send(payload)
             except StopIteration as stop:
                 self._finish(process, stop.value)
+                continue
+            if command.__class__ is Charge:
+                command.process = process
+                process._waiting = command
+                self._wait_step(command, command.cycles)
                 continue
             if command.__class__ is Delay:
                 process._waiting = command
@@ -390,3 +407,14 @@ class ReferenceEngine(Engine):
                     f"[{now}] {process.name} -> {type(command).__name__}"
                 )
         return False
+
+    def _wait_step(self, charge: Charge, cycles: int) -> None:
+        """Wait out one refused step of ``charge`` as a ``Delay``."""
+        if cycles:
+            heapq.heappush(self._heap, (self.now + cycles,
+                                        next(self._sequence), None, charge))
+        else:
+            self._bucket.append((None, charge))
+        if self.trace:
+            self._trace_log.append(
+                f"[{self.now}] {charge.process.name} -> Delay")

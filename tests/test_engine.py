@@ -6,6 +6,7 @@ import pytest
 
 from repro.common.errors import DeadlockError, SimulationError
 from repro.sim.engine import (
+    Charge,
     Delay,
     Engine,
     Fork,
@@ -491,3 +492,136 @@ def test_run_ahead_limit_refuses_outside_a_running_loop():
     _limit_probe(engine, [0, 5], seen)
     assert seen == [(0, -1, False, False), (5, -1, False, False)] * 2
     assert engine.now == 1
+
+
+# --------------------------------------------------------------------- #
+# Charge hand-off
+# --------------------------------------------------------------------- #
+def _steps(engine, steps, seen):
+    """Charge steps as a cost helper does: move the clock in place for
+    each step that ends by the run-ahead limit, else yield its cycles and
+    receive the new limit; log each step."""
+    limit = engine.run_ahead_limit()
+    for cycles in steps:
+        due = engine.now + cycles
+        if due <= limit:
+            engine.now = due
+            seen.append(("in place", cycles, engine.now))
+        else:
+            seen.append(("refused", cycles, engine.now))
+            limit = yield cycles
+
+
+def _charger(engine, steps, seen, then=()):
+    """Charge ``steps`` through a ``Charge`` hand-off, then log the
+    resumption and yield ``Delay(c)`` for each ``c`` of ``then``."""
+    charge = _steps(engine, steps, seen)
+    cycles = next(charge, None)
+    if cycles is not None:
+        yield Charge(cycles, charge)
+    seen.append(("resumed", engine.now))
+    for cycles in then:
+        yield Delay(cycles)
+
+
+def _logger(engine, seen, name, delay):
+    """Log ``name`` and the clock after ``delay`` cycles."""
+    yield Delay(delay)
+    seen.append((name, engine.now))
+
+
+def test_charge_that_fits_never_leaves_its_caller():
+    engine = Engine()
+    seen = []
+    engine.spawn(_charger(engine, [3, 0, 4], seen), name="c")
+    assert engine.run() == 7
+    assert seen == [("in place", 3, 3), ("in place", 0, 3),
+                    ("in place", 4, 7), ("resumed", 7)]
+
+
+def test_charge_refused_step_goes_to_the_heap():
+    engine = Engine()
+    seen = []
+    heap_at_5 = []
+
+    def sleeper():
+        yield Delay(5)
+        heap_at_5.extend((entry[0], entry[2], entry[3].__class__)
+                         for entry in engine._heap)
+
+    engine.spawn(sleeper())
+    engine.spawn(_charger(engine, [3, 4, 2], seen), name="c")
+    assert engine.run() == 9
+    # The step to 7 waits in the heap, without its process, while the
+    # sleeper's entry at 5 runs; the last step then fits in place.
+    assert heap_at_5 == [(7, None, Charge)]
+    assert seen == [("in place", 3, 3), ("refused", 4, 3),
+                    ("in place", 2, 9), ("resumed", 9)]
+
+
+def test_charge_zero_cycle_refused_step_goes_to_the_back_of_the_bucket():
+    engine = Engine()
+    seen = []
+
+    def other():
+        seen.append(("other", engine.now))
+        yield Delay(0)
+        seen.append(("other", engine.now))
+
+    engine.spawn(_charger(engine, [0, 0], seen), name="c")
+    engine.spawn(other())
+    engine.run()
+    # While the other process is in the bucket, the limit refuses each
+    # zero-cycle step, and the step waits behind that process.
+    assert seen == [("refused", 0, 0), ("other", 0), ("refused", 0, 0),
+                    ("other", 0), ("resumed", 0)]
+
+
+def test_finished_charge_resumes_its_caller_in_the_same_dispatch():
+    engine = Engine()
+    seen = []
+    engine.spawn(_charger(engine, [5], seen), name="c")
+    engine.spawn(_logger(engine, seen, "other", 5))
+    engine.run()
+    # The charge's step to 5 was pushed before the other process's entry
+    # at 5, so it is dispatched first; its caller resumes in that
+    # dispatch, not behind the other entry.
+    assert seen == [("refused", 5, 0), ("resumed", 5), ("other", 5)]
+
+
+def test_traced_charge_writes_one_delay_line_per_step():
+    def delays(steps, then):
+        for cycles in steps + then:
+            yield Delay(cycles)
+
+    charged = Engine(trace=True)
+    seen = []
+    charged.spawn(_charger(charged, [2, 0, 3], seen, then=[1]), name="p")
+    charged.run()
+    plain = Engine(trace=True)
+    plain.spawn(delays([2, 0, 3], [1]), name="p")
+    plain.run()
+    # Tracing refuses every step in place, but the loop still runs each
+    # ahead when it can, and writes the line a Delay would.
+    assert charged.trace_log == plain.trace_log == [
+        "[0] p -> Delay", "[2] p -> Delay", "[2] p -> Delay",
+        "[5] p -> Delay", "[6] p finished"]
+    assert seen[-1] == ("resumed", 5)
+
+
+def test_run_until_and_max_cycles_stop_a_charge_as_a_delay():
+    engine = Engine()
+    seen = []
+    process = engine.spawn(_charger(engine, [4, 8], seen), name="c")
+    assert engine.run(until=10) == 10
+    assert not process.finished
+    assert seen == [("in place", 4, 4), ("refused", 8, 4)]
+    assert engine.run() == 12
+    assert seen[-1] == ("resumed", 12)
+
+    bounded = Engine(max_cycles=10)
+    capped = []
+    bounded.spawn(_charger(bounded, [4, 8], capped), name="c")
+    with pytest.raises(SimulationError, match="max_cycles=10"):
+        bounded.run()
+    assert capped == [("in place", 4, 4), ("refused", 8, 4)]

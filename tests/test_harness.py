@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -390,6 +391,25 @@ class TestCli:
         assert proc.returncode == 0
         for experiment_id in EXPERIMENTS:
             assert experiment_id in proc.stdout
+
+    def test_closed_stdout_exits_quietly(self):
+        # A reader that has already gone, as after ``| grep -q`` matched:
+        # every write fails with EPIPE, and the command must still exit 0
+        # without a BrokenPipeError traceback.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro", "list"],
+                stdout=write_end, stderr=subprocess.PIPE, text=True,
+                cwd=REPO_ROOT,
+                env={"PYTHONPATH": str(REPO_ROOT / "src"),
+                     "PATH": "/usr/bin:/bin"},
+            )
+        finally:
+            os.close(write_end)
+        assert proc.stderr == ""
+        assert proc.returncode == 0
 
     def test_run_table2_text(self, capsys):
         assert cli_main(["run", "table2", "--no-cache", "--quiet"]) == 0

@@ -176,13 +176,23 @@ class TestNanosMachinery:
         # The pool charges go straight to the directory, so record there.
         monkeypatch.setattr(CoherenceDirectory, "access", recording)
         machinery._pool_cursor = _SHARED_POOL_LINES - 2
+
+        def finish(steps):
+            # Outside a run every step is refused; answer each with the
+            # limit the engine then gives, as the engine loop would.
+            try:
+                while True:
+                    steps.send(-1)
+            except StopIteration:
+                pass
+
         first = machinery._charge(soc.core(0), None, 0, 4, None, 0)
         next(first)
         # Core 1 runs a whole call while core 0 waits on its first access.
-        for _ in machinery._charge(soc.core(1), None, 0, 3, None, 0):
-            pass
-        for _ in first:
-            pass
+        second = machinery._charge(soc.core(1), None, 0, 3, None, 0)
+        next(second)
+        finish(second)
+        finish(first)
         assert touched[1] == [("load", 62), ("store", 63), ("load", 0)]
         # Core 0's later offsets start from the cursor core 1 advanced.
         assert touched[0] == [("load", 62), ("store", 2), ("load", 3),

@@ -65,6 +65,52 @@ class TestSubmissionHandler:
         assert device.stats.counter("submission_packets") == 48
         assert device.graph.total_submitted == 1
 
+    def test_zero_run_moves_in_one_step_into_a_parked_inserter(
+            self, monkeypatch):
+        taken = []
+        take_zero_packets = PicosDevice.take_zero_packets
+
+        def recorded(device, count):
+            taken.append((count, device.engine.now))
+            return take_zero_packets(device, count)
+
+        monkeypatch.setattr(PicosDevice, "take_zero_packets", recorded)
+        engine, device, manager = build(num_cores=1,
+                                        submission_packet_cycles=2)
+        descriptor = TaskDescriptor(
+            sw_id=5, dependences=(TaskDependence(0x100, Direction.OUT),)
+        )
+        feed_descriptor(manager, 0, descriptor)
+        run_for(engine, 3_000)
+        # The six non-zero packets took 12 cycles; the 41 zero packets but
+        # the last moved in one step, and the last woke the inserter.
+        assert taken == [(48 - 6 - 1, 12)]
+        assert device.stats.counter("submission_packets") == 48
+        assert device.graph.total_submitted == 1
+
+    def test_zero_run_keeps_per_packet_steps_around_a_pending_event(self):
+        engine, device, manager = build(num_cores=1,
+                                        submission_packet_cycles=1)
+        descriptor = TaskDescriptor(
+            sw_id=5, dependences=(TaskDependence(0x100, Direction.OUT),)
+        )
+        feed_descriptor(manager, 0, descriptor)
+        lengths = []
+
+        def sampler():
+            for _ in range(60):
+                yield Delay(1)
+                lengths.append(len(device._partial))
+
+        engine.run_until_complete([engine.spawn(sampler())])
+        # Another process is always due within the run, so the pump keeps
+        # to one packet per cycle and that process sees each one arrive.
+        assert max(lengths) == 47
+        assert all(later - earlier <= 1
+                   for earlier, later in zip(lengths, lengths[1:])
+                   if later)
+        assert device.stats.counter("submission_packets") == 48
+
     def test_submissions_from_different_cores_do_not_interleave(self):
         engine, device, manager = build()
         first = TaskDescriptor(sw_id=1,

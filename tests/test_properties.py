@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 
 from hypothesis import given, settings, strategies as st
 
@@ -449,25 +449,46 @@ def intake_runs(draw):
             draw(st.integers(1, 4)))
 
 
-@settings(max_examples=120, deadline=None)
-@given(intake_runs())
-def test_direct_intake_matches_per_packet_pump(run):
-    runtime_name, config, program, workers = run
-    packet_log, per_packet = _run_logged(
-        runtime_name, config, program, workers,
-        handler_class=PerPacketSubmissionHandler)
-    direct_log, direct = _run_logged(runtime_name, config, program, workers)
-    assert direct_log == packet_log
-    assert direct == per_packet
-    if isinstance(per_packet, RuntimeResult):
-        # Same values, and the same first-touch order the reports keep.
-        assert list(direct.stats.items()) == list(per_packet.stats.items())
+def test_direct_intake_matches_per_packet_pump():
+    # In-place zero runs taken, by ``submission_packet_cycles``.
+    zero_runs = Counter()
+    take_zero_packets = PicosDevice.take_zero_packets
+
+    def counted(device, count):
+        taken = take_zero_packets(device, count)
+        if taken:
+            zero_runs[device.costs.submission_packet_cycles] += 1
+        return taken
+
+    @settings(max_examples=120, deadline=None)
+    @given(intake_runs())
+    def check(run):
+        runtime_name, config, program, workers = run
+        packet_log, per_packet = _run_logged(
+            runtime_name, config, program, workers,
+            handler_class=PerPacketSubmissionHandler)
+        direct_log, direct = _run_logged(runtime_name, config, program,
+                                         workers)
+        assert direct_log == packet_log
+        assert direct == per_packet
+        if isinstance(per_packet, RuntimeResult):
+            # Same values, and the same first-touch order the reports keep.
+            assert (list(direct.stats.items())
+                    == list(per_packet.stats.items()))
+
+    with mock.patch.object(PicosDevice, "take_zero_packets", counted):
+        check()
+    # The generated runs must really have moved zero runs in place, with
+    # and without a packet cost.
+    assert zero_runs[0] > 0
+    assert sum(zero_runs.values()) > zero_runs[0]
 
 
 # --------------------------------------------------------------------- #
 # Run-ahead dispatch against the reference engine loop
 # --------------------------------------------------------------------- #
-from repro.sim.engine import Delay, Fork, Get, Join, Put, Wait  # noqa: E402
+from repro.sim.engine import (  # noqa: E402
+    Charge, Delay, Fork, Get, Join, Put, Wait)
 from tests.helpers import ReferenceEngine  # noqa: E402
 
 _EVENTS = 3
@@ -477,11 +498,13 @@ _QUEUES = 2
 _cycles = st.integers(min_value=0, max_value=6)
 #: ``delay`` is listed twice so that delays make up more of each process;
 #: ``advance`` moves the clock in place when the engine allows it and
-#: yields the ``Delay`` otherwise.
+#: yields the ``Delay`` otherwise; ``charge`` runs steps as a cost helper
+#: does and hands them to the loop from the first refused one on.
 _leaf_ops = st.one_of(
     st.tuples(st.just("delay"), _cycles),
     st.tuples(st.just("delay"), _cycles),
     st.tuples(st.just("advance"), _cycles),
+    st.tuples(st.just("charge"), st.lists(_cycles, min_size=1, max_size=4)),
     st.tuples(st.just("wait"), st.integers(0, _EVENTS - 1)),
     st.tuples(st.just("trigger"), st.integers(0, _EVENTS - 1)),
     st.tuples(st.just("put"), st.integers(0, _QUEUES - 1)),
@@ -495,11 +518,26 @@ _ops = st.lists(st.one_of(
 ), max_size=8)
 
 
+def _charge_steps(engine, steps, moved):
+    """Charge ``steps`` as ``NanosMachinery._charge`` does: in place while
+    they end by the run-ahead limit, else yield the cycles and receive the
+    new limit.  ``moved`` counts the steps taken in place."""
+    limit = engine.run_ahead_limit()
+    for cycles in steps:
+        due = engine.now + cycles
+        if due <= limit:
+            engine.now = due
+            moved[0] += 1
+        else:
+            limit = yield cycles
+
+
 def _interpret(engine, name, ops, events, queues, log, moved):
     """A process that performs ``ops`` and logs what each one returned.
 
-    ``moved`` counts the ``advance`` ops the engine granted; it is kept out
-    of ``log`` because the reference engine grants none.
+    ``moved`` counts the ``advance`` ops the engine granted and the charge
+    steps taken in place; it is kept out of ``log`` because the reference
+    engine grants none.
     """
     children = []
     for step, op in enumerate(ops):
@@ -512,6 +550,11 @@ def _interpret(engine, name, ops, events, queues, log, moved):
                 moved[0] += 1
             else:
                 value = yield Delay(op[1])
+        elif kind == "charge":
+            steps = _charge_steps(engine, op[1], moved)
+            cycles = next(steps, None)
+            if cycles is not None:
+                value = yield Charge(cycles, steps)
         elif kind == "wait":
             value = yield Wait(events[op[1]])
         elif kind == "trigger":

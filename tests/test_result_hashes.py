@@ -44,3 +44,22 @@ def test_parallel_hashes_are_byte_identical_to_the_fixture(monkeypatch):
     hashes = recorder.result_hashes(quick=True, jobs=2)
     text = json.dumps(hashes, indent=2) + "\n"
     assert text == recorder.OUT.read_text(encoding="utf-8")
+
+
+def test_full_fixture_lists_every_full_size_result():
+    # The 148 full-size hashes are checked in CI, not here (about a
+    # minute); this keeps the fixture in step with the case list and
+    # with the quick fixture, whose inputs are among the full ones.
+    from repro.eval.experiments import benchmark_cases
+
+    recorder = _load_recorder()
+    full = json.loads(recorder.FULL_OUT.read_text(encoding="utf-8"))
+    quick = json.loads(recorder.OUT.read_text(encoding="utf-8"))
+    assert len(full) == 148
+    keys = list(full)
+    runtimes = [key.rsplit("/", 1)[1] for key in keys[:4]]
+    assert keys == [f"{case.key}/{runtime}" for case in benchmark_cases()
+                    for runtime in runtimes]
+    shared = [key for key in quick if key in full]
+    assert shared
+    assert all(full[key] == quick[key] for key in shared)

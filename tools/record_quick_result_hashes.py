@@ -16,19 +16,18 @@ Options:
 
 ``--full``
     Hash the full-size sweep instead: 37 inputs × 4 runtimes = 148
-    results, about a minute serially.  Nothing in the repository pins these,
-    so the hashes are printed to standard output as JSON instead of written
-    to the fixture; save them from the commit before a change::
+    results, about a minute serially, and write them to
+    ``tests/data/full_result_hashes.json``.  That fixture is too slow for
+    the test suite; CI checks it in a step of its own::
 
-        python tools/record_quick_result_hashes.py --full > full.json
+        python tools/record_quick_result_hashes.py --full --jobs 4 --check \\
+            tests/data/full_result_hashes.json
 
 ``--check FILE``
     Compare the hashes (quick, or full with ``--full``) against the JSON
     saved in ``FILE`` and write nothing.  Exits 0 when they are identical;
     otherwise exits 1 after naming every key that changed, appeared or
-    disappeared::
-
-        python tools/record_quick_result_hashes.py --full --check full.json
+    disappeared.
 
 ``--jobs N``
     Hash the cases in a pool of ``N`` worker processes (default 1, in this
@@ -37,7 +36,7 @@ Options:
     host the full sweep took 20-28 s with ``--jobs 2`` against 45 s
     serially; the slowest single case bounds it::
 
-        python tools/record_quick_result_hashes.py --full --jobs 2 > full.json
+        python tools/record_quick_result_hashes.py --full --jobs 2
 """
 
 import argparse
@@ -57,8 +56,9 @@ from repro.eval.experiments import (
 )
 from repro.harness.artifacts import encode
 
-OUT = Path(__file__).resolve().parent.parent / "tests" / "data" / \
-    "quick_result_hashes.json"
+DATA = Path(__file__).resolve().parent.parent / "tests" / "data"
+OUT = DATA / "quick_result_hashes.json"
+FULL_OUT = DATA / "full_result_hashes.json"
 
 #: Simulated worker cores of the pinned sweep (the paper's machine).
 WORKERS = 8
@@ -107,7 +107,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         description="Hash every Figure 9 result of the quick (or full) sweep.")
     parser.add_argument("--full", action="store_true",
-                        help="hash the 148 full-size results and print them")
+                        help="hash the 148 full-size results instead")
     parser.add_argument("--check", metavar="FILE", type=Path,
                         help="compare against saved hashes; write nothing")
     parser.add_argument("--jobs", metavar="N", type=int, default=1,
@@ -123,12 +123,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"changed: {key}", file=sys.stderr)
         print(f"{len(hashes)} results, {len(changed)} changed")
         return 1 if changed else 0
-    text = json.dumps(hashes, indent=2) + "\n"
-    if args.full:
-        sys.stdout.write(text)
-    else:
-        OUT.write_text(text, encoding="utf-8")
-        print(f"wrote {OUT} ({len(hashes)} results)")
+    out = FULL_OUT if args.full else OUT
+    out.write_text(json.dumps(hashes, indent=2) + "\n", encoding="utf-8")
+    print(f"wrote {out} ({len(hashes)} results)")
     return 0
 
 
