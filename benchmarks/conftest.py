@@ -17,13 +17,16 @@ Environment knobs:
   (default: no caching, so benchmark numbers are always freshly measured).
 
 Rendered tables are also written to ``benchmarks/results/`` so the numbers
-can be archived next to ``EXPERIMENTS.md``.
+can be archived next to ``EXPERIMENTS.md`` — but only for the paper's
+configuration (full inputs on eight workers), since those files are the
+tracked reference tables; a quick or resized run leaves them untouched.
 """
 
 from __future__ import annotations
 
 import os
 from pathlib import Path
+from typing import Optional
 
 import pytest
 
@@ -54,8 +57,15 @@ def cache_dir():
     return Path(value) if value else None
 
 
-def write_result(name: str, text: str) -> Path:
-    """Persist a rendered table under ``benchmarks/results/``."""
+def write_result(name: str, text: str) -> Optional[Path]:
+    """Persist a rendered table under ``benchmarks/results/``.
+
+    Only the paper's configuration, full inputs on eight workers, writes
+    there; any other run returns None and leaves the tracked tables as
+    they are.
+    """
+    if quick_mode() or worker_count() != 8:
+        return None
     RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     path = RESULTS_DIR / name
     path.write_text(text + "\n")

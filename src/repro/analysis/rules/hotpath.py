@@ -35,12 +35,12 @@ HOT_FUNCTIONS: Dict[str, FrozenSet[str]] = {
         "__new__", "__init__", "_loop", "_finish", "_schedule", "_resume",
         "_handle_delay", "_handle_put", "_handle_get", "_handle_wait",
         "_handle_fork", "_handle_join", "schedule_callback", "trigger",
-        "advance", "run_ahead_limit",
+        "advance", "run_ahead_limit", "run_ahead_steps",
     }),
     "repro/sim/queues.py": frozenset({
         "try_put", "try_get", "_blocking_put", "_blocking_get", "_enqueue",
         "_dequeue", "_pop_item", "_wake_getters", "_wake_putters",
-        "_notify", "_land",
+        "_notify", "_land", "try_put_quiet", "try_get_quiet", "drain",
     }),
     "repro/sim/arbiters.py": frozenset({"_kick", "_grant",
                                         "transfer_beats"}),
@@ -55,7 +55,7 @@ HOT_FUNCTIONS: Dict[str, FrozenSet[str]] = {
     }),
     "repro/picos/device.py": frozenset({
         "try_intake", "take_zero_packets", "_submission_pipeline",
-        "_insert_task",
+        "_drain_in_place", "_insert_task",
         "_retirement_pipeline", "_kick_emitter", "_emit_ready",
     }),
     "repro/picos/dependence.py": frozenset({

@@ -12,17 +12,26 @@ Delegates to the single Picos submission interface.  It guarantees:
 3. **Protocol crossing** — per-core Chisel-style buffers feed the Picos
    submission queue through a final buffer.
 
-Each pump still spends ``submission_packet_cycles`` and a zero-delay
-hand-off on every packet, but once the Picos inserter has caught up (it is
-parked on the empty submission queue) the pump hands it the packets of the
-rest of the descriptor directly (:meth:`PicosDevice.try_intake`) and wakes
-it only with the last one, through the queue.  The per-packet steps stay
-because the pump's place in each cycle decides where that last wake-up and
-the next core's grant land; a step that would resume the pump at once
-moves the clock in place (:meth:`Engine.advance`).  The Zero Padder's
-packets but the last move in one such step when every one of their steps
-would: the inserter is parked and they all end by
-:meth:`Engine.run_ahead_limit`, so nothing else can run between them.
+Each pump spends ``submission_packet_cycles`` on every packet, but a step
+that would resume it at once, alone, is taken without a round trip
+through the engine: the clock moves in place (:meth:`Engine.advance`),
+and a word already buffered is taken, or a packet put into room in a queue
+that nobody waits on, without a ``yield``.  Once the Picos inserter has
+caught up (it is parked on the empty submission queue) the pump hands it
+the packets of the rest of the descriptor directly
+(:meth:`PicosDevice.try_intake`) and wakes it only with the last one,
+through the queue.  The Zero Padder's packets before the last move in one
+step as far as every one of their steps ends by
+:meth:`Engine.run_ahead_limit`, so that nothing else can run between them
+(:meth:`PicosDevice.take_zero_packets`): into the parked inserter, or
+into room in the queue while the inserter is busy or stalled.  When the
+queue is full, the pump blocks on each zero with its progress published
+in :attr:`PicosDevice.padder_zeros`; the inserter then runs whole lockstep
+cycles against it in one step and counts them off, and the pump reads
+back how far it got when it wakes.  The put of the last packet, which
+ends the grant, and the steps around any other process's event stay one
+per packet, because the pump's place in each cycle decides where the
+inserter's wake-up and the next core's grant land.
 
 Software interacts with the handler only through the two non-blocking hooks
 used by the delegate instructions: :meth:`announce` (Submission Request) and
@@ -53,6 +62,8 @@ _CORE_BUFFER_DEPTH = 16
 _ANNOUNCE_DEPTH = 2
 #: Index of a descriptor's last packet, which always wakes the inserter.
 _LAST_PACKET = PACKETS_PER_DESCRIPTOR - 1
+#: Stands for "no buffered word": packets are unsigned 32-bit words.
+_NO_WORD = -1
 
 
 @dataclass
@@ -145,17 +156,20 @@ class SubmissionHandler:
     def _pump(self, core_id: int) -> ProcessGen:
         """Stream announced submissions from ``core_id`` into Picos."""
         announcements = self._announcements[core_id]
-        next_word = Get(self._buffers[core_id])
+        buffer = self._buffers[core_id]
+        get_quiet = buffer.try_get_quiet
+        next_word = Get(buffer)
         device = self.device
         submission_queue = device.submission_queue
         try_intake = device.try_intake
+        put_quiet = submission_queue.try_put_quiet
         take_zero_packets = device.take_zero_packets
         transfer_beat = self.arbiter.transfer_beat
         transfer_beats = self.arbiter.transfer_beats
         stats = self.stats
         engine = self.engine
         advance = engine.advance
-        run_ahead_limit = engine.run_ahead_limit
+        run_ahead_steps = engine.run_ahead_steps
         packet_cycles = self.costs.submission_packet_cycles
         packet_delay = Delay(packet_cycles)
         handoff = Delay(0)
@@ -169,27 +183,45 @@ class SubmissionHandler:
             index = 0
             while index < PACKETS_PER_DESCRIPTOR:
                 if index < nonzero:
-                    word = yield next_word
+                    # A buffered word would resume this pump at once, alone.
+                    word = get_quiet(_NO_WORD) if advance(0) else _NO_WORD
+                    if word == _NO_WORD:
+                        word = yield next_word
                 else:
                     word = 0
-                    if index == nonzero:
-                        # The zero run but its last packet moves in one
-                        # step when every one of its packet steps would
-                        # advance in place into a parked inserter.
-                        run = _LAST_PACKET - index
-                        due = engine.now + run * packet_cycles
-                        if due <= run_ahead_limit() \
-                                and take_zero_packets(run):
-                            engine.now = due
-                            transfer_beats(core_id, run)
-                            index = _LAST_PACKET
+                    if index < _LAST_PACKET:
+                        # Zero packets before the last move in one step as
+                        # far as their packet steps would all advance in
+                        # place: into a parked inserter, or into room in a
+                        # queue that nobody waits on.
+                        run = run_ahead_steps(packet_cycles,
+                                              _LAST_PACKET - index)
+                        if run:
+                            run = take_zero_packets(run)
+                            if run:
+                                engine.now += run * packet_cycles
+                                transfer_beats(core_id, run)
+                                index += run
                 if not advance(packet_cycles):
                     yield packet_delay
                 if try_intake(word):
                     if not advance(0):
                         yield handoff
-                else:
+                elif advance(0) and put_quiet((word,)):
+                    # The put would have resumed this pump at once, alone.
+                    pass
+                elif index < nonzero:
                     yield Put(submission_queue, word)
+                else:
+                    # While this put blocks, the inserter may move zeros in
+                    # lockstep and count them off ``padder_zeros``.
+                    zeros = device.padder_zeros = _LAST_PACKET - index
+                    yield Put(submission_queue, 0)
+                    moved = zeros - device.padder_zeros
+                    device.padder_zeros = 0
+                    if moved:
+                        transfer_beats(core_id, moved)
+                        index += moved
                 transfer_beat(core_id)
                 index += 1
             stats.incr("descriptors_forwarded")

@@ -30,6 +30,17 @@ for a run of zero padding) instead of waking the inserter for every
 packet.  The last packet goes through the queue and wakes the inserter in
 the cycle, and at the place in that cycle, where the per-packet path
 would have.
+
+When the inserter has fallen behind instead, it still takes one packet
+per ``submission_packet_cycles`` from the queue, but the packets it would
+take while no other process has an event due (every step ends by
+:meth:`Engine.run_ahead_limit <repro.sim.engine.Engine.run_ahead_limit>`)
+are taken in one step, short of the descriptor's 48th, whose insert stays
+a step of its own.  That includes a Zero Padder blocked on the full queue:
+each of its lockstep cycles with the inserter lets one zero in, and the
+producer publishes how many it has left in
+:attr:`PicosDevice.padder_zeros`, so that the inserter can run those
+cycles for it, short of its last packet, and count them off.
 """
 
 from __future__ import annotations
@@ -78,7 +89,7 @@ class PicosDevice:
     __slots__ = ("engine", "costs", "name", "stats", "graph", "_sw_ids",
                  "submission_queue", "ready_queue", "retirement_queue",
                  "_partial", "_ready_backlog", "_emitter_busy", "_slot_freed",
-                 "_submission_process", "_retirement_process")
+                 "padder_zeros", "_submission_process", "_retirement_process")
 
     def __init__(self, engine: Engine, costs: PicosCosts,
                  name: str = "picos") -> None:
@@ -106,6 +117,12 @@ class PicosDevice:
         self._emitter_busy = False
         #: The event a stalled inserter waits on; set only while it waits.
         self._slot_freed: Optional[Event] = None
+        #: While a producer's put of a Zero Padder packet is pending: the
+        #: zero packets it has left before its descriptor's last, the one
+        #: being put included; 0 otherwise.  The inserter counts off those
+        #: it moves in lockstep, and the producer reads back from here how
+        #: far it got when it wakes.
+        self.padder_zeros = 0
         # Whenever the consumer drains ready packets, try to emit more.
         self.ready_queue.subscribe_dequeue(self._kick_emitter)
         self._submission_process = engine.spawn(
@@ -153,21 +170,31 @@ class PicosDevice:
             return True
         return False
 
-    def take_zero_packets(self, count: int) -> bool:
-        """Hand ``count`` zero packets straight to a caught-up inserter.
+    def take_zero_packets(self, count: int) -> int:
+        """Take up to ``count`` zero packets from the producer in one step.
 
-        When ``count`` calls of :meth:`try_intake` with a zero packet would
-        all return True, do what they do in one step and return True;
-        otherwise change nothing and return False.  The Submission Handler
-        uses it for the Zero Padder's packets but a descriptor's last.
+        A caught-up inserter takes all of them, as ``count`` calls of
+        :meth:`try_intake` with a zero packet would, when none of those
+        would complete the descriptor.  Otherwise, when nobody waits on
+        the submission queue, as many as it has room for enter it, as that
+        many puts would.  Return how many were taken.  The Submission
+        Handler uses it for Zero Padder packets before a descriptor's last,
+        only when their packet steps would all advance in place.
         """
-        partial = self._partial
-        if (self.submission_queue._get_waiters
-                and len(partial) + count < PACKETS_PER_DESCRIPTOR):
+        queue = self.submission_queue
+        if queue._get_waiters:
+            partial = self._partial
+            if len(partial) + count >= PACKETS_PER_DESCRIPTOR:
+                return 0
             partial += [0] * count
             self.stats.add("submission_packets", count)
-            return True
-        return False
+            return count
+        room = queue.capacity - len(queue._items)
+        if room < count:
+            count = room
+        if count > 0 and queue.try_put_quiet([0] * count):
+            return count
+        return 0
 
     # ------------------------------------------------------------------ #
     # Pipelines
@@ -175,16 +202,63 @@ class PicosDevice:
     def _submission_pipeline(self) -> ProcessGen:
         """Reassemble 48-packet descriptors and insert them in the graph."""
         partial = self._partial
+        queue = self.submission_queue
+        next_packet = Get(queue)
+        packet_delay = Delay(self.costs.submission_packet_cycles)
+        stats = self.stats
         while True:
-            packet = yield Get(self.submission_queue)
-            yield Delay(self.costs.submission_packet_cycles)
+            packet = yield next_packet
+            yield packet_delay
             partial.append(packet)
-            self.stats.incr("submission_packets")
+            stats.incr("submission_packets")
             if len(partial) < PACKETS_PER_DESCRIPTOR:
+                if queue._items:
+                    self._drain_in_place()
                 continue
             descriptor = decode_descriptor(partial)
             partial.clear()
             yield from self._insert_task(descriptor)
+
+    def _drain_in_place(self) -> None:
+        """Take queued packets in one step while nothing else can run.
+
+        The inserter has just appended a packet short of the descriptor's
+        48th.  Per packet, it would take the queue head, wait
+        ``submission_packet_cycles`` and append it.  When every such step
+        ends by the run-ahead limit, no other process runs meanwhile, so as
+        many steps as fit run here at once, short of the 48th packet:
+
+        * with nobody blocked on the queue, as many as it holds;
+        * with a producer blocked putting one of its :attr:`padder_zeros`
+          into the full queue, each step also lets that zero in and wakes
+          the producer, which waits the same cycles and blocks on its next
+          zero: whole lockstep cycles, short of the producer's last
+          packet, whose put ends its grant.  They are counted off
+          :attr:`padder_zeros`.
+        """
+        queue = self.submission_queue
+        count = PACKETS_PER_DESCRIPTOR - 1 - len(self._partial)
+        zeros = 0
+        if queue._put_waiters:
+            zeros = self.padder_zeros
+            if zeros < count:
+                count = zeros
+        elif len(queue._items) < count:
+            count = len(queue._items)
+        engine = self.engine
+        cycles = self.costs.submission_packet_cycles
+        if count > 0:
+            count = engine.run_ahead_steps(cycles, count)
+        if count <= 0 or queue._enqueue_observers \
+                or queue._dequeue_observers:
+            return
+        self._partial += queue.drain(count, [0] * count if zeros else [])
+        self.stats.add("submission_packets", count)
+        engine.now += count * cycles
+        if zeros:
+            self.padder_zeros = zeros - count
+            # The producer blocked again on its next zero in the last step.
+            queue._put_waiters[0][0].waiting_since = engine.now
 
     def _insert_task(self, descriptor: TaskDescriptor) -> ProcessGen:
         costs = self.costs

@@ -1,6 +1,6 @@
 """Workload factories, telemetry helpers, a reference MESI directory, a
-polling Picos device, a per-packet Submission Handler and a reference engine
-loop shared by the test suite."""
+polling Picos device, a per-packet Submission Handler and inserter and a
+reference engine loop shared by the test suite."""
 
 from __future__ import annotations
 
@@ -15,8 +15,10 @@ from repro.common.stats import Stats
 from repro.harness.telemetry import TelemetrySink
 from repro.manager.submission import PendingSubmission, SubmissionHandler
 from repro.memory.mesi import AccessType, LineState
+from repro.picos.dependence import TaskGraph
 from repro.picos.device import PicosDevice, ReadyTask
-from repro.picos.packets import PACKETS_PER_DESCRIPTOR, TaskDescriptor
+from repro.picos.packets import (PACKETS_PER_DESCRIPTOR, TaskDescriptor,
+                                 decode_descriptor)
 from repro.runtime.phentos import PhentosRuntime
 from repro.runtime.task import Task, TaskProgram, in_dep, inout_dep, out_dep
 from repro.sim.engine import (Charge, Delay, Engine, Get, ProcessGen, Put,
@@ -288,14 +290,51 @@ class PollingPicosDevice(PicosDevice):
             self._schedule_ready(ReadyTask(task_id, descriptor.sw_id))
 
 
+class AcceptLog(TaskGraph):
+    """A task graph that logs ``(sw_id, cycle)`` for every accepted task,
+    so differential tests can compare accept cycles."""
+
+    def __init__(self, capacity, engine, log):
+        super().__init__(capacity)
+        self.engine = engine
+        self.log = log
+
+    def submit(self, sw_id, dependences):
+        self.log.append((sw_id, self.engine.now))
+        return super().submit(sw_id, dependences)
+
+
 # ---------------------------------------------------------------------- #
-# Per-packet Submission Handler
+# Per-packet Submission Handler and inserter
 # ---------------------------------------------------------------------- #
+class PerPacketPicosDevice(PicosDevice):
+    """``PicosDevice`` with the inserter that lockstep draining replaced:
+    it takes every packet from the submission queue, one
+    ``submission_packet_cycles`` step at a time, whoever is blocked on the
+    queue.  Paired with ``PerPacketSubmissionHandler``, differential tests
+    drive both pairs with the same program and require identical accept
+    cycles, results and stats.
+    """
+
+    def _submission_pipeline(self) -> ProcessGen:
+        while True:
+            packet = yield Get(self.submission_queue)
+            yield Delay(self.costs.submission_packet_cycles)
+            self._partial.append(packet)
+            self.stats.incr("submission_packets")
+            if len(self._partial) < PACKETS_PER_DESCRIPTOR:
+                continue
+            descriptor = decode_descriptor(self._partial)
+            self._partial.clear()
+            yield from self._insert_task(descriptor)
+
+
 class PerPacketSubmissionHandler(SubmissionHandler):
-    """``SubmissionHandler`` with the pump that direct intake replaced:
-    every packet, zero padding included, goes through the Picos submission
-    queue and wakes the inserter.  Differential tests drive both with the
-    same program and require identical accept cycles, results and stats.
+    """``SubmissionHandler`` with the pump that direct intake and zero runs
+    replaced: every packet, zero padding included, goes through the Picos
+    submission queue one ``Put`` at a time and wakes the inserter.
+    Differential tests drive both with the same program and require
+    identical accept cycles, results and stats.
     """
 
     def _pump(self, core_id: int) -> ProcessGen:

@@ -494,6 +494,42 @@ def test_run_ahead_limit_refuses_outside_a_running_loop():
     assert engine.now == 1
 
 
+def test_run_ahead_steps_counts_the_steps_that_fit_by_the_limit():
+    engine = Engine()
+    seen = []
+
+    def sleeper():
+        yield Delay(10)
+
+    def prober():
+        # The limit is 9: three 3-cycle steps fit, a fourth would not.
+        seen.append([engine.run_ahead_steps(3, count) for count in (2, 5)])
+        seen.append(engine.run_ahead_steps(0, 7))
+        assert engine.advance(3) and engine.advance(3) and engine.advance(3)
+        assert not engine.advance(1)
+        yield Delay(1)
+
+    engine.spawn(sleeper())
+    engine.spawn(prober())
+    engine.run()
+    assert seen == [[2, 3], 7]
+
+
+def test_run_ahead_steps_refuses_with_a_non_empty_bucket():
+    engine = Engine()
+    seen = []
+
+    def prober():
+        seen.append((engine.run_ahead_steps(0, 4),
+                     engine.run_ahead_steps(2, 4)))
+        yield Delay(1)
+
+    engine.spawn(prober())
+    engine.spawn(_limit_prober(engine, [], []))  # still in the bucket at 0
+    engine.run()
+    assert seen == [(0, 0)]
+
+
 # --------------------------------------------------------------------- #
 # Charge hand-off
 # --------------------------------------------------------------------- #

@@ -2,20 +2,25 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import pytest
 
 from repro.common.config import PicosCosts
 from repro.common.errors import ProtocolError
 from repro.manager.manager import ManagerError, PicosManager
-from repro.manager.submission import PendingSubmission
+from repro.manager.submission import PendingSubmission, SubmissionHandler
 from repro.picos.device import PicosDevice
 from repro.picos.packets import (
     Direction,
     TaskDependence,
     TaskDescriptor,
+    encode_descriptor,
     encode_nonzero_packets,
 )
-from repro.sim.engine import Delay, Engine
+from repro.sim.engine import Delay, Engine, Put
+from tests.helpers import (AcceptLog, PerPacketPicosDevice,
+                           PerPacketSubmissionHandler)
 
 
 def build(num_cores=2, **cost_overrides):
@@ -111,6 +116,55 @@ class TestSubmissionHandler:
                    if later)
         assert device.stats.counter("submission_packets") == 48
 
+    def test_zero_run_fills_the_queue_while_the_inserter_stalls(
+            self, monkeypatch):
+        fills = []
+        take_zero_packets = PicosDevice.take_zero_packets
+
+        def recorded(device, count):
+            waiting = bool(device.submission_queue._get_waiters)
+            taken = take_zero_packets(device, count)
+            if taken and not waiting:
+                fills.append(device._slot_freed is not None)
+            return taken
+
+        monkeypatch.setattr(PicosDevice, "take_zero_packets", recorded)
+        fast = _stall_then_drain(queue_depth=64)
+        reference = _stall_then_drain(queue_depth=64, per_packet=True)
+        # Zeros went into the queue in one step while the inserter was
+        # parked on the full station (and while it was busy).
+        assert True in fills
+        assert fast == reference
+
+    def test_lockstep_drain_matches_the_per_packet_pair(self, monkeypatch):
+        steps = _record_lockstep(monkeypatch)
+        fast = _stall_then_drain()
+        reference = _stall_then_drain(per_packet=True)
+        assert steps and all(count > 0 for count, _ in steps)
+        assert fast == reference
+
+    def test_lockstep_drain_never_ends_a_descriptor_or_the_grant(
+            self, monkeypatch):
+        steps = _record_lockstep(monkeypatch)
+        _stall_then_drain()
+        # Every step stopped short of the inserter's 48th packet and of
+        # the pump's last one: the pump is still blocked on a put, so it
+        # has not transferred the beat that ends its grant.
+        assert steps
+        for _, (partial, zeros, blocked) in steps:
+            assert partial < 48
+            assert zeros >= 0
+            assert blocked
+
+    def test_lockstep_drain_keeps_per_packet_steps_around_an_event(
+            self, monkeypatch):
+        steps = _record_lockstep(monkeypatch)
+        fast = _stall_then_drain(sampled=True)
+        reference = _stall_then_drain(sampled=True, per_packet=True)
+        # Another process is due every cycle, so no cycle runs in place.
+        assert steps == []
+        assert fast == reference
+
     def test_submissions_from_different_cores_do_not_interleave(self):
         engine, device, manager = build()
         first = TaskDescriptor(sw_id=1,
@@ -169,6 +223,82 @@ class TestSubmissionHandler:
             manager.submit_packet(5, 0)
         with pytest.raises(ProtocolError):
             manager.retirement_queue(7)
+
+
+def _one_dependence(sw_id):
+    return TaskDescriptor(
+        sw_id=sw_id, dependences=(TaskDependence(0x100 * sw_id, Direction.OUT),)
+    )
+
+
+def _record_lockstep(monkeypatch):
+    """Record each lockstep step the inserter takes as ``(cycles run,
+    (partial length, zeros left, pump still blocked))`` just after it."""
+    steps = []
+    drain_in_place = PicosDevice._drain_in_place
+
+    def recorded(device):
+        zeros = device.padder_zeros
+        drain_in_place(device)
+        if device.padder_zeros != zeros:
+            blocked = bool(device.submission_queue._put_waiters)
+            steps.append((zeros - device.padder_zeros,
+                          (len(device._partial), device.padder_zeros,
+                           blocked)))
+
+    monkeypatch.setattr(PicosDevice, "_drain_in_place", recorded)
+    return steps
+
+
+def _stall_then_drain(queue_depth=8, per_packet=False, sampled=False):
+    """A one-task station with the inserter parked on the second of two
+    descriptors streamed straight into the queue, until the first retires
+    at cycle 400.  A third descriptor, from a pump from cycle 200, backs
+    up behind the stall: with an 8-packet queue its Zero Padder blocks on the full
+    queue, and the inserter then drains it in lockstep.  Returns every
+    counter the two pump/inserter pairs must agree on."""
+    engine = Engine()
+    costs = PicosCosts(max_in_flight_tasks=1,
+                       submission_queue_depth=queue_depth)
+    device_class = PerPacketPicosDevice if per_packet else PicosDevice
+    device = device_class(engine, costs)
+    accepted = []
+    device.graph = AcceptLog(costs.max_in_flight_tasks, engine, accepted)
+    handler_class = (PerPacketSubmissionHandler if per_packet
+                     else SubmissionHandler)
+    with mock.patch("repro.manager.submission.SubmissionHandler",
+                    handler_class):
+        manager = PicosManager(engine, device, 1, costs)
+    arbiter = manager.submission_handler.arbiter
+
+    def feeder():
+        # The first two straight into the queue, and the third only once
+        # the inserter has stalled on the second, so that no packet of the
+        # third finds the inserter parked on an empty queue.
+        for sw_id in (1, 2):
+            for packet in encode_descriptor(_one_dependence(sw_id)):
+                yield Put(device.submission_queue, packet)
+        yield Delay(200 - engine.now)
+        assert device._slot_freed is not None
+        feed_descriptor(manager, 0, _one_dependence(3))
+        yield Delay(400 - engine.now)
+        first = next(pid for pid, sw in device._sw_ids.items() if sw == 1)
+        assert device.retirement_queue.try_put(first)
+
+    processes = [engine.spawn(feeder(), name="feeder")]
+    if sampled:
+        def sampler():
+            for _ in range(1_000):
+                yield Delay(1)
+
+        processes.append(engine.spawn(sampler(), name="sampler"))
+    engine.run_until_complete(processes)
+    run_for(engine, 2_000)
+    queue = device.submission_queue
+    return (engine.now, accepted, queue.total_enqueued, queue.total_dequeued,
+            queue.high_watermark, queue.snapshot(),
+            list(device.stats.items()), arbiter.remaining_beats,
+            arbiter.sequences_completed)
 
 
 class TestWorkFetchPath:

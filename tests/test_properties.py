@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from collections import Counter, deque
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.common.stats import geometric_mean
 from repro.cpu.rocc import RoccInstruction
@@ -325,23 +325,12 @@ from repro.manager.submission import SubmissionHandler  # noqa: E402
 from repro.picos.device import PicosDevice  # noqa: E402
 from repro.runtime.base import RuntimeResult  # noqa: E402
 from tests.helpers import (  # noqa: E402
+    AcceptLog,
+    PerPacketPicosDevice,
     PerPacketSubmissionHandler,
     PollingPicosDevice,
     picos_config,
 )
-
-
-class _AcceptLog(TaskGraph):
-    """A task graph that logs ``(sw_id, cycle)`` for every accepted task."""
-
-    def __init__(self, capacity, engine, log):
-        super().__init__(capacity)
-        self.engine = engine
-        self.log = log
-
-    def submit(self, sw_id, dependences):
-        self.log.append((sw_id, self.engine.now))
-        return super().submit(sw_id, dependences)
 
 
 def _run_logged(runtime_name, config, program, workers,
@@ -358,7 +347,7 @@ def _run_logged(runtime_name, config, program, workers,
     class Logged(device_class):
         def __init__(self, engine, costs, name="picos"):
             super().__init__(engine, costs, name)
-            self.graph = _AcceptLog(costs.max_in_flight_tasks, engine, log)
+            self.graph = AcceptLog(costs.max_in_flight_tasks, engine, log)
 
     runtime = registry.runtime(runtime_name).cls(config)
     try:
@@ -449,23 +438,57 @@ def intake_runs(draw):
             draw(st.integers(1, 4)))
 
 
-def test_direct_intake_matches_per_packet_pump():
-    # In-place zero runs taken, by ``submission_packet_cycles``.
-    zero_runs = Counter()
-    take_zero_packets = PicosDevice.take_zero_packets
+def _stalling_intake_run(packet_cycles):
+    """Six independent tasks through a one-task reservation station and a
+    16-packet queue: the pump fills the queue during each stall, then
+    runs in lockstep with the inserter, which also drains it alone."""
+    program = TaskProgram(name="intake", tasks=[
+        Task(index=index, payload_cycles=500,
+             dependences=(TaskDependence(0x9000_0000 + 64 * index,
+                                         Direction.OUT),))
+        for index in range(6)
+    ])
+    config = picos_config(SimConfig(max_cycles=2_000_000),
+                          submission_packet_cycles=packet_cycles,
+                          submission_queue_depth=16, max_in_flight_tasks=1)
+    return "phentos", config, program, 2
 
-    def counted(device, count):
+
+def test_direct_intake_matches_per_packet_pump():
+    # Steps that moved several packets at once, by kind and by
+    # ``submission_packet_cycles``: zeros handed to a parked inserter
+    # ("intake"), zeros put into room in the queue while the inserter is
+    # busy or stalled ("fill"), lockstep cycles the inserter ran against a
+    # Zero Padder blocked on the full queue ("lockstep"), and queued
+    # packets it took with nobody blocked on the queue ("drain").
+    collapses = Counter()
+    take_zero_packets = PicosDevice.take_zero_packets
+    drain_in_place = PicosDevice._drain_in_place
+
+    def counted_take(device, count):
+        kind = "intake" if device.submission_queue._get_waiters else "fill"
         taken = take_zero_packets(device, count)
         if taken:
-            zero_runs[device.costs.submission_packet_cycles] += 1
+            collapses[kind, device.costs.submission_packet_cycles] += 1
         return taken
+
+    def counted_drain(device):
+        zeros = device.padder_zeros
+        packets = len(device._partial)
+        drain_in_place(device)
+        if len(device._partial) != packets:
+            kind = "lockstep" if device.padder_zeros != zeros else "drain"
+            collapses[kind, device.costs.submission_packet_cycles] += 1
 
     @settings(max_examples=120, deadline=None)
     @given(intake_runs())
+    @example(_stalling_intake_run(0))
+    @example(_stalling_intake_run(1))
     def check(run):
         runtime_name, config, program, workers = run
         packet_log, per_packet = _run_logged(
             runtime_name, config, program, workers,
+            device_class=PerPacketPicosDevice,
             handler_class=PerPacketSubmissionHandler)
         direct_log, direct = _run_logged(runtime_name, config, program,
                                          workers)
@@ -476,12 +499,16 @@ def test_direct_intake_matches_per_packet_pump():
             assert (list(direct.stats.items())
                     == list(per_packet.stats.items()))
 
-    with mock.patch.object(PicosDevice, "take_zero_packets", counted):
+    with mock.patch.object(PicosDevice, "take_zero_packets", counted_take), \
+            mock.patch.object(PicosDevice, "_drain_in_place",
+                              counted_drain):
         check()
-    # The generated runs must really have moved zero runs in place, with
-    # and without a packet cost.
-    assert zero_runs[0] > 0
-    assert sum(zero_runs.values()) > zero_runs[0]
+    # The runs must really have taken every kind of step, with and without
+    # a packet cost; the two pinned runs take them all.
+    for kind in ("intake", "fill", "lockstep", "drain"):
+        assert collapses[kind, 0] > 0, (kind, collapses)
+        assert any(collapses[kind, cycles] for cycles in (1, 2, 3)), \
+            (kind, collapses)
 
 
 # --------------------------------------------------------------------- #
