@@ -20,13 +20,18 @@ Rendered tables are also written to ``benchmarks/results/`` so the numbers
 can be archived next to ``EXPERIMENTS.md`` — but only for the paper's
 configuration (full inputs on eight workers), since those files are the
 tracked reference tables; a quick or resized run leaves them untouched.
+The same configuration's sweep is the full-size sweep whose 148 result
+hashes ``tests/data/full_result_hashes.json`` pins, so it is checked
+against them too (``test_full_result_hashes.py``).
 """
 
 from __future__ import annotations
 
+import importlib.util
+import json
 import os
 from pathlib import Path
-from typing import Optional
+from typing import Dict, Optional
 
 import pytest
 
@@ -34,6 +39,9 @@ from repro.common.config import SimConfig
 from repro.harness import ExperimentEngine
 
 RESULTS_DIR = Path(__file__).parent / "results"
+REPO_ROOT = Path(__file__).resolve().parent.parent
+#: Hashes the 148 full-size results and pins them; see its docstring.
+RECORDER = REPO_ROOT / "tools" / "record_quick_result_hashes.py"
 
 
 def quick_mode() -> bool:
@@ -57,6 +65,31 @@ def cache_dir():
     return Path(value) if value else None
 
 
+def paper_configuration() -> bool:
+    """True for the paper's configuration: full inputs on eight workers."""
+    return not quick_mode() and worker_count() == 8
+
+
+def load_recorder():
+    """The result-hash recorder, ``tools/record_quick_result_hashes.py``."""
+    spec = importlib.util.spec_from_file_location("record_quick_result_hashes",
+                                                  RECORDER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def full_size_hashes(runs) -> Dict[str, Dict[str, str]]:
+    """The hashes of a sweep's results and the pinned full-size ones."""
+    recorder = load_recorder()
+    actual: Dict[str, str] = {}
+    for run in runs:
+        actual.update(recorder.run_hashes(run))
+    expected = json.loads(recorder.FULL_OUT.read_text(encoding="utf-8"))
+    return {"actual": actual, "expected": expected,
+            "changed": recorder.changed_keys(actual, expected)}
+
+
 def write_result(name: str, text: str) -> Optional[Path]:
     """Persist a rendered table under ``benchmarks/results/``.
 
@@ -64,7 +97,7 @@ def write_result(name: str, text: str) -> Optional[Path]:
     there; any other run returns None and leaves the tracked tables as
     they are.
     """
-    if quick_mode() or worker_count() != 8:
+    if not paper_configuration():
         return None
     RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     path = RESULTS_DIR / name

@@ -35,15 +35,14 @@ HOT_FUNCTIONS: Dict[str, FrozenSet[str]] = {
         "__new__", "__init__", "_loop", "_finish", "_schedule", "_resume",
         "_handle_delay", "_handle_put", "_handle_get", "_handle_wait",
         "_handle_fork", "_handle_join", "schedule_callback", "trigger",
-        "advance", "run_ahead_limit", "run_ahead_steps",
+        "advance", "run_ahead_limit", "cycle_pending",
     }),
     "repro/sim/queues.py": frozenset({
         "try_put", "try_get", "_blocking_put", "_blocking_get", "_enqueue",
         "_dequeue", "_pop_item", "_wake_getters", "_wake_putters",
-        "_notify", "_land", "try_put_quiet", "try_get_quiet", "drain",
+        "_notify", "_land",
     }),
-    "repro/sim/arbiters.py": frozenset({"_kick", "_grant",
-                                        "transfer_beats"}),
+    "repro/sim/arbiters.py": frozenset({"_kick", "_grant"}),
     "repro/memory/mesi.py": frozenset({"access"}),
     "repro/memory/hierarchy.py": frozenset({
         "load", "store", "atomic_rmw", "touch_lines", "_access", "acquire",
@@ -54,15 +53,18 @@ HOT_FUNCTIONS: Dict[str, FrozenSet[str]] = {
         "rocc",
     }),
     "repro/picos/device.py": frozenset({
-        "try_intake", "take_zero_packets", "_submission_pipeline",
-        "_drain_in_place", "_insert_task",
+        "insert_descriptor", "_submission_pipeline", "_insert_task",
         "_retirement_pipeline", "_kick_emitter", "_emit_ready",
     }),
     "repro/picos/dependence.py": frozenset({
         "submit", "retire", "has_capacity", "predecessors_for",
         "forget_task",
     }),
-    "repro/manager/submission.py": frozenset({"_pump"}),
+    "repro/manager/submission.py": frozenset({
+        "announce", "push_packet", "push_packets", "push", "_pump",
+        "_advance", "_hand_on", "_request", "_pass_grant", "_passed",
+        "_run",
+    }),
     "repro/runtime/base.py": frozenset({"wait_for_signals"}),
     "repro/runtime/nanos_machinery.py": frozenset({"_charge"}),
 }

@@ -70,6 +70,7 @@ class SoC:
                 self.manager = PicosManager(
                     self.engine, self.picos, machine.num_cores,
                     self.config.costs.picos,
+                    handshake_cycles=self.config.costs.rocc.manager_handshake,
                 )
                 for core in self.cores:
                     delegate = PicosDelegate(core.core_id, self.engine,

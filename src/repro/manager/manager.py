@@ -50,7 +50,8 @@ class PicosManager:
     """One Picos Manager serving ``num_cores`` Picos Delegates."""
 
     def __init__(self, engine: Engine, device: PicosDevice, num_cores: int,
-                 costs: PicosCosts, name: str = "picos_manager") -> None:
+                 costs: PicosCosts, name: str = "picos_manager",
+                 handshake_cycles: int = 1) -> None:
         if num_cores <= 0:
             raise ProtocolError("num_cores must be positive")
         self.engine = engine
@@ -65,7 +66,8 @@ class PicosManager:
         from repro.manager.workfetch import WorkFetchUnit
 
         self.submission_handler = SubmissionHandler(
-            engine, device, num_cores, costs, name=f"{name}.submission"
+            engine, device, num_cores, costs, name=f"{name}.submission",
+            handshake_cycles=handshake_cycles,
         )
         self.work_fetch = WorkFetchUnit(
             engine, device, num_cores, costs, name=f"{name}.workfetch"

@@ -22,25 +22,13 @@ inserter resumes on the grid of a re-check every ``retire_cycles`` cycles
 from the moment it stalled, so tasks are accepted in exactly the cycles a
 polling inserter would accept them.
 
-Intake is direct when the inserter has caught up: while it is parked on
-an empty submission queue, the Submission Handler appends each packet but
-a descriptor's last straight to the partial descriptor
-(:meth:`PicosDevice.try_intake`, or :meth:`PicosDevice.take_zero_packets`
-for a run of zero padding) instead of waking the inserter for every
-packet.  The last packet goes through the queue and wakes the inserter in
-the cycle, and at the place in that cycle, where the per-packet path
-would have.
-
-When the inserter has fallen behind instead, it still takes one packet
-per ``submission_packet_cycles`` from the queue, but the packets it would
-take while no other process has an event due (every step ends by
-:meth:`Engine.run_ahead_limit <repro.sim.engine.Engine.run_ahead_limit>`)
-are taken in one step, short of the descriptor's 48th, whose insert stays
-a step of its own.  That includes a Zero Padder blocked on the full queue:
-each of its lockstep cycles with the inserter lets one zero in, and the
-producer publishes how many it has left in
-:attr:`PicosDevice.padder_zeros`, so that the inserter can run those
-cycles for it, short of its last packet, and count them off.
+The device's own inserter takes one packet per ``submission_packet_cycles``
+from the submission queue; the Picos++/AXI path streams descriptors into
+it.  Behind Picos Manager the Submission Handler's
+:class:`~repro.manager.submission.SubmissionStream` evaluates that packet
+path arithmetically instead and hands each complete descriptor to
+:meth:`PicosDevice.insert_descriptor`, in the cycle and at the place in
+that cycle where this inserter would have inserted it.
 """
 
 from __future__ import annotations
@@ -88,8 +76,8 @@ class PicosDevice:
 
     __slots__ = ("engine", "costs", "name", "stats", "graph", "_sw_ids",
                  "submission_queue", "ready_queue", "retirement_queue",
-                 "_partial", "_ready_backlog", "_emitter_busy", "_slot_freed",
-                 "padder_zeros", "_submission_process", "_retirement_process")
+                 "_ready_backlog", "_emitter_busy", "_slot_freed",
+                 "_submission_process", "_retirement_process")
 
     def __init__(self, engine: Engine, costs: PicosCosts,
                  name: str = "picos") -> None:
@@ -109,20 +97,12 @@ class PicosDevice:
         self.retirement_queue: DecoupledQueue[int] = DecoupledQueue(
             engine, costs.retirement_queue_depth, name=f"{name}.retirement"
         )
-        #: Packets of the descriptor being reassembled, in arrival order.
-        self._partial: List[int] = []
         #: Tasks whose predecessors are satisfied but whose three ready
         #: packets have not yet been pushed into the ready queue.
         self._ready_backlog: Deque[ReadyTask] = deque()
         self._emitter_busy = False
         #: The event a stalled inserter waits on; set only while it waits.
         self._slot_freed: Optional[Event] = None
-        #: While a producer's put of a Zero Padder packet is pending: the
-        #: zero packets it has left before its descriptor's last, the one
-        #: being put included; 0 otherwise.  The inserter counts off those
-        #: it moves in lockstep, and the producer reads back from here how
-        #: far it got when it wakes.
-        self.padder_zeros = 0
         # Whenever the consumer drains ready packets, try to emit more.
         self.ready_queue.subscribe_dequeue(self._kick_emitter)
         self._submission_process = engine.spawn(
@@ -147,63 +127,22 @@ class PicosDevice:
         except KeyError as exc:
             raise PicosError(f"unknown picos id {picos_id}") from exc
 
-    def try_intake(self, packet: int) -> bool:
-        """Hand ``packet`` straight to a caught-up inserter.
+    def insert_descriptor(self, packets: List[int]) -> ProcessGen:
+        """Decode a complete 48-packet descriptor and insert it.
 
-        When the inserter is parked on the empty submission queue and
-        ``packet`` does not complete the descriptor, append it to the
-        partial descriptor and return True: that is what the inserter would
-        do ``submission_packet_cycles`` after a queue hand-off, and it stays
-        parked meanwhile.  Otherwise return False, and the caller puts
-        ``packet`` into the submission queue.
-
-        The two paths give identical results only for a producer that is
-        the queue's sole writer for the whole descriptor and waits at least
-        ``submission_packet_cycles`` between packets, as the Submission
-        Handler's pumps do.
+        The inserter's work once it has appended a descriptor's last
+        packet: dependence analysis, the wait for a free reservation-station
+        slot if the station is full, and the insert itself.
         """
-        partial = self._partial
-        if (self.submission_queue._get_waiters
-                and len(partial) < PACKETS_PER_DESCRIPTOR - 1):
-            partial.append(packet)
-            self.stats.incr("submission_packets")
-            return True
-        return False
-
-    def take_zero_packets(self, count: int) -> int:
-        """Take up to ``count`` zero packets from the producer in one step.
-
-        A caught-up inserter takes all of them, as ``count`` calls of
-        :meth:`try_intake` with a zero packet would, when none of those
-        would complete the descriptor.  Otherwise, when nobody waits on
-        the submission queue, as many as it has room for enter it, as that
-        many puts would.  Return how many were taken.  The Submission
-        Handler uses it for Zero Padder packets before a descriptor's last,
-        only when their packet steps would all advance in place.
-        """
-        queue = self.submission_queue
-        if queue._get_waiters:
-            partial = self._partial
-            if len(partial) + count >= PACKETS_PER_DESCRIPTOR:
-                return 0
-            partial += [0] * count
-            self.stats.add("submission_packets", count)
-            return count
-        room = queue.capacity - len(queue._items)
-        if room < count:
-            count = room
-        if count > 0 and queue.try_put_quiet([0] * count):
-            return count
-        return 0
+        return self._insert_task(decode_descriptor(packets))
 
     # ------------------------------------------------------------------ #
     # Pipelines
     # ------------------------------------------------------------------ #
     def _submission_pipeline(self) -> ProcessGen:
         """Reassemble 48-packet descriptors and insert them in the graph."""
-        partial = self._partial
-        queue = self.submission_queue
-        next_packet = Get(queue)
+        partial: List[int] = []
+        next_packet = Get(self.submission_queue)
         packet_delay = Delay(self.costs.submission_packet_cycles)
         stats = self.stats
         while True:
@@ -211,54 +150,9 @@ class PicosDevice:
             yield packet_delay
             partial.append(packet)
             stats.incr("submission_packets")
-            if len(partial) < PACKETS_PER_DESCRIPTOR:
-                if queue._items:
-                    self._drain_in_place()
-                continue
-            descriptor = decode_descriptor(partial)
-            partial.clear()
-            yield from self._insert_task(descriptor)
-
-    def _drain_in_place(self) -> None:
-        """Take queued packets in one step while nothing else can run.
-
-        The inserter has just appended a packet short of the descriptor's
-        48th.  Per packet, it would take the queue head, wait
-        ``submission_packet_cycles`` and append it.  When every such step
-        ends by the run-ahead limit, no other process runs meanwhile, so as
-        many steps as fit run here at once, short of the 48th packet:
-
-        * with nobody blocked on the queue, as many as it holds;
-        * with a producer blocked putting one of its :attr:`padder_zeros`
-          into the full queue, each step also lets that zero in and wakes
-          the producer, which waits the same cycles and blocks on its next
-          zero: whole lockstep cycles, short of the producer's last
-          packet, whose put ends its grant.  They are counted off
-          :attr:`padder_zeros`.
-        """
-        queue = self.submission_queue
-        count = PACKETS_PER_DESCRIPTOR - 1 - len(self._partial)
-        zeros = 0
-        if queue._put_waiters:
-            zeros = self.padder_zeros
-            if zeros < count:
-                count = zeros
-        elif len(queue._items) < count:
-            count = len(queue._items)
-        engine = self.engine
-        cycles = self.costs.submission_packet_cycles
-        if count > 0:
-            count = engine.run_ahead_steps(cycles, count)
-        if count <= 0 or queue._enqueue_observers \
-                or queue._dequeue_observers:
-            return
-        self._partial += queue.drain(count, [0] * count if zeros else [])
-        self.stats.add("submission_packets", count)
-        engine.now += count * cycles
-        if zeros:
-            self.padder_zeros = zeros - count
-            # The producer blocked again on its next zero in the last step.
-            queue._put_waiters[0][0].waiting_since = engine.now
+            if len(partial) == PACKETS_PER_DESCRIPTOR:
+                packets, partial = partial, []
+                yield from self.insert_descriptor(packets)
 
     def _insert_task(self, descriptor: TaskDescriptor) -> ProcessGen:
         costs = self.costs

@@ -209,7 +209,12 @@ class PhentosRuntime(Runtime):
             soc,
             queues=(queue,),
             counters=(state.retired,),
-            predicate=lambda: state.retired.value >= target,
+            # The main thread's unflushed retirements count towards the
+            # target, as they do in _taskwait: a worker's flush that lands
+            # between that read and this wait would otherwise be lost.
+            predicate=lambda: (state.retired.value
+                               + state.private_counters[context.core_id]
+                               >= target),
         )
 
 

@@ -186,22 +186,6 @@ class GuidedArbiter:
             self.sequences_completed += 1
             self._maybe_grant()
 
-    def transfer_beats(self, requester: int, beats: int) -> None:
-        """Account ``beats`` transferred beats that leave the grant held.
-
-        The same as ``beats`` calls of :meth:`transfer_beat` that all stop
-        short of the sequence's last beat.
-        """
-        if self.current_owner != requester \
-                or not 0 <= beats < self.remaining_beats:
-            raise ProtocolError(
-                f"core {requester} cannot transfer {beats} beat(s) short of "
-                f"the end of its sequence on {self.name} "
-                f"(owner={self.current_owner}, "
-                f"remaining={self.remaining_beats})"
-            )
-        self.remaining_beats -= beats
-
     @property
     def busy(self) -> bool:
         """True while some requester holds the grant."""

@@ -19,8 +19,7 @@ modules of Picos Manager exist precisely to bridge that difference.
 from __future__ import annotations
 
 from collections import deque
-from typing import (Any, Deque, Generic, List, Optional, Sequence, Tuple,
-                    TypeVar)
+from typing import Any, Deque, Generic, List, Optional, Tuple, TypeVar
 
 from repro.common.errors import QueueError
 from repro.sim.engine import Engine, Process
@@ -113,53 +112,6 @@ class DecoupledQueue(Generic[T]):
         if not self._items:
             return None
         return self._dequeue()
-
-    def try_put_quiet(self, items: Sequence[T]) -> bool:
-        """Enqueue all of ``items`` at once when that wakes nobody.
-
-        When no process waits on the queue, no enqueue observer is
-        subscribed and there is room for all of ``items``, do what that
-        many :meth:`try_put` calls would and return True; otherwise change
-        nothing and return False.
-        """
-        queue = self._items
-        if (self._get_waiters or self._put_waiters
-                or self._enqueue_observers
-                or len(queue) + len(items) > self.capacity):
-            return False
-        queue.extend(items)
-        self.total_enqueued += len(items)
-        if len(queue) > self.high_watermark:
-            self.high_watermark = len(queue)
-        return True
-
-    def try_get_quiet(self, default: Any = None) -> Any:
-        """Dequeue the head when that wakes nobody, else return ``default``.
-
-        When the queue holds an item, no process waits to put and no
-        dequeue observer is subscribed, do what :meth:`try_get` would;
-        otherwise change nothing.
-        """
-        if not self._items or self._put_waiters or self._dequeue_observers:
-            return default
-        return self._pop_item()
-
-    def drain(self, count: int, refill: List[T]) -> List[T]:
-        """Dequeue ``count`` items at once, ``refill`` entering the tail.
-
-        The same counts as ``count`` dequeues, with each item of
-        ``refill`` let in by one of them from a putter blocked on the full
-        queue (``refill`` empty: nobody is).  The high-water mark stays,
-        as refilling a full queue cannot raise it.  Waiters and observers
-        are left alone, so the caller must know that none would react.
-        """
-        queue = self._items
-        if refill:
-            queue.extend(refill)
-            self.total_enqueued += len(refill)
-        self.total_dequeued += count
-        popleft = queue.popleft
-        return [popleft() for _ in range(count)]
 
     def peek(self) -> T:
         """Return (without removing) the head item."""
@@ -287,10 +239,6 @@ class ProtocolCrossingQueue(DecoupledQueue[T]):
         self._in_flight += 1
         self.engine.schedule_callback(self.delay, lambda: self._land(item))
         return True
-
-    def try_put_quiet(self, items: Sequence[T]) -> bool:
-        # Each put lands by its own callback: there is no one-step form.
-        return False
 
     def _land(self, item: T) -> None:
         self._in_flight -= 1

@@ -1,6 +1,6 @@
 """Workload factories, telemetry helpers, a reference MESI directory, a
-polling Picos device, a per-packet Submission Handler and inserter and a
-reference engine loop shared by the test suite."""
+polling Picos device, a per-packet Submission Handler and a reference
+engine loop shared by the test suite."""
 
 from __future__ import annotations
 
@@ -13,16 +13,14 @@ from repro.common.config import MemoryCosts, SimConfig
 from repro.common.errors import MemoryModelError, SimulationError
 from repro.common.stats import Stats
 from repro.harness.telemetry import TelemetrySink
-from repro.manager.submission import PendingSubmission, SubmissionHandler
+from repro.manager.submission import SubmissionHandler
 from repro.memory.mesi import AccessType, LineState
 from repro.picos.dependence import TaskGraph
 from repro.picos.device import PicosDevice, ReadyTask
-from repro.picos.packets import (PACKETS_PER_DESCRIPTOR, TaskDescriptor,
-                                 decode_descriptor)
+from repro.picos.packets import TaskDescriptor
 from repro.runtime.phentos import PhentosRuntime
 from repro.runtime.task import Task, TaskProgram, in_dep, inout_dep, out_dep
-from repro.sim.engine import (Charge, Delay, Engine, Get, ProcessGen, Put,
-                              Wait)
+from repro.sim.engine import Charge, Delay, Engine, ProcessGen
 
 
 class PluginRuntime(PhentosRuntime):
@@ -291,8 +289,10 @@ class PollingPicosDevice(PicosDevice):
 
 
 class AcceptLog(TaskGraph):
-    """A task graph that logs ``(sw_id, cycle)`` for every accepted task,
-    so differential tests can compare accept cycles."""
+    """A task graph that logs ``(sw_id, cycle)`` for every accepted task
+    and ``("retired", task_id, cycle)`` for every retirement, in the order
+    they happen, so differential tests can compare accept cycles and their
+    order against retirements in the same cycle."""
 
     def __init__(self, capacity, engine, log):
         super().__init__(capacity)
@@ -303,59 +303,27 @@ class AcceptLog(TaskGraph):
         self.log.append((sw_id, self.engine.now))
         return super().submit(sw_id, dependences)
 
+    def retire(self, task_id):
+        self.log.append(("retired", task_id, self.engine.now))
+        return super().retire(task_id)
+
 
 # ---------------------------------------------------------------------- #
-# Per-packet Submission Handler and inserter
+# Per-packet Submission Handler
 # ---------------------------------------------------------------------- #
-class PerPacketPicosDevice(PicosDevice):
-    """``PicosDevice`` with the inserter that lockstep draining replaced:
-    it takes every packet from the submission queue, one
-    ``submission_packet_cycles`` step at a time, whoever is blocked on the
-    queue.  Paired with ``PerPacketSubmissionHandler``, differential tests
-    drive both pairs with the same program and require identical accept
-    cycles, results and stats.
-    """
-
-    def _submission_pipeline(self) -> ProcessGen:
-        while True:
-            packet = yield Get(self.submission_queue)
-            yield Delay(self.costs.submission_packet_cycles)
-            self._partial.append(packet)
-            self.stats.incr("submission_packets")
-            if len(self._partial) < PACKETS_PER_DESCRIPTOR:
-                continue
-            descriptor = decode_descriptor(self._partial)
-            self._partial.clear()
-            yield from self._insert_task(descriptor)
-
-
 class PerPacketSubmissionHandler(SubmissionHandler):
-    """``SubmissionHandler`` with the pump that direct intake and zero runs
-    replaced: every packet, zero padding included, goes through the Picos
-    submission queue one ``Put`` at a time and wakes the inserter.
-    Differential tests drive both with the same program and require
-    identical accept cycles, results and stats.
+    """``SubmissionHandler`` that runs the packet path stepped whatever the
+    costs: a pump process per core puts every packet, zero padding
+    included, into the Picos submission queue one ``Put`` at a time, and
+    the device's own inserter takes each one.  Differential tests drive it
+    and the arithmetic :class:`~repro.manager.submission.SubmissionStream`
+    with the same program and require identical accept cycles, results and
+    stats.
     """
 
-    def _pump(self, core_id: int) -> ProcessGen:
-        while True:
-            pending: PendingSubmission = yield Get(self._announcements[core_id])
-            grant = self.arbiter.request(core_id, PACKETS_PER_DESCRIPTOR)
-            yield Wait(grant)
-            for _ in range(pending.nonzero_packets):
-                word = yield Get(self._buffers[core_id])
-                yield Delay(self.costs.submission_packet_cycles)
-                yield Put(self.device.submission_queue, word)
-                self.arbiter.transfer_beat(core_id)
-            for _ in range(PACKETS_PER_DESCRIPTOR - pending.nonzero_packets):
-                yield Delay(self.costs.submission_packet_cycles)
-                yield Put(self.device.submission_queue, 0)
-                self.arbiter.transfer_beat(core_id)
-            self.stats.incr("descriptors_forwarded")
-            self.stats.add(
-                "zero_packets_padded",
-                PACKETS_PER_DESCRIPTOR - pending.nonzero_packets,
-            )
+    @staticmethod
+    def stream_is_exact(costs, handshake_cycles):
+        return False
 
 
 # ---------------------------------------------------------------------- #
@@ -386,7 +354,9 @@ class ReferenceEngine(Engine):
         while remaining[0]:
             if not bucket:
                 if not heap:
-                    return True
+                    if not self._drained():
+                        return True
+                    continue
                 now = heap[0][0]
                 if now > horizon:
                     if not clamp:

@@ -494,40 +494,39 @@ def test_run_ahead_limit_refuses_outside_a_running_loop():
     assert engine.now == 1
 
 
-def test_run_ahead_steps_counts_the_steps_that_fit_by_the_limit():
-    engine = Engine()
-    seen = []
-
-    def sleeper():
-        yield Delay(10)
-
-    def prober():
-        # The limit is 9: three 3-cycle steps fit, a fourth would not.
-        seen.append([engine.run_ahead_steps(3, count) for count in (2, 5)])
-        seen.append(engine.run_ahead_steps(0, 7))
-        assert engine.advance(3) and engine.advance(3) and engine.advance(3)
-        assert not engine.advance(1)
-        yield Delay(1)
-
-    engine.spawn(sleeper())
-    engine.spawn(prober())
-    engine.run()
-    assert seen == [[2, 3], 7]
-
-
-def test_run_ahead_steps_refuses_with_a_non_empty_bucket():
+def test_cycle_pending_reports_the_same_cycle_bucket():
     engine = Engine()
     seen = []
 
     def prober():
-        seen.append((engine.run_ahead_steps(0, 4),
-                     engine.run_ahead_steps(2, 4)))
-        yield Delay(1)
+        seen.append(engine.cycle_pending())
+        yield Delay(2)
+        seen.append(engine.cycle_pending())
 
     engine.spawn(prober())
     engine.spawn(_limit_prober(engine, [], []))  # still in the bucket at 0
     engine.run()
-    assert seen == [(0, 0)]
+    assert seen == [True, False]
+
+
+def test_drain_hook_may_put_a_last_step_on_the_clock():
+    engine = Engine()
+    calls = []
+
+    def hook():
+        calls.append(engine.now)
+        if len(calls) == 1:
+            engine.schedule_callback(5, lambda: None)
+
+    def stuck():
+        yield Wait(engine.event("never"))
+
+    engine.on_drain(hook)
+    process = engine.spawn(stuck(), name="stuck")
+    with pytest.raises(DeadlockError, match="at cycle 5"):
+        engine.run_until_complete([process])
+    # The first drain scheduled a step; the second found nothing more.
+    assert calls == [0, 5]
 
 
 # --------------------------------------------------------------------- #

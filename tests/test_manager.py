@@ -7,20 +7,19 @@ from unittest import mock
 import pytest
 
 from repro.common.config import PicosCosts
-from repro.common.errors import ProtocolError
+from repro.common.errors import DeadlockError, ProtocolError
 from repro.manager.manager import ManagerError, PicosManager
-from repro.manager.submission import PendingSubmission, SubmissionHandler
+from repro.manager.submission import (PendingSubmission, SubmissionHandler,
+                                      SubmissionStream)
 from repro.picos.device import PicosDevice
 from repro.picos.packets import (
     Direction,
     TaskDependence,
     TaskDescriptor,
-    encode_descriptor,
     encode_nonzero_packets,
 )
-from repro.sim.engine import Delay, Engine, Put
-from tests.helpers import (AcceptLog, PerPacketPicosDevice,
-                           PerPacketSubmissionHandler)
+from repro.sim.engine import Delay, Engine, Wait
+from tests.helpers import AcceptLog, PerPacketSubmissionHandler
 
 
 def build(num_cores=2, **cost_overrides):
@@ -72,98 +71,76 @@ class TestSubmissionHandler:
 
     def test_zero_run_moves_in_one_step_into_a_parked_inserter(
             self, monkeypatch):
-        taken = []
-        take_zero_packets = PicosDevice.take_zero_packets
+        resumes = _count_stream_resumes(monkeypatch)
+        stream = _one_descriptor(submission_packet_cycles=2)
+        stepped = _one_descriptor(submission_packet_cycles=2, stepped=True)
+        # The six non-zero packets and the 42 zeros are evaluated, not
+        # stepped: the stream's process wakes when the descriptor is
+        # complete, sleeps to the cycle Picos takes its last packet, waits
+        # out that packet's step, and inserts, as the stepped pipeline does.
+        assert stream == stepped
+        assert resumes == [4]
 
-        def recorded(device, count):
-            taken.append((count, device.engine.now))
-            return take_zero_packets(device, count)
+    def test_zero_run_matches_with_an_event_due_every_cycle(
+            self, monkeypatch):
+        resumes = _count_stream_resumes(monkeypatch)
+        stream = _one_descriptor(sampled=True)
+        stepped = _one_descriptor(sampled=True, stepped=True)
+        # Another process is due in every cycle; the stream still takes
+        # no packet step, and only waits for the end of the cycles in
+        # which it runs.
+        assert stream == stepped
+        assert 4 <= resumes[0] <= 6
 
-        monkeypatch.setattr(PicosDevice, "take_zero_packets", recorded)
-        engine, device, manager = build(num_cores=1,
-                                        submission_packet_cycles=2)
-        descriptor = TaskDescriptor(
-            sw_id=5, dependences=(TaskDependence(0x100, Direction.OUT),)
-        )
-        feed_descriptor(manager, 0, descriptor)
-        run_for(engine, 3_000)
-        # The six non-zero packets took 12 cycles; the 41 zero packets but
-        # the last moved in one step, and the last woke the inserter.
-        assert taken == [(48 - 6 - 1, 12)]
-        assert device.stats.counter("submission_packets") == 48
-        assert device.graph.total_submitted == 1
+    def test_zero_run_fills_the_queue_while_the_inserter_stalls(self):
+        assert (_stall_then_drain(queue_depth=64)
+                == _stall_then_drain(queue_depth=64, stepped=True))
 
-    def test_zero_run_keeps_per_packet_steps_around_a_pending_event(self):
-        engine, device, manager = build(num_cores=1,
-                                        submission_packet_cycles=1)
-        descriptor = TaskDescriptor(
-            sw_id=5, dependences=(TaskDependence(0x100, Direction.OUT),)
-        )
-        feed_descriptor(manager, 0, descriptor)
-        lengths = []
+    def test_lockstep_drain_matches_the_per_packet_pair(self):
+        assert _stall_then_drain() == _stall_then_drain(stepped=True)
 
-        def sampler():
-            for _ in range(60):
+    def test_full_queue_run_matches_with_an_event_each_cycle(self):
+        assert (_stall_then_drain(sampled=True)
+                == _stall_then_drain(sampled=True, stepped=True))
+
+    def test_deadlock_is_reported_at_the_last_packet_step(self):
+        # The one-task station fills with the first task and never drains:
+        # Picos parks on the second, and the pump puts the third into the
+        # queue after every other process has stopped.
+        assert (_never_retiring(stepped=False)
+                == _never_retiring(stepped=True))
+
+    def test_push_in_the_freeing_cycle_meets_the_full_buffer(self):
+        # A 15-dependence prefix (48 words) outgrows the 16-word buffer,
+        # and a pump frees one word per cycle: a push in a cycle in which
+        # the pump takes a word runs before that take, as the delegate's
+        # handshake puts it among the cycle's first steps.
+        engine, device, manager = build(num_cores=1)
+        handler = manager.submission_handler
+        descriptor = TaskDescriptor(sw_id=3, dependences=tuple(
+            TaskDependence(0x1000 + 64 * slot, Direction.OUT)
+            for slot in range(15)))
+        packets = encode_nonzero_packets(descriptor)
+        assert manager.announce_submission(0, len(packets))
+        outcomes = []
+
+        def core():
+            offset = 0
+            while offset < len(packets):
+                accepted = manager.submit_packets(
+                    0, packets[offset:offset + 3])
+                outcomes.append((engine.now, accepted))
+                offset += 3 if accepted else 0
                 yield Delay(1)
-                lengths.append(len(device._partial))
 
-        engine.run_until_complete([engine.spawn(sampler())])
-        # Another process is always due within the run, so the pump keeps
-        # to one packet per cycle and that process sees each one arrive.
-        assert max(lengths) == 47
-        assert all(later - earlier <= 1
-                   for earlier, later in zip(lengths, lengths[1:])
-                   if later)
-        assert device.stats.counter("submission_packets") == 48
-
-    def test_zero_run_fills_the_queue_while_the_inserter_stalls(
-            self, monkeypatch):
-        fills = []
-        take_zero_packets = PicosDevice.take_zero_packets
-
-        def recorded(device, count):
-            waiting = bool(device.submission_queue._get_waiters)
-            taken = take_zero_packets(device, count)
-            if taken and not waiting:
-                fills.append(device._slot_freed is not None)
-            return taken
-
-        monkeypatch.setattr(PicosDevice, "take_zero_packets", recorded)
-        fast = _stall_then_drain(queue_depth=64)
-        reference = _stall_then_drain(queue_depth=64, per_packet=True)
-        # Zeros went into the queue in one step while the inserter was
-        # parked on the full station (and while it was busy).
-        assert True in fills
-        assert fast == reference
-
-    def test_lockstep_drain_matches_the_per_packet_pair(self, monkeypatch):
-        steps = _record_lockstep(monkeypatch)
-        fast = _stall_then_drain()
-        reference = _stall_then_drain(per_packet=True)
-        assert steps and all(count > 0 for count, _ in steps)
-        assert fast == reference
-
-    def test_lockstep_drain_never_ends_a_descriptor_or_the_grant(
-            self, monkeypatch):
-        steps = _record_lockstep(monkeypatch)
-        _stall_then_drain()
-        # Every step stopped short of the inserter's 48th packet and of
-        # the pump's last one: the pump is still blocked on a put, so it
-        # has not transferred the beat that ends its grant.
-        assert steps
-        for _, (partial, zeros, blocked) in steps:
-            assert partial < 48
-            assert zeros >= 0
-            assert blocked
-
-    def test_lockstep_drain_keeps_per_packet_steps_around_an_event(
-            self, monkeypatch):
-        steps = _record_lockstep(monkeypatch)
-        fast = _stall_then_drain(sampled=True)
-        reference = _stall_then_drain(sampled=True, per_packet=True)
-        # Another process is due every cycle, so no cycle runs in place.
-        assert steps == []
-        assert fast == reference
+        engine.run_until_complete([engine.spawn(core(), name="core")])
+        run_for(engine, 1_000)
+        assert device.graph.total_submitted == 1
+        assert handler.path.refused_as_room_frees > 0
+        # The buffer frees a word per cycle, so a refused push is retried
+        # within three cycles and no push waits for a whole descriptor.
+        refused = [cycle for cycle, accepted in outcomes if not accepted]
+        assert refused and len(refused) < 3 * len(outcomes)
 
     def test_submissions_from_different_cores_do_not_interleave(self):
         engine, device, manager = build()
@@ -177,7 +154,8 @@ class TestSubmissionHandler:
         # Both descriptors decoded correctly means no packet interleaving.
         assert device.graph.total_submitted == 2
         assert sorted(device._sw_ids.values()) == [1, 2]
-        assert manager.submission_handler.arbiter.sequences_completed == 2
+        handler = manager.submission_handler
+        assert handler.stats.counter("descriptors_forwarded") == 2
 
     def test_announcement_validation(self):
         with pytest.raises(ProtocolError):
@@ -210,12 +188,15 @@ class TestSubmissionHandler:
     def test_submit_three_packets_is_all_or_nothing(self):
         engine, device, manager = build()
         manager.announce_submission(0, 48)
-        buffer = manager.submission_handler._buffers[0]
-        while buffer.capacity - len(buffer) >= 3:
-            assert manager.submit_packets(0, (1, 2, 3))
-        before = len(buffer)
+        stats = manager.submission_handler.stats
+        triples = 0
+        while manager.submit_packets(0, (1, 2, 3)):
+            triples += 1
+        # Five triples fill 15 of the 16 words; the sixth does not fit and
+        # buffers nothing.
+        assert triples == 5
         assert not manager.submit_packets(0, (4, 5, 6))
-        assert len(buffer) == before
+        assert stats.counter("packets_buffered") == 15
 
     def test_core_bounds_checked(self):
         engine, device, manager = build(num_cores=2)
@@ -231,56 +212,102 @@ def _one_dependence(sw_id):
     )
 
 
-def _record_lockstep(monkeypatch):
-    """Record each lockstep step the inserter takes as ``(cycles run,
-    (partial length, zeros left, pump still blocked))`` just after it."""
-    steps = []
-    drain_in_place = PicosDevice._drain_in_place
+def _count_stream_resumes(monkeypatch):
+    """Count, per stream, how often the engine resumes its process."""
+    resumes = []
+    run = SubmissionStream._run
 
-    def recorded(device):
-        zeros = device.padder_zeros
-        drain_in_place(device)
-        if device.padder_zeros != zeros:
-            blocked = bool(device.submission_queue._put_waiters)
-            steps.append((zeros - device.padder_zeros,
-                          (len(device._partial), device.padder_zeros,
-                           blocked)))
+    def counted(stream):
+        index = len(resumes)
+        resumes.append(0)
+        inner = run(stream)
+        value = None
+        while True:
+            command = inner.send(value)
+            resumes[index] += 1
+            value = yield command
 
-    monkeypatch.setattr(PicosDevice, "_drain_in_place", recorded)
-    return steps
+    monkeypatch.setattr(SubmissionStream, "_run", counted)
+    return resumes
 
 
-def _stall_then_drain(queue_depth=8, per_packet=False, sampled=False):
-    """A one-task station with the inserter parked on the second of two
-    descriptors streamed straight into the queue, until the first retires
-    at cycle 400.  A third descriptor, from a pump from cycle 200, backs
-    up behind the stall: with an 8-packet queue its Zero Padder blocks on the full
-    queue, and the inserter then drains it in lockstep.  Returns every
-    counter the two pump/inserter pairs must agree on."""
+def _handler_class(stepped):
+    return PerPacketSubmissionHandler if stepped else SubmissionHandler
+
+
+def _one_descriptor(stepped=False, sampled=False, **costs):
+    """One single-dependence descriptor from core 0; returns the accept
+    cycles and every stat the two packet paths must agree on."""
+    engine = Engine()
+    costs = PicosCosts(**costs)
+    device = PicosDevice(engine, costs)
+    accepted = []
+    device.graph = AcceptLog(costs.max_in_flight_tasks, engine, accepted)
+    with mock.patch("repro.manager.submission.SubmissionHandler",
+                    _handler_class(stepped)):
+        manager = PicosManager(engine, device, 1, costs)
+    feed_descriptor(manager, 0, _one_dependence(5))
+    if sampled:
+        def sampler():
+            for _ in range(200):
+                yield Delay(1)
+
+        engine.run_until_complete([engine.spawn(sampler(), name="sampler")])
+    run_for(engine, 3_000)
+    return (engine.now, accepted, list(device.stats.items()),
+            list(manager.submission_handler.stats.items()))
+
+
+def _never_retiring(stepped):
+    """Three descriptors from core 0 into a one-task station that never
+    drains, and a process waiting for nothing; returns the deadlock."""
+    engine = Engine()
+    costs = PicosCosts(max_in_flight_tasks=1)
+    device = PicosDevice(engine, costs)
+    with mock.patch("repro.manager.submission.SubmissionHandler",
+                    _handler_class(stepped)):
+        manager = PicosManager(engine, device, 1, costs)
+
+    def core():
+        for sw_id in (1, 2, 3):
+            packets = encode_nonzero_packets(_one_dependence(sw_id))
+            yield Delay(3)
+            assert manager.announce_submission(0, len(packets))
+            for offset in range(0, len(packets), 3):
+                yield Delay(3)
+                while not manager.submit_packets(0,
+                                                 packets[offset:offset + 3]):
+                    yield Delay(3)
+        yield Wait(engine.event("never"))
+
+    with pytest.raises(DeadlockError) as error:
+        engine.run_until_complete([engine.spawn(core(), name="core")])
+    return str(error.value), device.graph.total_submitted
+
+
+def _stall_then_drain(queue_depth=8, stepped=False, sampled=False):
+    """A one-task station with Picos parked on the second of two
+    descriptors from core 0 until the first retires at cycle 400.  A third
+    descriptor, from core 1 at cycle 200, backs up behind the stall: with
+    an 8-packet queue its Zero Padder meets the full queue, and then runs
+    against Picos's takes.  Returns every counter the two packet paths
+    must agree on."""
     engine = Engine()
     costs = PicosCosts(max_in_flight_tasks=1,
                        submission_queue_depth=queue_depth)
-    device_class = PerPacketPicosDevice if per_packet else PicosDevice
-    device = device_class(engine, costs)
+    device = PicosDevice(engine, costs)
     accepted = []
     device.graph = AcceptLog(costs.max_in_flight_tasks, engine, accepted)
-    handler_class = (PerPacketSubmissionHandler if per_packet
-                     else SubmissionHandler)
     with mock.patch("repro.manager.submission.SubmissionHandler",
-                    handler_class):
-        manager = PicosManager(engine, device, 1, costs)
-    arbiter = manager.submission_handler.arbiter
+                    _handler_class(stepped)):
+        manager = PicosManager(engine, device, 2, costs)
 
     def feeder():
-        # The first two straight into the queue, and the third only once
-        # the inserter has stalled on the second, so that no packet of the
-        # third finds the inserter parked on an empty queue.
         for sw_id in (1, 2):
-            for packet in encode_descriptor(_one_dependence(sw_id)):
-                yield Put(device.submission_queue, packet)
+            feed_descriptor(manager, 0, _one_dependence(sw_id))
         yield Delay(200 - engine.now)
         assert device._slot_freed is not None
-        feed_descriptor(manager, 0, _one_dependence(3))
+        feed_descriptor(manager, 1, _one_dependence(3))
         yield Delay(400 - engine.now)
         first = next(pid for pid, sw in device._sw_ids.items() if sw == 1)
         assert device.retirement_queue.try_put(first)
@@ -294,11 +321,8 @@ def _stall_then_drain(queue_depth=8, per_packet=False, sampled=False):
         processes.append(engine.spawn(sampler(), name="sampler"))
     engine.run_until_complete(processes)
     run_for(engine, 2_000)
-    queue = device.submission_queue
-    return (engine.now, accepted, queue.total_enqueued, queue.total_dequeued,
-            queue.high_watermark, queue.snapshot(),
-            list(device.stats.items()), arbiter.remaining_beats,
-            arbiter.sequences_completed)
+    return (engine.now, accepted, list(device.stats.items()),
+            list(manager.submission_handler.stats.items()))
 
 
 class TestWorkFetchPath:

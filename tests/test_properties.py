@@ -321,12 +321,16 @@ from unittest import mock  # noqa: E402
 from repro import registry  # noqa: E402
 from repro.common.config import SimConfig  # noqa: E402
 from repro.common.errors import SimulationError  # noqa: E402
-from repro.manager.submission import SubmissionHandler  # noqa: E402
+from repro.common.config import PicosCosts  # noqa: E402
+from repro.manager.manager import PicosManager  # noqa: E402
+from repro.manager.submission import (  # noqa: E402
+    SubmissionHandler, SubmissionStream)
+from repro.picos.packets import encode_nonzero_packets  # noqa: E402
+from repro.sim.engine import Delay  # noqa: E402
 from repro.picos.device import PicosDevice  # noqa: E402
 from repro.runtime.base import RuntimeResult  # noqa: E402
 from tests.helpers import (  # noqa: E402
     AcceptLog,
-    PerPacketPicosDevice,
     PerPacketSubmissionHandler,
     PollingPicosDevice,
     picos_config,
@@ -334,14 +338,15 @@ from tests.helpers import (  # noqa: E402
 
 
 def _run_logged(runtime_name, config, program, workers,
-                device_class=PicosDevice, handler_class=SubmissionHandler):
+                device_class=PicosDevice, handler_class=SubmissionHandler,
+                handlers=None):
     """Run ``program`` on an SoC whose Picos is ``device_class`` and whose
     Picos Manager forwards submissions through ``handler_class``.
 
-    Returns the accept log and the ``RuntimeResult``, or the failure as
-    ``(exception class name, message)``: some generated programs hit a
-    lost wake-up in the runtime models, and both variants must then fail
-    the same way."""
+    Returns the accept log (with retirements) and the ``RuntimeResult``,
+    or the failure as ``(exception class name, message)``: both variants
+    must then fail the same way.  The handler is appended to ``handlers``
+    when given."""
     log = []
 
     class Logged(device_class):
@@ -349,11 +354,17 @@ def _run_logged(runtime_name, config, program, workers,
             super().__init__(engine, costs, name)
             self.graph = AcceptLog(costs.max_in_flight_tasks, engine, log)
 
+    class Recorded(handler_class):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            if handlers is not None:
+                handlers.append(self)
+
     runtime = registry.runtime(runtime_name).cls(config)
     try:
         with mock.patch("repro.cpu.soc.PicosDevice", Logged), \
                 mock.patch("repro.manager.submission.SubmissionHandler",
-                           handler_class):
+                           Recorded):
             outcome = runtime.run(program, num_workers=workers)
     except SimulationError as exc:
         outcome = (type(exc).__name__, str(exc))
@@ -438,77 +449,201 @@ def intake_runs(draw):
             draw(st.integers(1, 4)))
 
 
-def _stalling_intake_run(packet_cycles):
-    """Six independent tasks through a one-task reservation station and a
-    16-packet queue: the pump fills the queue during each stall, then
-    runs in lockstep with the inserter, which also drains it alone."""
+def _stalling_intake_run(packet_cycles, dependences=1, workers=2, **costs):
+    """Six independent tasks through a one-task reservation station and
+    (by default) a 16-packet queue: the pumps fill the queue during each
+    stall and then run against Picos's takes.  With 15 dependences a
+    descriptor's prefix outgrows the 16-word core buffer, so pushes meet a
+    full buffer."""
     program = TaskProgram(name="intake", tasks=[
         Task(index=index, payload_cycles=500,
-             dependences=(TaskDependence(0x9000_0000 + 64 * index,
-                                         Direction.OUT),))
+             dependences=tuple(
+                 TaskDependence(0x9000_0000 + 64 * (16 * index + slot),
+                                Direction.OUT)
+                 for slot in range(dependences)))
         for index in range(6)
     ])
+    costs = {"submission_queue_depth": 16, "max_in_flight_tasks": 1,
+             **costs}
     config = picos_config(SimConfig(max_cycles=2_000_000),
-                          submission_packet_cycles=packet_cycles,
-                          submission_queue_depth=16, max_in_flight_tasks=1)
-    return "phentos", config, program, 2
+                          submission_packet_cycles=packet_cycles, **costs)
+    return "phentos", config, program, workers
+
+
+@st.composite
+def manager_runs(draw):
+    """Descriptors from up to three cores straight into Picos Manager, on
+    random Picos costs, with a driver retiring accepted tasks."""
+    cores = draw(st.integers(1, 3))
+    costs = PicosCosts(
+        submission_packet_cycles=draw(st.integers(0, 3)),
+        submission_queue_depth=draw(st.integers(1, 64)),
+        max_in_flight_tasks=draw(st.integers(1, 4)),
+        task_insert_cycles=draw(st.integers(0, 20)),
+        dependence_analysis_cycles=draw(st.integers(0, 8)),
+        retire_cycles=draw(st.integers(0, 16)),
+    )
+    plans = [draw(st.lists(st.tuples(st.integers(1, 40), st.integers(0, 15)),
+                           max_size=4)) for _ in range(cores)]
+    return costs, plans, draw(st.integers(1, 60))
+
+
+def _drive_manager(run, handler_class, handlers):
+    """Run ``manager_runs``'s ``run``: each core announces and pushes its
+    descriptors (every call right after a delay, as the delegate makes
+    them), retrying refused calls.  Returns the accept/retire log, the
+    handler's and the device's stats and the final cycle."""
+    costs, plans, retire_every = run
+    engine = Engine(max_cycles=500_000)
+    device = PicosDevice(engine, costs)
+    log = []
+    device.graph = AcceptLog(costs.max_in_flight_tasks, engine, log)
+    with mock.patch("repro.manager.submission.SubmissionHandler",
+                    handler_class):
+        manager = PicosManager(engine, device, len(plans), costs)
+    handlers.append(manager.submission_handler)
+
+    def core(core_id, plan):
+        for number, (delay, deps) in enumerate(plan):
+            yield Delay(delay)
+            packets = encode_nonzero_packets(TaskDescriptor(
+                sw_id=100 * core_id + number, dependences=tuple(
+                    TaskDependence(0x9000_0000 + 4096 * core_id
+                                   + 64 * (16 * number + slot),
+                                   Direction.OUT) for slot in range(deps))))
+            while not manager.announce_submission(core_id, len(packets)):
+                yield Delay(3)
+            for offset in range(0, len(packets), 3):
+                yield Delay(3)
+                while not manager.submit_packets(
+                        core_id, packets[offset:offset + 3]):
+                    yield Delay(3)
+
+    def retirer():
+        retired = set()
+        while True:
+            yield Delay(retire_every)
+            for picos_id in list(device._sw_ids):
+                if (picos_id not in retired
+                        and device.retirement_queue.try_put(picos_id)):
+                    retired.add(picos_id)
+
+    engine.spawn(retirer(), name="retirer", daemon=True)
+    workers = [engine.spawn(core(core_id, plan), name=f"core{core_id}")
+               for core_id, plan in enumerate(plans)]
+    try:
+        engine.run_until_complete(workers)
+        engine.run(until=engine.now + 3_000)
+    except SimulationError as exc:
+        return log, (type(exc).__name__, str(exc))
+    return (log, list(manager.submission_handler.stats.items()),
+            list(device.stats.items()), engine.now)
+
+
+def _probe_run(stepped):
+    """One descriptor, and a probe process that runs in the cycle Picos
+    takes its last packet, among that cycle's first steps, waits out the
+    packet step and then the insert's analysis, and fills the one-task
+    station in the insert's cycle.  The inserter waits out that packet
+    step after every first step of the cycle, so the probe comes first
+    and the insert finds the station full."""
+    costs = PicosCosts(max_in_flight_tasks=1, task_insert_cycles=6)
+    engine = Engine()
+    device = PicosDevice(engine, costs)
+    log = []
+    device.graph = AcceptLog(costs.max_in_flight_tasks, engine, log)
+    with mock.patch("repro.manager.submission.SubmissionHandler",
+                    PerPacketSubmissionHandler if stepped
+                    else SubmissionHandler):
+        manager = PicosManager(engine, device, 1, costs)
+    packets = encode_nonzero_packets(TaskDescriptor(
+        sw_id=7, dependences=(TaskDependence(0x9000_0000, Direction.OUT),)))
+    assert manager.announce_submission(0, len(packets))
+    for offset in range(0, len(packets), 3):
+        assert manager.submit_packets(0, packets[offset:offset + 3])
+    # Six packets from cycle 0 and 42 zeros, one per cycle into a
+    # caught-up Picos: the last is taken in cycle 48 and appended in 49.
+    insert = 49
+
+    def probe():
+        while engine.now < insert - 1:
+            yield Delay(1)
+        yield Delay(1)
+        yield Delay(costs.task_insert_cycles + costs.dependence_analysis_cycles)
+        if device.graph.has_capacity():
+            device.graph.submit(99, ())
+
+    engine.run_until_complete([engine.spawn(probe(), name="probe")])
+    engine.run(until=engine.now + 1_000)
+    return log
 
 
 def test_direct_intake_matches_per_packet_pump():
-    # Steps that moved several packets at once, by kind and by
-    # ``submission_packet_cycles``: zeros handed to a parked inserter
-    # ("intake"), zeros put into room in the queue while the inserter is
-    # busy or stalled ("fill"), lockstep cycles the inserter ran against a
-    # Zero Padder blocked on the full queue ("lockstep"), and queued
-    # packets it took with nobody blocked on the queue ("drain").
-    collapses = Counter()
-    take_zero_packets = PicosDevice.take_zero_packets
-    drain_in_place = PicosDevice._drain_in_place
+    # Paths by ``submission_packet_cycles``: descriptors the stream
+    # evaluated ("arithmetic") or that were forwarded stepped because the
+    # costs rule the stream out ("stepped"), pushes the stream refused for
+    # room a pump frees later in their cycle ("room"), and tasks accepted
+    # in the cycle of a retirement ("retire").
+    paths = Counter()
 
-    def counted_take(device, count):
-        kind = "intake" if device.submission_queue._get_waiters else "fill"
-        taken = take_zero_packets(device, count)
-        if taken:
-            collapses[kind, device.costs.submission_packet_cycles] += 1
-        return taken
-
-    def counted_drain(device):
-        zeros = device.padder_zeros
-        packets = len(device._partial)
-        drain_in_place(device)
-        if len(device._partial) != packets:
-            kind = "lockstep" if device.padder_zeros != zeros else "drain"
-            collapses[kind, device.costs.submission_packet_cycles] += 1
+    def count(log, handler, cycles):
+        cycles = min(cycles, 1)
+        path = handler.path
+        if isinstance(path, SubmissionStream):
+            paths["arithmetic", cycles] += path.descriptors
+            paths["room", cycles] += path.refused_as_room_frees
+        else:
+            paths["stepped", cycles] += path.descriptors
+        retired = {entry[2] for entry in log if len(entry) == 3}
+        paths["retire", cycles] += sum(1 for entry in log
+                                       if len(entry) == 2
+                                       and entry[1] in retired)
 
     @settings(max_examples=120, deadline=None)
     @given(intake_runs())
     @example(_stalling_intake_run(0))
     @example(_stalling_intake_run(1))
+    @example(_stalling_intake_run(0, dependences=15, workers=1,
+                                  submission_queue_depth=64))
+    @example(_stalling_intake_run(2, dependences=15))
+    @example(_stalling_intake_run(0, retire_cycles=0))
+    @example(_stalling_intake_run(1, retire_cycles=1))
+    @example(_stalling_intake_run(1, retire_cycles=0))
     def check(run):
         runtime_name, config, program, workers = run
         packet_log, per_packet = _run_logged(
             runtime_name, config, program, workers,
-            device_class=PerPacketPicosDevice,
             handler_class=PerPacketSubmissionHandler)
+        handlers = []
         direct_log, direct = _run_logged(runtime_name, config, program,
-                                         workers)
+                                         workers, handlers=handlers)
         assert direct_log == packet_log
         assert direct == per_packet
         if isinstance(per_packet, RuntimeResult):
             # Same values, and the same first-touch order the reports keep.
             assert (list(direct.stats.items())
                     == list(per_packet.stats.items()))
+        count(direct_log, handlers[0],
+              config.costs.picos.submission_packet_cycles)
 
-    with mock.patch.object(PicosDevice, "take_zero_packets", counted_take), \
-            mock.patch.object(PicosDevice, "_drain_in_place",
-                              counted_drain):
-        check()
-    # The runs must really have taken every kind of step, with and without
-    # a packet cost; the two pinned runs take them all.
-    for kind in ("intake", "fill", "lockstep", "drain"):
-        assert collapses[kind, 0] > 0, (kind, collapses)
-        assert any(collapses[kind, cycles] for cycles in (1, 2, 3)), \
-            (kind, collapses)
+    # Several cores submit only here: the runtimes submit from one thread.
+    @settings(max_examples=120, deadline=None)
+    @given(manager_runs())
+    def check_cores(run):
+        handlers = []
+        stepped = _drive_manager(run, PerPacketSubmissionHandler, handlers)
+        direct = _drive_manager(run, SubmissionHandler, handlers)
+        assert direct == stepped
+        count(direct[0], handlers[1], run[0].submission_packet_cycles)
+
+    check()
+    check_cores()
+    assert _probe_run(stepped=False) == _probe_run(stepped=True)
+    # The runs must really have taken every path, with and without a
+    # packet cost; the pinned runs take them all.
+    for kind in ("arithmetic", "stepped", "room", "retire"):
+        for cycles in (0, 1):
+            assert paths[kind, cycles] > 0, (kind, cycles, paths)
 
 
 # --------------------------------------------------------------------- #

@@ -131,52 +131,6 @@ def test_counters_and_watermark():
     assert queue.snapshot() == [1, 2]
 
 
-def test_quiet_put_and_get_count_like_one_item_at_a_time():
-    engine = Engine()
-    queue = DecoupledQueue(engine, capacity=4)
-    assert queue.try_put_quiet([1, 2, 3])
-    assert not queue.try_put_quiet([4, 5])      # no room for both
-    assert queue.try_get_quiet("none") == 1
-    assert queue.try_put_quiet((4, 5))
-    assert queue.total_enqueued == 5
-    assert queue.total_dequeued == 1
-    assert queue.high_watermark == 4
-    assert queue.snapshot() == [2, 3, 4, 5]
-
-
-def test_quiet_put_and_get_refuse_when_someone_would_react():
-    engine = Engine()
-    queue = DecoupledQueue(engine, capacity=2)
-    assert queue.try_get_quiet("none") == "none"  # empty
-    queue.subscribe_enqueue(lambda: None)
-    assert not queue.try_put_quiet([1])
-    engine = Engine()
-    queue = DecoupledQueue(engine, capacity=1)
-    queue.try_put(0)
-
-    def putter():
-        yield Put(queue, 1)
-
-    engine.spawn(putter())
-    engine.run_until(1)
-    # A blocked putter would be woken by a dequeue.
-    assert queue.try_get_quiet("none") == "none"
-    assert queue.snapshot() == [0]
-
-
-def test_drain_passes_a_refill_through_a_full_queue():
-    engine = Engine()
-    queue = DecoupledQueue(engine, capacity=3)
-    for value in (1, 2, 3):
-        queue.try_put(value)
-    assert queue.drain(4, [0] * 4) == [1, 2, 3, 0]
-    assert queue.snapshot() == [0, 0, 0]
-    assert queue.drain(2, []) == [0, 0]
-    assert queue.total_enqueued == 7
-    assert queue.total_dequeued == 6
-    assert queue.high_watermark == 3
-
-
 def test_enqueue_and_dequeue_observers():
     engine = Engine()
     queue = DecoupledQueue(engine, capacity=4)
@@ -235,13 +189,6 @@ def test_protocol_crossing_zero_delay_behaves_like_plain_queue():
     crossing = ProtocolCrossingQueue(engine, capacity=2, delay=0)
     crossing.try_put("x")
     assert crossing.try_get() == "x"
-
-
-def test_protocol_crossing_has_no_quiet_put():
-    engine = Engine()
-    queue = ProtocolCrossingQueue(engine, capacity=4, delay=2)
-    assert not queue.try_put_quiet([1])
-    assert queue.total_enqueued == 0
 
 
 def test_protocol_crossing_blocking_put_and_get():

@@ -13,7 +13,7 @@ from repro.runtime import (
     PhentosRuntime,
     SerialRuntime,
 )
-from repro.runtime.task import Task, TaskProgram, out_dep
+from repro.runtime.task import Task, TaskProgram, in_dep, out_dep
 
 from tests.helpers import (
     make_chain_program,
@@ -177,6 +177,23 @@ class TestPhentosSpecifics:
                                            name="overflow")
         result = PhentosRuntime(config).run(program, num_workers=1)
         assert result.tasks_executed == capacity + 40
+
+    def test_taskwait_sees_a_flush_that_lands_while_it_reads(self):
+        """The end-of-program taskwait counts the main thread's unflushed
+        retirements when it decides to sleep; a worker's flush landing
+        between that read and the sleep must not be lost.  This program
+        once deadlocked at cycle 926 with the counter at 4 of 5."""
+        a, b = 0x9000_0000, 0x9000_0040
+        program = TaskProgram(name="lost-wake-up", tasks=[
+            Task(index=0, payload_cycles=195),
+            Task(index=1, payload_cycles=0, dependences=(out_dep(a),)),
+            Task(index=2, payload_cycles=0,
+                 dependences=(in_dep(a), in_dep(b))),
+            Task(index=3, payload_cycles=1, dependences=(out_dep(a),)),
+            Task(index=4, payload_cycles=134),
+        ])
+        result = PhentosRuntime(SimConfig()).run(program, num_workers=3)
+        assert result.tasks_executed == 5
 
     def test_metadata_element_size_follows_dependence_count(self):
         config = SimConfig().with_cores(2)

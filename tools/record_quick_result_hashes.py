@@ -51,6 +51,7 @@ from typing import Dict, List, Optional
 from repro.common.config import SimConfig
 from repro.eval.experiments import (
     BenchmarkCase,
+    BenchmarkRun,
     benchmark_cases,
     run_benchmark_case,
 )
@@ -64,15 +65,21 @@ FULL_OUT = DATA / "full_result_hashes.json"
 WORKERS = 8
 
 
-def case_hashes(case: BenchmarkCase) -> Dict[str, str]:
-    """``"<case key>/<runtime>" -> sha256`` over one case's results."""
-    run = run_benchmark_case(case, SimConfig(), num_workers=WORKERS)
+def run_hashes(run: BenchmarkRun) -> Dict[str, str]:
+    """``"<case key>/<runtime>" -> sha256`` over one input's results; the
+    hash covers the result's full encoding."""
     hashes: Dict[str, str] = {}
     for runtime, result in run.results.items():
         text = json.dumps(encode(result), separators=(",", ":"))
-        hashes[f"{case.key}/{runtime}"] = \
+        hashes[f"{run.case.key}/{runtime}"] = \
             hashlib.sha256(text.encode("utf-8")).hexdigest()
     return hashes
+
+
+def case_hashes(case: BenchmarkCase) -> Dict[str, str]:
+    """``"<case key>/<runtime>" -> sha256`` over one case's results."""
+    return run_hashes(run_benchmark_case(case, SimConfig(),
+                                         num_workers=WORKERS))
 
 
 def result_hashes(quick: bool, jobs: int = 1) -> Dict[str, str]:
