@@ -23,7 +23,7 @@ from repro.eval import (
     format_table,
 )
 
-from conftest import quick_mode, write_result
+from bench_support import quick_mode, write_result
 
 
 def test_figure10_measured_versus_bounds(benchmark, sim_config,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from repro.eval import bounds_report, default_task_sizes, figure6_mtt_bounds
 
-from conftest import quick_mode, write_result
+from bench_support import quick_mode, write_result
 
 _SAMPLE_SIZES = (1e2, 1e3, 1e4, 1e5)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from repro.eval import figure7_overhead, overhead_report
 
-from conftest import quick_mode, write_result
+from bench_support import quick_mode, write_result
 
 
 def test_figure7_lifetime_overhead(benchmark, sim_config):

@@ -12,7 +12,7 @@ from __future__ import annotations
 from repro.common.stats import geometric_mean
 from repro.eval import figure8_granularity, granularity_report
 
-from conftest import write_result
+from bench_support import write_result
 
 
 def test_figure8_speedup_vs_granularity(benchmark, benchmark_sweep):

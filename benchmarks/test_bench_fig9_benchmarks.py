@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from repro.eval import benchmarks_report
 
-from conftest import quick_mode, write_result
+from bench_support import quick_mode, write_result
 
 
 def test_figure9_benchmark_sweep(benchmark, benchmark_sweep):

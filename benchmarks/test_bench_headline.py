@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from repro.eval import headline_report, headline_summary
 
-from conftest import quick_mode, write_result
+from bench_support import quick_mode, write_result
 
 
 def test_headline_summary(benchmark, benchmark_sweep):

@@ -15,7 +15,7 @@ from repro.cpu.rocc import RoccCommand, TaskSchedulingFunct
 from repro.cpu.soc import SoC
 from repro.eval.reporting import format_table
 
-from conftest import write_result
+from bench_support import write_result
 
 
 def _measure_instruction_cost(funct: TaskSchedulingFunct) -> int:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from repro.eval import resources_report, table2_resources
 
-from conftest import write_result
+from bench_support import write_result
 
 
 def test_table2_resource_breakdown(benchmark, sim_config):

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import full_size_hashes, paper_configuration
+from bench_support import full_size_hashes, paper_configuration
 
 
 def test_full_sweep_matches_the_pinned_result_hashes(benchmark_sweep):

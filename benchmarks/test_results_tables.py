@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import write_result
+from bench_support import write_result
 
 
 @pytest.fixture

@@ -17,14 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Type
 
+from repro import registry
 from repro.common.config import SimConfig
 from repro.common.errors import EvaluationError
 from repro.apps.granularity import task_chain_program, task_free_program
 from repro.runtime.base import Runtime
-from repro.runtime.nanos_axi import NanosAXIRuntime
-from repro.runtime.nanos_rv import NanosRVRuntime
-from repro.runtime.nanos_sw import NanosSWRuntime
-from repro.runtime.phentos import PhentosRuntime
 
 __all__ = [
     "OVERHEAD_WORKLOADS",
@@ -46,10 +43,8 @@ OVERHEAD_WORKLOADS = [
 
 #: The four platforms of Figure 7, in the paper's order.
 OVERHEAD_PLATFORMS: Dict[str, Type[Runtime]] = {
-    "phentos": PhentosRuntime,
-    "nanos-rv": NanosRVRuntime,
-    "nanos-axi": NanosAXIRuntime,
-    "nanos-sw": NanosSWRuntime,
+    name: registry.runtime(name).cls
+    for name in ("phentos", "nanos-rv", "nanos-axi", "nanos-sw")
 }
 
 #: The values the paper reports in Figure 7 (Rocket-Chip-equivalent cycles),
@@ -108,14 +103,10 @@ def _build_workload(kind: str, num_dependences: int, num_tasks: int,
 def _resolve_platform(platform: str) -> Type[Runtime]:
     """Resolve a platform name to a runtime class via the plugin registry.
 
-    The Figure 7 platforms resolve as before; any other registered
-    non-baseline runtime — including drop-in plugins — is measurable too,
-    so scaling bounds can be computed for new runtimes with no edits here.
+    Any registered non-baseline runtime — the Figure 7 platforms and
+    drop-in plugins alike — is measurable, so scaling bounds can be
+    computed for new runtimes with no edits here.
     """
-    cls = OVERHEAD_PLATFORMS.get(platform)
-    if cls is not None:
-        return cls
-    from repro import registry
     try:
         spec = registry.runtime(platform)
     except registry.RegistryError as exc:

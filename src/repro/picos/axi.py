@@ -21,7 +21,11 @@ from repro.common.config import AxiCosts
 from repro.common.errors import PicosError
 from repro.common.stats import Stats
 from repro.picos.device import PicosDevice, ReadyTask
-from repro.picos.packets import TaskDescriptor, encode_descriptor
+from repro.picos.packets import (
+    PACKETS_PER_DESCRIPTOR,
+    TaskDescriptor,
+    encode_descriptor,
+)
 from repro.sim.engine import Delay, Engine, ProcessGen, Put
 
 __all__ = ["AxiPicosInterface"]
@@ -45,8 +49,16 @@ class AxiPicosInterface:
     # ------------------------------------------------------------------ #
     # Submission
     # ------------------------------------------------------------------ #
-    def submit_task(self, descriptor: TaskDescriptor) -> ProcessGen:
-        """Submit a full task descriptor over AXI (blocking, DMA-mediated)."""
+    def submit_task(self, descriptor: TaskDescriptor,
+                    stall_handler) -> ProcessGen:
+        """Submit a full task descriptor over AXI (DMA-mediated).
+
+        The transaction also reads how much room the Picos submission queue
+        has; that read is part of ``submit_transaction``.  While the queue
+        cannot take the whole descriptor, the stream would block, so
+        ``stall_handler()`` (a generator factory, typically "run one ready
+        task") runs instead, as on the RoCC path (Section IV-C).
+        """
         latency = (
             self.costs.submit_transaction
             + self.costs.per_dependence * descriptor.num_dependences
@@ -54,10 +66,15 @@ class AxiPicosInterface:
         self.stats.incr("axi_submissions")
         self.stats.add("axi_submit_cycles", latency)
         yield Delay(latency)
+        queue = self.device.submission_queue
+        # A queue shallower than a descriptor never holds a whole one.
+        room = min(PACKETS_PER_DESCRIPTOR, queue.capacity)
+        while queue.capacity - len(queue) < room:
+            yield from stall_handler()
         # The DMA engine streams all 48 packets into the Picos submission
         # queue; the stream itself proceeds at queue speed.
         for packet in encode_descriptor(descriptor):
-            yield Put(self.device.submission_queue, packet)
+            yield Put(queue, packet)
 
     # ------------------------------------------------------------------ #
     # Work fetch

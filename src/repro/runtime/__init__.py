@@ -1,4 +1,9 @@
-"""Task-scheduling runtime models: serial, Nanos-SW/RV/AXI and Phentos."""
+"""Task-scheduling runtime models: serial, Nanos and Phentos.
+
+Nanos-SW, Nanos-RV and Nanos-AXI are one Nanos runtime
+(:mod:`repro.runtime.nanos`) over three dependence back-ends: a software
+task graph, Picos through the custom instructions, and Picos over AXI.
+"""
 
 from repro.registry import RUNTIMES as _runtime_registry
 from repro.runtime.base import Runtime, RuntimeResult
@@ -9,10 +14,8 @@ from repro.runtime.hw_interface import (
     retire_task_hw,
     submit_task_hw,
 )
-from repro.runtime.nanos_axi import NanosAXIRuntime
+from repro.runtime.nanos import NanosAXIRuntime, NanosRVRuntime, NanosSWRuntime
 from repro.runtime.nanos_machinery import NanosMachinery
-from repro.runtime.nanos_rv import NanosRVRuntime
-from repro.runtime.nanos_sw import NanosSWRuntime
 from repro.runtime.phentos import PhentosRuntime
 from repro.runtime.serial import SerialRuntime
 from repro.runtime.task import (

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.common.config import SimConfig
 from repro.common.errors import RuntimeModelError
@@ -150,6 +150,23 @@ class Runtime(abc.ABC):
     # ------------------------------------------------------------------ #
     # Helpers
     # ------------------------------------------------------------------ #
+    def _run_threads(self, soc: SoC, main: ProcessGen,
+                     worker: Callable[[int], ProcessGen],
+                     num_workers: int) -> None:
+        """Run ``main`` on core 0 and ``worker(core_id)`` on every other
+        core until all of them end.
+
+        The threads are named ``<prefix>_main`` and ``<prefix>_worker<N>``,
+        ``<prefix>`` being the runtime's name with ``_`` for ``-``;
+        deadlock reports name them.
+        """
+        prefix = self.name.replace("-", "_")
+        threads = [soc.spawn_worker(0, main, name=f"{prefix}_main")]
+        for core_id in range(1, num_workers):
+            threads.append(soc.spawn_worker(core_id, worker(core_id),
+                                            name=f"{prefix}_worker{core_id}"))
+        soc.run(threads)
+
     def _resolve_workers(self, num_workers: Optional[int]) -> int:
         workers = (self.config.machine.num_cores if num_workers is None
                    else num_workers)

@@ -11,15 +11,15 @@ per-event overhead that the paper calls out explicitly:
   funnelled through a single central Scheduler singleton queue that every
   core contends on.
 
-:class:`NanosMachinery` charges those costs against the simulated machine.
-It is shared by the three Nanos-based runtime models (Nanos-SW, Nanos-RV and
-Nanos-AXI); the software dependence-inference parts are only used by
-Nanos-SW.
+:class:`NanosMachinery` charges those costs against the simulated machine
+and owns the scheduler queue.  :class:`~repro.runtime.nanos.NanosRuntime`
+uses it under every dependence back-end (Nanos-SW, Nanos-RV and Nanos-AXI);
+the software task graph of Nanos-SW belongs to its back-end.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Generator, List, Optional, Set
+from typing import Generator, List, Optional
 
 from repro.common.config import CACHE_LINE_BYTES, NanosCosts
 from repro.common.errors import RuntimeModelError
@@ -28,7 +28,6 @@ from repro.cpu.core import CYCLES_PER_INSTRUCTION, Core
 from repro.cpu.soc import SoC
 from repro.memory.hierarchy import SharedCounter, SoftwareMutex
 from repro.memory.mesi import AccessType
-from repro.picos.dependence import TaskGraph
 from repro.runtime.task import Task, TaskProgram
 from repro.sim.engine import Charge, ProcessGen
 from repro.sim.queues import DecoupledQueue
@@ -47,18 +46,16 @@ _WRITE = AccessType.WRITE
 class NanosMachinery:
     """Cost and bookkeeping model of the Nanos runtime core."""
 
-    __slots__ = ("soc", "program", "costs", "software_graph", "stats",
+    __slots__ = ("soc", "program", "costs", "stats",
                  "shared_pool", "_pool_lines", "_pool_cursor",
                  "scheduler_queue", "scheduler_mutex", "graph_mutex",
-                 "retired", "sw_graph", "_sw_ids", "_known_addresses",
-                 "idle_checks")
+                 "retired", "idle_checks")
 
-    def __init__(self, soc: SoC, program: TaskProgram, costs: NanosCosts,
-                 software_graph: bool) -> None:
+    def __init__(self, soc: SoC, program: TaskProgram,
+                 costs: NanosCosts) -> None:
         self.soc = soc
         self.program = program
         self.costs = costs
-        self.software_graph = software_graph
         self.stats = Stats("nanos_machinery")
         memory = soc.memory
         #: Descriptor pool + scheduler structures shared between all threads.
@@ -85,13 +82,6 @@ class NanosMachinery:
         )
         #: Retirement counter used by taskwait (guarded accesses).
         self.retired: SharedCounter = memory.shared_counter("nanos.retired")
-        # Software dependence graph (only exercised by Nanos-SW).
-        self.sw_graph: Optional[TaskGraph] = (
-            TaskGraph(capacity=max(program.num_tasks, 1)) if software_graph
-            else None
-        )
-        self._sw_ids: Dict[int, int] = {}
-        self._known_addresses: Set[int] = set()
         self.idle_checks: List[int] = [0] * soc.num_cores
 
     # ------------------------------------------------------------------ #
@@ -237,69 +227,9 @@ class NanosMachinery:
         yield from core.charge(self.retired.add(core.core_id))
 
     # ------------------------------------------------------------------ #
-    # Software dependence inference and graph management (Nanos-SW only)
+    # The central scheduler queue
     # ------------------------------------------------------------------ #
-    def software_submit(self, core: Core, task: Task) -> ProcessGen:
-        """Infer dependences in software and insert the task in the graph.
-
-        Returns True when the task is immediately ready (and has been pushed
-        to the central scheduler queue).
-        """
-        if self.sw_graph is None:
-            raise RuntimeModelError("software_submit on a hardware-graph Nanos")
-        costs = self.costs
-        steps = self._charge(core, costs.graph_insert_instructions, 0,
-                             costs.graph_insert_shared_lines,
-                             self.graph_mutex, 1)
-        cycles = next(steps, None)
-        if cycles is not None:
-            yield Charge(cycles, steps)
-        for dependence in task.dependences:
-            if dependence.address in self._known_addresses:
-                steps = self._charge(
-                    core, costs.dep_known_address_instructions, 0,
-                    costs.dep_known_address_shared_lines, None, 0)
-            else:
-                self._known_addresses.add(dependence.address)
-                steps = self._charge(
-                    core, costs.dep_new_address_instructions, 0,
-                    costs.dep_new_address_shared_lines, None, 0)
-            cycles = next(steps, None)
-            if cycles is not None:
-                yield Charge(cycles, steps)
-        graph_id, ready = self.sw_graph.submit(task.index, task.dependences)
-        self._sw_ids[task.index] = graph_id
-        if ready:
-            yield from self._push_ready(core, task.index)
-        return ready
-
-    def software_retire(self, core: Core, task_index: int) -> ProcessGen:
-        """Retire a task in the software graph, waking its successors."""
-        if self.sw_graph is None:
-            raise RuntimeModelError("software_retire on a hardware-graph Nanos")
-        graph_id = self._sw_ids.pop(task_index)
-        record = self.sw_graph.task(graph_id)
-        has_successors = bool(record.successors)
-        newly_ready = self.sw_graph.retire(graph_id)
-        if has_successors:
-            costs = self.costs
-            steps = self._charge(
-                core, costs.retire_successor_update_instructions, 0,
-                costs.retire_successor_shared_lines, None, 0)
-            cycles = next(steps, None)
-            if cycles is not None:
-                yield Charge(cycles, steps)
-        for graph_ready_id in newly_ready:
-            yield from self._push_ready(
-                core, self._index_of_graph_id(graph_ready_id)
-            )
-
-    def _index_of_graph_id(self, graph_id: int) -> int:
-        if self.sw_graph is None:
-            raise RuntimeModelError("no software graph")
-        return self.sw_graph.task(graph_id).sw_id
-
-    def _push_ready(self, core: Core, task_index: int) -> ProcessGen:
+    def push_ready(self, core: Core, task_index: int) -> ProcessGen:
         """Push a ready task into the central scheduler queue."""
         steps = self._charge(core, None, 0, 0, self.scheduler_mutex, 1)
         cycles = next(steps, None)

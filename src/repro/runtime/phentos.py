@@ -23,6 +23,7 @@ The model reproduces the corresponding mechanisms:
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, List, Optional
 
 from repro.common.config import CACHE_LINE_BYTES, PhentosCosts, SimConfig
@@ -57,14 +58,8 @@ class PhentosRuntime(Runtime):
     # ------------------------------------------------------------------ #
     def _execute(self, soc: SoC, program: TaskProgram, num_workers: int) -> None:
         state = _PhentosState(self, soc, program)
-        main = soc.spawn_worker(0, self._main_thread(state), name="phentos_main")
-        workers = [main]
-        for core_id in range(1, num_workers):
-            workers.append(
-                soc.spawn_worker(core_id, self._worker_thread(state, core_id),
-                                 name=f"phentos_worker{core_id}")
-            )
-        soc.run(workers)
+        self._run_threads(soc, self._main_thread(state),
+                          partial(self._worker_thread, state), num_workers)
 
     # ------------------------------------------------------------------ #
     # Main thread: submits tasks, helps execute, owns the taskwaits

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.common.config import CACHE_LINE_BYTES, SimConfig
 from repro.cpu.soc import SoC
 from repro.memory.mesi import AccessType, CoherenceDirectory
@@ -14,6 +12,7 @@ from repro.runtime.hw_interface import (
     retire_task_hw,
     submit_task_hw,
 )
+from repro.runtime.nanos import SoftwareBackend
 from repro.runtime.nanos_machinery import _SHARED_POOL_LINES, NanosMachinery
 from repro.runtime.task import Task, out_dep
 from repro.runtime.worker import HwWorkerContext
@@ -96,16 +95,15 @@ class TestHwInterface:
 
 
 class TestNanosMachinery:
-    def _build(self, software_graph):
+    def _build(self):
         config = SimConfig().with_cores(2)
         soc = SoC(config, with_picos=False)
         program = make_independent_program(num_tasks=4, payload=10)
-        machinery = NanosMachinery(soc, program, config.costs.nanos,
-                                   software_graph=software_graph)
+        machinery = NanosMachinery(soc, program, config.costs.nanos)
         return soc, program, machinery
 
     def test_submission_charges_substantial_cycles(self):
-        soc, program, machinery = self._build(software_graph=False)
+        soc, program, machinery = self._build()
 
         def driver():
             yield from machinery.charge_submission(soc.core(0),
@@ -117,13 +115,14 @@ class TestNanosMachinery:
         assert machinery.stats.counter("submissions") == 1
 
     def test_software_graph_round_trip(self):
-        soc, program, machinery = self._build(software_graph=True)
+        soc, program, machinery = self._build()
+        backend = SoftwareBackend(soc, program, machinery, 1, "done")
         outcomes = []
 
         def driver():
             core = soc.core(0)
             for task in program.tasks:
-                ready = yield from machinery.software_submit(core, task)
+                ready = yield from backend.submit(core, task, None)
                 outcomes.append(ready)
             popped = []
             while True:
@@ -131,27 +130,16 @@ class TestNanosMachinery:
                 if index is None:
                     break
                 popped.append(index)
-                yield from machinery.software_retire(core, index)
+                yield from backend.retire(core, index)
             return popped
 
         popped = run_on_core(soc, 0, driver())
         assert outcomes == [True] * 4      # independent tasks: all ready
         assert sorted(popped) == [0, 1, 2, 3]
-        assert machinery.sw_graph.in_flight == 0
-
-    def test_software_methods_rejected_on_hardware_machinery(self):
-        soc, program, machinery = self._build(software_graph=False)
-        from repro.common.errors import RuntimeModelError
-
-        def driver():
-            with pytest.raises(RuntimeModelError):
-                yield from machinery.software_submit(soc.core(0),
-                                                     program.tasks[0])
-
-        run_on_core(soc, 0, driver())
+        assert backend.graph.in_flight == 0
 
     def test_idle_check_occasionally_pays_a_syscall(self):
-        soc, program, machinery = self._build(software_graph=False)
+        soc, program, machinery = self._build()
         core = soc.core(0)
 
         def driver():
@@ -163,7 +151,7 @@ class TestNanosMachinery:
 
     def test_interleaved_pool_touches_follow_the_live_cursor(self,
                                                              monkeypatch):
-        soc, _program, machinery = self._build(software_graph=False)
+        soc, _program, machinery = self._build()
         first_line = machinery.shared_pool.base // CACHE_LINE_BYTES
         touched = {0: [], 1: []}
         kinds = {AccessType.READ: "load", AccessType.WRITE: "store"}

@@ -13,7 +13,7 @@ from repro.picos.dependence import TaskGraph
 from repro.picos.device import PicosDevice, ReadyTask
 from repro.picos.packets import Direction, TaskDependence, TaskDescriptor, \
     encode_descriptor
-from repro.runtime.nanos_axi import NanosAXIRuntime
+from repro.runtime.nanos import NanosAXIRuntime
 from repro.runtime.phentos import PhentosRuntime
 from repro.sim.engine import Delay, Engine, Put
 from tests.helpers import PollingPicosDevice, picos_config
@@ -214,15 +214,15 @@ class TestEventDrivenBackpressure:
             engine.run()
         assert device.in_flight_tasks == 1
 
-    def test_nanos_axi_stall_is_reported_as_a_deadlock(self):
-        # Known model limitation: Nanos-AXI stops retiring once the station
-        # fills (Task-Free, 1 dependence, from 260 tasks on one worker).
-        # It must fail fast, naming the blocked submission, not hang.
-        with pytest.raises(DeadlockError,
-                           match=r"nanos_axi_main\[put\(DecoupledQueue\("
-                                 r"'picos\.submission'"):
-            NanosAXIRuntime(SimConfig()).run(task_free_program(260, 1),
-                                             num_workers=1)
+    def test_nanos_axi_role_switch_on_a_full_station(self):
+        # Task-Free with 1 dependence fills the 256-entry station from 257
+        # tasks on.  On one worker the main thread is the only one that
+        # can retire, so it runs ready tasks while Picos cannot take the
+        # next descriptor instead of blocking in the DMA stream.
+        result = NanosAXIRuntime(SimConfig()).run(task_free_program(260, 1),
+                                                  num_workers=1)
+        assert result.tasks_executed == 260
+        assert result.stats["picos.tasks_retired"] == 260
 
 
 class TestRetirementPipeline:
