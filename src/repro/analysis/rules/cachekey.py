@@ -1,6 +1,6 @@
 """Cache-key safety rule: keep cache keys and fingerprints byte-stable.
 
-``case_cache_key`` / ``grid_cache_key`` / the fingerprint helpers hash a
+``case_cache_key`` / ``experiment_cache_key`` / the fingerprint helpers hash a
 canonical JSON document; the figure-9 fingerprints in
 ``tests/data/figure9_fingerprints.json`` pin the exact bytes.  Code on
 those paths must not:

@@ -185,11 +185,6 @@ class Core:
     # ------------------------------------------------------------------ #
     # Introspection
     # ------------------------------------------------------------------ #
-    @property
-    def total_cycles_accounted(self) -> int:
-        """Busy plus overhead cycles attributed to this core so far."""
-        return self.busy_cycles + self.overhead_cycles
-
     def utilization(self, elapsed_cycles: int) -> float:
         """Fraction of ``elapsed_cycles`` spent on useful task payloads."""
         if elapsed_cycles <= 0:

@@ -46,15 +46,6 @@ class ResourceEntry:
     fraction_of_top: float
     description: str
 
-    def as_row(self) -> Dict[str, object]:
-        """Row representation used by the reporting helpers."""
-        return {
-            "module": self.module,
-            "cells": self.cells,
-            "fraction": f"{self.fraction_of_top * 100.0:.2f}%",
-            "description": self.description,
-        }
-
 
 class ResourceModel:
     """Analytic cell-count model of the prototype SoC."""

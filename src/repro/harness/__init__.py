@@ -12,14 +12,15 @@ The harness is the orchestration layer above :mod:`repro.eval`:
   execution and the persistent warm process pool the engine shares across
   sweep phases, plus the typed failure records (``UnitFailure`` /
   ``SweepError``) of per-unit failure isolation.
-* :mod:`repro.harness.runner` — fans benchmark (case × config) units out
-  over an executor backend with deterministic, order-independent result
+* :mod:`repro.harness.runner` — ``run_units``, its one entry: fans
+  benchmark (case × config) units out over the executor backend its
+  caller passes in, with deterministic, order-independent result
   assembly, per-dispatch batching and retry-in-a-fresh-worker failure
   handling.
 * :mod:`repro.harness.engine` — the experiment engine driving the
   :data:`repro.eval.EXPERIMENTS` registry, chaining derived experiments
-  behind their inputs and batching the ``scaling_curves`` (case × core
-  count) units through one pool.
+  behind their inputs; one memoised sweep method runs the Figure 9 sweep
+  and the ``scaling_curves`` (case × core count) grid alike.
 * :mod:`repro.harness.telemetry` — structured run telemetry: hierarchical
   spans (run → phase → sweep → unit), counters, run manifests and the
   pluggable sinks (JSONL trace files, the live stderr status lines) they
@@ -51,10 +52,9 @@ from repro.harness.hashing import (
     case_cache_key,
     config_fingerprint,
     experiment_cache_key,
-    grid_cache_key,
     stable_hash,
 )
-from repro.harness.runner import CaseUnit, run_case_grid, run_cases
+from repro.harness.runner import CaseUnit, run_units
 from repro.harness.telemetry import (
     ConsoleSink,
     JsonlSink,
@@ -97,12 +97,10 @@ __all__ = [
     "decode",
     "encode",
     "experiment_cache_key",
-    "grid_cache_key",
     "null_tracer",
     "open_store",
     "read_trace",
-    "run_case_grid",
-    "run_cases",
+    "run_units",
     "stable_hash",
     "summarize_trace",
 ]

@@ -10,7 +10,8 @@ frozen dataclasses round-trip to equal (and equally hashable) values.
 
 The :class:`ArtifactStore` persists encoded experiment outputs under a
 directory, one JSON document per artifact, so sweeps can be archived and
-re-loaded without re-simulating.
+re-loaded without re-simulating, and :func:`decode_cached` reads one
+result back out of the result cache.
 """
 
 from __future__ import annotations
@@ -33,10 +34,12 @@ from repro.eval.mtt import MttBound
 from repro.eval.overhead import OverheadMeasurement
 from repro.eval.resources import ResourceEntry
 from repro.eval.scaling import ScalingCurve, ScalingPoint
+from repro.harness.cache import CacheStore
 from repro.harness.executor import UnitFailure
 from repro.runtime.base import RuntimeResult
 
-__all__ = ["ARTIFACT_TYPES", "encode", "decode", "ArtifactStore"]
+__all__ = ["ARTIFACT_TYPES", "encode", "decode", "decode_cached",
+           "ArtifactStore"]
 
 #: Dataclasses the codec understands, keyed by their ``__type__`` tag.
 ARTIFACT_TYPES: Dict[str, Type] = {
@@ -104,6 +107,27 @@ def decode(data: object) -> object:
     if isinstance(data, list):
         return [decode(item) for item in data]
     return data
+
+
+def decode_cached(cache: CacheStore, key: str,
+                  expected: Type = object) -> Optional[object]:
+    """The ``expected`` result cached under ``key``, or ``None`` on a miss.
+
+    An entry that parses as JSON but does not decode into an ``expected``
+    instance is corrupt from the caller's point of view: its hit is
+    demoted to a miss (dropping the entry), so the caller recomputes it.
+    """
+    payload = cache.get(key)
+    if payload is None:
+        return None
+    try:
+        value = decode(payload)
+        if isinstance(value, expected):
+            return value
+    except (EvaluationError, KeyError, TypeError, ValueError):
+        pass
+    cache.demote_hit(key)
+    return None
 
 
 class ArtifactStore:

@@ -9,13 +9,15 @@ computed it are unchanged (:mod:`repro.harness.cache.store`).  The
 examples, the benchmark conftest and the ``python -m repro`` CLI all sit
 on top of this one class, so they cannot drift apart.
 
-Beyond the paper's single machine the engine runs the ``scaling_curves``
-experiment: every Figure 9 case at every requested core count, batched
-through one process pool and the shared result cache, and assembled into
-speedup-versus-cores curves against the MTT bounds
-(:mod:`repro.eval.scaling`).  Because cache keys canonicalise the worker
-count into the configuration, the 8-core column of a scaling run
-addresses exactly the Figure 9 entries.
+Every benchmark sweep goes through one memoised method,
+:meth:`ExperimentEngine._sweep`, which takes a list of configurations:
+``figure9`` and the experiments derived from it are a one-configuration
+call, and the ``scaling_curves`` experiment — every Figure 9 case at
+every requested core count, assembled into speedup-versus-cores curves
+against the MTT bounds (:mod:`repro.eval.scaling`) — is one call over
+the core counts, batched through one runner call.  Because cache keys
+canonicalise the worker count into the configuration, the 8-core column
+of a scaling run addresses exactly the Figure 9 entries.
 
 The engine owns one :class:`~repro.harness.executor.ExecutorBackend`
 (serial for ``jobs=1``, a persistent warm process pool otherwise) shared
@@ -66,13 +68,12 @@ from repro.eval.overhead import DEFAULT_NUM_TASKS as FIGURE7_DEFAULT_NUM_TASKS
 from repro.eval.overhead import measure_lifetime_overhead
 from repro.eval.scaling import (
     DEFAULT_OVERHEAD_NUM_TASKS,
-    ScalingCurve,
     align_runs_by_cores,
     build_scaling_curves,
     normalize_core_counts,
     normalize_runtimes,
 )
-from repro.harness.artifacts import ArtifactStore, decode, encode
+from repro.harness.artifacts import ArtifactStore, decode_cached, encode
 from repro.harness.cache import CacheStats, CacheStore, open_store
 from repro.harness.executor import (
     ExecutorBackend,
@@ -80,13 +81,9 @@ from repro.harness.executor import (
     SerialBackend,
     UnitFailure,
 )
-from repro.harness.hashing import (
-    canonical_case_config,
-    experiment_cache_key,
-    grid_cache_key,
-)
+from repro.harness.hashing import canonical_case_config, experiment_cache_key
+from repro.harness.runner import CaseUnit, run_units
 from repro.registry import suggest
-from repro.harness.runner import CaseUnit, run_case_grid, run_cases
 from repro.harness.telemetry import (
     ConsoleSink,
     JsonlSink,
@@ -285,8 +282,8 @@ class ExperimentEngine:
                 result = self._run_scaling(quick, scale, cases, core_counts,
                                            runtimes)
             elif experiment_id == "figure9":
-                result = self._run_sweep(quick, scale, num_workers, cases,
-                                         runtimes=runtimes)
+                [result] = self._sweep([self.config], quick, scale, cases,
+                                       runtimes, num_workers)
             elif spec.is_derived:
                 result = self._run_derived(experiment_id, quick, scale,
                                            num_workers, num_tasks, cases)
@@ -300,119 +297,68 @@ class ExperimentEngine:
     # ------------------------------------------------------------------ #
     # Execution strategies
     # ------------------------------------------------------------------ #
-    def _sweep_inputs(
-        self,
-        point_config: SimConfig,
-        quick: bool,
-        scale: float,
-        num_workers: Optional[int],
-        cases: Optional[Sequence[BenchmarkCase]],
-        runtimes: Optional[Sequence[str]] = None,
-    ):
-        """The (workers, cases, selection, memo key) of one sweep.
-
-        The memo key folds the worker count into the configuration
-        (:func:`~repro.harness.hashing.canonical_case_config`) exactly like
-        the disk cache, so a scaling column at N cores and a direct
-        ``num_workers=N`` sweep share one in-memory entry too.
-        """
-        workers = (num_workers if num_workers is not None
-                   else point_config.machine.num_cores)
-        selected = (list(cases) if cases is not None
-                    else benchmark_cases(quick, scale))
-        selection = canonical_runtime_selection(runtimes)
-        memo_key = (canonical_case_config(point_config, workers),
-                    tuple(selected), selection)
-        return workers, selected, selection, memo_key
-
-    def _run_sweep(
-        self,
-        quick: bool,
-        scale: float,
-        num_workers: Optional[int],
-        cases: Optional[Sequence[BenchmarkCase]],
-        config: Optional[SimConfig] = None,
-        runtimes: Optional[Sequence[str]] = None,
-    ) -> List[BenchmarkRun]:
-        config = config if config is not None else self.config
-        workers, selected, selection, memo_key = self._sweep_inputs(
-            config, quick, scale, num_workers, cases, runtimes)
-        if memo_key in self._sweep_memo:
-            # A memo-served *partial* sweep re-reports its failures, so
-            # the result is never mistaken for a complete one.
-            self.unit_failures.extend(self._partial_memo.get(memo_key, ()))
-            return list(self._sweep_memo[memo_key])
-        failures: List[UnitFailure] = []
-        runs = run_cases(config, selected, workers, jobs=self.jobs,
-                         cache=self.cache, runtimes=selection,
-                         executor=self.executor, keep_going=self.keep_going,
-                         retries=self.retries, failures=failures,
-                         tracer=self.tracer)
-        self.unit_failures.extend(failures)
-        if failures:
-            self._partial_memo[memo_key] = tuple(failures)
-        # Under keep-going, failed slots come back as None; the sweep's
-        # result (and memo) is the completed runs.
-        runs = [run for run in runs if run is not None]
-        self._sweep_memo[memo_key] = runs
-        return list(runs)
-
-    def _prime_sweeps(
+    def _sweep(
         self,
         configs: Sequence[SimConfig],
         quick: bool,
         scale: float,
         cases: Optional[Sequence[BenchmarkCase]],
         runtimes: Optional[Sequence[str]] = None,
-    ) -> None:
-        """Batch the benchmark units of one sweep per configuration.
+        num_workers: Optional[int] = None,
+        grid: bool = False,
+    ) -> List[List[BenchmarkRun]]:
+        """The benchmark sweep under each of ``configs``, memoised.
 
-        Collects the (config × case) units of every configuration whose
-        sweep is not already memoised, executes them through one
-        :func:`run_case_grid` call (one pool, shared cache), then memoises
-        the per-config run lists so the :meth:`_run_sweep` calls that
-        follow are pure lookup.
+        Returns one list of completed runs per configuration.  Sweeps
+        memoised earlier are served as they are; every pending (config ×
+        case) unit goes through one :func:`~repro.harness.runner.run_units`
+        call on the engine's backend, and each configuration's runs and
+        partial failures are memoised exactly once.  The memo key folds
+        the worker count (``num_workers``, or each config's core count)
+        into the configuration
+        (:func:`~repro.harness.hashing.canonical_case_config`) exactly
+        like the disk cache, so a scaling column at N cores and a direct
+        ``num_workers=N`` sweep share one entry.  ``grid`` names the
+        sweep's telemetry as a grid over several configurations.
         """
-        pending: List[tuple] = []  # (memo_key, config, workers, cases,
-        #                            selection)
-        seen = set()
+        selected = (list(cases) if cases is not None
+                    else benchmark_cases(quick, scale))
+        selection = canonical_runtime_selection(runtimes)
+        keys = []
+        pending: Dict[tuple, List[CaseUnit]] = {}
         for config in configs:
-            workers, selected, selection, memo_key = \
-                self._sweep_inputs(config, quick, scale, None, cases,
-                                   runtimes)
-            if memo_key in self._sweep_memo or memo_key in seen:
-                continue
-            seen.add(memo_key)
-            pending.append((memo_key, config, workers, selected, selection))
-        if not pending:
-            return
-        units = [
-            CaseUnit(config, case, workers, selection)
-            for _memo_key, config, workers, selected, selection in pending
-            for case in selected
-        ]
-        failures: List[UnitFailure] = []
-        runs = run_case_grid(units, jobs=self.jobs, cache=self.cache,
-                             executor=self.executor,
-                             keep_going=self.keep_going,
-                             retries=self.retries, failures=failures,
-                             tracer=self.tracer)
-        self.unit_failures.extend(failures)
-        # Results are slot-aligned with the submitted units (failed slots
-        # are None under keep-going), so per-config slicing stays correct
-        # even for partial sweeps; each config memoises its completed runs
-        # and, when partial, the failures that belong to its slot range.
-        offset = 0
-        for memo_key, _config, _workers, selected, _sel in pending:
-            config_runs = runs[offset:offset + len(selected)]
-            self._sweep_memo[memo_key] = [run for run in config_runs
-                                          if run is not None]
-            config_failures = tuple(
-                failure for failure in failures
-                if offset <= failure.slot < offset + len(selected))
-            if config_failures:
-                self._partial_memo[memo_key] = config_failures
-            offset += len(selected)
+            workers = (num_workers if num_workers is not None
+                       else config.machine.num_cores)
+            key = (canonical_case_config(config, workers), tuple(selected),
+                   selection)
+            keys.append(key)
+            if key in self._sweep_memo:
+                # A memo-served *partial* sweep re-reports its failures,
+                # so the result is never mistaken for a complete one.
+                self.unit_failures.extend(self._partial_memo.get(key, ()))
+            else:
+                pending[key] = [CaseUnit(config, case, workers, selection)
+                                for case in selected]
+        if pending:
+            failures: List[UnitFailure] = []
+            runs = run_units(
+                [unit for units in pending.values() for unit in units],
+                self.executor, cache=self.cache, grid=grid,
+                keep_going=self.keep_going, retries=self.retries,
+                failures=failures, tracer=self.tracer)
+            self.unit_failures.extend(failures)
+            # Runs are slot-aligned with the units (failed slots are None
+            # under keep-going), so each configuration takes its slot
+            # range and the failures that fall in it.
+            for index, key in enumerate(pending):
+                first, end = index * len(selected), (index + 1) * len(selected)
+                self._sweep_memo[key] = [run for run in runs[first:end]
+                                         if run is not None]
+                own = tuple(failure for failure in failures
+                            if first <= failure.slot < end)
+                if own:
+                    self._partial_memo[key] = own
+        return [list(self._sweep_memo[key]) for key in keys]
 
     def _run_simple(self, experiment_id: str,
                     num_tasks: Optional[int]) -> object:
@@ -432,19 +378,12 @@ class ExperimentEngine:
     def _run_cached(self, experiment_id: str, parameters: dict,
                     compute) -> object:
         """Whole-result caching for the non-sweep experiments."""
-        key = None
-        if self.cache is not None:
-            key = experiment_cache_key(experiment_id, self.config,
-                                       parameters)
-            payload = self.cache.get(key)
-            if payload is not None:
-                try:
-                    return decode(payload)
-                except (EvaluationError, KeyError, TypeError, ValueError):
-                    # Entry parsed as JSON but not as a result: a miss.
-                    self.cache.demote_hit(key)
-        result = compute()
-        if self.cache is not None and key is not None:
+        if self.cache is None:
+            return compute()
+        key = experiment_cache_key(experiment_id, self.config, parameters)
+        result = decode_cached(self.cache, key)
+        if result is None:
+            result = compute()
             self.cache.put(key, encode(result), experiment=experiment_id)
         return result
 
@@ -465,10 +404,11 @@ class ExperimentEngine:
                 f"unsupported dependency chain {spec.depends_on!r} "
                 f"for {experiment_id!r}"
             )
-        # Dependency runs go through _run_sweep directly (not self.run) so
+        # Dependency runs go through _sweep directly (not self.run) so
         # they share the memo/cache without re-saving the figure9 artifact
         # once per derived experiment.
-        runs = self._run_sweep(quick, scale, num_workers, cases)
+        [runs] = self._sweep([config], quick, scale, cases,
+                             num_workers=num_workers)
         runner = spec.runner
         if experiment_id == "figure10":
             # Figure 10 overlays the runs on the MTT bound curves, which
@@ -514,63 +454,25 @@ class ExperimentEngine:
         """The scaling curves: every case at every core count.
 
         Fans the (case × core count) product through the shared pool/cache
-        in one :meth:`_prime_sweeps` batch, measures (and caches) the
-        single-worker lifetime overheads behind the MTT bounds, and
-        assembles :class:`~repro.eval.scaling.ScalingCurve` records.
+        in one :meth:`_sweep` grid, measures (and caches) the single-worker
+        lifetime overheads behind the MTT bounds, and assembles
+        :class:`~repro.eval.scaling.ScalingCurve` records.  A warm re-run
+        is served by the per-case cache entries and the cached overheads.
         """
-        config = self.config
         counts = normalize_core_counts(core_counts)
         selected_runtimes = normalize_runtimes(runtimes)
-        # Whole-result caching under a grid-aware key: a warm re-run skips
-        # even the per-case lookups and the bound-overhead measurements.
-        key = None
-        if self.cache is not None:
-            parameters = {
-                "quick": quick,
-                "scale": scale,
-                "runtimes": selected_runtimes,
-                "cases": None if cases is None else [
-                    {"benchmark": case.benchmark, "label": case.label,
-                     "builder": case.builder, "params": case.params}
-                    for case in cases
-                ],
-            }
-            key = grid_cache_key(
-                "scaling_curves", config,
-                [{"num_cores": count} for count in counts],
-                parameters,
-            )
-            payload = self.cache.get(key)
-            if payload is not None:
-                try:
-                    curves = decode(payload)
-                except (EvaluationError, KeyError, TypeError, ValueError):
-                    curves = None
-                if isinstance(curves, list) and all(
-                        isinstance(curve, ScalingCurve) for curve in curves):
-                    return curves
-                self.cache.demote_hit(key)
-        configs = [config.with_cores(count) for count in counts]
         failures_before = len(self.unit_failures)
-        self._prime_sweeps(configs, quick, scale, cases,
-                           runtimes=selected_runtimes)
-        runs_by_cores: Dict[int, List[BenchmarkRun]] = {
-            count: self._run_sweep(quick, scale, None, cases,
-                                   config=count_config,
-                                   runtimes=selected_runtimes)
-            for count, count_config in zip(counts, configs)
-        }
-        partial = len(self.unit_failures) > failures_before
-        if partial:
+        columns = self._sweep([self.config.with_cores(count)
+                               for count in counts],
+                              quick, scale, cases, selected_runtimes,
+                              grid=True)
+        runs_by_cores: Dict[int, List[BenchmarkRun]] = dict(zip(counts,
+                                                                columns))
+        if len(self.unit_failures) > failures_before:
             # Keep-going mode with failures: assemble curves from the
             # cases that completed at *every* core count, so one failed
             # column doesn't abort the whole experiment.
             runs_by_cores, _dropped = align_runs_by_cores(runs_by_cores)
         overheads = self.scaling_overheads(selected_runtimes)
-        curves = build_scaling_curves(runs_by_cores, overheads,
-                                      selected_runtimes)
-        if self.cache is not None and key is not None and not partial:
-            # A partial curve set must never be cached under the
-            # full-grid key: a later healthy run would be served the gaps.
-            self.cache.put(key, encode(curves), experiment="scaling_curves")
-        return curves
+        return build_scaling_curves(runs_by_cores, overheads,
+                                    selected_runtimes)

@@ -42,7 +42,6 @@ __all__ = [
     "canonical_case_config",
     "case_cache_key",
     "experiment_cache_key",
-    "grid_cache_key",
 ]
 
 #: Version of the cache-key schema.  Bumped whenever the composition of the
@@ -145,24 +144,3 @@ def experiment_cache_key(experiment_id: str, config: SimConfig,
         "version": version if version is not None else repro.__version__,
     })
 
-
-def grid_cache_key(experiment_id: str, config: SimConfig,
-                   overrides: Sequence[Mapping[str, object]],
-                   parameters: Optional[Mapping[str, object]] = None,
-                   version: Optional[str] = None) -> str:
-    """Cache key of one experiment swept over a grid of config overrides.
-
-    ``overrides`` is the ordered list of override mappings of the grid axis
-    (e.g. ``[{"num_cores": 1}, {"num_cores": 2}, ...]``); the base config
-    and the override list together pin every simulated configuration of the
-    sweep, so the key changes whenever any grid point would.
-    """
-    return stable_hash({
-        "kind": "grid",
-        "schema": CACHE_SCHEMA,
-        "experiment": experiment_id,
-        "overrides": [dict(override) for override in overrides],
-        "parameters": dict(parameters) if parameters else {},
-        "config": config_fingerprint(config),
-        "version": version if version is not None else repro.__version__,
-    })

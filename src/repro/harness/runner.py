@@ -1,23 +1,23 @@
 """Parallel execution of benchmark cases with cached, deterministic results.
 
-The runner fans benchmark work out over an
-:class:`~repro.harness.executor.ExecutorBackend` — in-process for
-``jobs=1``, a (possibly engine-owned, persistent) process pool otherwise.
-The unit of work is one :class:`CaseUnit` — a benchmark case under one
-configuration and simulated worker count — executed by the same case-level
-hook the serial path uses
+:func:`run_units` fans benchmark work out over the
+:class:`~repro.harness.executor.ExecutorBackend` its caller passes in —
+in-process (:class:`~repro.harness.executor.SerialBackend`) or a
+persistent process pool, which the
+:class:`~repro.harness.engine.ExperimentEngine` owns and shares across
+its sweeps.  The unit of work is one :class:`CaseUnit` — a benchmark case
+under one configuration and simulated worker count — executed by the same
+case-level hook the serial path uses
 (:func:`repro.eval.experiments.run_benchmark_case`), in a worker process
 with its own simulator state, so parallel results are identical to serial
-ones.  Units are grouped into small batches per dispatch
-(:func:`~repro.harness.executor.batch_size`) to amortise IPC, and assembly
-is order-independent: results land in a slot indexed by the unit's position
-in the input list, whatever order workers finish in.
-
-:func:`run_cases` is the classic single-configuration sweep (all of
-Figure 9); :func:`run_case_grid` executes a heterogeneous unit list — the
-same cases under many configurations, e.g. the (case × core count) product
-of a scaling sweep — through one shared backend, so a grid's wall clock is
-bounded by total work, not by its slowest column.
+ones.  A unit list may mix configurations freely — all of Figure 9 is one
+configuration, a scaling grid is the (case × core count) product — and
+every unit shares the one backend, so a grid's wall clock is bounded by
+total work, not by its slowest column.  Units are grouped into small
+batches per dispatch (:func:`~repro.harness.executor.batch_size`) to
+amortise IPC, and assembly is order-independent: results land in a slot
+indexed by the unit's position in the input list, whatever order workers
+finish in.
 
 Failures are isolated per unit: a unit whose builder or simulation raises
 becomes a typed :class:`~repro.harness.executor.UnitFailure` instead of
@@ -61,15 +61,12 @@ from repro.common.errors import EvaluationError
 from repro.eval.experiments import (
     BenchmarkCase,
     BenchmarkRun,
-    canonical_runtime_selection,
     run_benchmark_case,
 )
-from repro.harness.artifacts import decode, encode
+from repro.harness.artifacts import decode_cached, encode
 from repro.harness.cache import CacheStore
 from repro.harness.executor import (
     ExecutorBackend,
-    ProcessPoolBackend,
-    SerialBackend,
     SweepError,
     UnitFailure,
     batch_size,
@@ -77,7 +74,7 @@ from repro.harness.executor import (
 from repro.harness.hashing import case_cache_key
 from repro.harness.telemetry import Tracer, null_tracer
 
-__all__ = ["CaseUnit", "run_cases", "run_case_grid"]
+__all__ = ["CaseUnit", "run_units"]
 
 
 @dataclass(frozen=True)
@@ -154,29 +151,6 @@ def _register_payload(builders: Dict[str, object],
         registry.ensure_runtime(name, cls, rank=rank)
 
 
-def _execute_case(config: SimConfig, case: BenchmarkCase, num_workers: int,
-                  runtimes: Optional[Tuple[str, ...]] = None,
-                  plugin_builder: Optional[object] = None,
-                  plugin_runtimes: Optional[Dict] = None,
-                  plugin_files: Tuple[str, ...] = (),
-                  ) -> Tuple[BenchmarkRun, float]:
-    """Single-unit worker entry point: run and time one case.
-
-    Returns ``(run, wall_seconds)``; both halves are picklable so the pair
-    travels back from worker processes unchanged.  Timing happens here, in
-    the worker, so parallel sweeps measure simulation cost rather than pool
-    scheduling latency.  The ``plugin_*`` parameters carry plugin
-    registrations into workers whose registry only holds the built-ins
-    (see :func:`_plugin_payload`).
-    """
-    builders = ({case.builder: plugin_builder}
-                if plugin_builder is not None else {})
-    _register_payload(builders, plugin_runtimes or {}, plugin_files)
-    started = time.perf_counter()
-    run = run_benchmark_case(case, config, num_workers, runtimes)
-    return run, time.perf_counter() - started
-
-
 def _execute_batch(payload: Tuple[Dict, Dict, Tuple],
                    tasks: Tuple[Tuple, ...]) -> List[Tuple]:
     """Batched worker entry point with per-unit failure isolation.
@@ -187,7 +161,9 @@ def _execute_batch(payload: Tuple[Dict, Dict, Tuple],
     runtimes)`` tuples.  Returns one outcome per task, in order:
     ``("ok", run, seconds)`` or ``("err", error_type, error_text)`` — unit
     exceptions are *data*, never raised, so one bad unit cannot take the
-    batch (or the pool) down with it.
+    batch (or the pool) down with it.  Each unit is timed here, in the
+    worker, so parallel sweeps measure simulation cost rather than pool
+    scheduling latency.
     """
     _register_payload(*payload)
     outcomes: List[Tuple] = []
@@ -200,21 +176,6 @@ def _execute_batch(payload: Tuple[Dict, Dict, Tuple],
         else:
             outcomes.append(("ok", run, time.perf_counter() - started))
     return outcomes
-
-
-def _decode_cached_run(cache: CacheStore, key: str) -> Optional[BenchmarkRun]:
-    """Decode a cached case run; schema-invalid entries become misses."""
-    payload = cache.get(key)
-    if payload is None:
-        return None
-    try:
-        run = decode(payload)
-    except (EvaluationError, KeyError, TypeError, ValueError):
-        run = None
-    if not isinstance(run, BenchmarkRun):
-        cache.demote_hit(key)
-        return None
-    return run
 
 
 def _merged_payload(items: Sequence[Tuple[int, CaseUnit, Optional[str]]]
@@ -322,28 +283,37 @@ def _unit_sim_cycles(run: BenchmarkRun) -> int:
     return sum(result.elapsed_cycles for result in run.results.values())
 
 
-def _run_units(
+def run_units(
     units: Sequence[CaseUnit],
-    names: Sequence[str],
-    jobs: int,
-    cache: Optional[CacheStore],
-    title: str,
-    executor: Optional[ExecutorBackend] = None,
+    executor: ExecutorBackend,
+    cache: Optional[CacheStore] = None,
+    grid: bool = False,
     keep_going: bool = False,
     retries: int = 1,
     failures: Optional[List[UnitFailure]] = None,
     tracer: Optional[Tracer] = None,
 ) -> List[Optional[BenchmarkRun]]:
-    """Execute ``units``; results come back slot-aligned with the input.
+    """Execute ``units`` on ``executor``; runs come back in input order.
 
-    ``names`` are the unit span names, slot-aligned with ``units``.
+    Each unit's ``num_workers`` is the number of *simulated* cores its
+    non-serial runtimes use; the host fan-out is the backend's.  A unit
+    that fails is retried ``retries`` times in a fresh worker; with
+    ``keep_going`` the sweep returns anyway — failed slots are ``None``,
+    keeping the list zippable against ``units``, and the failure records
+    are appended to the ``failures`` list — otherwise it raises one
+    :class:`~repro.harness.executor.SweepError` naming every failed unit.
+
+    ``tracer`` carries the sweep's telemetry: one sweep span, and one unit
+    span per unit (a cache hit is ``cached`` with zero seconds; a
+    simulated unit carries its wall clock and sim-core throughput).  A
+    plain sweep is the ``benchmark sweep`` with units named ``case.key``;
+    a ``grid`` sweep is the ``grid sweep``, whose unit names carry the
+    worker count (``case.key@Nw``) to keep its columns distinguishable.
     """
-    if jobs <= 0:
-        raise EvaluationError("jobs must be positive")
-    if retries < 0:
-        raise EvaluationError("retries must be >= 0")
     if tracer is None:
         tracer = null_tracer()
+    title = "grid sweep" if grid else "benchmark sweep"
+    names = [unit.key if grid else unit.case.key for unit in units]
 
     results: List[Optional[BenchmarkRun]] = [None] * len(units)
     failed: Dict[int, UnitFailure] = {}
@@ -378,7 +348,7 @@ def _run_units(
             if cache is not None:
                 key = case_cache_key(unit.case, unit.config, unit.num_workers,
                                      runtimes=unit.runtimes)
-                run = _decode_cached_run(cache, key)
+                run = decode_cached(cache, key, BenchmarkRun)
                 if run is not None:
                     results[slot] = run
                     tracer.unit(names[slot], 0.0, cached=True)
@@ -386,19 +356,8 @@ def _run_units(
             pending.append((slot, unit, key))
 
         if pending:
-            backend = executor
-            owned = backend is None
-            if owned:
-                backend = (SerialBackend()
-                           if jobs == 1 or len(pending) == 1 else
-                           ProcessPoolBackend(min(jobs, len(pending))))
-                backend.tracer = tracer
-            try:
-                _dispatch_pending(backend, pending, retries, record, fail,
-                                  tracer=tracer)
-            finally:
-                if owned:
-                    backend.close()
+            _dispatch_pending(executor, pending, retries, record, fail,
+                              tracer=tracer)
         sweep_span.set(total=len(units),
                        simulated=len(pending) - len(failed),
                        cached=len(units) - len(pending),
@@ -421,72 +380,3 @@ def _run_units(
             f"{', '.join(unfilled)}"
         )
     return results
-
-
-def run_cases(
-    config: SimConfig,
-    cases: Sequence[BenchmarkCase],
-    num_workers: int,
-    jobs: int = 1,
-    cache: Optional[CacheStore] = None,
-    runtimes: Optional[Sequence[str]] = None,
-    executor: Optional[ExecutorBackend] = None,
-    keep_going: bool = False,
-    retries: int = 1,
-    failures: Optional[List[UnitFailure]] = None,
-    tracer: Optional[Tracer] = None,
-) -> List[Optional[BenchmarkRun]]:
-    """Execute ``cases`` under one config; runs come back in input order.
-
-    ``num_workers`` is the number of *simulated* cores each non-serial
-    runtime uses; ``jobs`` is the number of *host* processes the sweep fans
-    out over (1 keeps everything in-process).  ``runtimes`` selects the
-    runtimes each case runs on (default: the registry's case set).  An
-    ``executor`` backend may be injected (e.g. the engine's persistent
-    warm pool); otherwise a transient one is built from ``jobs``.
-
-    A failing case is retried ``retries`` times in a fresh worker; with
-    ``keep_going`` the sweep returns anyway — failed slots are ``None``,
-    keeping the list zippable against ``cases``, and the failure records
-    are appended to the ``failures`` list — otherwise it raises one
-    :class:`~repro.harness.executor.SweepError` naming every failed case.
-
-    ``tracer`` carries the sweep's telemetry: one sweep span, and one unit
-    span per case named ``case.key`` (a cache hit is ``cached`` with zero
-    seconds; a simulated case carries its wall clock and sim-core
-    throughput).
-    """
-    selection = canonical_runtime_selection(runtimes)
-    units = [CaseUnit(config, case, num_workers, selection)
-             for case in cases]
-    return _run_units(units, [case.key for case in cases], jobs, cache,
-                      "benchmark sweep", executor=executor,
-                      keep_going=keep_going, retries=retries,
-                      failures=failures, tracer=tracer)
-
-
-def run_case_grid(
-    units: Sequence[CaseUnit],
-    jobs: int = 1,
-    cache: Optional[CacheStore] = None,
-    executor: Optional[ExecutorBackend] = None,
-    keep_going: bool = False,
-    retries: int = 1,
-    failures: Optional[List[UnitFailure]] = None,
-    tracer: Optional[Tracer] = None,
-) -> List[Optional[BenchmarkRun]]:
-    """Execute a heterogeneous unit list; runs come back in input order.
-
-    This is the grid-sweep entry point: units may mix configurations and
-    worker counts freely (e.g. every Figure 9 case at 1, 2, 4, ... cores)
-    and all of them share one executor backend, so total wall clock tracks
-    total work.  Unit span names carry the worker count
-    (``case.key@Nw``) to keep grid columns distinguishable.  Failure
-    semantics match :func:`run_cases`: under ``keep_going``, failed slots
-    come back as ``None`` so the list stays zippable against ``units``.
-    """
-    units = list(units)
-    return _run_units(units, [unit.key for unit in units], jobs, cache,
-                      "grid sweep", executor=executor,
-                      keep_going=keep_going, retries=retries,
-                      failures=failures, tracer=tracer)

@@ -11,7 +11,7 @@ behaviour matters.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List
+from typing import List
 
 from repro.common.config import CACHE_LINE_BYTES
 from repro.common.errors import MemoryModelError
@@ -82,12 +82,6 @@ class MemoryRegion:
         """True if ``address`` lies inside the region."""
         return self.base <= address < self.end
 
-    def iter_elements(self, element_size: int) -> Iterator[int]:
-        """Iterate over the address of every whole element in the region."""
-        count = self.size // element_size
-        for index in range(count):
-            yield self.base + index * element_size
-
 
 class AddressAllocator:
     """Bump allocator carving named regions out of the modelled address space.
@@ -134,10 +128,3 @@ class AddressAllocator:
     def regions(self) -> List[MemoryRegion]:
         """Every region allocated so far, in allocation order."""
         return list(self._regions)
-
-    @property
-    def bytes_allocated(self) -> int:
-        """Total bytes handed out (including alignment padding)."""
-        if not self._regions:
-            return 0
-        return self._regions[-1].end - self._regions[0].base

@@ -110,11 +110,6 @@ class TaskDescriptor:
         """Packets the runtime must transmit (header + used slots)."""
         return nonzero_packet_count(self.num_dependences)
 
-    @property
-    def zero_packets(self) -> int:
-        """Packets the Zero Padder appends."""
-        return zero_packet_count(self.num_dependences)
-
 
 def nonzero_packet_count(num_dependences: int) -> int:
     """Non-zero packets of a descriptor with ``num_dependences`` deps."""

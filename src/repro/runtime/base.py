@@ -78,10 +78,6 @@ class RuntimeResult:
             overhead_total = self.overhead_cycles / self.num_cores
         return max(overhead_total, 0) / self.tasks_executed
 
-    def normalized_performance(self, baseline: "RuntimeResult") -> float:
-        """This run's performance relative to ``baseline`` (higher is better)."""
-        return baseline.elapsed_cycles / self.elapsed_cycles
-
 
 class Runtime(abc.ABC):
     """Common driver logic shared by every runtime model."""
@@ -89,7 +85,7 @@ class Runtime(abc.ABC):
     # Concrete subclasses that add instance state keep their __dict__
     # unless they declare __slots__ themselves; the base attributes stay
     # slotted either way.
-    __slots__ = ("config", "stats")
+    __slots__ = ("config", "stats", "tasks_executed")
 
     #: Short identifier used in reports ("serial", "nanos-sw", "phentos", ...).
     name: str = "abstract"
@@ -107,6 +103,9 @@ class Runtime(abc.ABC):
         program.validate()
         workers = self._resolve_workers(num_workers)
         soc = self.build_soc(workers)
+        # Task bodies this run executes: each runtime's execution path
+        # adds one next to ``task.run_kernel()``.
+        self.tasks_executed = 0
         self._execute(soc, program, workers)
         elapsed = soc.now
         if elapsed <= 0:
@@ -118,7 +117,7 @@ class Runtime(abc.ABC):
             program=program.name,
             num_cores=workers,
             elapsed_cycles=elapsed,
-            tasks_executed=program.num_tasks,
+            tasks_executed=self.tasks_executed,
             serial_cycles=max(program.serial_cycles, 1),
             mean_task_cycles=program.mean_task_cycles,
             busy_cycles=soc.total_busy_cycles(),

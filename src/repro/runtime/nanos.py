@@ -326,6 +326,7 @@ class NanosRuntime(Runtime):
                 return False
         task = state.program.tasks[task_index]
         task.run_kernel()
+        self.tasks_executed += 1
         yield from core.compute(task.payload_cycles)
         yield from machinery.charge_retirement(core)
         yield from state.retire(core, task_index)

@@ -174,11 +174,11 @@ class PhentosRuntime(Runtime):
         for line in range(state.metadata_lines):
             yield from core.load(element_address + line * CACHE_LINE_BYTES)
         task.run_kernel()
+        self.tasks_executed += 1
         yield from core.compute(task.payload_cycles)
         yield from core.execute(self.costs.retire_instructions)
         yield from retire_task_hw(core, picos_id)
         state.private_counters[core.core_id] += 1
-        state.executed_by_core[core.core_id] += 1
 
     def _flush_private_counter(self, state: "_PhentosState", core_id: int,
                                core, force: bool = False) -> ProcessGen:
@@ -239,7 +239,6 @@ class _PhentosState:
             "phentos.retired_counter"
         )
         self.private_counters: List[int] = [0] * soc.num_cores
-        self.executed_by_core: List[int] = [0] * soc.num_cores
         self.contexts: Dict[int, HwWorkerContext] = {
             core_id: HwWorkerContext(soc, core_id, self.done)
             for core_id in range(soc.num_cores)

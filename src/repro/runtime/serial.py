@@ -47,4 +47,5 @@ class SerialRuntime(Runtime):
         for task in program.tasks:
             yield from core.execute(_LOOP_INSTRUCTIONS_PER_TASK)
             task.run_kernel()
+            self.tasks_executed += 1
             yield from core.compute(task.payload_cycles)

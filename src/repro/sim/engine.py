@@ -366,9 +366,6 @@ class Event:
         else:
             self._callbacks.append(callback)
 
-    def _add_waiter(self, process: "Process") -> None:
-        self._waiters.append(process)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "triggered" if self._triggered else "pending"
         return f"Event({self.name!r}, {state})"
@@ -617,11 +614,6 @@ class Engine:
         if self._loop(remaining, self.max_cycles, clamp=False):
             self._raise_watched_deadlock(watched)
         return self.now
-
-    @property
-    def live_processes(self) -> List[Process]:
-        """Processes that have been spawned and have not yet finished."""
-        return list(self._live_processes.values())
 
     @property
     def trace_log(self) -> List[str]:

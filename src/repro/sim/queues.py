@@ -67,13 +67,6 @@ class DecoupledQueue(Generic[T]):
         except ValueError:
             pass
 
-    def unsubscribe_dequeue(self, callback) -> None:
-        """Remove a previously registered dequeue observer (no-op if absent)."""
-        try:
-            self._dequeue_observers.remove(callback)
-        except ValueError:
-            pass
-
     # ------------------------------------------------------------------ #
     # Hardware-style (non-blocking) interface
     # ------------------------------------------------------------------ #

@@ -1,6 +1,6 @@
-"""Workload factories, telemetry helpers, a reference MESI directory, a
-polling Picos device, a per-packet Submission Handler and a reference
-engine loop shared by the test suite."""
+"""Workload factories, sweep and telemetry helpers, a reference MESI
+directory, a polling Picos device, a per-packet Submission Handler and a
+reference engine loop shared by the test suite."""
 
 from __future__ import annotations
 
@@ -12,6 +12,8 @@ from typing import Dict, List, Optional, Set, Tuple
 from repro.common.config import MemoryCosts, SimConfig
 from repro.common.errors import MemoryModelError, SimulationError
 from repro.common.stats import Stats
+from repro.harness.executor import ProcessPoolBackend, SerialBackend
+from repro.harness.runner import CaseUnit, run_units
 from repro.harness.telemetry import TelemetrySink
 from repro.manager.submission import SubmissionHandler
 from repro.memory.mesi import AccessType, LineState
@@ -82,6 +84,20 @@ class RecordingSink(TelemetrySink):
 
     def close(self) -> None:
         self.closed = True
+
+
+def sweep_units(units, jobs: int = 1, **kwargs) -> list:
+    """``run_units`` on a fresh backend ``jobs`` host processes wide."""
+    with (SerialBackend() if jobs == 1
+          else ProcessPoolBackend(jobs)) as backend:
+        return run_units(units, backend, **kwargs)
+
+
+def sweep_cases(config: SimConfig, cases, num_workers: int, jobs: int = 1,
+                **kwargs) -> list:
+    """One plain benchmark sweep of ``cases`` under ``config``."""
+    return sweep_units([CaseUnit(config, case, num_workers)
+                        for case in cases], jobs, **kwargs)
 
 
 def unit_ends(sink: RecordingSink) -> list:

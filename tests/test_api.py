@@ -199,10 +199,11 @@ class TestPluginTransport:
 
     def test_plugin_workload_survives_worker_boundary(self, tiny_config):
         # Simulate a spawned worker: the plugin is absent from the
-        # registry when _execute_case runs, and the shipped builder
+        # registry when _execute_batch runs, and the shipped builder
         # payload re-registers it.
-        from repro.harness.runner import CaseUnit, _execute_case, \
-            _plugin_payload, run_cases
+        from repro.harness.executor import ProcessPoolBackend
+        from repro.harness.runner import CaseUnit, _execute_batch, \
+            _plugin_payload, run_units
         from tests.helpers import plugin_chain_builder
 
         name = "transport-wl"
@@ -215,17 +216,20 @@ class TestPluginTransport:
             assert builder is plugin_chain_builder
             assert plugin_runtimes == {}
             assert plugin_files == ()
-            # parallel path end to end (payload attached per future)
-            runs = run_cases(tiny_config, cases, num_workers=2, jobs=2)
+            # parallel path end to end (payload attached per batch)
+            with ProcessPoolBackend(2) as backend:
+                runs = run_units([unit], backend)
             assert runs[0].results["phentos"].elapsed_cycles > 0
         finally:
             registry.WORKLOADS.remove(name)
         # Worker side: registry no longer knows the name; the payload
         # must be enough to execute the unit.
-        run, _seconds = _execute_case(tiny_config, cases[0], 2, None,
-                                      plugin_chain_builder, None)
+        [outcome] = _execute_batch(
+            ({name: plugin_chain_builder}, {}, ()),
+            ((tiny_config, cases[0], 2, None),))
         try:
-            assert run.results["serial"].elapsed_cycles > 0
+            assert outcome[0] == "ok"
+            assert outcome[1].results["serial"].elapsed_cycles > 0
         finally:
             registry.WORKLOADS.remove(name)
 
@@ -263,7 +267,7 @@ class TestPluginTransport:
         # re-load the file (firing its @register_workload) before running.
         import sys
 
-        from repro.harness.runner import CaseUnit, _execute_case, \
+        from repro.harness.runner import CaseUnit, _execute_batch, \
             _plugin_payload
         from repro.registry import PLUGIN_MODULE_PREFIX, load_plugin
 
@@ -291,9 +295,10 @@ class TestPluginTransport:
                                 if m.startswith(PLUGIN_MODULE_PREFIX)]:
                 del sys.modules[module_name]
             registry.WORKLOADS.remove("file-plug-wl")
-            run, _seconds = _execute_case(
-                tiny_config, cases[0], 2, None, None, None, plugin_files)
-            assert run.results["serial"].elapsed_cycles > 0
+            [outcome] = _execute_batch(
+                ({}, {}, plugin_files), ((tiny_config, cases[0], 2, None),))
+            assert outcome[0] == "ok"
+            assert outcome[1].results["serial"].elapsed_cycles > 0
         finally:
             registry.WORKLOADS.remove("file-plug-wl")
             for module_name in [m for m in sys.modules

@@ -21,15 +21,10 @@ from repro.harness.executor import (
     UnitFailure,
     batch_size,
 )
-from repro.harness.runner import (
-    CaseUnit,
-    _plugin_payload,
-    run_case_grid,
-    run_cases,
-)
+from repro.harness.runner import CaseUnit, _plugin_payload, run_units
 from repro.harness.telemetry import Tracer
 from repro.registry import register_runtime, register_workload
-from tests.helpers import RecordingSink, unit_ends
+from tests.helpers import RecordingSink, sweep_cases, sweep_units, unit_ends
 
 POISON_PLUGIN = os.path.join(os.path.dirname(__file__), "plugins",
                              "poison_workload.py")
@@ -180,7 +175,7 @@ class TestSweepFailureIsolation:
             self, tiny_config, tiny_cases, poison_workload):
         cases = _mixed_cases(tiny_cases, poison_workload)
         with pytest.raises(SweepError) as excinfo:
-            run_cases(tiny_config, cases, num_workers=2, retries=0)
+            sweep_cases(tiny_config, cases, num_workers=2, retries=0)
         assert len(excinfo.value.failures) == 1
         assert poison_workload in excinfo.value.failures[0].key
 
@@ -194,8 +189,8 @@ class TestSweepFailureIsolation:
                  for workers in (2, 4) for case in cases]
         cache = CacheStore(tmp_path)
         failures = []
-        runs = run_case_grid(units, jobs=2, cache=cache, keep_going=True,
-                             retries=1, failures=failures)
+        runs = sweep_units(units, jobs=2, grid=True, cache=cache,
+                           keep_going=True, retries=1, failures=failures)
         assert len(failures) == 2  # the poisoned case at both core counts
         assert len(runs) == len(units)  # slot-aligned, failures are None
         completed = [run for run in runs if run is not None]
@@ -206,8 +201,8 @@ class TestSweepFailureIsolation:
                 assert run.case == unit.case
         # Completed units were cached: a rerun is all hits + same failure.
         rerun_failures = []
-        rerun = run_case_grid(units, jobs=1, cache=cache, keep_going=True,
-                              retries=0, failures=rerun_failures)
+        rerun = sweep_units(units, grid=True, cache=cache, keep_going=True,
+                            retries=0, failures=rerun_failures)
         assert cache.stats.hits >= len(completed)
         assert [r.case.key for r in rerun if r is not None] == \
             [r.case.key for r in completed]
@@ -219,8 +214,8 @@ class TestSweepFailureIsolation:
         units = [CaseUnit(tiny_config, case, 2) for case in cases]
         cache = CacheStore(tmp_path)
         failures = []
-        runs = run_case_grid(units, jobs=2, cache=cache, keep_going=True,
-                             failures=failures)
+        runs = sweep_units(units, jobs=2, grid=True, cache=cache,
+                           keep_going=True, failures=failures)
         assert len(failures) == 1
         assert failures[0].key == f"{poison_workload}/default@2w"
         assert sum(run is not None for run in runs) == len(cases) - 1
@@ -229,12 +224,12 @@ class TestSweepFailureIsolation:
                                     poison_workload):
         cases = _mixed_cases(tiny_cases, poison_workload)
         failures = []
-        run_cases(tiny_config, cases, num_workers=2, keep_going=True,
-                  retries=1, failures=failures)
+        sweep_cases(tiny_config, cases, num_workers=2, keep_going=True,
+                    retries=1, failures=failures)
         assert failures[0].attempts == 2  # first attempt + one retry
         failures = []
-        run_cases(tiny_config, cases, num_workers=2, keep_going=True,
-                  retries=0, failures=failures)
+        sweep_cases(tiny_config, cases, num_workers=2, keep_going=True,
+                    retries=0, failures=failures)
         assert failures[0].attempts == 1
 
     def test_transient_failure_recovers_on_retry(self, tmp_path, tiny_config,
@@ -255,16 +250,18 @@ class TestSweepFailureIsolation:
         try:
             cases = benchmark_cases(workloads=[name])
             failures = []
-            runs = run_cases(tiny_config, cases, num_workers=2, retries=1,
-                             failures=failures)
+            runs = sweep_cases(tiny_config, cases, num_workers=2,
+                               retries=1, failures=failures)
             assert failures == []
             assert runs[0].results["serial"].elapsed_cycles > 0
         finally:
             registry.WORKLOADS.remove(name)
 
-    def test_rejects_negative_retries(self, tiny_config, tiny_cases):
+    def test_rejects_negative_retries(self, tiny_config):
+        # The engine validates the retry budget before any sweep runs.
         with pytest.raises(EvaluationError):
-            run_cases(tiny_config, tiny_cases, num_workers=2, retries=-1)
+            ExperimentEngine(config=tiny_config, keep_going=True,
+                             retries=-1)
 
     def test_truncated_batch_outcome_becomes_failure(self, tiny_config,
                                                      tiny_cases):
@@ -277,8 +274,8 @@ class TestSweepFailureIsolation:
                     yield index, fn(*batch)[:-1]  # drop the last outcome
 
         failures = []
-        runs = run_cases(tiny_config, tiny_cases, num_workers=2,
-                         executor=TruncatingBackend(), retries=1,
+        units = [CaseUnit(tiny_config, case, 2) for case in tiny_cases]
+        runs = run_units(units, TruncatingBackend(), retries=1,
                          failures=failures)
         assert failures == []
         assert [run.case.key for run in runs] == \
@@ -297,16 +294,16 @@ class TestSweepFailureIsolation:
 
         with pytest.raises(EvaluationError,
                            match=re.escape(tiny_cases[-1].key)):
-            run_cases(tiny_config, tiny_cases, num_workers=2,
-                      executor=LossyBackend())
+            run_units([CaseUnit(tiny_config, case, 2)
+                       for case in tiny_cases], LossyBackend())
 
     def test_progress_finishes_and_marks_failures(
             self, tiny_config, tiny_cases, poison_workload):
         sink = RecordingSink()
         cases = _mixed_cases(tiny_cases, poison_workload)
         with pytest.raises(SweepError):
-            run_cases(tiny_config, cases, num_workers=2, retries=0,
-                      tracer=Tracer([sink]))
+            sweep_cases(tiny_config, cases, num_workers=2, retries=0,
+                        tracer=Tracer([sink]))
         # The sweep span closed although the sweep raised, and the
         # poisoned unit was marked failed rather than dropped.
         last = sink.records[-1]
@@ -434,8 +431,8 @@ class TestEngineExecutorOwnership:
 
     def test_partial_scaling_curves_never_cached(
             self, tmp_path, tiny_config, tiny_cases, poison_workload):
-        # Even when every column is memo-served (second run), a partial
-        # curve set must not land under the full-grid cache key: a fresh
+        # Even when every column is memo-served (second run), only the
+        # completed units of a partial curve set are cached: a fresh
         # engine must re-attempt the poisoned units, not be served gaps.
         cases = _mixed_cases(tiny_cases[:1], poison_workload)
         with ExperimentEngine(config=tiny_config, cache_dir=tmp_path,
@@ -446,6 +443,25 @@ class TestEngineExecutorOwnership:
                               keep_going=True, retries=0) as fresh:
             fresh.run("scaling_curves", cases=cases, core_counts=[1, 2])
             assert fresh.unit_failures  # re-attempted, not served gaps
+
+    def test_scaling_grid_records_each_failure_once(
+            self, tmp_path, tiny_config, tiny_cases, poison_workload):
+        # One poisoned case at two core counts fails two units: the grid
+        # records each once, and the run span agrees with the counter.
+        from repro.harness.telemetry import read_trace
+
+        trace = tmp_path / "trace.jsonl"
+        cases = _mixed_cases(tiny_cases[:1], poison_workload)
+        with ExperimentEngine(config=tiny_config, keep_going=True,
+                              retries=0, trace_path=trace) as engine:
+            engine.run("scaling_curves", cases=cases, core_counts=[1, 2])
+            assert len(engine.unit_failures) == 2
+        records = read_trace(trace)
+        counters = [r for r in records if r["type"] == "counters"][-1]
+        run_end = next(r for r in records
+                       if r["type"] == "span_end" and r["kind"] == "run")
+        assert counters["values"]["sweep.unit_failures"] == 2
+        assert run_end["attrs"]["unit_failures"] == 2
 
     def test_keep_going_scaling_aligns_surviving_cases(
             self, tiny_config, tiny_cases, poison_workload):

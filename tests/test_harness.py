@@ -29,11 +29,11 @@ from repro.harness import (
     decode,
     encode,
     experiment_cache_key,
-    run_cases,
     stable_hash,
 )
 from repro.harness.cli import main as cli_main
 from repro.runtime.base import RuntimeResult
+from tests.helpers import sweep_cases
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -167,43 +167,45 @@ class TestArtifacts:
 class TestParallelRunner:
     def test_parallel_results_identical_to_serial(self, tiny_config,
                                                   tiny_cases, serial_runs):
-        parallel = run_cases(tiny_config, tiny_cases, num_workers=4, jobs=2)
+        parallel = sweep_cases(tiny_config, tiny_cases, num_workers=4, jobs=2)
         assert parallel == serial_runs
         # Byte-identical once rendered through the artifact codec.
         assert (json.dumps(encode(parallel), sort_keys=True)
                 == json.dumps(encode(serial_runs), sort_keys=True))
 
     def test_assembly_preserves_input_order(self, tiny_config, tiny_cases):
-        reversed_runs = run_cases(tiny_config, list(reversed(tiny_cases)),
-                                  num_workers=4, jobs=2)
+        reversed_runs = sweep_cases(tiny_config, list(reversed(tiny_cases)),
+                                    num_workers=4, jobs=2)
         assert [run.case.key for run in reversed_runs] == \
             [case.key for case in reversed(tiny_cases)]
 
     def test_cache_populated_and_reused(self, tmp_path, tiny_config,
                                         tiny_cases, serial_runs):
         cache = CacheStore(tmp_path)
-        first = run_cases(tiny_config, tiny_cases, num_workers=4,
-                          jobs=2, cache=cache)
+        first = sweep_cases(tiny_config, tiny_cases, num_workers=4,
+                            jobs=2, cache=cache)
         assert cache.stats.misses == len(tiny_cases)
         assert cache.stats.hits == 0
-        second = run_cases(tiny_config, tiny_cases, num_workers=4,
-                           jobs=2, cache=cache)
+        second = sweep_cases(tiny_config, tiny_cases, num_workers=4,
+                             jobs=2, cache=cache)
         assert cache.stats.hits == len(tiny_cases)
         assert first == second == serial_runs
 
-    def test_rejects_nonpositive_jobs(self, tiny_config, tiny_cases):
-        with pytest.raises(EvaluationError):
-            run_cases(tiny_config, tiny_cases, num_workers=4, jobs=0)
+    def test_rejects_nonpositive_jobs(self, tiny_config):
+        # The engine validates the host fan-out before any backend exists.
+        for jobs in (0, -1):
+            with pytest.raises(EvaluationError):
+                ExperimentEngine(config=tiny_config, jobs=jobs)
 
     def test_schema_invalid_entry_recomputed(self, tmp_path, tiny_config,
                                              tiny_cases, serial_runs):
         # An entry that parses as JSON but not as a BenchmarkRun must be
         # treated as a miss (and dropped), not crash the sweep.
         cache = CacheStore(tmp_path)
-        run_cases(tiny_config, tiny_cases, num_workers=4, cache=cache)
+        sweep_cases(tiny_config, tiny_cases, num_workers=4, cache=cache)
         key = case_cache_key(tiny_cases[0], tiny_config, 4)
         cache.put(key, {"half": "baked"})
-        runs = run_cases(tiny_config, tiny_cases, num_workers=4, cache=cache)
+        runs = sweep_cases(tiny_config, tiny_cases, num_workers=4, cache=cache)
         assert runs == serial_runs
         assert cache.stats.hits == len(tiny_cases) - 1
         assert cache.get(key) is not None  # re-stored, decodable again
@@ -317,13 +319,13 @@ class TestEngine:
         import repro.harness.engine as engine_module
 
         calls = []
-        real_run_cases = engine_module.run_cases
+        real_run_units = engine_module.run_units
 
-        def counting_run_cases(*args, **kwargs):
+        def counting_run_units(*args, **kwargs):
             calls.append(1)
-            return real_run_cases(*args, **kwargs)
+            return real_run_units(*args, **kwargs)
 
-        monkeypatch.setattr(engine_module, "run_cases", counting_run_cases)
+        monkeypatch.setattr(engine_module, "run_units", counting_run_units)
         engine = ExperimentEngine(config=tiny_config)  # no disk cache
         engine.run("figure9", cases=tiny_cases, num_workers=4)
         engine.run("figure8", cases=tiny_cases, num_workers=4)

@@ -50,6 +50,18 @@ class TestSerialRuntime:
         result = SerialRuntime().run(program)
         assert result.elapsed_cycles >= 500
 
+    def test_tasks_executed_counts_task_bodies_run(self):
+        # A runtime that loses a task must say so: the count is of the
+        # task bodies run, not the program's task count.
+        class SkipLastTask(SerialRuntime):
+            def _main(self, soc, program):
+                return super()._main(
+                    soc, TaskProgram(program.name, program.tasks[:-1]))
+
+        program = make_independent_program(num_tasks=6, payload=100)
+        assert SkipLastTask().run(program).tasks_executed == 5
+        assert SerialRuntime().run(program).tasks_executed == 6
+
 
 class TestRuntimeRegistry:
     def test_registry_contains_all_five_models(self):

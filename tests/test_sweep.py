@@ -39,14 +39,11 @@ from repro.harness import (
     case_cache_key,
     decode,
     encode,
-    grid_cache_key,
-    run_case_grid,
-    run_cases,
 )
 from repro.harness.cli import main as cli_main
 from repro.harness.telemetry import Tracer
 from repro.runtime.base import RuntimeResult
-from tests.helpers import RecordingSink, unit_ends
+from tests.helpers import RecordingSink, sweep_cases, sweep_units, unit_ends
 
 
 @pytest.fixture(scope="module")
@@ -80,15 +77,6 @@ def _make_run(case_key, cores, speedups, serial=1000):
 
 
 class TestGridHashing:
-    def test_grid_key_changes_with_overrides_and_parameters(self):
-        config = SimConfig()
-        one = grid_cache_key("figure9", config, [{"num_cores": 1}])
-        two = grid_cache_key("figure9", config, [{"num_cores": 2}])
-        assert one != two
-        assert one == grid_cache_key("figure9", config, [{"num_cores": 1}])
-        assert (grid_cache_key("figure9", config, [], {"quick": True})
-                != grid_cache_key("figure9", config, [], {"quick": False}))
-
     def test_jobs_never_enter_cache_keys(self, tiny_config, tiny_cases):
         # The host fan-out (jobs / REPRO_JOBS) is not part of any key, so
         # there is literally no key input that could change with it; the
@@ -101,11 +89,11 @@ class TestCacheVsWorkers:
     def test_cache_hits_independent_of_host_jobs(self, tmp_path,
                                                  tiny_config, tiny_cases):
         cache = CacheStore(tmp_path)
-        first = run_cases(tiny_config, tiny_cases, num_workers=2,
-                          jobs=1, cache=cache)
+        first = sweep_cases(tiny_config, tiny_cases, num_workers=2,
+                            jobs=1, cache=cache)
         assert cache.stats.misses == len(tiny_cases)
-        second = run_cases(tiny_config, tiny_cases, num_workers=2,
-                           jobs=3, cache=cache)
+        second = sweep_cases(tiny_config, tiny_cases, num_workers=2,
+                             jobs=3, cache=cache)
         assert cache.stats.hits == len(tiny_cases)
         assert cache.stats.misses == len(tiny_cases)  # no new misses
         assert first == second
@@ -127,8 +115,8 @@ class TestGridRunner:
         units = [CaseUnit(tiny_config.with_cores(cores), case, cores)
                  for cores in (1, 2)
                  for case in tiny_cases]
-        serial = run_case_grid(units, jobs=1)
-        parallel = run_case_grid(units, jobs=3)
+        serial = sweep_units(units, grid=True, jobs=1)
+        parallel = sweep_units(units, grid=True, jobs=3)
         assert serial == parallel
         assert (json.dumps(encode(serial), sort_keys=True)
                 == json.dumps(encode(parallel), sort_keys=True))
@@ -137,7 +125,7 @@ class TestGridRunner:
         units = [CaseUnit(tiny_config.with_cores(cores), case, cores)
                  for cores in (2, 1)
                  for case in reversed(tiny_cases)]
-        runs = run_case_grid(units, jobs=3)
+        runs = sweep_units(units, grid=True, jobs=3)
         assert [run.case.key for run in runs] == \
             [unit.case.key for unit in units]
 
@@ -145,7 +133,7 @@ class TestGridRunner:
         units = [CaseUnit(tiny_config.with_cores(cores), tiny_cases[0],
                           cores) for cores in (1, 2)]
         sink = RecordingSink()
-        run_case_grid(units, tracer=Tracer([sink]))
+        sweep_units(units, grid=True, tracer=Tracer([sink]))
         names = [unit["name"] for unit in unit_ends(sink)]
         assert names == [unit.key for unit in units]
         assert all(name.endswith("w") for name in names)
@@ -153,11 +141,11 @@ class TestGridRunner:
     def test_grid_shares_cache_with_plain_sweeps(self, tmp_path,
                                                  tiny_config, tiny_cases):
         cache = CacheStore(tmp_path)
-        run_cases(tiny_config.with_cores(2), tiny_cases, num_workers=2,
-                  cache=cache)
+        sweep_cases(tiny_config.with_cores(2), tiny_cases, num_workers=2,
+                    cache=cache)
         units = [CaseUnit(tiny_config.with_cores(cores), case, cores)
                  for cores in (1, 2) for case in tiny_cases]
-        run_case_grid(units, cache=cache)
+        sweep_units(units, grid=True, cache=cache)
         # The 2-core half of the grid was served from the plain sweep.
         assert cache.stats.hits == len(tiny_cases)
         assert cache.stats.misses == 2 * len(tiny_cases)

@@ -14,7 +14,6 @@ from repro.eval.experiments import benchmark_cases
 from repro.harness import ExperimentEngine
 from repro.harness.cache import CacheStore
 from repro.harness.cli import main as cli_main
-from repro.harness.runner import run_cases
 from repro.harness.telemetry import (
     TRACE_SCHEMA,
     ConsoleSink,
@@ -26,7 +25,7 @@ from repro.harness.telemetry import (
     read_trace,
     summarize_trace,
 )
-from tests.helpers import RecordingSink, unit_ends
+from tests.helpers import RecordingSink, sweep_cases, unit_ends
 
 
 @pytest.fixture(scope="module")
@@ -389,8 +388,8 @@ class TestEngineTracing:
     def test_simulated_unit_spans_carry_rates(self, tiny_config,
                                               tiny_cases):
         sink = RecordingSink()
-        runs = run_cases(tiny_config, tiny_cases, num_workers=2,
-                         tracer=Tracer([sink]))
+        runs = sweep_cases(tiny_config, tiny_cases, num_workers=2,
+                           tracer=Tracer([sink]))
         assert len(runs) == len(tiny_cases)
         units = unit_ends(sink)
         assert sorted(unit["name"] for unit in units) == sorted(
@@ -403,10 +402,10 @@ class TestEngineTracing:
     def test_cache_hits_are_cached_unit_spans_with_zero_seconds(
             self, tmp_path, tiny_config, tiny_cases):
         cache = CacheStore(tmp_path / "cache")
-        run_cases(tiny_config, tiny_cases, num_workers=2, cache=cache)
+        sweep_cases(tiny_config, tiny_cases, num_workers=2, cache=cache)
         sink = RecordingSink()
-        run_cases(tiny_config, tiny_cases, num_workers=2, cache=cache,
-                  tracer=Tracer([sink]))
+        sweep_cases(tiny_config, tiny_cases, num_workers=2, cache=cache,
+                    tracer=Tracer([sink]))
         units = unit_ends(sink)
         assert len(units) == len(tiny_cases)
         for unit in units:
@@ -586,7 +585,7 @@ class TestStudyTrace:
     def test_direct_runner_progress_interface_unchanged(self, tiny_config,
                                                         tiny_cases):
         sink = RecordingSink()
-        run_cases(tiny_config, tiny_cases, 4, tracer=Tracer([sink]))
+        sweep_cases(tiny_config, tiny_cases, 4, tracer=Tracer([sink]))
         first, last = sink.records[0], sink.records[-1]
         assert (first["type"], first["kind"]) == ("span_start", "sweep")
         assert first["attrs"]["total"] == len(tiny_cases)
