@@ -32,7 +32,8 @@ from repro.analysis.registry import register_rule
 #: defs and lambdas inside these count as hot too.
 HOT_FUNCTIONS: Dict[str, FrozenSet[str]] = {
     "repro/sim/engine.py": frozenset({
-        "__new__", "__init__", "_loop", "_finish", "_schedule", "_resume",
+        "__new__", "__init__", "_loop", "_finish", "_schedule", "_at",
+        "_resume",
         "_handle_delay", "_handle_put", "_handle_get", "_handle_wait",
         "_handle_fork", "_handle_join", "schedule_callback", "trigger",
         "advance", "run_ahead_limit", "cycle_pending",
@@ -52,6 +53,7 @@ HOT_FUNCTIONS: Dict[str, FrozenSet[str]] = {
         "execute", "load", "store", "atomic", "charge", "compute", "syscall",
         "rocc",
     }),
+    "repro/delegate/delegate.py": frozenset({"execute", "_retire_task"}),
     "repro/picos/device.py": frozenset({
         "insert_descriptor", "_submission_pipeline", "_insert_task",
         "_retirement_pipeline", "_kick_emitter", "_emit_ready",

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, Mapping, Tuple
 
 __all__ = ["Stats", "Histogram", "geometric_mean", "merge_stats"]

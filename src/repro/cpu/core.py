@@ -170,8 +170,9 @@ class Core:
                 f"core {self.core_id} has no RoCC accelerator attached"
             )
         issue_cycles = self._issue_cycles
-        self.stats.incr("rocc_instructions")
-        self.stats.incr(_ROCC_COUNTERS[command.funct])
+        counters = self.stats.counter_map()
+        counters["rocc_instructions"] += 1.0
+        counters[_ROCC_COUNTERS[command.funct]] += 1.0
         self.overhead_cycles += issue_cycles
         if not self.engine.advance(issue_cycles):
             yield self._issue_delay

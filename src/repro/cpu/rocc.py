@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.common.errors import ProtocolError
 
@@ -196,5 +195,11 @@ class RoccResponse:
 
     @classmethod
     def failure(cls) -> "RoccResponse":
-        """The canonical failure response (rd = all-ones flag value)."""
-        return cls(value=FAILURE_FLAG, success=False)
+        """The canonical failure response (rd = all-ones flag value).
+
+        Responses are frozen, so every failure shares one instance.
+        """
+        return _FAILURE
+
+
+_FAILURE = RoccResponse(value=FAILURE_FLAG, success=False)

@@ -20,7 +20,7 @@ the experiment harness drives the whole machine with :meth:`run`.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.common.config import SimConfig
 from repro.common.errors import ConfigurationError

@@ -52,6 +52,10 @@ _FAIL_COUNTERS = {
 class PicosDelegate:
     """RoCC accelerator stub exposing Picos to one core."""
 
+    __slots__ = ("core_id", "engine", "manager", "costs", "name", "stats",
+                 "_counters", "_handshake_cycles", "_handshake_delay",
+                 "_retire_cycles", "_retire_delay", "_sw_id_fetched")
+
     def __init__(self, core_id: int, engine: Engine, manager: PicosManager,
                  costs: RoccCosts, name: Optional[str] = None) -> None:
         if not 0 <= core_id < manager.num_cores:
@@ -65,6 +69,13 @@ class PicosDelegate:
         self.costs = costs
         self.name = name or f"delegate{core_id}"
         self.stats = Stats(self.name)
+        self._counters = self.stats.counter_map()
+        #: Handshake and retirement round-trip costs, each with its
+        #: ``Delay`` built once.
+        self._handshake_cycles = costs.manager_handshake
+        self._handshake_delay = Delay(costs.manager_handshake)
+        self._retire_cycles = costs.retire_roundtrip
+        self._retire_delay = Delay(costs.retire_roundtrip)
         #: Set by a successful Fetch SW ID, cleared by Fetch Picos ID.
         self._sw_id_fetched = False
 
@@ -72,10 +83,16 @@ class PicosDelegate:
     # Instruction dispatch
     # ------------------------------------------------------------------ #
     def execute(self, command: RoccCommand) -> Generator[Any, Any, RoccResponse]:
-        """Execute one custom instruction; returns its :class:`RoccResponse`."""
+        """Execute one custom instruction; returns its :class:`RoccResponse`.
+
+        The handshake moves the clock in place when the engine would
+        resume this process next (:meth:`Engine.advance`), so most
+        instructions finish without a ``yield``.
+        """
         funct = command.funct
-        self.stats.incr(_INSTR_COUNTERS[funct])
-        yield Delay(self.costs.manager_handshake)
+        self._counters[_INSTR_COUNTERS[funct]] += 1.0
+        if not self.engine.advance(self._handshake_cycles):
+            yield self._handshake_delay
         if funct is TaskSchedulingFunct.SUBMISSION_REQUEST:
             response = self._submission_request(command)
         elif funct is TaskSchedulingFunct.SUBMIT_PACKET:
@@ -92,8 +109,8 @@ class PicosDelegate:
             response = yield from self._retire_task(command)
         else:  # pragma: no cover - enum is exhaustive
             raise ProtocolError(f"unknown funct {funct!r}")
-        if response.failed:
-            self.stats.incr(_FAIL_COUNTERS[funct])
+        if not response.success:
+            self._counters[_FAIL_COUNTERS[funct]] += 1.0
         return response
 
     # ------------------------------------------------------------------ #
@@ -139,7 +156,8 @@ class PicosDelegate:
 
     def _retire_task(self, command: RoccCommand):
         queue = self.manager.retirement_queue(self.core_id)
-        yield Delay(self.costs.retire_roundtrip)
+        if not self.engine.advance(self._retire_cycles):
+            yield self._retire_delay
         # Blocking semantics: wait until the per-core retirement queue (and
         # thus the round-robin arbiter) accepts the packet.  Picos drains
         # retirements quickly, so this almost never stalls (Section IV-E.7).

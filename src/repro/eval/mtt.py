@@ -16,7 +16,7 @@ speedups of every benchmark run on the same bounds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import List, Sequence
 
 from repro.common.errors import EvaluationError
 

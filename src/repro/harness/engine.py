@@ -169,6 +169,9 @@ class ExperimentEngine:
         #: Every :class:`UnitFailure` any sweep of this engine produced
         #: (only populated under ``keep_going``; strict sweeps raise).
         self.unit_failures: List[UnitFailure] = []
+        # Units that failed, each counted once when it failed: the run
+        # span's count, which memo-served re-reports must not inflate.
+        self._failed_units = 0
         # The open run span (started lazily with the RunManifest on the
         # first experiment, ended by close()).
         self._run_span = None
@@ -224,8 +227,8 @@ class ExperimentEngine:
             executor.close()
         run_span, self._run_span = self._run_span, None
         if run_span is not None:
-            if self.unit_failures:
-                run_span.set(unit_failures=len(self.unit_failures))
+            if self._failed_units:
+                run_span.set(unit_failures=self._failed_units)
             # Closes the run span opened in _ensure_run_span() (see the
             # pragma there for why it is not a with-block).
             self.tracer.end_span(run_span)  # repro: lint-ignore[telemetry]
@@ -347,6 +350,7 @@ class ExperimentEngine:
                 keep_going=self.keep_going, retries=self.retries,
                 failures=failures, tracer=self.tracer)
             self.unit_failures.extend(failures)
+            self._failed_units += len(failures)
             # Runs are slot-aligned with the units (failed slots are None
             # under keep-going), so each configuration takes its slot
             # range and the failures that fall in it.

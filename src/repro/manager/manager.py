@@ -20,7 +20,7 @@ the same custom instructions — one of the paper's design goals.
 from __future__ import annotations
 
 import enum
-from typing import List, Optional
+from typing import List
 
 from repro.common.config import PicosCosts
 from repro.common.errors import ProtocolError
@@ -44,6 +44,12 @@ class ManagerError(enum.IntFlag):
     READY_OVERFLOW = 2
     RETIREMENT_OVERFLOW = 4
     PROTOCOL_VIOLATION = 8
+
+
+#: The stat each error bit bumps, built once instead of on every flag.
+_ERROR_COUNTERS = {
+    error: f"error_{error.name.lower()}" for error in ManagerError if error
+}
 
 
 class PicosManager:
@@ -141,8 +147,10 @@ class PicosManager:
     # Debug interface
     # ------------------------------------------------------------------ #
     def _flag(self, error: ManagerError) -> None:
-        self.error_register |= error
-        self.stats.incr(f"error_{error.name.lower()}")
+        # A set bit needs no IntFlag ``|``, which builds a new member.
+        if not int.__and__(self.error_register, error):
+            self.error_register |= error
+        self.stats.incr(_ERROR_COUNTERS[error])
 
     def clear_errors(self) -> None:
         """Reset the 4-bit error register."""

@@ -17,7 +17,6 @@ the two 2-cycle instructions Fetch SW ID and Fetch Picos ID (Section IV-F.2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List
 
 from repro.common.config import PicosCosts

@@ -22,7 +22,7 @@ calling process is responsible for charging that latency to the engine
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.common.config import CACHE_LINE_BYTES, MemoryCosts
 from repro.common.errors import MemoryModelError

@@ -18,7 +18,6 @@ from __future__ import annotations
 from typing import Generator, Optional
 
 from repro.common.config import AxiCosts
-from repro.common.errors import PicosError
 from repro.common.stats import Stats
 from repro.picos.device import PicosDevice, ReadyTask
 from repro.picos.packets import (

@@ -20,10 +20,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.common.errors import PicosError
-from repro.picos.packets import Direction, TaskDependence
+from repro.picos.packets import TaskDependence
 
 __all__ = ["TaskState", "TrackedTask", "DependenceTracker", "TaskGraph"]
 

@@ -18,7 +18,7 @@ the retry instructions to the issuing core.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator, Optional, Tuple
+from typing import Generator
 
 from repro.common.errors import RuntimeModelError
 from repro.cpu.core import Core
@@ -47,6 +47,11 @@ _RETRY_BACKOFF = Delay(_RETRY_BACKOFF_CYCLES)
 #: something is structurally wrong with the model and we fail loudly rather
 #: than spin forever.
 _MAX_RETRIES = 1_000_000
+
+#: The operand-less commands, built once: commands are frozen values.
+_READY_TASK_REQUEST = RoccCommand(TaskSchedulingFunct.READY_TASK_REQUEST)
+_FETCH_SW_ID = RoccCommand(TaskSchedulingFunct.FETCH_SW_ID)
+_FETCH_PICOS_ID = RoccCommand(TaskSchedulingFunct.FETCH_PICOS_ID)
 
 
 @dataclass(frozen=True)
@@ -100,9 +105,7 @@ def submit_task_hw(core: Core, task: Task, sw_id: int,
 
 def request_ready_task(core: Core) -> Generator:
     """Issue one Ready Task Request; returns True if it was accepted."""
-    response = yield from core.rocc(
-        RoccCommand(TaskSchedulingFunct.READY_TASK_REQUEST)
-    )
+    response = yield from core.rocc(_READY_TASK_REQUEST)
     return response.success
 
 
@@ -112,15 +115,11 @@ def fetch_ready_task(core: Core) -> Generator:
     Issues Fetch SW ID and, when it succeeds, Fetch Picos ID.  Returns a
     :class:`FetchedTask` or ``None`` when the private queue is empty.
     """
-    sw_response = yield from core.rocc(
-        RoccCommand(TaskSchedulingFunct.FETCH_SW_ID)
-    )
-    if sw_response.failed:
+    sw_response = yield from core.rocc(_FETCH_SW_ID)
+    if not sw_response.success:
         return None
-    picos_response = yield from core.rocc(
-        RoccCommand(TaskSchedulingFunct.FETCH_PICOS_ID)
-    )
-    if picos_response.failed:
+    picos_response = yield from core.rocc(_FETCH_PICOS_ID)
+    if not picos_response.success:
         raise RuntimeModelError(
             "Fetch Picos ID failed right after a successful Fetch SW ID"
         )

@@ -19,6 +19,7 @@ the software task graph of Nanos-SW belongs to its back-end.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Generator, List, Optional
 
 from repro.common.config import CACHE_LINE_BYTES, NanosCosts
@@ -39,8 +40,8 @@ __all__ = ["NanosMachinery"]
 #: the same lines from each other (the bouncing the paper describes).
 _SHARED_POOL_LINES = 64
 
-_READ = AccessType.READ
-_WRITE = AccessType.WRITE
+#: Access kind of a pool access by its parity: reads and writes alternate.
+_POOL_KINDS = (AccessType.READ, AccessType.WRITE)
 
 
 class NanosMachinery:
@@ -62,11 +63,18 @@ class NanosMachinery:
         self.shared_pool = memory.allocate(
             "nanos.shared_pool", _SHARED_POOL_LINES * CACHE_LINE_BYTES
         )
-        #: Directory line of each pool line's first word.
+        #: Directory line of each pool line's first word, repeated so that
+        #: the cursor (below the pool size) plus any offset within one
+        #: charge indexes it without a modulo.  Every charge's line count
+        #: is one of the ``*_shared_lines`` fields of ``costs``.
+        longest = max(value
+                      for name, value in dataclasses.asdict(costs).items()
+                      if name.endswith("_shared_lines"))
         self._pool_lines = tuple(
-            self.shared_pool.address_of(index * CACHE_LINE_BYTES)
+            self.shared_pool.address_of(
+                index % _SHARED_POOL_LINES * CACHE_LINE_BYTES)
             // memory.line_bytes
-            for index in range(_SHARED_POOL_LINES)
+            for index in range(_SHARED_POOL_LINES + longest)
         )
         self._pool_cursor = 0
         #: The central Scheduler singleton queue every ready task goes
@@ -138,15 +146,16 @@ class NanosMachinery:
         if lines:
             access = self.soc.memory.directory.access
             pool_lines = self._pool_lines
+            kinds = _POOL_KINDS
             counters["loads"] += (lines + 1) // 2
             if lines > 1:
                 counters["stores"] += lines // 2
             for offset in range(lines):
                 # Read the cursor live: another core's call may advance it
                 # while this one waits on an access.
-                line = pool_lines[
-                    (self._pool_cursor + offset) % _SHARED_POOL_LINES]
-                cycles = access(core_id, line, _WRITE if offset % 2 else _READ)
+                cycles = access(core_id,
+                                pool_lines[self._pool_cursor + offset],
+                                kinds[offset & 1])
                 core.overhead_cycles += cycles
                 due = engine.now + cycles
                 if due <= limit:

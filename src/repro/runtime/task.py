@@ -18,7 +18,7 @@ makes speedup comparisons apples-to-apples.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.common.errors import WorkloadError
 from repro.picos.dependence import TaskGraph

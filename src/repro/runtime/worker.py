@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from typing import Generator, Optional
 
-from repro.cpu.core import Core
 from repro.cpu.soc import SoC
 from repro.runtime.base import wait_for_queue_or_event
 from repro.runtime.hw_interface import (

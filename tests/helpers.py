@@ -347,8 +347,8 @@ class PerPacketSubmissionHandler(SubmissionHandler):
 # ---------------------------------------------------------------------- #
 class ReferenceEngine(Engine):
     """``Engine`` with the loop that run-ahead dispatch replaced: every
-    ``Delay`` goes through the heap, or through the same-cycle bucket when
-    it is zero, and the process waits there for its turn.  It never
+    ``Delay`` goes through the calendar, or through the same-cycle bucket
+    when it is zero, and the process waits there for its turn.  It never
     advances in place either, and its run-ahead limit is below every cycle,
     so every cost helper yields its ``Delay`` and every step of a
     ``Charge`` is refused.  Each of those steps waits as a ``Delay`` would,
@@ -373,7 +373,7 @@ class ReferenceEngine(Engine):
                     if not self._drained():
                         return True
                     continue
-                now = heap[0][0]
+                now = heap[0]
                 if now > horizon:
                     if not clamp:
                         raise SimulationError(
@@ -382,9 +382,8 @@ class ReferenceEngine(Engine):
                     self.now = horizon
                     return False
                 self.now = now
-                while heap and heap[0][0] == now:
-                    entry = heapq.heappop(heap)
-                    bucket.append((entry[2], entry[3]))
+                heapq.heappop(heap)
+                bucket.extend(self._calendar.pop(now))
             process, payload = bucket.popleft()
             if process is None:
                 if payload.__class__ is not Charge:
@@ -414,8 +413,7 @@ class ReferenceEngine(Engine):
                 process._waiting = command
                 cycles = command.cycles
                 if cycles:
-                    heapq.heappush(heap, (now + cycles, next(self._sequence),
-                                          process, None))
+                    self._at(now + cycles, (process, None))
                 else:
                     bucket.append((process, None))
             else:
@@ -436,8 +434,7 @@ class ReferenceEngine(Engine):
     def _wait_step(self, charge: Charge, cycles: int) -> None:
         """Wait out one refused step of ``charge`` as a ``Delay``."""
         if cycles:
-            heapq.heappush(self._heap, (self.now + cycles,
-                                        next(self._sequence), None, charge))
+            self._at(self.now + cycles, (None, charge))
         else:
             self._bucket.append((None, charge))
         if self.trace:

@@ -11,6 +11,7 @@ Covers, per the linter's contract:
 
 from __future__ import annotations
 
+import ast
 import json
 from pathlib import Path
 
@@ -265,6 +266,7 @@ def fingerprint(config):
 """
 
 CACHEKEY_GOOD = """\
+import ast
 import json
 
 def fingerprint(config):
@@ -528,3 +530,67 @@ def test_shipped_tree_is_violation_free():
     paths = [REPO_ROOT / "src" / "repro", REPO_ROOT / "examples"]
     findings = lint_paths([p for p in paths if p.exists()], root=REPO_ROOT)
     assert findings == [], "\n".join(f.describe() for f in findings)
+
+
+def _unused_module_imports(path: Path):
+    """``(line, name)`` of each module-level import ``path`` never uses.
+
+    A name counts as used when any ``Name`` node reads it, a quoted
+    annotation names it or ``__all__`` exports it; an import line marked
+    ``# noqa: F401`` (a registration side effect) is exempt.
+    """
+    source = path.read_text()
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    annotations = [node.annotation for node in ast.walk(tree)
+                   if isinstance(node, (ast.arg, ast.AnnAssign))
+                   and node.annotation is not None]
+    annotations += [node.returns for node in ast.walk(tree)
+                    if isinstance(node, (ast.FunctionDef,
+                                         ast.AsyncFunctionDef))
+                    and node.returns is not None]
+    quoted = [ast.parse(node.value, mode="eval")
+              for annotation in annotations for node in ast.walk(annotation)
+              if isinstance(node, ast.Constant)
+              and isinstance(node.value, str)]
+    used = {node.id for root in [tree, *quoted] for node in ast.walk(root)
+            if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__"
+                for target in node.targets):
+            used.update(ast.literal_eval(node.value))
+    unused = []
+    for node in tree.body:
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if "noqa: F401" in lines[node.lineno - 1]:
+            continue
+        for alias in node.names:
+            name = (alias.asname or alias.name).split(".")[0]
+            if name not in used:
+                unused.append((node.lineno, name))
+    return unused
+
+
+def test_src_has_no_unused_module_imports():
+    unused = [f"{path.relative_to(REPO_ROOT)}:{line}: {name}"
+              for path in sorted((REPO_ROOT / "src" / "repro").rglob("*.py"))
+              for line, name in _unused_module_imports(path)]
+    assert unused == [], "\n".join(unused)
+
+
+def test_unused_import_scan_flags_and_exempts(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "from __future__ import annotations\n"
+        "import os\n"
+        "import json  # noqa: F401\n"
+        "from typing import Dict, List, Optional\n"
+        "from x import exported, Quoted\n"
+        "__all__ = ['exported']\n"
+        "def f(q: Optional['Quoted']) -> List[int]:\n"
+        "    return []\n")
+    assert _unused_module_imports(module) == [(2, "os"), (4, "Dict")]

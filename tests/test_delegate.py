@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.common.config import SimConfig
 from repro.common.errors import ProtocolError
-from repro.cpu.rocc import FAILURE_FLAG, RoccCommand, TaskSchedulingFunct
+from repro.cpu.rocc import (FAILURE_FLAG, RoccCommand, RoccResponse,
+                            TaskSchedulingFunct)
 from repro.cpu.soc import SoC
+from repro.manager.manager import ManagerError
 from repro.picos.packets import encode_nonzero_packets, TaskDescriptor, \
     TaskDependence, Direction
 from repro.sim.engine import Delay
@@ -207,3 +211,103 @@ class TestDelegateConstruction:
         assert delegate.stats.counter("fail_fetch_sw_id") == 1
         core = soc.core(0)
         assert core.stats.counter("rocc_instructions") == 1
+
+
+def _forward(steps, yielded):
+    """Run ``steps`` as ``yield from`` would, recording what it yields."""
+    value = None
+    while True:
+        try:
+            command = steps.send(value)
+        except StopIteration as stop:
+            return stop.value
+        yielded.append(command)
+        value = yield command
+
+
+class TestHandshakeInPlace:
+    def _issue(self, soc, command, blocker_in=None):
+        """Issue ``command`` on delegate 0 after the SoC settles; returns
+        the response, the commands the delegate yielded and the cycles it
+        took.  ``blocker_in`` schedules a callback that many cycles ahead
+        of the issue, so that the handshake does not fit before it."""
+        engine = soc.engine
+        outcome = {}
+
+        def program():
+            yield Delay(100)
+            if blocker_in is not None:
+                engine.schedule_callback(blocker_in, lambda: None)
+            start = engine.now
+            yielded = []
+            response = yield from _forward(
+                soc.delegates[0].execute(command), yielded)
+            outcome.update(response=response, yielded=yielded,
+                           cycles=engine.now - start)
+
+        run_program(soc, 0, program())
+        return outcome["response"], outcome["yielded"], outcome["cycles"]
+
+    def test_handshake_that_fits_completes_without_a_yield(self):
+        soc = make_soc()
+        handshake = soc.config.costs.rocc.manager_handshake
+        response, yielded, cycles = self._issue(
+            soc, RoccCommand(TaskSchedulingFunct.FETCH_SW_ID))
+        assert response.failed
+        assert yielded == []
+        assert cycles == handshake
+
+    def test_handshake_that_does_not_fit_yields_one_delay(self):
+        soc = make_soc()
+        handshake = soc.config.costs.rocc.manager_handshake
+        response, yielded, cycles = self._issue(
+            soc, RoccCommand(TaskSchedulingFunct.FETCH_SW_ID),
+            blocker_in=handshake)
+        assert response.failed
+        assert yielded == [Delay(handshake)]
+        assert cycles == handshake
+
+    def test_traced_engine_keeps_the_handshake_delay(self):
+        soc = SoC(dataclasses.replace(SimConfig(), trace=True).with_cores(2))
+        handshake = soc.config.costs.rocc.manager_handshake
+        _response, yielded, cycles = self._issue(
+            soc, RoccCommand(TaskSchedulingFunct.FETCH_SW_ID))
+        assert yielded == [Delay(handshake)]
+        assert cycles == handshake
+
+
+class TestFailedInstructionBookkeeping:
+    def test_failing_submit_three_packets_flags_every_failure(self):
+        soc = make_soc()
+        command = RoccCommand(TaskSchedulingFunct.SUBMIT_THREE_PACKETS,
+                              rs1_value=(1 << 32) | 2, rs2_value=3)
+        responses = [run_instruction(soc, 0, command) for _ in range(40)]
+        failed = [r for r in responses if r.failed]
+        # The buffer fills, then every further triple fails.
+        assert failed and responses[-1].failed
+        assert all(r is RoccResponse.failure() for r in failed)
+        assert all(r.value == FAILURE_FLAG for r in failed)
+        assert soc.delegates[0].stats.counter(
+            "fail_submit_three_packets") == len(failed)
+        assert soc.delegates[0].stats.counter(
+            "instr_submit_three_packets") == 40
+        manager = soc.manager
+        assert manager.stats.counter(
+            "error_submission_overflow") == len(failed)
+        assert manager.error_register is ManagerError.SUBMISSION_OVERFLOW
+        manager.clear_errors()
+        assert run_instruction(soc, 0, command).failed
+        assert manager.error_register is ManagerError.SUBMISSION_OVERFLOW
+        assert manager.stats.counter(
+            "error_submission_overflow") == len(failed) + 1
+
+    def test_failing_fetch_sw_id_leaves_the_error_register(self):
+        soc = make_soc()
+        command = RoccCommand(TaskSchedulingFunct.FETCH_SW_ID)
+        assert run_instruction(soc, 0, command).failed
+        assert run_instruction(soc, 0, command).failed
+        assert soc.delegates[0].stats.counter("fail_fetch_sw_id") == 2
+        assert soc.manager.error_register is ManagerError.NONE
+        assert list(soc.core(0).stats.counters()) == [
+            "rocc_instructions", "rocc_fetch_sw_id"]
+        assert soc.core(0).stats.counter("rocc_instructions") == 2

@@ -17,6 +17,8 @@ from repro.sim.engine import (
 )
 from repro.sim.queues import DecoupledQueue
 
+from tests.helpers import ReferenceEngine
+
 
 def test_delay_advances_time():
     engine = Engine()
@@ -581,8 +583,9 @@ def test_charge_refused_step_goes_to_the_heap():
 
     def sleeper():
         yield Delay(5)
-        heap_at_5.extend((entry[0], entry[2], entry[3].__class__)
-                         for entry in engine._heap)
+        heap_at_5.extend((due, process, payload.__class__)
+                         for due, entries in engine._calendar.items()
+                         for process, payload in entries)
 
     engine.spawn(sleeper())
     engine.spawn(_charger(engine, [3, 4, 2], seen), name="c")
@@ -660,3 +663,88 @@ def test_run_until_and_max_cycles_stop_a_charge_as_a_delay():
     with pytest.raises(SimulationError, match="max_cycles=10"):
         bounded.run()
     assert capped == [("in place", 4, 4), ("refused", 8, 4)]
+
+
+# --------------------------------------------------------------------- #
+# Calendar event queue
+# --------------------------------------------------------------------- #
+def _ties_at_ten(engine_cls):
+    """A ``Delay`` from cycle 0, a callback from cycle 3 and a refused
+    charge step from cycle 5, all due at cycle 10.  Returns the log and
+    the calendar's entries for cycle 10 as they stand at cycle 9."""
+    engine = engine_cls()
+    seen = []
+    queued = []
+
+    def sleeper():
+        yield Delay(10)
+        seen.append(("sleeper", engine.now))
+
+    def timer():
+        yield Delay(3)
+        engine.schedule_callback(
+            7, lambda: seen.append(("callback", engine.now)))
+
+    def charger():
+        yield Delay(5)
+        yield from _charger(engine, [5], seen)
+
+    def peek():
+        yield Delay(9)
+        queued.extend((process and process.name, payload.__class__)
+                      for process, payload in engine._calendar[10])
+
+    engine.spawn(sleeper(), name="sleeper")
+    engine.spawn(timer(), name="timer")
+    engine.spawn(charger(), name="charger")
+    engine.spawn(peek(), name="peek")
+    engine.run()
+    return seen, queued
+
+
+def test_same_cycle_entries_run_in_scheduling_order():
+    seen, queued = _ties_at_ten(Engine)
+    # The sleeper's entry at 10 ties the charge step, so the step is
+    # refused at 5 and waits behind the sleeper and the callback.
+    assert seen == [("refused", 5, 5), ("sleeper", 10), ("callback", 10),
+                    ("resumed", 10)]
+    assert [(name, kind.__name__) for name, kind in queued] == [
+        ("sleeper", "NoneType"), (None, "function"), (None, "Charge")]
+    assert _ties_at_ten(ReferenceEngine) == (seen, queued)
+
+
+def test_calendar_holds_each_pending_cycle_once_and_never_empty():
+    engine = Engine()
+    snapshots = []
+
+    def check():
+        calendar = engine._calendar
+        snapshots.append(sorted(engine._heap) == sorted(calendar)
+                         and all(calendar.values()))
+
+    def worker(delays):
+        for cycles in delays:
+            yield Delay(cycles)
+            check()
+            engine.schedule_callback(cycles % 3, check)
+
+    for offset in range(4):
+        engine.spawn(worker([offset + 1, 2, 0, 3, offset, 1]))
+    engine.run()
+    assert snapshots and all(snapshots)
+    assert engine._calendar == {} and engine._heap == []
+
+
+def test_run_until_leaves_later_entries_queued_in_order():
+    engine = Engine()
+    seen = []
+    for name, delay in (("a", 5), ("b", 12), ("c", 20), ("d", 12)):
+        engine.spawn(_logger(engine, seen, name, delay), name=name)
+    assert engine.run(until=10) == 10
+    assert seen == [("a", 5)]
+    assert sorted(engine._calendar) == [12, 20]
+    assert [process.name for process, _ in engine._calendar[12]] == [
+        "b", "d"]
+    assert engine.run() == 20
+    assert seen == [("a", 5), ("b", 12), ("d", 12), ("c", 20)]
+    assert engine._calendar == {}

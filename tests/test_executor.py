@@ -463,6 +463,27 @@ class TestEngineExecutorOwnership:
         assert counters["values"]["sweep.unit_failures"] == 2
         assert run_end["attrs"]["unit_failures"] == 2
 
+    def test_memo_served_failures_are_counted_once_in_the_run_span(
+            self, tmp_path, tiny_config, tiny_cases, poison_workload):
+        # figure8 is served figure9's partial sweep from the memo and
+        # re-reports its one failure, but only one unit ever failed: the
+        # run span agrees with the counter.
+        from repro.harness.telemetry import read_trace
+
+        trace = tmp_path / "trace.jsonl"
+        cases = _mixed_cases(tiny_cases[:1], poison_workload)
+        with ExperimentEngine(config=tiny_config, keep_going=True,
+                              retries=0, trace_path=trace) as engine:
+            engine.run("figure9", cases=cases, num_workers=2)
+            engine.run("figure8", cases=cases, num_workers=2)
+            assert len(engine.unit_failures) == 2
+        records = read_trace(trace)
+        counters = [r for r in records if r["type"] == "counters"][-1]
+        run_end = next(r for r in records
+                       if r["type"] == "span_end" and r["kind"] == "run")
+        assert counters["values"]["sweep.unit_failures"] == 1
+        assert run_end["attrs"]["unit_failures"] == 1
+
     def test_keep_going_scaling_aligns_surviving_cases(
             self, tiny_config, tiny_cases, poison_workload):
         cases = _mixed_cases(tiny_cases[:1], poison_workload)

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from repro.common.config import CACHE_LINE_BYTES, SimConfig
+import dataclasses
+
+from repro.common.config import CACHE_LINE_BYTES, NanosCosts, SimConfig
 from repro.cpu.soc import SoC
 from repro.memory.mesi import AccessType, CoherenceDirectory
 from repro.runtime.hw_interface import (
@@ -189,3 +191,37 @@ class TestNanosMachinery:
         assert soc.core(0).stats.counter("loads") == 2
         assert soc.core(0).stats.counter("stores") == 2
         assert soc.core(1).stats.counter("loads") == 2
+
+    def test_pool_charges_longer_than_the_pool_wrap_around_it(
+            self, monkeypatch):
+        # A configured shared-line count above the pool size still walks
+        # the pool in order from the cursor, alternating reads and writes.
+        costs = dataclasses.replace(NanosCosts(), submit_shared_lines=150)
+        soc = SoC(SimConfig().with_cores(2), with_picos=False)
+        machinery = NanosMachinery(
+            soc, make_independent_program(num_tasks=4, payload=10), costs)
+        first_line = machinery.shared_pool.base // CACHE_LINE_BYTES
+        touched = []
+        original = CoherenceDirectory.access
+
+        def recording(directory, core, line, kind):
+            touched.append((kind, line - first_line))
+            return original(directory, core, line, kind)
+
+        monkeypatch.setattr(CoherenceDirectory, "access", recording)
+        machinery._pool_cursor = _SHARED_POOL_LINES - 1
+        # Outside a run every step is refused: answer each with the limit
+        # the engine then gives.
+        steps = machinery._charge(soc.core(0), None, 0, 150, None, 0)
+        next(steps)
+        try:
+            while True:
+                steps.send(-1)
+        except StopIteration:
+            pass
+        assert touched == [
+            (AccessType.WRITE if offset % 2 else AccessType.READ,
+             (_SHARED_POOL_LINES - 1 + offset) % _SHARED_POOL_LINES)
+            for offset in range(150)]
+        assert machinery._pool_cursor == (
+            _SHARED_POOL_LINES - 1 + 150) % _SHARED_POOL_LINES

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.common.config import SimConfig
@@ -143,6 +145,19 @@ class TestAllParallelRuntimes:
         result = runtime_cls(four_core_config).run(program, num_workers=1)
         assert result.num_cores == 1
         assert result.elapsed_cycles > program.total_payload_cycles
+
+
+@pytest.mark.parametrize("runtime_cls", [PhentosRuntime, NanosRVRuntime])
+def test_traced_run_gives_the_untraced_result(runtime_cls, four_core_config):
+    # A traced engine refuses every in-place advance, so each RoCC
+    # handshake and charge step waits in the loop; the modelled run, and
+    # the order its counters first appear in, must not notice.
+    program = make_fork_join_program(width=6, payload=300)
+    traced_config = dataclasses.replace(four_core_config, trace=True)
+    plain = runtime_cls(four_core_config).run(program, num_workers=4)
+    traced = runtime_cls(traced_config).run(program, num_workers=4)
+    assert traced == plain
+    assert list(traced.stats.items()) == list(plain.stats.items())
 
 
 class TestRelativePerformance:
