@@ -5,9 +5,10 @@ classes, ``_tag`` dispatch tables instead of ``isinstance`` chains, no
 generator expressions or property descriptors on per-event paths.  This
 rule pins them:
 
-* every class in the hot modules declares ``__slots__`` (dataclasses are
-  exempt: they are built once per run, not once per event, and the tree
-  still supports Python 3.9 where ``slots=True`` is unavailable),
+* every class in the hot modules declares ``__slots__``.  Dataclasses are
+  exempt, because the tree still supports Python 3.9, where
+  ``slots=True`` is unavailable; a record built once per event is a
+  ``namedtuple(...)`` base with a ``__slots__ = ()`` subclass instead,
 * inside the known hot dispatch functions: no ``isinstance`` calls, no
   generator expressions, and no reads of ``self.<prop>`` where ``<prop>``
   is a ``@property`` defined in the same module (cross-object descriptor
@@ -54,6 +55,7 @@ HOT_FUNCTIONS: Dict[str, FrozenSet[str]] = {
         "rocc",
     }),
     "repro/delegate/delegate.py": frozenset({"execute", "_retire_task"}),
+    "repro/picos/packets.py": frozenset({"decode_descriptor"}),
     "repro/picos/device.py": frozenset({
         "insert_descriptor", "_submission_pipeline", "_insert_task",
         "_retirement_pipeline", "_kick_emitter", "_emit_ready",
@@ -68,6 +70,7 @@ HOT_FUNCTIONS: Dict[str, FrozenSet[str]] = {
         "_run",
     }),
     "repro/runtime/base.py": frozenset({"wait_for_signals"}),
+    "repro/runtime/hw_interface.py": frozenset({"submit_task_hw"}),
     "repro/runtime/nanos_machinery.py": frozenset({"_charge"}),
 }
 

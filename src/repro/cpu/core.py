@@ -20,6 +20,7 @@ the clock itself (:meth:`Engine.advance`) instead of yielding the ``Delay``.
 
 from __future__ import annotations
 
+from types import GeneratorType
 from typing import Any, Generator, Optional
 
 from repro.common.config import SimConfig
@@ -47,7 +48,8 @@ class Core:
 
     __slots__ = ("core_id", "engine", "memory", "config", "stats",
                  "accelerator", "busy_cycles", "overhead_cycles",
-                 "_issue_cycles", "_issue_delay")
+                 "_issue_cycles", "_issue_delay", "_handshake_cycles",
+                 "_handshake_delay")
 
     def __init__(self, core_id: int, engine: Engine, memory: MemorySystem,
                  config: SimConfig) -> None:
@@ -69,15 +71,25 @@ class Core:
         #: RoCC issue cost, and its ``Delay`` built once.
         self._issue_cycles = config.costs.rocc.issue
         self._issue_delay = Delay(self._issue_cycles)
+        #: The accelerator's handshake, and its ``Delay``, once attached.
+        self._handshake_cycles = 0
+        self._handshake_delay = Delay(0)
 
     # ------------------------------------------------------------------ #
     # Wiring
     # ------------------------------------------------------------------ #
     def attach_accelerator(self, accelerator: Any) -> None:
-        """Attach the RoCC accelerator (Picos Delegate) for this core."""
+        """Attach the RoCC accelerator (Picos Delegate) for this core.
+
+        The accelerator states the ``handshake_cycles`` the core waits out
+        after the issue of each instruction, before it calls
+        ``accelerator.execute(command)``.
+        """
         if self.accelerator is not None:
             raise ProtocolError(f"core {self.core_id} already has an accelerator")
         self.accelerator = accelerator
+        self._handshake_cycles = accelerator.handshake_cycles
+        self._handshake_delay = Delay(accelerator.handshake_cycles)
 
     # ------------------------------------------------------------------ #
     # Instruction-level helpers (generators)
@@ -160,12 +172,16 @@ class Core:
     def rocc(self, command: RoccCommand) -> Generator[Any, Any, RoccResponse]:
         """Issue one custom task-scheduling instruction.
 
-        The instruction is forwarded to the attached Picos Delegate; its
-        response value/flag is returned to the caller.  The RoCC issue cost
-        is charged here, the delegate charges any additional handshake and
-        blocking time itself.
+        The RoCC issue cost is charged to the core, then the accelerator's
+        handshake is waited out and the instruction is forwarded to the
+        attached Picos Delegate; its response value/flag is returned to the
+        caller.  When nothing else is due before the handshake ends, one
+        :meth:`Engine.advance` covers both; otherwise they are two steps.
+        A blocking instruction's accelerator hands back the generator of
+        its remaining steps, which is driven here.
         """
-        if self.accelerator is None:
+        accelerator = self.accelerator
+        if accelerator is None:
             raise ProtocolError(
                 f"core {self.core_id} has no RoCC accelerator attached"
             )
@@ -174,9 +190,15 @@ class Core:
         counters["rocc_instructions"] += 1.0
         counters[_ROCC_COUNTERS[command.funct]] += 1.0
         self.overhead_cycles += issue_cycles
-        if not self.engine.advance(issue_cycles):
-            yield self._issue_delay
-        response = yield from self.accelerator.execute(command)
+        engine = self.engine
+        if not engine.advance(issue_cycles + self._handshake_cycles):
+            if not engine.advance(issue_cycles):
+                yield self._issue_delay
+            if not engine.advance(self._handshake_cycles):
+                yield self._handshake_delay
+        response = accelerator.execute(command)
+        if response.__class__ is GeneratorType:
+            response = yield from response
         if response.__class__ is not RoccResponse:
             raise ProtocolError(
                 "RoCC accelerator returned a non-RoccResponse value"

@@ -17,6 +17,7 @@ Rocket core would hand to its RoCC accelerator after decoding.
 from __future__ import annotations
 
 import enum
+from collections import namedtuple
 from dataclasses import dataclass
 
 from repro.common.errors import ProtocolError
@@ -45,6 +46,9 @@ _CUSTOM_OPCODES = (CUSTOM0, CUSTOM1, CUSTOM2, CUSTOM3)
 #: satisfied (queue full / empty).  Software tests this flag and retries,
 #: sleeps, or switches roles — the paper's deadlock-avoidance mechanism.
 FAILURE_FLAG = (1 << 64) - 1
+
+#: Register operands are 64-bit values below this limit.
+_REGISTER_LIMIT = 1 << 64
 
 
 class TaskSchedulingFunct(enum.IntEnum):
@@ -161,8 +165,7 @@ class RoccInstruction:
         )
 
 
-@dataclass(frozen=True)
-class RoccCommand:
+class RoccCommand(namedtuple("RoccCommand", "funct rs1_value rs2_value")):
     """What the core hands to its RoCC accelerator after decode.
 
     ``rs1_value`` and ``rs2_value`` are the 64-bit register *contents* (the
@@ -170,23 +173,22 @@ class RoccCommand:
     these values directly.
     """
 
-    funct: TaskSchedulingFunct
-    rs1_value: int = 0
-    rs2_value: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name, value in (("rs1_value", self.rs1_value),
-                            ("rs2_value", self.rs2_value)):
-            if not 0 <= value < (1 << 64):
-                raise ProtocolError(f"{name} is not a 64-bit value: {value:#x}")
+    def __new__(cls, funct: TaskSchedulingFunct, rs1_value: int = 0,
+                rs2_value: int = 0) -> "RoccCommand":
+        if not 0 <= rs1_value < _REGISTER_LIMIT:
+            raise ProtocolError(f"rs1_value is not a 64-bit value: {rs1_value:#x}")
+        if not 0 <= rs2_value < _REGISTER_LIMIT:
+            raise ProtocolError(f"rs2_value is not a 64-bit value: {rs2_value:#x}")
+        return tuple.__new__(cls, (funct, rs1_value, rs2_value))
 
 
-@dataclass(frozen=True)
-class RoccResponse:
+class RoccResponse(namedtuple("RoccResponse", "value success",
+                              defaults=(0, True))):
     """Accelerator response: destination-register value plus success flag."""
 
-    value: int = 0
-    success: bool = True
+    __slots__ = ()
 
     @property
     def failed(self) -> bool:
@@ -197,7 +199,7 @@ class RoccResponse:
     def failure(cls) -> "RoccResponse":
         """The canonical failure response (rd = all-ones flag value).
 
-        Responses are frozen, so every failure shares one instance.
+        Responses are immutable, so every failure shares one instance.
         """
         return _FAILURE
 

@@ -48,13 +48,22 @@ _FAIL_COUNTERS = {
     funct: f"fail_{funct.name.lower()}" for funct in TaskSchedulingFunct
 }
 
+#: Responses are immutable, so every accepted instruction without a
+#: result value and every refused one share an instance.
+_ACCEPTED = RoccResponse(value=0)
+_REFUSED = RoccResponse.failure()
+
 
 class PicosDelegate:
-    """RoCC accelerator stub exposing Picos to one core."""
+    """RoCC accelerator stub exposing Picos to one core.
+
+    The core waits out the issue and :attr:`handshake_cycles` before it
+    calls :meth:`execute`.
+    """
 
     __slots__ = ("core_id", "engine", "manager", "costs", "name", "stats",
-                 "_counters", "_handshake_cycles", "_handshake_delay",
-                 "_retire_cycles", "_retire_delay", "_sw_id_fetched")
+                 "handshake_cycles", "_counters", "_retire_cycles",
+                 "_retire_delay", "_sw_id_fetched")
 
     def __init__(self, core_id: int, engine: Engine, manager: PicosManager,
                  costs: RoccCosts, name: Optional[str] = None) -> None:
@@ -70,10 +79,9 @@ class PicosDelegate:
         self.name = name or f"delegate{core_id}"
         self.stats = Stats(self.name)
         self._counters = self.stats.counter_map()
-        #: Handshake and retirement round-trip costs, each with its
-        #: ``Delay`` built once.
-        self._handshake_cycles = costs.manager_handshake
-        self._handshake_delay = Delay(costs.manager_handshake)
+        #: Cycles to cross into Picos Manager before each instruction.
+        self.handshake_cycles = costs.manager_handshake
+        #: Retirement round-trip cost, with its ``Delay`` built once.
         self._retire_cycles = costs.retire_roundtrip
         self._retire_delay = Delay(costs.retire_roundtrip)
         #: Set by a successful Fetch SW ID, cleared by Fetch Picos ID.
@@ -82,35 +90,20 @@ class PicosDelegate:
     # ------------------------------------------------------------------ #
     # Instruction dispatch
     # ------------------------------------------------------------------ #
-    def execute(self, command: RoccCommand) -> Generator[Any, Any, RoccResponse]:
-        """Execute one custom instruction; returns its :class:`RoccResponse`.
+    def execute(self, command: RoccCommand) -> Any:
+        """Execute one custom instruction after its handshake.
 
-        The handshake moves the clock in place when the engine would
-        resume this process next (:meth:`Engine.advance`), so most
-        instructions finish without a ``yield``.
+        A non-blocking instruction is answered at once with its
+        :class:`RoccResponse`.  The blocking Retire Task returns the
+        generator of its steps instead, which the core drives to the
+        response.
         """
         funct = command.funct
-        self._counters[_INSTR_COUNTERS[funct]] += 1.0
-        if not self.engine.advance(self._handshake_cycles):
-            yield self._handshake_delay
-        if funct is TaskSchedulingFunct.SUBMISSION_REQUEST:
-            response = self._submission_request(command)
-        elif funct is TaskSchedulingFunct.SUBMIT_PACKET:
-            response = self._submit_packet(command)
-        elif funct is TaskSchedulingFunct.SUBMIT_THREE_PACKETS:
-            response = self._submit_three_packets(command)
-        elif funct is TaskSchedulingFunct.READY_TASK_REQUEST:
-            response = self._ready_task_request()
-        elif funct is TaskSchedulingFunct.FETCH_SW_ID:
-            response = self._fetch_sw_id()
-        elif funct is TaskSchedulingFunct.FETCH_PICOS_ID:
-            response = self._fetch_picos_id()
-        elif funct is TaskSchedulingFunct.RETIRE_TASK:
-            response = yield from self._retire_task(command)
-        else:  # pragma: no cover - enum is exhaustive
-            raise ProtocolError(f"unknown funct {funct!r}")
-        if not response.success:
-            self._counters[_FAIL_COUNTERS[funct]] += 1.0
+        counters = self._counters
+        counters[_INSTR_COUNTERS[funct]] += 1.0
+        response = _HANDLERS[funct](self, command)
+        if response is _REFUSED:
+            counters[_FAIL_COUNTERS[funct]] += 1.0
         return response
 
     # ------------------------------------------------------------------ #
@@ -118,43 +111,48 @@ class PicosDelegate:
     # ------------------------------------------------------------------ #
     def _submission_request(self, command: RoccCommand) -> RoccResponse:
         nonzero_packets = command.rs1_value
-        accepted = self.manager.announce_submission(self.core_id, nonzero_packets)
-        return RoccResponse(value=0) if accepted else RoccResponse.failure()
+        if self.manager.announce_submission(self.core_id, nonzero_packets):
+            return _ACCEPTED
+        return _REFUSED
 
     def _submit_packet(self, command: RoccCommand) -> RoccResponse:
         word = command.rs1_value & _WORD
-        accepted = self.manager.submit_packet(self.core_id, word)
-        return RoccResponse(value=0) if accepted else RoccResponse.failure()
+        if self.manager.submit_packet(self.core_id, word):
+            return _ACCEPTED
+        return _REFUSED
 
     def _submit_three_packets(self, command: RoccCommand) -> RoccResponse:
         p1 = (command.rs1_value >> 32) & _WORD
         p2 = command.rs1_value & _WORD
         p3 = command.rs2_value & _WORD
-        accepted = self.manager.submit_packets(self.core_id, (p1, p2, p3))
-        return RoccResponse(value=0) if accepted else RoccResponse.failure()
+        if self.manager.submit_packets(self.core_id, (p1, p2, p3)):
+            return _ACCEPTED
+        return _REFUSED
 
-    def _ready_task_request(self) -> RoccResponse:
-        accepted = self.manager.request_ready_task(self.core_id)
-        return RoccResponse(value=0) if accepted else RoccResponse.failure()
+    def _ready_task_request(self, command: RoccCommand) -> RoccResponse:
+        if self.manager.request_ready_task(self.core_id):
+            return _ACCEPTED
+        return _REFUSED
 
-    def _fetch_sw_id(self) -> RoccResponse:
+    def _fetch_sw_id(self, command: RoccCommand) -> RoccResponse:
         queue = self.manager.core_ready_queue(self.core_id)
         if queue.empty:
-            return RoccResponse.failure()
+            return _REFUSED
         entry = queue.peek()
         self._sw_id_fetched = True
-        return RoccResponse(value=entry.sw_id)
+        return RoccResponse(entry.sw_id)
 
-    def _fetch_picos_id(self) -> RoccResponse:
+    def _fetch_picos_id(self, command: RoccCommand) -> RoccResponse:
         queue = self.manager.core_ready_queue(self.core_id)
         if queue.empty or not self._sw_id_fetched:
-            return RoccResponse.failure()
+            return _REFUSED
         entry = queue.try_get()
         self._sw_id_fetched = False
         self.manager.notify_task_started(entry.picos_id)
-        return RoccResponse(value=entry.picos_id)
+        return RoccResponse(entry.picos_id)
 
-    def _retire_task(self, command: RoccCommand):
+    def _retire_task(self, command: RoccCommand
+                     ) -> Generator[Any, Any, RoccResponse]:
         queue = self.manager.retirement_queue(self.core_id)
         if not self.engine.advance(self._retire_cycles):
             yield self._retire_delay
@@ -162,7 +160,7 @@ class PicosDelegate:
         # thus the round-robin arbiter) accepts the packet.  Picos drains
         # retirements quickly, so this almost never stalls (Section IV-E.7).
         yield Put(queue, command.rs1_value)
-        return RoccResponse(value=0)
+        return _ACCEPTED
 
     # ------------------------------------------------------------------ #
     # Introspection helpers used by tests
@@ -171,3 +169,16 @@ class PicosDelegate:
     def sw_id_flag(self) -> bool:
         """State of the internal Fetch-SW-ID-succeeded flag."""
         return self._sw_id_fetched
+
+
+#: The handler of each instruction.
+_HANDLERS = {
+    TaskSchedulingFunct.SUBMISSION_REQUEST: PicosDelegate._submission_request,
+    TaskSchedulingFunct.SUBMIT_PACKET: PicosDelegate._submit_packet,
+    TaskSchedulingFunct.SUBMIT_THREE_PACKETS:
+        PicosDelegate._submit_three_packets,
+    TaskSchedulingFunct.READY_TASK_REQUEST: PicosDelegate._ready_task_request,
+    TaskSchedulingFunct.FETCH_SW_ID: PicosDelegate._fetch_sw_id,
+    TaskSchedulingFunct.FETCH_PICOS_ID: PicosDelegate._fetch_picos_id,
+    TaskSchedulingFunct.RETIRE_TASK: PicosDelegate._retire_task,
+}

@@ -26,7 +26,6 @@ costs under which the stream cannot place its steps exactly.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Deque, List, Optional, Sequence, Tuple
 
 from repro.common.config import PicosCosts
@@ -39,7 +38,7 @@ from repro.sim.engine import Delay, Engine, Event, Get, ProcessGen, Put, Wait
 from repro.sim.queues import DecoupledQueue
 
 __all__ = ["SubmissionHandler", "SubmissionStream", "SteppedSubmission",
-           "PendingSubmission"]
+           "check_announcement"]
 
 #: Depth of each core-specific submission packet buffer.
 _CORE_BUFFER_DEPTH = 16
@@ -53,24 +52,19 @@ _ZEROS = [0] * PACKETS_PER_DESCRIPTOR
 _NEVER = 1 << 62
 
 
-@dataclass
-class PendingSubmission:
-    """One announced-but-not-yet-forwarded task submission from a core."""
-
-    core_id: int
-    nonzero_packets: int
-
-    def __post_init__(self) -> None:
-        if not 3 <= self.nonzero_packets <= PACKETS_PER_DESCRIPTOR:
-            raise ProtocolError(
-                "a submission must announce between 3 and 48 packets, "
-                f"got {self.nonzero_packets}"
-            )
-        if self.nonzero_packets % 3 != 0:
-            raise ProtocolError(
-                "the non-zero packet count of a descriptor is always a "
-                f"multiple of three, got {self.nonzero_packets}"
-            )
+def check_announcement(nonzero_packets: int) -> None:
+    """Raise :class:`ProtocolError` unless a Submission Request's packet
+    count is a multiple of three between 3 and 48."""
+    if not 3 <= nonzero_packets <= PACKETS_PER_DESCRIPTOR:
+        raise ProtocolError(
+            "a submission must announce between 3 and 48 packets, "
+            f"got {nonzero_packets}"
+        )
+    if nonzero_packets % 3 != 0:
+        raise ProtocolError(
+            "the non-zero packet count of a descriptor is always a "
+            f"multiple of three, got {nonzero_packets}"
+        )
 
 
 class SubmissionHandler:
@@ -110,7 +104,7 @@ class SubmissionHandler:
     def announce(self, core_id: int, nonzero_packets: int) -> bool:
         """Register a Submission Request; returns False when it must retry."""
         self._check_core(core_id)
-        PendingSubmission(core_id, nonzero_packets)
+        check_announcement(nonzero_packets)
         accepted = self.path.announce(core_id, nonzero_packets)
         if accepted:
             self.stats.incr("submission_requests")

@@ -88,28 +88,32 @@ class DependenceTracker:
         reported.
         """
         predecessors: Set[int] = set()
-        for dependence in dependences:
-            record = self._records.setdefault(dependence.address, _AddressRecord())
-            direction = dependence.direction
-            if direction.reads:
-                if record.last_writer is not None and record.last_writer != task_id \
-                        and is_active(record.last_writer):
-                    predecessors.add(record.last_writer)
+        records = self._records
+        for address, direction in dependences:
+            record = records.get(address)
+            if record is None:
+                record = records[address] = _AddressRecord()
+            reads = direction.reads
+            writes = direction.writes
+            last_writer = record.last_writer
+            if reads:
+                if last_writer is not None and last_writer != task_id \
+                        and is_active(last_writer):
+                    predecessors.add(last_writer)
                     self.raw_edges += 1
-            if direction.writes:
-                if record.last_writer is not None and record.last_writer != task_id \
-                        and is_active(record.last_writer):
-                    predecessors.add(record.last_writer)
+            if writes:
+                if last_writer is not None and last_writer != task_id \
+                        and is_active(last_writer):
+                    predecessors.add(last_writer)
                     self.waw_edges += 1
                 for reader in record.readers_since_last_write:
                     if reader != task_id and is_active(reader):
                         predecessors.add(reader)
                         self.war_edges += 1
-            # Update the version record *after* computing edges.
-            if direction.writes:
+                # Update the version record *after* computing edges.
                 record.last_writer = task_id
                 record.readers_since_last_write = set()
-            if direction.reads and not direction.writes:
+            elif reads:
                 record.readers_since_last_write.add(task_id)
         return predecessors
 

@@ -33,10 +33,8 @@ that cycle where this inserter would have inserted it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import deque, namedtuple
 from typing import Deque, Dict, List, Optional
-
-from collections import deque
 
 from repro.common.config import PicosCosts
 from repro.common.errors import PicosError
@@ -53,22 +51,19 @@ from repro.sim.queues import DecoupledQueue
 __all__ = ["ReadyPacket", "ReadyTask", "PicosDevice"]
 
 
-@dataclass(frozen=True)
-class ReadyPacket:
-    """One of the three 32-bit packets Picos emits per ready task."""
+class ReadyPacket(namedtuple("ReadyPacket", "word index picos_id sw_id")):
+    """One of the three 32-bit packets Picos emits per ready task.
 
-    word: int
-    index: int          # 0, 1 or 2 within the ready-task triple
-    picos_id: int
-    sw_id: int
+    ``index`` is 0, 1 or 2 within the ready-task triple.
+    """
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ReadyTask:
+class ReadyTask(namedtuple("ReadyTask", "picos_id sw_id")):
     """A fully assembled ready-task announcement (Picos ID, SW ID)."""
 
-    picos_id: int
-    sw_id: int
+    __slots__ = ()
 
 
 class PicosDevice:
@@ -239,8 +234,7 @@ class PicosDevice:
         words = self._ready_words(ready)
         for index, word in enumerate(words):
             self.ready_queue.try_put(
-                ReadyPacket(word=word, index=index,
-                            picos_id=ready.picos_id, sw_id=ready.sw_id)
+                ReadyPacket(word, index, ready.picos_id, ready.sw_id)
             )
         self.stats.incr("ready_tasks_emitted")
         self._kick_emitter()

@@ -18,8 +18,8 @@ corresponding decoder, so the padding logic can be verified end to end.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from collections import namedtuple
+from typing import List, Sequence
 
 from repro.common.errors import PicosError
 
@@ -51,7 +51,12 @@ _WORD_MASK = (1 << 32) - 1
 
 
 class Direction(enum.IntEnum):
-    """Directionality of a monitored pointer parameter."""
+    """Directionality of a monitored pointer parameter.
+
+    Bit 0 of the code marks a read and bit 1 a write.
+    """
+
+    __slots__ = ()
 
     IN = 1
     OUT = 2
@@ -60,45 +65,48 @@ class Direction(enum.IntEnum):
     @property
     def reads(self) -> bool:
         """True when the task reads through this parameter."""
-        return self in (Direction.IN, Direction.INOUT)
+        return bool(self & 1)
 
     @property
     def writes(self) -> bool:
         """True when the task writes through this parameter."""
-        return self in (Direction.OUT, Direction.INOUT)
+        return bool(self & 2)
 
 
-@dataclass(frozen=True)
-class TaskDependence:
+#: Each directionality code's :class:`Direction`, for the decoder.
+_DIRECTIONS = {int(direction): direction for direction in Direction}
+
+
+class TaskDependence(namedtuple("TaskDependence", "address direction")):
     """One monitored pointer parameter: a 64-bit address and a direction."""
 
-    address: int
-    direction: Direction
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.address < (1 << 64):
-            raise PicosError(f"dependence address is not 64-bit: {self.address:#x}")
-        if not isinstance(self.direction, Direction):
-            raise PicosError(f"invalid direction: {self.direction!r}")
+    def __new__(cls, address: int, direction: Direction) -> "TaskDependence":
+        if not 0 <= address < (1 << 64):
+            raise PicosError(f"dependence address is not 64-bit: {address:#x}")
+        if not isinstance(direction, Direction):
+            raise PicosError(f"invalid direction: {direction!r}")
+        return tuple.__new__(cls, (address, direction))
 
 
-@dataclass(frozen=True)
-class TaskDescriptor:
+class TaskDescriptor(namedtuple("TaskDescriptor", "sw_id dependences")):
     """The software-visible description of one task submitted to Picos."""
 
-    sw_id: int
-    dependences: Tuple[TaskDependence, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.sw_id < (1 << 64):
-            raise PicosError(f"sw_id is not a 64-bit value: {self.sw_id}")
-        if len(self.dependences) > MAX_DEPENDENCES:
+    def __new__(cls, sw_id: int,
+                dependences: Sequence[TaskDependence] = ()) -> "TaskDescriptor":
+        if not 0 <= sw_id < (1 << 64):
+            raise PicosError(f"sw_id is not a 64-bit value: {sw_id}")
+        if len(dependences) > MAX_DEPENDENCES:
             raise PicosError(
                 f"Picos supports at most {MAX_DEPENDENCES} dependences per task, "
-                f"got {len(self.dependences)}"
+                f"got {len(dependences)}"
             )
-        if not isinstance(self.dependences, tuple):
-            object.__setattr__(self, "dependences", tuple(self.dependences))
+        if not isinstance(dependences, tuple):
+            dependences = tuple(dependences)
+        return tuple.__new__(cls, (sw_id, dependences))
 
     @property
     def num_dependences(self) -> int:
@@ -155,9 +163,11 @@ def decode_descriptor(packets: Sequence[int]) -> TaskDescriptor:
         raise PicosError(
             f"descriptor must be {PACKETS_PER_DESCRIPTOR} packets, got {len(packets)}"
         )
-    for index, packet in enumerate(packets):
-        if not 0 <= packet <= _WORD_MASK:
-            raise PicosError(f"packet {index} is not a 32-bit word: {packet!r}")
+    if min(packets) < 0 or max(packets) > _WORD_MASK:
+        for index, packet in enumerate(packets):
+            if not 0 <= packet <= _WORD_MASK:
+                raise PicosError(
+                    f"packet {index} is not a 32-bit word: {packet!r}")
     sw_id = (packets[0] << 32) | packets[1]
     num_deps = packets[2]
     if num_deps > MAX_DEPENDENCES:
@@ -167,18 +177,16 @@ def decode_descriptor(packets: Sequence[int]) -> TaskDescriptor:
         base = HEADER_PACKETS + slot * PACKETS_PER_DEPENDENCE
         address = (packets[base] << 32) | packets[base + 1]
         direction_code = packets[base + 2]
-        try:
-            direction = Direction(direction_code)
-        except ValueError as exc:
+        direction = _DIRECTIONS.get(direction_code)
+        if direction is None:
             raise PicosError(
                 f"invalid directionality code {direction_code} in slot {slot}"
-            ) from exc
+            )
         dependences.append(TaskDependence(address, direction))
     padding_start = HEADER_PACKETS + num_deps * PACKETS_PER_DEPENDENCE
-    if any(packets[index] != 0 for index in range(padding_start,
-                                                  PACKETS_PER_DESCRIPTOR)):
+    if any(packets[padding_start:]):
         raise PicosError("non-zero packet found in the zero-padding region")
-    return TaskDescriptor(sw_id=sw_id, dependences=tuple(dependences))
+    return TaskDescriptor(sw_id, tuple(dependences))
 
 
 def _check_dep_count(num_dependences: int) -> None:

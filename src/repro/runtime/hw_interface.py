@@ -17,7 +17,7 @@ the retry instructions to the issuing core.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Generator
 
 from repro.common.errors import RuntimeModelError
@@ -48,23 +48,18 @@ _RETRY_BACKOFF = Delay(_RETRY_BACKOFF_CYCLES)
 #: than spin forever.
 _MAX_RETRIES = 1_000_000
 
-#: The operand-less commands, built once: commands are frozen values.
+#: The operand-less commands, built once: commands are immutable values.
 _READY_TASK_REQUEST = RoccCommand(TaskSchedulingFunct.READY_TASK_REQUEST)
 _FETCH_SW_ID = RoccCommand(TaskSchedulingFunct.FETCH_SW_ID)
 _FETCH_PICOS_ID = RoccCommand(TaskSchedulingFunct.FETCH_PICOS_ID)
+_SUBMISSION_REQUEST = TaskSchedulingFunct.SUBMISSION_REQUEST
+_SUBMIT_THREE_PACKETS = TaskSchedulingFunct.SUBMIT_THREE_PACKETS
 
 
-@dataclass(frozen=True)
-class FetchedTask:
+class FetchedTask(namedtuple("FetchedTask", "sw_id picos_id")):
     """A ready task as seen by a worker after the two fetch instructions."""
 
-    sw_id: int
-    picos_id: int
-
-
-def _pack_words(high_word: int, low_word: int) -> int:
-    """Pack two 32-bit packets into one 64-bit register operand."""
-    return ((high_word & 0xFFFFFFFF) << 32) | (low_word & 0xFFFFFFFF)
+    __slots__ = ()
 
 
 def submit_task_hw(core: Core, task: Task, sw_id: int,
@@ -83,23 +78,24 @@ def submit_task_hw(core: Core, task: Task, sw_id: int,
     switch to executing ready tasks whenever the submission path is backed
     up, which guarantees forward progress.
     """
-    descriptor = TaskDescriptor(sw_id=sw_id, dependences=task.dependences)
-    packets = encode_nonzero_packets(descriptor)
+    packets = encode_nonzero_packets(TaskDescriptor(sw_id, task.dependences))
+    # Each instruction is issued once here; only a refused one enters the
+    # retry loop.  The packets are 32-bit words, so two of them pack into
+    # one 64-bit operand with a shift.
     retries = 0
-    retries += yield from _issue_until_success(
-        core,
-        RoccCommand(TaskSchedulingFunct.SUBMISSION_REQUEST,
-                    rs1_value=len(packets)),
-        stall_handler,
-    )
+    command = RoccCommand(_SUBMISSION_REQUEST, len(packets))
+    response = yield from core.rocc(command)
+    if not response.success:
+        retries += yield from _retry_until_success(core, command,
+                                                   stall_handler)
     for offset in range(0, len(packets), 3):
-        p1, p2, p3 = packets[offset:offset + 3]
-        command = RoccCommand(
-            TaskSchedulingFunct.SUBMIT_THREE_PACKETS,
-            rs1_value=_pack_words(p1, p2),
-            rs2_value=p3,
-        )
-        retries += yield from _issue_until_success(core, command, stall_handler)
+        command = RoccCommand(_SUBMIT_THREE_PACKETS,
+                              (packets[offset] << 32) | packets[offset + 1],
+                              packets[offset + 2])
+        response = yield from core.rocc(command)
+        if not response.success:
+            retries += yield from _retry_until_success(core, command,
+                                                       stall_handler)
     return retries
 
 
@@ -123,7 +119,7 @@ def fetch_ready_task(core: Core) -> Generator:
         raise RuntimeModelError(
             "Fetch Picos ID failed right after a successful Fetch SW ID"
         )
-    return FetchedTask(sw_id=sw_response.value, picos_id=picos_response.value)
+    return FetchedTask(sw_response.value, picos_response.value)
 
 
 def retire_task_hw(core: Core, picos_id: int) -> Generator:
@@ -136,18 +132,17 @@ def retire_task_hw(core: Core, picos_id: int) -> Generator:
     return None
 
 
-def _issue_until_success(core: Core, command: RoccCommand,
+def _retry_until_success(core: Core, command: RoccCommand,
                          stall_handler=None) -> Generator:
-    """Retry a non-blocking instruction until the hardware accepts it.
+    """Retry a refused non-blocking instruction until the hardware accepts
+    it; returns the number of retries.
 
-    Between retries the core either runs ``stall_handler()`` (role switching:
-    typically "fetch and execute one ready task") or pauses briefly.
+    Before each retry the core either runs ``stall_handler()`` (role
+    switching: typically "fetch and execute one ready task") or pauses
+    briefly.
     """
     retries = 0
     while True:
-        response = yield from core.rocc(command)
-        if response.success:
-            return retries
         retries += 1
         if retries > _MAX_RETRIES:
             raise RuntimeModelError(
@@ -158,3 +153,6 @@ def _issue_until_success(core: Core, command: RoccCommand,
             yield from stall_handler()
         else:
             yield _RETRY_BACKOFF
+        response = yield from core.rocc(command)
+        if response.success:
+            return retries

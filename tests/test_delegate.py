@@ -226,54 +226,121 @@ def _forward(steps, yielded):
 
 
 class TestHandshakeInPlace:
-    def _issue(self, soc, command, blocker_in=None):
-        """Issue ``command`` on delegate 0 after the SoC settles; returns
-        the response, the commands the delegate yielded and the cycles it
+    """``Core.rocc`` waits out the issue and the delegate's handshake."""
+
+    def _issue(self, soc, command, blocker_in=None, hook_cycles=None):
+        """Issue ``command`` on core 0 after the SoC settles; returns the
+        response, the commands the instruction yielded and the cycles it
         took.  ``blocker_in`` schedules a callback that many cycles ahead
-        of the issue, so that the handshake does not fit before it."""
+        of the issue, which appends the cycle it runs in to
+        ``hook_cycles``."""
         engine = soc.engine
         outcome = {}
 
         def program():
             yield Delay(100)
-            if blocker_in is not None:
-                engine.schedule_callback(blocker_in, lambda: None)
             start = engine.now
+            if blocker_in is not None:
+                ran = hook_cycles if hook_cycles is not None else []
+                engine.schedule_callback(
+                    blocker_in, lambda: ran.append(engine.now - start))
             yielded = []
-            response = yield from _forward(
-                soc.delegates[0].execute(command), yielded)
+            response = yield from _forward(soc.core(0).rocc(command), yielded)
             outcome.update(response=response, yielded=yielded,
                            cycles=engine.now - start)
 
         run_program(soc, 0, program())
         return outcome["response"], outcome["yielded"], outcome["cycles"]
 
+    @staticmethod
+    def _costs(soc):
+        rocc = soc.config.costs.rocc
+        return rocc.issue, rocc.manager_handshake
+
     def test_handshake_that_fits_completes_without_a_yield(self):
         soc = make_soc()
-        handshake = soc.config.costs.rocc.manager_handshake
+        issue, handshake = self._costs(soc)
         response, yielded, cycles = self._issue(
             soc, RoccCommand(TaskSchedulingFunct.FETCH_SW_ID))
         assert response.failed
         assert yielded == []
-        assert cycles == handshake
+        assert cycles == issue + handshake
 
     def test_handshake_that_does_not_fit_yields_one_delay(self):
         soc = make_soc()
-        handshake = soc.config.costs.rocc.manager_handshake
+        issue, handshake = self._costs(soc)
         response, yielded, cycles = self._issue(
             soc, RoccCommand(TaskSchedulingFunct.FETCH_SW_ID),
-            blocker_in=handshake)
+            blocker_in=issue + handshake)
         assert response.failed
         assert yielded == [Delay(handshake)]
-        assert cycles == handshake
+        assert cycles == issue + handshake
 
     def test_traced_engine_keeps_the_handshake_delay(self):
         soc = SoC(dataclasses.replace(SimConfig(), trace=True).with_cores(2))
-        handshake = soc.config.costs.rocc.manager_handshake
+        issue, handshake = self._costs(soc)
         _response, yielded, cycles = self._issue(
             soc, RoccCommand(TaskSchedulingFunct.FETCH_SW_ID))
-        assert yielded == [Delay(handshake)]
-        assert cycles == handshake
+        assert yielded == [Delay(issue), Delay(handshake)]
+        assert cycles == issue + handshake
+
+    @pytest.mark.parametrize("blocker_in", [0, 1, 2, 3])
+    def test_a_due_callback_runs_in_the_cycle_of_the_two_step_path(
+            self, blocker_in):
+        """A callback due before the handshake ends splits the wait into
+        the issue and the handshake, as a traced run (which never advances
+        in place) does; the callback runs in the same cycle either way and
+        the instruction takes the same cycles."""
+        command = RoccCommand(TaskSchedulingFunct.FETCH_SW_ID)
+        runs = {}
+        for trace in (False, True):
+            soc = SoC(dataclasses.replace(SimConfig(),
+                                          trace=trace).with_cores(2))
+            hook_cycles = []
+            _response, yielded, cycles = self._issue(
+                soc, command, blocker_in=blocker_in, hook_cycles=hook_cycles)
+            runs[trace] = (hook_cycles, cycles, soc)
+            issue, handshake = self._costs(soc)
+        assert runs[False][:2] == runs[True][:2] == (
+            [blocker_in], issue + handshake)
+        for soc in (runs[False][2], runs[True][2]):
+            assert soc.delegates[0].stats.counter("instr_fetch_sw_id") == 1
+
+    def test_two_step_path_splits_where_the_callback_falls(self):
+        soc = make_soc()
+        issue, handshake = self._costs(soc)
+        # Due within the issue: the issue yields, the handshake fits.
+        _response, yielded, _cycles = self._issue(
+            soc, RoccCommand(TaskSchedulingFunct.FETCH_SW_ID), blocker_in=1)
+        assert yielded == [Delay(issue)]
+        # Due just after the handshake: one in-place advance covers both.
+        _response, yielded, _cycles = self._issue(
+            soc, RoccCommand(TaskSchedulingFunct.FETCH_SW_ID),
+            blocker_in=issue + handshake + 1)
+        assert yielded == []
+
+    def test_traced_run_logs_a_delay_line_per_step(self):
+        """A traced instruction logs the issue and the handshake as two
+        ``Delay`` lines, and Retire Task its round trip and ``Put`` too."""
+        soc = SoC(dataclasses.replace(SimConfig(), trace=True).with_cores(2))
+        engine = soc.engine
+
+        def program():
+            yield Delay(100)
+            yield from soc.core(0).rocc(
+                RoccCommand(TaskSchedulingFunct.FETCH_SW_ID))
+            yield from soc.core(0).rocc(
+                RoccCommand(TaskSchedulingFunct.RETIRE_TASK, rs1_value=0))
+
+        process = engine.spawn(program(), name="instr")
+        engine.run_until_complete([process])
+        lines = [line for line in engine.trace_log if " instr " in line]
+        assert lines == [
+            "[0] instr -> Delay", "[100] instr -> Delay",
+            "[102] instr -> Delay", "[103] instr -> Delay",
+            "[105] instr -> Delay", "[106] instr -> Delay",
+            "[108] instr -> Put", "[108] instr finished",
+        ]
 
 
 class TestFailedInstructionBookkeeping:

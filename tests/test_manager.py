@@ -9,7 +9,7 @@ import pytest
 from repro.common.config import PicosCosts
 from repro.common.errors import DeadlockError, ProtocolError
 from repro.manager.manager import ManagerError, PicosManager
-from repro.manager.submission import (PendingSubmission, SubmissionHandler,
+from repro.manager.submission import (SubmissionHandler, check_announcement,
                                       SubmissionStream)
 from repro.picos.device import PicosDevice
 from repro.picos.packets import (
@@ -158,12 +158,15 @@ class TestSubmissionHandler:
         assert handler.stats.counter("descriptors_forwarded") == 2
 
     def test_announcement_validation(self):
-        with pytest.raises(ProtocolError):
-            PendingSubmission(core_id=0, nonzero_packets=2)
-        with pytest.raises(ProtocolError):
-            PendingSubmission(core_id=0, nonzero_packets=49)
-        with pytest.raises(ProtocolError):
-            PendingSubmission(core_id=0, nonzero_packets=7)
+        with pytest.raises(ProtocolError, match="between 3 and 48 packets, "
+                                                "got 2"):
+            check_announcement(2)
+        with pytest.raises(ProtocolError, match="between 3 and 48 packets, "
+                                                "got 49"):
+            check_announcement(49)
+        with pytest.raises(ProtocolError, match="multiple of three, got 7"):
+            check_announcement(7)
+        check_announcement(48)
 
     def test_announce_overflow_reports_failure_and_error_flag(self):
         engine, device, manager = build()

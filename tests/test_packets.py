@@ -108,6 +108,32 @@ class TestEncodeDecode:
         with pytest.raises(PicosError):
             decode_descriptor(packets)
 
+    @pytest.mark.parametrize("bad, message", [
+        ({7: 1 << 32}, "packet 7 is not a 32-bit word: 4294967296"),
+        ({30: -1}, "packet 30 is not a 32-bit word: -1"),
+        ({40: -5, 12: 1 << 40}, "packet 12 is not a 32-bit word: "
+                                "1099511627776"),
+    ])
+    def test_decode_names_the_first_packet_out_of_range(self, bad, message):
+        packets = encode_descriptor(make_descriptor(3))
+        for index, value in bad.items():
+            packets[index] = value
+        with pytest.raises(PicosError, match=f"^{message}$"):
+            decode_descriptor(packets)
+
+    def test_decode_error_messages_name_slot_and_padding(self):
+        packets = encode_descriptor(make_descriptor(2))
+        packets[8] = 0
+        with pytest.raises(PicosError, match="^invalid directionality code "
+                                             "0 in slot 1$"):
+            decode_descriptor(packets)
+        packets = encode_descriptor(make_descriptor(2))
+        packets[9] = 1      # first padding packet after two slots
+        with pytest.raises(PicosError, match="zero-padding region"):
+            decode_descriptor(packets)
+        packets[9] = 0
+        assert decode_descriptor(packets) == make_descriptor(2)
+
     def test_decode_rejects_too_many_dependences(self):
         packets = encode_descriptor(make_descriptor(0))
         packets[2] = 16
