@@ -57,17 +57,17 @@ HOT_FUNCTIONS: Dict[str, FrozenSet[str]] = {
     "repro/delegate/delegate.py": frozenset({"execute", "_retire_task"}),
     "repro/picos/packets.py": frozenset({"decode_descriptor"}),
     "repro/picos/device.py": frozenset({
-        "insert_descriptor", "_submission_pipeline", "_insert_task",
-        "_retirement_pipeline", "_kick_emitter", "_emit_ready",
+        "insert_descriptor", "_insert_task", "_retirement_pipeline",
+        "_kick_emitter", "_emit_ready",
     }),
     "repro/picos/dependence.py": frozenset({
         "submit", "retire", "has_capacity", "predecessors_for",
         "forget_task",
     }),
     "repro/manager/submission.py": frozenset({
-        "announce", "push_packet", "push_packets", "push", "_pump",
-        "_advance", "_hand_on", "_request", "_pass_grant", "_passed",
-        "_run",
+        "announce", "push_packet", "push_packets", "queued",
+        "_blocking_put", "_enter_write", "_advance", "_hand_on",
+        "_request", "_pass_grant", "_passed", "_run",
     }),
     "repro/runtime/base.py": frozenset({"wait_for_signals"}),
     "repro/runtime/hw_interface.py": frozenset({"submit_task_hw"}),

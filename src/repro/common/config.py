@@ -141,6 +141,9 @@ class RoccCosts:
     def __post_init__(self) -> None:
         for name, value in dataclasses.asdict(self).items():
             _non_negative(f"RoccCosts.{name}", value)
+        # The submission stream places each hook call among the first
+        # entries of its cycle, which takes a handshake of a cycle or more.
+        _positive("RoccCosts.manager_handshake", self.manager_handshake)
 
 
 @dataclass(frozen=True)
@@ -177,6 +180,18 @@ class PicosCosts:
         for name, value in dataclasses.asdict(self).items():
             _non_negative(f"PicosCosts.{name}", value)
         _positive("PicosCosts.max_in_flight_tasks", self.max_in_flight_tasks)
+        # The submission stream inserts a descriptor after the other steps
+        # of the cycle Picos takes its last packet, one packet step later.
+        # A retirement or a ready emission waiting out a step of the same
+        # length could tie with that insert in an order the stream cannot
+        # place, so those packet periods are rejected.
+        for name in ("retire_cycles", "ready_emit_cycles"):
+            if self.submission_packet_cycles == getattr(self, name):
+                raise ConfigurationError(
+                    f"PicosCosts.submission_packet_cycles must differ from "
+                    f"PicosCosts.{name}, both are "
+                    f"{self.submission_packet_cycles}"
+                )
 
 
 @dataclass(frozen=True)

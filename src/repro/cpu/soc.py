@@ -70,7 +70,6 @@ class SoC:
                 self.manager = PicosManager(
                     self.engine, self.picos, machine.num_cores,
                     self.config.costs.picos,
-                    handshake_cycles=self.config.costs.rocc.manager_handshake,
                 )
                 for core in self.cores:
                     delegate = PicosDelegate(core.core_id, self.engine,

@@ -1,13 +1,13 @@
 """Picos Manager: submission handling, work-fetch arbitration, retirement."""
 
 from repro.manager.manager import ManagerError, PicosManager
-from repro.manager.submission import SubmissionHandler
+from repro.manager.submission import SubmissionStream
 from repro.manager.workfetch import PacketEncoder, WorkFetchUnit
 
 __all__ = [
     "ManagerError",
     "PicosManager",
-    "SubmissionHandler",
+    "SubmissionStream",
     "PacketEncoder",
     "WorkFetchUnit",
 ]

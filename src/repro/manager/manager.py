@@ -3,8 +3,8 @@
 The Manager (Section IV-F, Figure 5) is instantiated once in the SoC and is
 visible to every core's Picos Delegate.  It composes:
 
-* the :class:`~repro.manager.submission.SubmissionHandler` (Guided Arbiter,
-  Zero Padder, final buffer),
+* the Submission Handler (Guided Arbiter, Zero Padder, final buffer), whose
+  :class:`~repro.manager.submission.SubmissionStream` feeds Picos,
 * the :class:`~repro.manager.workfetch.WorkFetchUnit` (Packet Encoder, RoCC
   Ready Queue, in-order Work-Fetch Arbiter, per-core ready queues),
 * a round-robin retirement arbiter merging per-core retirement queues into
@@ -56,8 +56,7 @@ class PicosManager:
     """One Picos Manager serving ``num_cores`` Picos Delegates."""
 
     def __init__(self, engine: Engine, device: PicosDevice, num_cores: int,
-                 costs: PicosCosts, name: str = "picos_manager",
-                 handshake_cycles: int = 1) -> None:
+                 costs: PicosCosts, name: str = "picos_manager") -> None:
         if num_cores <= 0:
             raise ProtocolError("num_cores must be positive")
         self.engine = engine
@@ -68,12 +67,11 @@ class PicosManager:
         self.stats = Stats(name)
         self.error_register = ManagerError.NONE
 
-        from repro.manager.submission import SubmissionHandler
+        from repro.manager.submission import SubmissionStream
         from repro.manager.workfetch import WorkFetchUnit
 
-        self.submission_handler = SubmissionHandler(
-            engine, device, num_cores, costs, name=f"{name}.submission",
-            handshake_cycles=handshake_cycles,
+        self.submission_handler = SubmissionStream(
+            engine, device, num_cores, costs, name=f"{name}.submission"
         )
         self.work_fetch = WorkFetchUnit(
             engine, device, num_cores, costs, name=f"{name}.workfetch"

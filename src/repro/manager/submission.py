@@ -1,7 +1,9 @@
-"""Submission Handler of Picos Manager (Figure 4 of the paper).
+"""Picos's packet intake, and the Submission Handler of Picos Manager in
+front of it (Figure 4 of the paper).
 
-The Submission Handler carries task descriptors from the per-core Picos
-Delegates to the single Picos submission interface.  It guarantees:
+Two producers write 48-packet task descriptors into the one Picos
+submission queue.  Behind Picos Manager, the Submission Handler carries
+them from the per-core Picos Delegates and guarantees:
 
 1. **Atomicity** — packet sequences from different cores never interleave.
    A Guided Arbiter hands the Picos-facing interface to one core for a whole
@@ -12,15 +14,19 @@ Delegates to the single Picos submission interface.  It guarantees:
 3. **Protocol crossing** — per-core Chisel-style buffers feed the Picos
    submission queue through a final buffer.
 
-Software interacts with the handler only through the two non-blocking hooks
-used by the delegate instructions: :meth:`announce` (Submission Request) and
-:meth:`push_packet` / :meth:`push_packets` (Submit Packet / Submit Three
+Software reaches the handler only through the two non-blocking hooks used
+by the delegate instructions: :meth:`SubmissionStream.announce` (Submission
+Request) and :meth:`SubmissionStream.push_packet` /
+:meth:`SubmissionStream.push_packets` (Submit Packet / Submit Three
 Packets).  Both return ``False`` instead of blocking when internal buffers
 are full, which is what lets the ISA stay deadlock-free (Section IV-C).
 
-Behind the hooks, :class:`SubmissionStream` evaluates the packet path as a
-recurrence; :class:`SteppedSubmission` steps it packet by packet, for the
-costs under which the stream cannot place its steps exactly.
+In the Picos++ baseline (Nanos-AXI) a DMA engine writes whole descriptors
+into the same queue instead: :meth:`SubmissionStream.queued` is the room
+read of its transaction, and ``yield Put(stream, packets)`` its write.
+
+:class:`SubmissionStream` evaluates the packet path and Picos's packet
+intake for both producers as one tandem-queue recurrence.
 """
 
 from __future__ import annotations
@@ -33,12 +39,10 @@ from repro.common.errors import ProtocolError
 from repro.common.stats import Stats
 from repro.picos.device import PicosDevice
 from repro.picos.packets import PACKETS_PER_DESCRIPTOR
-from repro.sim.arbiters import GuidedArbiter
-from repro.sim.engine import Delay, Engine, Event, Get, ProcessGen, Put, Wait
-from repro.sim.queues import DecoupledQueue
+from repro.sim.engine import (Delay, Engine, Event, Process, ProcessGen,
+                              Wait)
 
-__all__ = ["SubmissionHandler", "SubmissionStream", "SteppedSubmission",
-           "check_announcement"]
+__all__ = ["SubmissionStream", "check_announcement"]
 
 #: Depth of each core-specific submission packet buffer.
 _CORE_BUFFER_DEPTH = 16
@@ -67,178 +71,62 @@ def check_announcement(nonzero_packets: int) -> None:
         )
 
 
-class SubmissionHandler:
-    """Moves per-core packet streams onto the Picos submission interface.
+class SubmissionStream:
+    """Picos's packet intake, and the Submission Handler's packet path in
+    front of it, as a tandem-queue recurrence.
 
-    ``handshake_cycles`` is the Picos Delegate's delay before each hook call
-    (``RoccCosts.manager_handshake``).
+    Number the packets in the order they enter the submission queue (depth
+    ``Q``); let ``c`` be ``submission_packet_cycles`` and ``h[j]`` the cycle
+    packet ``j``'s producer is ready to put it: the later of the granted
+    pump being ready for it and its word being buffered, plus ``c``, or the
+    cycle of the DMA write.  Then ``enter[j] = max(h[j], take[j - Q])`` and
+    ``take[j] = max(enter[j], take[j - 1] + c)``, a descriptor's first take
+    also waiting for the previous insert to end.  The stream evaluates this
+    at each input (an announcement, words, a DMA write, the end of an insert
+    or of a grant) as far as the inputs decide it, in whole cycles: a put
+    and a take in one cycle give the same result in either order.  Three
+    things observe the path.  The hooks run right after the delegate's
+    handshake delay, before any pump step of their cycle, so a call in
+    cycle ``t`` sees what the pumps took before ``t``; so does the DMA's
+    room read, which runs before Picos's take of its cycle.  A DMA write
+    ends in the cycle its last packet enters.  The insert runs in the
+    stream's process: it sleeps until the cycle of a descriptor's last
+    take, lets the rest of that cycle run (:meth:`Engine.cycle_pending`),
+    waits ``c`` and inserts, as the inserter would after that cycle's heap
+    entries; the only step that can still wait ``c`` that late and touch
+    Picos, a Packet Encoder dequeue when ``c == 1``, commutes with the
+    insert.  ``PicosCosts`` rejects the packet periods that would let the
+    retirement pipeline or the ready emitter wait one out too.  A run dry
+    engine gets the path's last step (:meth:`Engine.on_drain`), so
+    deadlocks are reported in the same cycle.
     """
 
-    __slots__ = ("engine", "device", "num_cores", "costs", "name", "stats",
-                 "path")
+    __slots__ = ("engine", "device", "num_cores", "name", "stats", "cycles",
+                 "depth", "_words", "_held", "_announced", "_busy",
+                 "_requests", "_started", "_owner", "_nonzero", "_index",
+                 "_ready", "_holding", "_attempt", "_release", "_forming",
+                 "_current", "_entered", "_enters", "_takes", "_inserter",
+                 "_count", "_last_take", "_tail", "_wake", "_writing",
+                 "_write_start", "_writer", "descriptors",
+                 "refused_as_room_frees")
 
     def __init__(self, engine: Engine, device: PicosDevice, num_cores: int,
-                 costs: PicosCosts, name: str = "submission_handler",
-                 handshake_cycles: int = 1) -> None:
+                 costs: PicosCosts, name: str = "submission_handler") -> None:
+        cores = range(num_cores)
         self.engine = engine
         self.device = device
         self.num_cores = num_cores
-        self.costs = costs
         self.name = name
         self.stats = Stats(name)
-        exact = self.stream_is_exact(costs, handshake_cycles)
-        self.path = (SubmissionStream if exact else SteppedSubmission)(self)
-
-    @staticmethod
-    def stream_is_exact(costs: PicosCosts, handshake_cycles: int) -> bool:
-        """Whether the costs fit :class:`SubmissionStream`'s argument: each
-        hook call runs first in its cycle, and neither the retirement
-        pipeline nor the ready emitter waits out a packet step."""
-        cycles = costs.submission_packet_cycles
-        return (handshake_cycles > 0 and cycles != costs.retire_cycles
-                and cycles != costs.ready_emit_cycles)
-
-    # ------------------------------------------------------------------ #
-    # Delegate-facing non-blocking hooks
-    # ------------------------------------------------------------------ #
-    def announce(self, core_id: int, nonzero_packets: int) -> bool:
-        """Register a Submission Request; returns False when it must retry."""
-        self._check_core(core_id)
-        check_announcement(nonzero_packets)
-        accepted = self.path.announce(core_id, nonzero_packets)
-        if accepted:
-            self.stats.incr("submission_requests")
-        else:
-            self.stats.incr("submission_request_failures")
-        return accepted
-
-    def push_packet(self, core_id: int, word: int) -> bool:
-        """Buffer one 32-bit submission packet; False when the buffer is full."""
-        return self.push_packets(core_id, (word,))
-
-    def push_packets(self, core_id: int, words: Sequence[int]) -> bool:
-        """Buffer several packets atomically (all or nothing)."""
-        self._check_core(core_id)
-        if not self.path.push(core_id, words):
-            self.stats.incr("packet_buffer_failures")
-            return False
-        self.stats.add("packets_buffered", len(words))
-        return True
-
-    def _check_core(self, core_id: int) -> None:
-        if not 0 <= core_id < self.num_cores:
-            raise ProtocolError(
-                f"core {core_id} out of range 0..{self.num_cores - 1}"
-            )
-
-
-class SteppedSubmission:
-    """The packet path one packet step at a time: a pump process per core
-    takes an announcement and the Guided Arbiter's grant, then puts each
-    packet into Picos's submission queue ``submission_packet_cycles`` after
-    taking it, for the device's own inserter."""
-
-    __slots__ = ("handler", "buffers", "announcements", "arbiter",
-                 "descriptors")
-
-    def __init__(self, handler: SubmissionHandler) -> None:
-        engine = handler.engine
-        name = handler.name
-        cores = range(handler.num_cores)
-        self.handler = handler
-        self.buffers: List[DecoupledQueue[int]] = [
-            DecoupledQueue(engine, _CORE_BUFFER_DEPTH, name=f"{name}.buf{core}")
-            for core in cores
-        ]
-        self.announcements: List[DecoupledQueue[int]] = [
-            DecoupledQueue(engine, _ANNOUNCE_DEPTH, name=f"{name}.ann{core}")
-            for core in cores
-        ]
-        self.arbiter = GuidedArbiter(engine, handler.num_cores,
-                                     name=f"{name}.guided")
-        self.descriptors = 0
-        for core in cores:
-            engine.spawn(self._pump(core), name=f"{name}.pump{core}",
-                         daemon=True)
-
-    def announce(self, core_id: int, nonzero_packets: int) -> bool:
-        return self.announcements[core_id].try_put(nonzero_packets)
-
-    def push(self, core_id: int, words: Sequence[int]) -> bool:
-        buffer = self.buffers[core_id]
-        if buffer.capacity - len(buffer) < len(words):
-            return False
-        for word in words:
-            buffer.try_put(word & _WORD)
-        return True
-
-    def _pump(self, core_id: int) -> ProcessGen:
-        handler = self.handler
-        announcements = self.announcements[core_id]
-        next_word = Get(self.buffers[core_id])
-        queue = handler.device.submission_queue
-        arbiter = self.arbiter
-        packet_delay = Delay(handler.costs.submission_packet_cycles)
-        stats = handler.stats
-        while True:
-            nonzero = yield Get(announcements)
-            yield Wait(arbiter.request(core_id, _PACKETS))
-            for index in range(_PACKETS):
-                word = (yield next_word) if index < nonzero else 0
-                yield packet_delay
-                yield Put(queue, word)
-                arbiter.transfer_beat(core_id)
-            self.descriptors += 1
-            stats.incr("descriptors_forwarded")
-            stats.add("zero_packets_padded", _PACKETS - nonzero)
-
-
-class SubmissionStream:
-    """The packet path and Picos's packet intake as a tandem-queue recurrence.
-
-    Number the packets in the order they enter the submission queue (depth
-    ``Q``); let ``c`` be ``submission_packet_cycles`` and ``h[j]`` the later
-    of the granted pump being ready for packet ``j`` and its word being
-    buffered.  Then ``depart[j] = max(h[j] + c, take[j - Q])`` and
-    ``take[j] = max(depart[j], take[j - 1] + c)``, a descriptor's first take
-    also waiting for the previous insert to end.  The stream evaluates this
-    at each input (an announcement, words, the end of an insert or of a
-    grant) as far as the inputs decide it, in whole cycles: a put and a take
-    in one cycle give the same result in either order.  Two things observe
-    the path.  The hooks run right after the delegate's handshake delay,
-    before any pump step of their cycle, so a call in cycle ``t`` sees what
-    the pumps took before ``t``.  The insert runs in the stream's process:
-    it sleeps until the cycle of a descriptor's last take, lets the rest of
-    that cycle run (:meth:`Engine.cycle_pending`), waits ``c`` and inserts,
-    as the inserter would after that cycle's heap entries; the only step
-    that can still wait ``c`` that late and touch Picos, a Packet Encoder
-    dequeue when ``c == 1``, commutes with the insert.  A run dry engine
-    gets the path's last step (:meth:`Engine.on_drain`), so deadlocks are
-    reported in the same cycle.
-    """
-
-    __slots__ = ("handler", "engine", "device", "cycles", "depth", "_words",
-                 "_held", "_announced", "_busy", "_requests", "_started",
-                 "_owner", "_nonzero", "_index", "_ready", "_holding",
-                 "_attempt", "_release", "_forming", "_current", "_entered",
-                 "_enters", "_takes", "_inserter", "_count", "_last_take",
-                 "_tail", "_wake", "descriptors", "refused_as_room_frees")
-
-    def __init__(self, handler: SubmissionHandler) -> None:
-        engine = handler.engine
-        cores = range(handler.num_cores)
-        self.handler = handler
-        self.engine = engine
-        self.device = handler.device
-        self.cycles = handler.costs.submission_packet_cycles
-        self.depth = handler.costs.submission_queue_depth
+        self.cycles = costs.submission_packet_cycles
+        self.depth = costs.submission_queue_depth
         # Per core: words the pump has not taken; cycles of words taken in
         # this cycle or later, which still fill the buffer until then;
         # announcements it has not taken; whether it holds one.
         self._words: List[Deque[int]] = [deque() for _ in cores]
         self._held: List[Deque[int]] = [deque() for _ in cores]
         self._announced: List[Deque[int]] = [deque() for _ in cores]
-        self._busy = [False] * handler.num_cores
+        self._busy = [False] * num_cores
         # Pumps waiting for the grant; until the engine first runs the
         # stream's process, the pumps have not started and take nothing.
         self._requests: Deque[Tuple[int, int]] = deque()
@@ -265,27 +153,44 @@ class SubmissionStream:
         self._last_take = -1
         self._tail = 0
         self._wake: Optional[Event] = None
+        # The DMA write: its packets still to enter, its cycle, its writer.
+        self._writing = self._write_start = 0
+        self._writer: Optional[Process] = None
         #: Descriptors inserted; pushes refused for room that a pump frees
         #: later in their cycle.
         self.descriptors = self.refused_as_room_frees = 0
-        engine.spawn(self._run(), name=f"{handler.name}.stream", daemon=True)
+        engine.spawn(self._run(), name=f"{name}.stream", daemon=True)
         engine.on_drain(self._drain)
 
+    # ------------------------------------------------------------------ #
+    # Delegate-facing non-blocking hooks
+    # ------------------------------------------------------------------ #
     def announce(self, core_id: int, nonzero_packets: int) -> bool:
+        """Register a Submission Request; returns False when it must retry."""
+        self._check_core(core_id)
+        check_announcement(nonzero_packets)
         now = self.engine.now
         if 0 <= self._release < now:
             self._advance(now)
         announced = self._announced[core_id]
         if len(announced) >= _ANNOUNCE_DEPTH:
+            self.stats.incr("submission_request_failures")
             return False
         if self._busy[core_id] or not self._started:
             announced.append(nonzero_packets)
         else:
             # An idle pump takes it at once and asks for the grant.
             self._request(core_id, nonzero_packets, now)
+        self.stats.incr("submission_requests")
         return True
 
-    def push(self, core_id: int, words: Sequence[int]) -> bool:
+    def push_packet(self, core_id: int, word: int) -> bool:
+        """Buffer one 32-bit submission packet; False when the buffer is full."""
+        return self.push_packets(core_id, (word,))
+
+    def push_packets(self, core_id: int, words: Sequence[int]) -> bool:
+        """Buffer several packets atomically (all or nothing)."""
+        self._check_core(core_id)
         now = self.engine.now
         if 0 <= self._release < now:
             self._advance(now)
@@ -301,6 +206,7 @@ class SubmissionStream:
                 room += 1
             if room >= len(words):
                 self.refused_as_room_frees += 1
+            self.stats.incr("packet_buffer_failures")
             return False
         for word in words:
             buffered.append(word & _WORD)
@@ -308,7 +214,42 @@ class SubmissionStream:
             if not self._holding and self._release < 0 and self._ready < now:
                 self._ready = now  # The pump waited for this word.
             self._advance(now)
+        self.stats.add("packets_buffered", len(words))
         return True
+
+    def _check_core(self, core_id: int) -> None:
+        if not 0 <= core_id < self.num_cores:
+            raise ProtocolError(
+                f"core {core_id} out of range 0..{self.num_cores - 1}"
+            )
+
+    # ------------------------------------------------------------------ #
+    # The DMA producer (Picos++ over AXI)
+    # ------------------------------------------------------------------ #
+    def queued(self) -> int:
+        """Packets in the submission queue: entered, and not taken before
+        this cycle."""
+        now = self.engine.now
+        taking = 0
+        for take in reversed(self._takes):
+            if take < now:
+                break
+            taking += 1
+        return len(self._enters) + taking
+
+    def _blocking_put(self, process: Process, packets: List[int]) -> None:
+        """The DMA's write of a descriptor's 48 packets, as
+        ``yield Put(stream, packets)``: each enters as soon as the queue has
+        room, and the writer resumes in the cycle the last one enters."""
+        now = self.engine.now
+        self._forming.append(packets)
+        self._writing = _PACKETS
+        self._write_start = now
+        self._writer = process
+        self._advance(now)
+
+    def __repr__(self) -> str:
+        return f"SubmissionStream({self.name!r}, {self.queued()}/{self.depth})"
 
     def _request(self, core_id: int, nonzero: int, cycle: int) -> None:
         self._busy[core_id] = True
@@ -326,7 +267,7 @@ class SubmissionStream:
         """Pass the grant on after its last beat."""
         end = self._release
         owner = self._owner
-        stats = self.handler.stats
+        stats = self.stats
         stats.incr("descriptors_forwarded")
         stats.add("zero_packets_padded", _PACKETS - self._nonzero)
         self._release = self._owner = -1
@@ -342,11 +283,40 @@ class SubmissionStream:
 
     def _pass_grant(self) -> None:
         # In the last beat's cycle: once the hook calls, which come first,
-        # have run, the grant passes on as if the clock were past it.
-        self.engine.schedule_callback(0, self._passed)
+        # have run, the grant passes on as if the clock were past it.  With
+        # nothing else left in the cycle, that is now.
+        if self.engine.cycle_pending():
+            self.engine.schedule_callback(0, self._passed)
+        else:
+            self._passed()
 
     def _passed(self) -> None:
         self._advance(self.engine.now + 1)
+
+    def _enter_write(self) -> None:
+        """Enter the DMA's packets while their room is known: packet ``j``
+        enters once Picos took packet ``j - Q``."""
+        writing = self._writing
+        write_start = self._write_start
+        entered = self._entered
+        depth = self.depth
+        enters = self._enters
+        takes = self._takes
+        while writing and (entered < depth or takes):
+            cycle = write_start
+            if entered >= depth:
+                cycle = takes.popleft()
+                if cycle < write_start:
+                    cycle = write_start
+            enters.append(cycle)
+            entered += 1
+            writing -= 1
+        self._entered = entered
+        self._writing = writing
+        if not writing:
+            engine = self.engine
+            writer, self._writer = self._writer, None
+            engine._schedule(cycle - engine.now, writer, None)
 
     def _advance(self, now: int) -> None:
         """Evaluate the recurrence as far as the inputs so far decide it.
@@ -365,11 +335,13 @@ class SubmissionStream:
         while True:
             if taker >= 0 and enters:
                 # Picos takes what has entered, up to a descriptor's last
-                # packet.  Packets enter at least ``cycles`` apart, so when
-                # the last of a batch was there in time, all were.
+                # packet.  A pump's packets enter at least ``cycles`` apart;
+                # a DMA write's enter together, then as takes free room.
+                # So when the first and the last of a batch were there in
+                # time, all were.
                 batch = min(len(enters), _PACKETS - count)
                 take = taker + (batch - 1) * cycles
-                if enters[batch - 1] <= take:
+                if enters[0] <= taker and enters[batch - 1] <= take:
                     takes.extend(_cycles(taker, batch, cycles))
                     for _ in range(batch):
                         enters.popleft()
@@ -388,6 +360,9 @@ class SubmissionStream:
                     taker = take + cycles
                     if taker > tail:
                         tail = taker
+            if self._writing and (self._entered < depth or takes):
+                self._enter_write()
+                continue
             owner = self._owner
             release = self._release
             if owner < 0 or release >= now:
@@ -467,8 +442,11 @@ class SubmissionStream:
             if index == _PACKETS:
                 self._release = ready
                 if ready >= now:
-                    self.engine.schedule_callback(ready - self.engine.now,
-                                                  self._pass_grant)
+                    wait = ready - self.engine.now
+                    if wait:
+                        self.engine.schedule_callback(wait, self._pass_grant)
+                    else:
+                        self.engine.schedule_callback(0, self._passed)
             elif taker < 0 or not enters:
                 break
         self._inserter = taker
@@ -495,7 +473,7 @@ class SubmissionStream:
             self._advance(engine.now)
             take = self._last_take
             if take < 0:
-                self._wake = Event(engine, f"{self.handler.name}.complete")
+                self._wake = Event(engine, f"{self.name}.complete")
                 yield Wait(self._wake)
                 continue
             wait = take - engine.now

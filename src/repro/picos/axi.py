@@ -10,7 +10,10 @@ interaction instead of the handful of cycles a RoCC instruction costs.
 charges AXI transaction latencies for every submission, work-fetch and
 retirement, so the only difference between the Nanos-AXI and Nanos-RV
 runtime models is the communication path — which is precisely the variable
-the paper isolates.
+the paper isolates.  Its DMA writes enter the same
+:class:`~repro.manager.submission.SubmissionStream` that the Submission
+Handler of Picos Manager feeds on the RoCC path: the packet intake is one
+model for both producers.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from typing import Generator, Optional
 
 from repro.common.config import AxiCosts
 from repro.common.stats import Stats
+from repro.manager.submission import SubmissionStream
 from repro.picos.device import PicosDevice, ReadyTask
 from repro.picos.packets import (
     PACKETS_PER_DESCRIPTOR,
@@ -40,6 +44,9 @@ class AxiPicosInterface:
         self.costs = costs
         self.name = name
         self.stats = Stats(name)
+        #: Picos's submission queue and packet intake, written by the DMA.
+        self.intake = SubmissionStream(engine, device, 0, device.costs,
+                                       name=f"{device.name}.submission")
         self._partial_ready: list = []
         #: CPU-visible staging buffer filled by DMA refills.  Chained
         #: workloads pay one refill per task; parallel ones amortise it.
@@ -65,15 +72,15 @@ class AxiPicosInterface:
         self.stats.incr("axi_submissions")
         self.stats.add("axi_submit_cycles", latency)
         yield Delay(latency)
-        queue = self.device.submission_queue
+        intake = self.intake
         # A queue shallower than a descriptor never holds a whole one.
-        room = min(PACKETS_PER_DESCRIPTOR, queue.capacity)
-        while queue.capacity - len(queue) < room:
+        depth = intake.depth
+        room = min(PACKETS_PER_DESCRIPTOR, depth)
+        while depth - intake.queued() < room:
             yield from stall_handler()
         # The DMA engine streams all 48 packets into the Picos submission
         # queue; the stream itself proceeds at queue speed.
-        for packet in encode_descriptor(descriptor):
-            yield Put(queue, packet)
+        yield Put(intake, encode_descriptor(descriptor))
 
     # ------------------------------------------------------------------ #
     # Work fetch

@@ -22,13 +22,13 @@ inserter resumes on the grid of a re-check every ``retire_cycles`` cycles
 from the moment it stalled, so tasks are accepted in exactly the cycles a
 polling inserter would accept them.
 
-The device's own inserter takes one packet per ``submission_packet_cycles``
-from the submission queue; the Picos++/AXI path streams descriptors into
-it.  Behind Picos Manager the Submission Handler's
-:class:`~repro.manager.submission.SubmissionStream` evaluates that packet
-path arithmetically instead and hands each complete descriptor to
+The device has no packet intake of its own: both producers, Picos
+Manager's Submission Handler and the Picos++/AXI DMA, write into
+:class:`~repro.manager.submission.SubmissionStream`, which evaluates the
+submission queue and Picos's one-packet-per-``submission_packet_cycles``
+intake arithmetically and hands each complete descriptor to
 :meth:`PicosDevice.insert_descriptor`, in the cycle and at the place in
-that cycle where this inserter would have inserted it.
+that cycle where a per-packet inserter would have inserted it.
 """
 
 from __future__ import annotations
@@ -40,11 +40,7 @@ from repro.common.config import PicosCosts
 from repro.common.errors import PicosError
 from repro.common.stats import Stats
 from repro.picos.dependence import TaskGraph
-from repro.picos.packets import (
-    PACKETS_PER_DESCRIPTOR,
-    TaskDescriptor,
-    decode_descriptor,
-)
+from repro.picos.packets import TaskDescriptor, decode_descriptor
 from repro.sim.engine import Delay, Engine, Event, Get, ProcessGen, Wait
 from repro.sim.queues import DecoupledQueue
 
@@ -70,9 +66,8 @@ class PicosDevice:
     """The Picos accelerator, driven through its three hardware queues."""
 
     __slots__ = ("engine", "costs", "name", "stats", "graph", "_sw_ids",
-                 "submission_queue", "ready_queue", "retirement_queue",
-                 "_ready_backlog", "_emitter_busy", "_slot_freed",
-                 "_submission_process", "_retirement_process")
+                 "ready_queue", "retirement_queue", "_ready_backlog",
+                 "_emitter_busy", "_slot_freed", "_retirement_process")
 
     def __init__(self, engine: Engine, costs: PicosCosts,
                  name: str = "picos") -> None:
@@ -83,9 +78,6 @@ class PicosDevice:
         self.graph = TaskGraph(capacity=costs.max_in_flight_tasks)
         #: sw_id keyed by the Picos-assigned task id, for ready announcements.
         self._sw_ids: Dict[int, int] = {}
-        self.submission_queue: DecoupledQueue[int] = DecoupledQueue(
-            engine, costs.submission_queue_depth, name=f"{name}.submission"
-        )
         self.ready_queue: DecoupledQueue[ReadyPacket] = DecoupledQueue(
             engine, costs.ready_queue_depth * 3, name=f"{name}.ready"
         )
@@ -100,9 +92,6 @@ class PicosDevice:
         self._slot_freed: Optional[Event] = None
         # Whenever the consumer drains ready packets, try to emit more.
         self.ready_queue.subscribe_dequeue(self._kick_emitter)
-        self._submission_process = engine.spawn(
-            self._submission_pipeline(), name=f"{name}.submit", daemon=True
-        )
         self._retirement_process = engine.spawn(
             self._retirement_pipeline(), name=f"{name}.retire", daemon=True
         )
@@ -134,21 +123,6 @@ class PicosDevice:
     # ------------------------------------------------------------------ #
     # Pipelines
     # ------------------------------------------------------------------ #
-    def _submission_pipeline(self) -> ProcessGen:
-        """Reassemble 48-packet descriptors and insert them in the graph."""
-        partial: List[int] = []
-        next_packet = Get(self.submission_queue)
-        packet_delay = Delay(self.costs.submission_packet_cycles)
-        stats = self.stats
-        while True:
-            packet = yield next_packet
-            yield packet_delay
-            partial.append(packet)
-            stats.incr("submission_packets")
-            if len(partial) == PACKETS_PER_DESCRIPTOR:
-                packets, partial = partial, []
-                yield from self.insert_descriptor(packets)
-
     def _insert_task(self, descriptor: TaskDescriptor) -> ProcessGen:
         costs = self.costs
         analysis = (
@@ -160,9 +134,9 @@ class PicosDevice:
         graph = self.graph
         if not graph.has_capacity():
             # Capacity back-pressure: park until the retirement pipeline frees
-            # a slot.  While waiting, the submission queue fills up and the
-            # Submission Handler (and ultimately the non-blocking
-            # instructions) observe the back-pressure.
+            # a slot.  While waiting, the submission queue fills up and its
+            # producers (ultimately the non-blocking instructions) observe
+            # the back-pressure.
             engine = self.engine
             start = engine.now
             self._slot_freed = slot_freed = Event(engine, f"{self.name}.slot_freed")

@@ -1,6 +1,7 @@
 """Workload factories, sweep and telemetry helpers, a reference MESI
-directory, a polling Picos device, a per-packet Submission Handler and a
-reference engine loop shared by the test suite."""
+directory, a polling Picos device, the per-packet submission path (a Picos
+device with its own packet intake, a Submission Handler and an AXI DMA that
+feed it) and a reference engine loop shared by the test suite."""
 
 from __future__ import annotations
 
@@ -9,20 +10,26 @@ import heapq
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.common.config import MemoryCosts, SimConfig
-from repro.common.errors import MemoryModelError, SimulationError
+from repro.common.config import MemoryCosts, PicosCosts, SimConfig
+from repro.common.errors import (MemoryModelError, ProtocolError,
+                                 SimulationError)
 from repro.common.stats import Stats
 from repro.harness.executor import ProcessPoolBackend, SerialBackend
 from repro.harness.runner import CaseUnit, run_units
 from repro.harness.telemetry import TelemetrySink
-from repro.manager.submission import SubmissionHandler
+from repro.manager.submission import check_announcement
 from repro.memory.mesi import AccessType, LineState
+from repro.picos.axi import AxiPicosInterface
 from repro.picos.dependence import TaskGraph
 from repro.picos.device import PicosDevice, ReadyTask
-from repro.picos.packets import TaskDescriptor
+from repro.picos.packets import (PACKETS_PER_DESCRIPTOR, TaskDescriptor,
+                                 encode_descriptor)
 from repro.runtime.phentos import PhentosRuntime
 from repro.runtime.task import Task, TaskProgram, in_dep, inout_dep, out_dep
-from repro.sim.engine import Charge, Delay, Engine, ProcessGen
+from repro.sim.arbiters import GuidedArbiter
+from repro.sim.engine import (Charge, Delay, Engine, Get, ProcessGen, Put,
+                              Wait)
+from repro.sim.queues import DecoupledQueue
 
 
 class PluginRuntime(PhentosRuntime):
@@ -325,21 +332,143 @@ class AcceptLog(TaskGraph):
 
 
 # ---------------------------------------------------------------------- #
-# Per-packet Submission Handler
+# Per-packet submission path
 # ---------------------------------------------------------------------- #
-class PerPacketSubmissionHandler(SubmissionHandler):
-    """``SubmissionHandler`` that runs the packet path stepped whatever the
-    costs: a pump process per core puts every packet, zero padding
-    included, into the Picos submission queue one ``Put`` at a time, and
-    the device's own inserter takes each one.  Differential tests drive it
-    and the arithmetic :class:`~repro.manager.submission.SubmissionStream`
-    with the same program and require identical accept cycles, results and
-    stats.
+class PerPacketPicosDevice(PicosDevice):
+    """``PicosDevice`` with the packet intake that
+    :class:`~repro.manager.submission.SubmissionStream` replaced: a
+    submission queue and an inserter process that takes one packet from it
+    per ``submission_packet_cycles`` and inserts each complete descriptor.
+    :class:`PerPacketSubmissionHandler` and :class:`PerPacketAxiInterface`
+    put packets into it; so may a test, one ``Put`` per packet.
     """
 
-    @staticmethod
-    def stream_is_exact(costs, handshake_cycles):
+    def __init__(self, engine, costs, name="picos"):
+        super().__init__(engine, costs, name)
+        self.submission_queue = DecoupledQueue(
+            engine, costs.submission_queue_depth, name=f"{name}.submission")
+        engine.spawn(self._submission_pipeline(), name=f"{name}.submit",
+                     daemon=True)
+
+    def _submission_pipeline(self) -> ProcessGen:
+        """Reassemble 48-packet descriptors and insert them in the graph."""
+        partial: List[int] = []
+        next_packet = Get(self.submission_queue)
+        packet_delay = Delay(self.costs.submission_packet_cycles)
+        while True:
+            packet = yield next_packet
+            yield packet_delay
+            partial.append(packet)
+            self.stats.incr("submission_packets")
+            if len(partial) == PACKETS_PER_DESCRIPTOR:
+                packets, partial = partial, []
+                yield from self.insert_descriptor(packets)
+
+
+#: Depths of a core's packet buffer and of its announcement queue.
+_CORE_BUFFER_DEPTH = 16
+_ANNOUNCE_DEPTH = 2
+
+
+class PerPacketSubmissionHandler:
+    """The Submission Handler one packet step at a time, over a
+    :class:`PerPacketPicosDevice`: a pump process per core takes an
+    announcement and the Guided Arbiter's grant, then puts each packet,
+    zero padding included, into Picos's submission queue
+    ``submission_packet_cycles`` after taking it.  Differential tests drive
+    it and :class:`~repro.manager.submission.SubmissionStream` with the
+    same program and require identical accept cycles, results and stats.
+    """
+
+    def __init__(self, engine: Engine, device: PerPacketPicosDevice,
+                 num_cores: int, costs: PicosCosts,
+                 name: str = "submission_handler") -> None:
+        self.engine = engine
+        self.device = device
+        self.num_cores = num_cores
+        self.costs = costs
+        self.name = name
+        self.stats = Stats(name)
+        cores = range(num_cores)
+        self.buffers = [DecoupledQueue(engine, _CORE_BUFFER_DEPTH,
+                                       name=f"{name}.buf{core}")
+                        for core in cores]
+        self.announcements = [DecoupledQueue(engine, _ANNOUNCE_DEPTH,
+                                             name=f"{name}.ann{core}")
+                              for core in cores]
+        self.arbiter = GuidedArbiter(engine, num_cores, name=f"{name}.guided")
+        #: Descriptors the pumps have put into the queue.
+        self.descriptors = 0
+        for core in cores:
+            engine.spawn(self._pump(core), name=f"{name}.pump{core}",
+                         daemon=True)
+
+    def announce(self, core_id: int, nonzero_packets: int) -> bool:
+        self._check_core(core_id)
+        check_announcement(nonzero_packets)
+        if self.announcements[core_id].try_put(nonzero_packets):
+            self.stats.incr("submission_requests")
+            return True
+        self.stats.incr("submission_request_failures")
         return False
+
+    def push_packet(self, core_id: int, word: int) -> bool:
+        return self.push_packets(core_id, (word,))
+
+    def push_packets(self, core_id: int, words) -> bool:
+        self._check_core(core_id)
+        buffer = self.buffers[core_id]
+        if buffer.capacity - len(buffer) < len(words):
+            self.stats.incr("packet_buffer_failures")
+            return False
+        for word in words:
+            buffer.try_put(word & 0xFFFFFFFF)
+        self.stats.add("packets_buffered", len(words))
+        return True
+
+    def _check_core(self, core_id: int) -> None:
+        if not 0 <= core_id < self.num_cores:
+            raise ProtocolError(
+                f"core {core_id} out of range 0..{self.num_cores - 1}")
+
+    def _pump(self, core_id: int) -> ProcessGen:
+        announcements = self.announcements[core_id]
+        next_word = Get(self.buffers[core_id])
+        queue = self.device.submission_queue
+        arbiter = self.arbiter
+        packet_delay = Delay(self.costs.submission_packet_cycles)
+        while True:
+            nonzero = yield Get(announcements)
+            yield Wait(arbiter.request(core_id, PACKETS_PER_DESCRIPTOR))
+            for index in range(PACKETS_PER_DESCRIPTOR):
+                word = (yield next_word) if index < nonzero else 0
+                yield packet_delay
+                yield Put(queue, word)
+                arbiter.transfer_beat(core_id)
+            self.descriptors += 1
+            self.stats.incr("descriptors_forwarded")
+            self.stats.add("zero_packets_padded",
+                           PACKETS_PER_DESCRIPTOR - nonzero)
+
+
+class PerPacketAxiInterface(AxiPicosInterface):
+    """``AxiPicosInterface`` whose DMA reads the room of a
+    :class:`PerPacketPicosDevice`'s submission queue and writes a
+    descriptor into it one ``Put`` per packet."""
+
+    def submit_task(self, descriptor: TaskDescriptor,
+                    stall_handler) -> ProcessGen:
+        latency = (self.costs.submit_transaction
+                   + self.costs.per_dependence * descriptor.num_dependences)
+        self.stats.incr("axi_submissions")
+        self.stats.add("axi_submit_cycles", latency)
+        yield Delay(latency)
+        queue = self.device.submission_queue
+        room = min(PACKETS_PER_DESCRIPTOR, queue.capacity)
+        while queue.capacity - len(queue) < room:
+            yield from stall_handler()
+        for packet in encode_descriptor(descriptor):
+            yield Put(queue, packet)
 
 
 # ---------------------------------------------------------------------- #

@@ -96,6 +96,23 @@ class TestCostTables:
         with pytest.raises(ConfigurationError):
             AxiCosts(submit_transaction=-1)
 
+    @pytest.mark.parametrize("table, costs", [
+        (RoccCosts, {"manager_handshake": 0}),
+        (PicosCosts, {"retire_cycles": 1}),
+        (PicosCosts, {"submission_packet_cycles": 0, "retire_cycles": 0}),
+        (PicosCosts, {"submission_packet_cycles": 8}),
+        (PicosCosts, {"ready_emit_cycles": 1}),
+        (PicosCosts, {"submission_packet_cycles": 30}),
+    ], ids=["handshake-0", "packet-1-retire-1", "packet-0-retire-0",
+            "packet-8-retire-8", "packet-1-emit-1", "packet-30-emit-30"])
+    def test_costs_the_submission_stream_cannot_place_are_rejected(
+            self, table, costs):
+        # A hook call needs a handshake to come first in its cycle, and a
+        # packet period equal to the retirement or ready-emission period
+        # could tie a Picos step with the descriptor insert.
+        with pytest.raises(ConfigurationError):
+            table(**costs)
+
     def test_cost_tables_are_frozen(self):
         costs = MemoryCosts()
         with pytest.raises(dataclasses.FrozenInstanceError):

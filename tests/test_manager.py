@@ -9,8 +9,7 @@ import pytest
 from repro.common.config import PicosCosts
 from repro.common.errors import DeadlockError, ProtocolError
 from repro.manager.manager import ManagerError, PicosManager
-from repro.manager.submission import (SubmissionHandler, check_announcement,
-                                      SubmissionStream)
+from repro.manager.submission import SubmissionStream, check_announcement
 from repro.picos.device import PicosDevice
 from repro.picos.packets import (
     Direction,
@@ -19,7 +18,8 @@ from repro.picos.packets import (
     encode_nonzero_packets,
 )
 from repro.sim.engine import Delay, Engine, Wait
-from tests.helpers import AcceptLog, PerPacketSubmissionHandler
+from tests.helpers import (AcceptLog, PerPacketPicosDevice,
+                           PerPacketSubmissionHandler)
 
 
 def build(num_cores=2, **cost_overrides):
@@ -136,7 +136,7 @@ class TestSubmissionHandler:
         engine.run_until_complete([engine.spawn(core(), name="core")])
         run_for(engine, 1_000)
         assert device.graph.total_submitted == 1
-        assert handler.path.refused_as_room_frees > 0
+        assert handler.refused_as_room_frees > 0
         # The buffer frees a word per cycle, so a refused push is retried
         # within three cycles and no push waits for a whole descriptor.
         refused = [cycle for cycle, accepted in outcomes if not accepted]
@@ -234,8 +234,17 @@ def _count_stream_resumes(monkeypatch):
     return resumes
 
 
-def _handler_class(stepped):
-    return PerPacketSubmissionHandler if stepped else SubmissionHandler
+def _device(engine, costs, stepped):
+    """A Picos device, with its own per-packet intake when ``stepped``."""
+    return (PerPacketPicosDevice if stepped else PicosDevice)(engine, costs)
+
+
+def _manager(engine, device, num_cores, costs, stepped):
+    """A Picos Manager whose Submission Handler is the per-packet reference
+    when ``stepped``, else the submission stream."""
+    handler = PerPacketSubmissionHandler if stepped else SubmissionStream
+    with mock.patch("repro.manager.submission.SubmissionStream", handler):
+        return PicosManager(engine, device, num_cores, costs)
 
 
 def _one_descriptor(stepped=False, sampled=False, **costs):
@@ -243,12 +252,10 @@ def _one_descriptor(stepped=False, sampled=False, **costs):
     cycles and every stat the two packet paths must agree on."""
     engine = Engine()
     costs = PicosCosts(**costs)
-    device = PicosDevice(engine, costs)
+    device = _device(engine, costs, stepped)
     accepted = []
     device.graph = AcceptLog(costs.max_in_flight_tasks, engine, accepted)
-    with mock.patch("repro.manager.submission.SubmissionHandler",
-                    _handler_class(stepped)):
-        manager = PicosManager(engine, device, 1, costs)
+    manager = _manager(engine, device, 1, costs, stepped)
     feed_descriptor(manager, 0, _one_dependence(5))
     if sampled:
         def sampler():
@@ -266,10 +273,8 @@ def _never_retiring(stepped):
     drains, and a process waiting for nothing; returns the deadlock."""
     engine = Engine()
     costs = PicosCosts(max_in_flight_tasks=1)
-    device = PicosDevice(engine, costs)
-    with mock.patch("repro.manager.submission.SubmissionHandler",
-                    _handler_class(stepped)):
-        manager = PicosManager(engine, device, 1, costs)
+    device = _device(engine, costs, stepped)
+    manager = _manager(engine, device, 1, costs, stepped)
 
     def core():
         for sw_id in (1, 2, 3):
@@ -298,12 +303,10 @@ def _stall_then_drain(queue_depth=8, stepped=False, sampled=False):
     engine = Engine()
     costs = PicosCosts(max_in_flight_tasks=1,
                        submission_queue_depth=queue_depth)
-    device = PicosDevice(engine, costs)
+    device = _device(engine, costs, stepped)
     accepted = []
     device.graph = AcceptLog(costs.max_in_flight_tasks, engine, accepted)
-    with mock.patch("repro.manager.submission.SubmissionHandler",
-                    _handler_class(stepped)):
-        manager = PicosManager(engine, device, 2, costs)
+    manager = _manager(engine, device, 2, costs, stepped)
 
     def feeder():
         for sw_id in (1, 2):

@@ -9,6 +9,7 @@ import pytest
 from repro.apps.granularity import task_free_program
 from repro.common.config import PicosCosts, SimConfig
 from repro.common.errors import DeadlockError
+from repro.manager.submission import SubmissionStream
 from repro.picos.dependence import TaskGraph
 from repro.picos.device import PicosDevice, ReadyTask
 from repro.picos.packets import Direction, TaskDependence, TaskDescriptor, \
@@ -25,17 +26,19 @@ def make_device(engine, **overrides):
 
 
 def submit(engine, device, *descriptors):
-    """Feed full 48-packet descriptors through the submission queue.
+    """Write full 48-packet descriptors into the device's submission queue
+    (once per device), as the Picos++ DMA does.
 
-    Descriptors are streamed back to back by a single process because the
+    Descriptors are written back to back by a single process because the
     raw Picos interface requires submissions not to interleave — in the full
     system that atomicity is enforced by the Submission Handler.
     """
+    intake = SubmissionStream(engine, device, 0, device.costs,
+                              name=f"{device.name}.submission")
 
     def feeder():
         for descriptor in descriptors:
-            for packet in encode_descriptor(descriptor):
-                yield Put(device.submission_queue, packet)
+            yield Put(intake, encode_descriptor(descriptor))
 
     return engine.spawn(feeder(), name="feeder")
 
@@ -209,7 +212,7 @@ class TestEventDrivenBackpressure:
         # third backs up the submission queue until the feeder's put blocks.
         submit(engine, device, *(descriptor_with(index) for index in range(3)))
         with pytest.raises(DeadlockError,
-                           match=r"feeder\[put\(DecoupledQueue\('picos\."
+                           match=r"feeder\[put\(SubmissionStream\('picos\."
                                  r"submission', 8/8\)\)\]"):
             engine.run()
         assert device.in_flight_tasks == 1

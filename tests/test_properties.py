@@ -325,25 +325,34 @@ from repro.common.config import SimConfig  # noqa: E402
 from repro.common.errors import SimulationError  # noqa: E402
 from repro.common.config import PicosCosts  # noqa: E402
 from repro.manager.manager import PicosManager  # noqa: E402
-from repro.manager.submission import (  # noqa: E402
-    SubmissionHandler, SubmissionStream)
+from repro.manager.submission import SubmissionStream  # noqa: E402
 from repro.picos.packets import encode_nonzero_packets  # noqa: E402
 from repro.sim.engine import Delay  # noqa: E402
+from repro.picos.axi import AxiPicosInterface  # noqa: E402
 from repro.picos.device import PicosDevice  # noqa: E402
 from repro.runtime.base import RuntimeResult  # noqa: E402
 from tests.helpers import (  # noqa: E402
     AcceptLog,
+    PerPacketAxiInterface,
+    PerPacketPicosDevice,
     PerPacketSubmissionHandler,
     PollingPicosDevice,
     picos_config,
 )
 
 
+#: ``_run_logged`` arguments for the per-packet submission path.
+PER_PACKET = {"device_class": PerPacketPicosDevice,
+              "handler_class": PerPacketSubmissionHandler,
+              "axi_class": PerPacketAxiInterface}
+
+
 def _run_logged(runtime_name, config, program, workers,
-                device_class=PicosDevice, handler_class=SubmissionHandler,
-                handlers=None):
-    """Run ``program`` on an SoC whose Picos is ``device_class`` and whose
-    Picos Manager forwards submissions through ``handler_class``.
+                device_class=PicosDevice, handler_class=SubmissionStream,
+                axi_class=AxiPicosInterface, handlers=None):
+    """Run ``program`` on an SoC whose Picos is ``device_class``, whose
+    Picos Manager forwards submissions through ``handler_class`` and whose
+    AXI path is ``axi_class``.
 
     Returns the accept log (with retirements) and the ``RuntimeResult``,
     or the failure as ``(exception class name, message)``: both variants
@@ -365,7 +374,8 @@ def _run_logged(runtime_name, config, program, workers,
     runtime = registry.runtime(runtime_name).cls(config)
     try:
         with mock.patch("repro.cpu.soc.PicosDevice", Logged), \
-                mock.patch("repro.manager.submission.SubmissionHandler",
+                mock.patch("repro.cpu.soc.AxiPicosInterface", axi_class), \
+                mock.patch("repro.manager.submission.SubmissionStream",
                            Recorded):
             outcome = runtime.run(program, num_workers=workers)
     except SimulationError as exc:
@@ -391,11 +401,20 @@ def stalling_runs(draw):
                               unique=True))
     program = TaskProgram(name="stall", tasks=tasks,
                           taskwait_after=set(taskwaits))
+    # Retirement periods of 1 to 16 cycles, but for the default packet
+    # period of 1, which PicosCosts rejects.
     config = picos_config(SimConfig(max_cycles=2_000_000),
                           max_in_flight_tasks=draw(st.integers(1, 4)),
-                          retire_cycles=draw(st.integers(1, 16)))
+                          retire_cycles=draw(st.integers(2, 16)))
     return (draw(st.sampled_from(["phentos", "nanos-rv"])), config, program,
             draw(st.integers(1, 4)))
+
+
+def _other_than(draw, cycles, low, high):
+    """A draw from ``low..high`` other than ``cycles``: the retirement
+    period PicosCosts allows next to a packet period of ``cycles``."""
+    value = draw(st.integers(low, high - (low <= cycles <= high)))
+    return value + (value >= cycles)
 
 
 #: The built-in runtimes, read before any test registers a scratch one.
@@ -410,9 +429,15 @@ def _stalling_example(num_tasks, workers, **picos):
     return "phentos", config, program, workers
 
 
+#: Eight empty tasks through a one-task station on one worker: the draw
+#: that drives Nanos-AXI into its full-queue stall.
+_FULL_QUEUE_EXAMPLE = _stalling_example(8, 1, max_in_flight_tasks=1,
+                                        retire_cycles=2)
+
+
 @settings(max_examples=60, deadline=None)
 @given(stalling_runs())
-@example(_stalling_example(8, 1, max_in_flight_tasks=1, retire_cycles=1))
+@example(_FULL_QUEUE_EXAMPLE)
 def test_every_runtime_runs_every_task_once(run):
     # Liveness: whatever fills the station, every registered runtime ends
     # with each task run exactly once.
@@ -426,6 +451,27 @@ def test_every_runtime_runs_every_task_once(run):
             counted, num_workers=workers)
         assert result.tasks_executed == program.num_tasks
         assert sorted(ran) == list(range(program.num_tasks)), runtime_name
+
+
+def test_full_queue_example_stalls_nanos_axi():
+    # The pinned liveness draw keeps the main thread in the stall handler:
+    # room reads that find no room for a descriptor, each followed by a
+    # stall-handler call.
+    _name, config, program, workers = _FULL_QUEUE_EXAMPLE
+    reads = []
+    queued = SubmissionStream.queued
+
+    def read(stream):
+        reads.append(queued(stream))
+        return reads[-1]
+
+    with mock.patch.object(SubmissionStream, "queued", autospec=True,
+                           side_effect=read):
+        result = registry.runtime("nanos-axi").cls(config).run(
+            program, num_workers=workers)
+    assert result.tasks_executed == program.num_tasks
+    room = config.costs.picos.submission_queue_depth - 48
+    assert sum(1 for value in reads if value > room) > 0
 
 
 @settings(max_examples=120, deadline=None)
@@ -465,27 +511,29 @@ def intake_runs(draw):
                               unique=True))
     program = TaskProgram(name="intake", tasks=tasks,
                           taskwait_after=set(taskwaits))
+    cycles = draw(st.integers(0, 3))
     config = picos_config(
         SimConfig(max_cycles=2_000_000),
-        submission_packet_cycles=draw(st.integers(0, 3)),
+        submission_packet_cycles=cycles,
         submission_queue_depth=draw(st.integers(1, 64)),
         max_in_flight_tasks=draw(st.integers(1, 8)),
         task_insert_cycles=draw(st.integers(0, 20)),
         dependence_analysis_cycles=draw(st.integers(0, 8)),
-        retire_cycles=draw(st.integers(0, 16)),
+        retire_cycles=_other_than(draw, cycles, 0, 16),
     )
     return (draw(st.sampled_from(["phentos", "nanos-rv"])), config, program,
             draw(st.integers(1, 4)))
 
 
-def _stalling_intake_run(packet_cycles, dependences=1, workers=2, **costs):
+def _stalling_intake_run(packet_cycles, dependences=1, workers=2,
+                         runtime="phentos", payload=500, **costs):
     """Six independent tasks through a one-task reservation station and
     (by default) a 16-packet queue: the pumps fill the queue during each
     stall and then run against Picos's takes.  With 15 dependences a
     descriptor's prefix outgrows the 16-word core buffer, so pushes meet a
     full buffer."""
     program = TaskProgram(name="intake", tasks=[
-        Task(index=index, payload_cycles=500,
+        Task(index=index, payload_cycles=payload,
              dependences=tuple(
                  TaskDependence(0x9000_0000 + 64 * (16 * index + slot),
                                 Direction.OUT)
@@ -496,7 +544,7 @@ def _stalling_intake_run(packet_cycles, dependences=1, workers=2, **costs):
              **costs}
     config = picos_config(SimConfig(max_cycles=2_000_000),
                           submission_packet_cycles=packet_cycles, **costs)
-    return "phentos", config, program, workers
+    return runtime, config, program, workers
 
 
 @st.composite
@@ -504,32 +552,40 @@ def manager_runs(draw):
     """Descriptors from up to three cores straight into Picos Manager, on
     random Picos costs, with a driver retiring accepted tasks."""
     cores = draw(st.integers(1, 3))
+    cycles = draw(st.integers(0, 3))
     costs = PicosCosts(
-        submission_packet_cycles=draw(st.integers(0, 3)),
+        submission_packet_cycles=cycles,
         submission_queue_depth=draw(st.integers(1, 64)),
         max_in_flight_tasks=draw(st.integers(1, 4)),
         task_insert_cycles=draw(st.integers(0, 20)),
         dependence_analysis_cycles=draw(st.integers(0, 8)),
-        retire_cycles=draw(st.integers(0, 16)),
+        retire_cycles=_other_than(draw, cycles, 0, 16),
     )
     plans = [draw(st.lists(st.tuples(st.integers(1, 40), st.integers(0, 15)),
                            max_size=4)) for _ in range(cores)]
     return costs, plans, draw(st.integers(1, 60))
 
 
-def _drive_manager(run, handler_class, handlers):
+def _manager(engine, costs, num_cores, stepped, log):
+    """A Picos device logging into ``log`` and a Picos Manager over it, on
+    the per-packet submission path when ``stepped``."""
+    device = (PerPacketPicosDevice if stepped else PicosDevice)(engine, costs)
+    device.graph = AcceptLog(costs.max_in_flight_tasks, engine, log)
+    with mock.patch("repro.manager.submission.SubmissionStream",
+                    PerPacketSubmissionHandler if stepped
+                    else SubmissionStream):
+        return device, PicosManager(engine, device, num_cores, costs)
+
+
+def _drive_manager(run, stepped, handlers):
     """Run ``manager_runs``'s ``run``: each core announces and pushes its
     descriptors (every call right after a delay, as the delegate makes
     them), retrying refused calls.  Returns the accept/retire log, the
     handler's and the device's stats and the final cycle."""
     costs, plans, retire_every = run
     engine = Engine(max_cycles=500_000)
-    device = PicosDevice(engine, costs)
     log = []
-    device.graph = AcceptLog(costs.max_in_flight_tasks, engine, log)
-    with mock.patch("repro.manager.submission.SubmissionHandler",
-                    handler_class):
-        manager = PicosManager(engine, device, len(plans), costs)
+    device, manager = _manager(engine, costs, len(plans), stepped, log)
     handlers.append(manager.submission_handler)
 
     def core(core_id, plan):
@@ -578,13 +634,8 @@ def _probe_run(stepped):
     and the insert finds the station full."""
     costs = PicosCosts(max_in_flight_tasks=1, task_insert_cycles=6)
     engine = Engine()
-    device = PicosDevice(engine, costs)
     log = []
-    device.graph = AcceptLog(costs.max_in_flight_tasks, engine, log)
-    with mock.patch("repro.manager.submission.SubmissionHandler",
-                    PerPacketSubmissionHandler if stepped
-                    else SubmissionHandler):
-        manager = PicosManager(engine, device, 1, costs)
+    device, manager = _manager(engine, costs, 1, stepped, log)
     packets = encode_nonzero_packets(TaskDescriptor(
         sw_id=7, dependences=(TaskDependence(0x9000_0000, Direction.OUT),)))
     assert manager.announce_submission(0, len(packets))
@@ -609,20 +660,15 @@ def _probe_run(stepped):
 
 def test_direct_intake_matches_per_packet_pump():
     # Paths by ``submission_packet_cycles``: descriptors the stream
-    # evaluated ("arithmetic") or that were forwarded stepped because the
-    # costs rule the stream out ("stepped"), pushes the stream refused for
-    # room a pump frees later in their cycle ("room"), and tasks accepted
-    # in the cycle of a retirement ("retire").
+    # inserted ("arithmetic"), pushes the stream refused for room a pump
+    # frees later in their cycle ("room"), and tasks accepted in the cycle
+    # of a retirement ("retire").
     paths = Counter()
 
-    def count(log, handler, cycles):
+    def count(log, stream, cycles):
         cycles = min(cycles, 1)
-        path = handler.path
-        if isinstance(path, SubmissionStream):
-            paths["arithmetic", cycles] += path.descriptors
-            paths["room", cycles] += path.refused_as_room_frees
-        else:
-            paths["stepped", cycles] += path.descriptors
+        paths["arithmetic", cycles] += stream.descriptors
+        paths["room", cycles] += stream.refused_as_room_frees
         retired = {entry[2] for entry in log if len(entry) == 3}
         paths["retire", cycles] += sum(1 for entry in log
                                        if len(entry) == 2
@@ -635,14 +681,17 @@ def test_direct_intake_matches_per_packet_pump():
     @example(_stalling_intake_run(0, dependences=15, workers=1,
                                   submission_queue_depth=64))
     @example(_stalling_intake_run(2, dependences=15))
-    @example(_stalling_intake_run(0, retire_cycles=0))
-    @example(_stalling_intake_run(1, retire_cycles=1))
+    @example(_stalling_intake_run(0, retire_cycles=1))
+    @example(_stalling_intake_run(1, retire_cycles=2))
     @example(_stalling_intake_run(1, retire_cycles=0))
+    @example(_stalling_intake_run(
+        0, runtime="nanos-rv", payload=0, retire_cycles=3,
+        submission_queue_depth=23, max_in_flight_tasks=7,
+        task_insert_cycles=15, dependence_analysis_cycles=4))
     def check(run):
         runtime_name, config, program, workers = run
         packet_log, per_packet = _run_logged(
-            runtime_name, config, program, workers,
-            handler_class=PerPacketSubmissionHandler)
+            runtime_name, config, program, workers, **PER_PACKET)
         handlers = []
         direct_log, direct = _run_logged(runtime_name, config, program,
                                          workers, handlers=handlers)
@@ -660,8 +709,8 @@ def test_direct_intake_matches_per_packet_pump():
     @given(manager_runs())
     def check_cores(run):
         handlers = []
-        stepped = _drive_manager(run, PerPacketSubmissionHandler, handlers)
-        direct = _drive_manager(run, SubmissionHandler, handlers)
+        stepped = _drive_manager(run, True, handlers)
+        direct = _drive_manager(run, False, handlers)
         assert direct == stepped
         count(direct[0], handlers[1], run[0].submission_packet_cycles)
 
@@ -670,9 +719,120 @@ def test_direct_intake_matches_per_packet_pump():
     assert _probe_run(stepped=False) == _probe_run(stepped=True)
     # The runs must really have taken every path, with and without a
     # packet cost; the pinned runs take them all.
-    for kind in ("arithmetic", "stepped", "room", "retire"):
+    for kind in ("arithmetic", "room", "retire"):
         for cycles in (0, 1):
             assert paths[kind, cycles] > 0, (kind, cycles, paths)
+
+
+# --------------------------------------------------------------------- #
+# Nanos-AXI's DMA writes into the stream against the per-packet queue
+# --------------------------------------------------------------------- #
+from repro.common.config import AxiCosts  # noqa: E402
+
+
+@st.composite
+def axi_runs(draw):
+    """A program for Nanos-AXI on a shrunken station, a queue of any depth
+    up to 64 and AXI transactions of a few cycles, zero included."""
+    num_tasks = draw(st.integers(min_value=1, max_value=24))
+    tasks = []
+    for index in range(num_tasks):
+        accesses = draw(st.dictionaries(st.integers(0, 3), directions,
+                                        max_size=3))
+        tasks.append(Task(
+            index=index,
+            payload_cycles=draw(st.integers(0, 3000)),
+            dependences=tuple(TaskDependence(0x9000_0000 + 64 * slot, how)
+                              for slot, how in sorted(accesses.items())),
+        ))
+    taskwaits = draw(st.lists(st.integers(0, num_tasks - 1), max_size=2,
+                              unique=True))
+    program = TaskProgram(name="axi", tasks=tasks,
+                          taskwait_after=set(taskwaits))
+    cycles = draw(st.integers(0, 3))
+    config = picos_config(
+        SimConfig(max_cycles=2_000_000),
+        submission_packet_cycles=cycles,
+        submission_queue_depth=draw(st.integers(1, 64)),
+        max_in_flight_tasks=draw(st.integers(1, 4)),
+        retire_cycles=_other_than(draw, cycles, 0, 16),
+    )
+    small = st.integers(0, 12)
+    axi = AxiCosts(submit_transaction=draw(small),
+                   ready_transaction=draw(small),
+                   retire_transaction=draw(small),
+                   per_dependence=draw(small),
+                   dma_refill_cycles=draw(small))
+    config = dataclasses.replace(
+        config, costs=dataclasses.replace(config.costs, axi=axi))
+    return config, program, draw(st.integers(1, 4))
+
+
+def _axi_example(num_tasks, payload, packet_cycles, depth, station,
+                 retire_cycles, axi):
+    """``axi_runs``'s draw of ``num_tasks`` independent tasks of
+    ``payload`` cycles on one worker, with ``AxiCosts(*axi)``."""
+    program = TaskProgram(name="axi", tasks=[
+        Task(index=index, payload_cycles=payload)
+        for index in range(num_tasks)])
+    config = picos_config(SimConfig(max_cycles=2_000_000),
+                          submission_packet_cycles=packet_cycles,
+                          submission_queue_depth=depth,
+                          max_in_flight_tasks=station,
+                          retire_cycles=retire_cycles)
+    config = dataclasses.replace(
+        config, costs=dataclasses.replace(config.costs, axi=AxiCosts(*axi)))
+    return config, program, 1
+
+
+def _as_stream(outcome):
+    """``outcome`` with the per-packet queue named as the stream that
+    replaced it: a DMA blocked on a full queue is ``put(SubmissionStream(
+    'picos.submission', Q/Q))`` where it was ``put(DecoupledQueue(...))``."""
+    if isinstance(outcome, tuple):
+        return outcome[0], outcome[1].replace(
+            "DecoupledQueue('picos.submission'",
+            "SubmissionStream('picos.submission'")
+    return outcome
+
+
+def test_dma_writes_match_per_packet_queue():
+    # Room reads that find packets in the queue ("queued"), and those in
+    # the cycle of one of Picos's takes ("take"), which they precede.
+    reads = Counter()
+    queued = SubmissionStream.queued
+
+    def read(stream):
+        value = queued(stream)
+        reads["queued"] += value > 0
+        reads["take"] += stream.engine.now in stream._takes
+        return value
+
+    # Pinned draws in which a room read finds the previous descriptor in
+    # the queue, in the cycle Picos takes one of its packets; in the last
+    # two, that take decides whether the descriptor fits.
+    @settings(max_examples=150, deadline=None)
+    @given(axi_runs())
+    @example(_axi_example(7, 500, 2, 59, 1, 1, (11, 1, 12, 3, 1)))
+    @example(_axi_example(9, 500, 1, 55, 1, 7, (4, 4, 3, 6, 5)))
+    @example(_axi_example(8, 2000, 1, 61, 4, 2, (8, 12, 3, 3, 7)))
+    @example(_axi_example(9, 0, 1, 61, 1, 3, (10, 3, 0, 7, 8)))
+    def check(run):
+        config, program, workers = run
+        packet_log, per_packet = _run_logged("nanos-axi", config, program,
+                                             workers, **PER_PACKET)
+        with mock.patch.object(SubmissionStream, "queued", autospec=True,
+                               side_effect=read):
+            direct_log, direct = _run_logged("nanos-axi", config, program,
+                                             workers)
+        assert direct_log == packet_log
+        assert direct == _as_stream(per_packet)
+        if isinstance(per_packet, RuntimeResult):
+            assert (list(direct.stats.items())
+                    == list(per_packet.stats.items()))
+
+    check()
+    assert reads["queued"] > 0 and reads["take"] > 0, reads
 
 
 # --------------------------------------------------------------------- #

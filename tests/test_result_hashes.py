@@ -63,3 +63,15 @@ def test_full_fixture_lists_every_full_size_result():
     shared = [key for key in quick if key in full]
     assert shared
     assert all(full[key] == quick[key] for key in shared)
+
+
+def test_figure7_report_matches_the_pinned_table():
+    # The only pinned Nanos-AXI output: quick tier-1 runs never rewrite
+    # or compare benchmarks/results, and the hash fixtures hold no AXI
+    # result, so the full-size Figure 7 table is compared here.
+    from repro.common.config import SimConfig
+    from repro.eval import figure7_overhead, overhead_report
+
+    pinned = REPO_ROOT / "benchmarks" / "results" / "figure7_overhead.txt"
+    report = overhead_report(figure7_overhead(SimConfig(), num_tasks=120))
+    assert report + "\n" == pinned.read_text(encoding="utf-8")
