@@ -13,9 +13,8 @@ Environment knobs:
 * ``REPRO_CACHE_DIR`` — serve repeated sweeps from this result cache
   (default: no caching, so benchmark numbers are always freshly measured).
 
-Rendered tables are also written to ``benchmarks/results/`` so the numbers
-can be archived next to ``EXPERIMENTS.md`` — but only for the paper's
-configuration (full inputs on eight workers), since those files are the
+Rendered tables are also written to ``benchmarks/results/`` — but only
+for the paper's configuration (full inputs on eight workers), since those files are the
 tracked reference tables; a quick or resized run leaves them untouched.
 The same configuration's sweep is the full-size sweep whose 148 result
 hashes ``tests/data/full_result_hashes.json`` pins, so it is checked

@@ -38,7 +38,11 @@ from repro.eval.experiments import (
     BenchmarkRun,
     checked_geometric_mean,
 )
-from repro.eval.scaling import ScalingCurve
+from repro.eval.scaling import (
+    ScalingCurve,
+    normalize_core_counts,
+    normalize_runtimes,
+)
 
 if TYPE_CHECKING:  # imported lazily at runtime (harness imports this module)
     from repro.harness.executor import UnitFailure
@@ -181,17 +185,10 @@ class Study:
         """Select the runtimes to compare (default: the paper's three).
 
         The serial baseline always runs — every speedup is measured
-        against it — so it need not (and cannot) be selected here.
+        against it — so it need not (and cannot) be selected here.  The
+        result lists the runtimes in the order given.
         """
-        if not names:
-            raise EvaluationError("Study.runtimes() needs at least one name")
-        for name in names:
-            if name == "serial":
-                raise EvaluationError(
-                    "the serial baseline always runs; select the runtimes "
-                    "to compare against it"
-                )
-            registry.runtime(name)  # did-you-mean on unknown, eagerly
+        normalize_runtimes(names)  # did-you-mean on unknown, eagerly
         self._runtimes = list(dict.fromkeys(names))
         return self
 
@@ -204,14 +201,7 @@ class Study:
 
     def cores(self, *counts: int) -> "Study":
         """Simulated core counts; more than one turns on scaling curves."""
-        if not counts:
-            raise EvaluationError("Study.cores() needs at least one count")
-        for count in counts:
-            if not isinstance(count, int) or count <= 0:
-                raise EvaluationError(
-                    f"core counts must be positive integers, got {count!r}"
-                )
-        self._cores = sorted(set(counts))
+        self._cores = normalize_core_counts(counts)
         return self
 
     # ------------------------------------------------------------------ #

@@ -17,8 +17,8 @@ standard task-parallelism benchmark.
 The paper's Figure 9 sweeps two matrix sizes ("N32", "N128") and block-size
 multipliers M ∈ {1, 2, 4, 8, 16}.  The generator maps those labels to block
 counts and block dimensions that preserve the paper's task-granularity span
-while keeping simulated task counts tractable (the mapping is recorded in
-``EXPERIMENTS.md``).
+while keeping simulated task counts tractable (the mapping is
+``_LABEL_PARAMS`` below).
 """
 
 from __future__ import annotations

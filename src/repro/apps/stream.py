@@ -21,7 +21,7 @@ operations are synchronised:
 The Figure 9 input labels ("64", "16x16", …, "4096x4096") denote the block
 count and block length; the generator maps them to block counts and block
 sizes that preserve the granularity span while keeping simulated task counts
-tractable (mapping recorded in ``EXPERIMENTS.md``).
+tractable (the mapping is ``_LABEL_PARAMS`` below).
 """
 
 from __future__ import annotations

@@ -6,8 +6,9 @@ The functions here regenerate the paper's evaluation artefacts:
   four platforms (8 cores) over a sweep of task sizes.
 * :func:`figure7_overhead` — lifetime scheduling overhead per task for
   Task-Free / Task-Chain × 1 / 15 dependences × 4 platforms.
-* :func:`figure9_benchmarks` — normalised performance of Nanos-SW, Nanos-RV
-  and Phentos on all 37 benchmark inputs (plus the serial baseline).
+* :func:`run_benchmark_case` — one Figure 9 input on Nanos-SW, Nanos-RV
+  and Phentos (plus the serial baseline); the harness engine fans the 37
+  inputs out through it.
 * :func:`figure8_granularity` — the same runs re-expressed as speedup versus
   mean task size (over serial, over Nanos-SW, over Nanos-RV).
 * :func:`figure10_bounds_vs_measured` — measured speedups overlaid on the
@@ -16,9 +17,11 @@ The functions here regenerate the paper's evaluation artefacts:
 * :func:`headline_summary` — the geometric-mean and maximum speedups quoted
   in the abstract/conclusion.
 
-Every runner only needs a :class:`~repro.common.config.SimConfig`; results
-are plain dataclasses/dicts so the benchmark harness and the reporting
-helpers can render them as the rows/series the paper plots.
+The self-contained runners only need a
+:class:`~repro.common.config.SimConfig` and the derived ones the Figure 9
+runs; :class:`~repro.harness.engine.ExperimentEngine` is what calls them.
+Results are plain dataclasses/dicts so the benchmark harness and the
+reporting helpers can render them as the rows/series the paper plots.
 """
 
 from __future__ import annotations
@@ -53,7 +56,6 @@ __all__ = [
     "figure6_mtt_bounds",
     "figure7_overhead",
     "figure8_granularity",
-    "figure9_benchmarks",
     "figure10_bound_task_sizes",
     "figure10_bounds_vs_measured",
     "table2_resources",
@@ -62,7 +64,6 @@ __all__ = [
     "HeadlineSummary",
     "ExperimentSpec",
     "EXPERIMENT_SPECS",
-    "EXPERIMENTS",
 ]
 
 
@@ -291,10 +292,9 @@ def run_benchmark_case(
     the compared platforms); passing names canonicalises them through
     :func:`canonical_runtime_selection`, so any registered runtime —
     including drop-in plugins — is runnable here.  This is the case-level
-    execution hook shared by the serial :func:`figure9_benchmarks` loop and
-    the parallel harness (:mod:`repro.harness.runner`): a case is
+    execution hook of the harness (:mod:`repro.harness.runner`): a case is
     self-contained, so executing it in a worker process yields results
-    identical to the in-process loop.
+    identical to an in-process call.
     """
     config = config if config is not None else SimConfig()
     workers = num_workers if num_workers is not None else \
@@ -309,23 +309,6 @@ def run_benchmark_case(
         run_workers = 1 if name == "serial" else workers
         run.results[name] = runtime.run(program, num_workers=run_workers)
     return run
-
-
-def figure9_benchmarks(
-    config: Optional[SimConfig] = None,
-    quick: bool = False,
-    scale: float = 1.0,
-    num_workers: Optional[int] = None,
-    cases: Optional[Sequence[BenchmarkCase]] = None,
-    runtimes: Optional[Sequence[str]] = None,
-) -> List[BenchmarkRun]:
-    """Run every benchmark input on serial, Nanos-SW, Nanos-RV and Phentos."""
-    config = config if config is not None else SimConfig()
-    workers = num_workers if num_workers is not None else \
-        config.machine.num_cores
-    selected = list(cases) if cases is not None else benchmark_cases(quick, scale)
-    return [run_benchmark_case(case, config, workers, runtimes)
-            for case in selected]
 
 
 # --------------------------------------------------------------------- #
@@ -513,16 +496,20 @@ def headline_summary(runs: Sequence[BenchmarkRun]) -> HeadlineSummary:
 class ExperimentSpec:
     """Registry entry describing one experiment of the evaluation.
 
-    ``depends_on`` names the experiments whose results the runner consumes
-    (today always ``figure9``: Figures 8/10 and the headline summary are all
-    derived from the benchmark sweep).  The harness engine uses it to chain
-    derived experiments behind their inputs, serving shared inputs from the
-    result cache instead of re-running them.
+    ``runner`` is the function of this module the harness engine calls to
+    compute the experiment; ``figure9`` and ``scaling_curves`` have none,
+    because the engine runs them as sweeps of :func:`run_benchmark_case`
+    units.  ``depends_on`` names the experiments whose results the
+    experiment consumes (today always ``figure9``: Figures 8/10, the
+    headline summary and the scaling curves are all derived from the
+    benchmark sweep).  The engine uses it to chain derived experiments
+    behind their inputs, serving shared inputs from the result cache
+    instead of re-running them.
     """
 
     experiment_id: str
     title: str
-    runner: Callable
+    runner: Optional[Callable] = None
     depends_on: Tuple[str, ...] = ()
 
     @property
@@ -544,10 +531,7 @@ EXPERIMENT_SPECS: Dict[str, ExperimentSpec] = {
             "figure7", "Lifetime Task Scheduling overhead (cycles per task)",
             figure7_overhead,
         ),
-        ExperimentSpec(
-            "figure9", "Benchmark sweep (speedup over serial)",
-            figure9_benchmarks,
-        ),
+        ExperimentSpec("figure9", "Benchmark sweep (speedup over serial)"),
         ExperimentSpec(
             "figure8", "Speedup versus task granularity",
             figure8_granularity, depends_on=("figure9",),
@@ -564,14 +548,10 @@ EXPERIMENT_SPECS: Dict[str, ExperimentSpec] = {
             "headline", "Headline summary (abstract / conclusion numbers)",
             headline_summary, depends_on=("figure9",),
         ),
+        ExperimentSpec(
+            "scaling_curves",
+            "Speedup versus core count (1..64) against the MTT bounds",
+            depends_on=("figure9",),
+        ),
     )
-}
-
-#: Registry mapping experiment identifiers to their runner functions, used
-#: by the benchmark harness and the ``examples/reproduce_paper.py`` script.
-#: Derived experiments (``figure8``, ``figure10``, ``headline``) take the
-#: Figure 9 runs as their first argument; see :data:`EXPERIMENT_SPECS`.
-EXPERIMENTS: Dict[str, Callable] = {
-    experiment_id: spec.runner
-    for experiment_id, spec in EXPERIMENT_SPECS.items()
 }

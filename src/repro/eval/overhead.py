@@ -48,8 +48,8 @@ OVERHEAD_PLATFORMS: Dict[str, Type[Runtime]] = {
 }
 
 #: The values the paper reports in Figure 7 (Rocket-Chip-equivalent cycles),
-#: keyed by platform and workload label.  Used by EXPERIMENTS.md and by the
-#: calibration tests that check we land in the right bands.
+#: keyed by platform and workload label.  Used by the calibration tests
+#: that check we land in the right bands.
 PAPER_FIGURE7_CYCLES: Dict[str, Dict[str, int]] = {
     "phentos": {
         "Task-Free 1 dep": 185, "Task-Free 15 deps": 320,

@@ -2,7 +2,7 @@
 
 The benchmark harness prints the same rows/series the paper reports; these
 helpers keep the formatting in one place so the benchmarks, the examples and
-``EXPERIMENTS.md`` all show identical tables.
+the CLI all show identical tables.
 """
 
 from __future__ import annotations

@@ -3,12 +3,12 @@
 The paper only evaluates the 8-core FPGA prototype, but nothing in the
 models is specific to eight cores: :meth:`SimConfig.with_cores` rebuilds
 the machine at any width and the MTT bound of Equation 1 is parametric in
-the core count.  This module runs every Figure 9 benchmark input on every
-compared runtime across a grid of core counts (1..64 by default) and
-reports each (case, runtime) pair as a :class:`ScalingCurve`: measured
-speedup over serial at every core count, side by side with the MTT bound
-``min(N, t / Lo)`` at that count, plus the two saturation points that
-summarise the curve —
+the core count.  The scaling experiment runs every Figure 9 benchmark
+input on every compared runtime across a grid of core counts (1..64 by
+default); this module reports each (case, runtime) pair as a
+:class:`ScalingCurve`: measured speedup over serial at every core count,
+side by side with the MTT bound ``min(N, t / Lo)`` at that count, plus the
+two saturation points that summarise the curve —
 
 * the **bound saturation** ``t / Lo``: the core count beyond which the
   analytic bound stops growing (adding cores cannot help, the scheduler's
@@ -20,7 +20,8 @@ summarise the curve —
 does not contain; the harness engine fans its (case × core count) grid
 through the same process pool and result cache as the Figure 9 sweep, so
 the 8-core column is served from (and is bit-identical to) the existing
-Figure 9 results.
+Figure 9 results, and assembles the curves with
+:func:`build_scaling_curves`.
 """
 
 from __future__ import annotations
@@ -29,22 +30,14 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro import registry
-from repro.common.config import SimConfig
 from repro.common.errors import EvaluationError
 from repro.eval.experiments import (
-    EXPERIMENT_SPECS,
-    EXPERIMENTS,
     FIGURE6_DEFAULT_NUM_TASKS,
-    BenchmarkCase,
     BenchmarkRun,
-    ExperimentSpec,
-    benchmark_cases,
     checked_geometric_mean,
-    run_benchmark_case,
 )
 from repro.registry import RegistryError
 from repro.eval.mtt import speedup_bound
-from repro.eval.overhead import measure_lifetime_overhead
 
 __all__ = [
     "DEFAULT_CORE_COUNTS",
@@ -54,9 +47,7 @@ __all__ = [
     "normalize_core_counts",
     "normalize_runtimes",
     "align_runs_by_cores",
-    "measure_scaling_overheads",
     "build_scaling_curves",
-    "scaling_curves",
     "scaling_geomeans",
 ]
 
@@ -135,17 +126,16 @@ class ScalingCurve:
 def normalize_core_counts(
         core_counts: Optional[Sequence[int]] = None) -> List[int]:
     """Sorted, de-duplicated, validated core counts (default 1..64 grid)."""
-    counts = sorted(set(core_counts if core_counts is not None
-                        else DEFAULT_CORE_COUNTS))
+    counts = list(core_counts if core_counts is not None
+                  else DEFAULT_CORE_COUNTS)
     if not counts:
-        raise EvaluationError("scaling_curves: core_counts must not be empty")
+        raise EvaluationError("core counts must not be empty")
     for count in counts:
         if not isinstance(count, int) or count <= 0:
             raise EvaluationError(
-                f"scaling_curves: core counts must be positive integers, "
-                f"got {count!r}"
+                f"core counts must be positive integers, got {count!r}"
             )
-    return counts
+    return sorted(set(counts))
 
 
 def normalize_runtimes(
@@ -161,15 +151,15 @@ def normalize_runtimes(
     selected = list(dict.fromkeys(runtimes))
     if not selected or "serial" in selected:
         raise EvaluationError(
-            f"scaling_curves: runtimes must be a non-empty selection of "
-            f"non-serial runtimes, got {list(runtimes)!r} (the serial "
-            f"baseline always runs; it has no scaling curve of its own)"
+            f"runtimes must be a non-empty selection of non-serial "
+            f"runtimes, got {list(runtimes)!r} (the serial baseline always "
+            f"runs: every speedup is measured against it)"
         )
     for name in selected:
         try:
             registry.runtime(name)
         except RegistryError as exc:
-            raise EvaluationError(f"scaling_curves: {exc}") from exc
+            raise EvaluationError(str(exc)) from exc
     return [name for name in registry.runtime_names() if name in selected]
 
 
@@ -196,23 +186,6 @@ def align_runs_by_cores(
     }
     dropped = sorted(set.union(*key_sets) - common)
     return aligned, dropped
-
-
-def measure_scaling_overheads(
-        config: Optional[SimConfig] = None,
-        runtimes: Optional[Sequence[str]] = None,
-        num_tasks: int = DEFAULT_OVERHEAD_NUM_TASKS) -> Dict[str, float]:
-    """Single-worker Task-Chain ``Lo`` per runtime, for the MTT bounds.
-
-    Measured exactly like the Figure 6 bound inputs (Task-Chain, one
-    dependence, one worker), so scaling bounds and Figure 6/10 bounds agree.
-    """
-    return {
-        runtime: measure_lifetime_overhead(
-            runtime, "task-chain", 1, num_tasks, config
-        )
-        for runtime in normalize_runtimes(runtimes)
-    }
 
 
 def build_scaling_curves(
@@ -272,48 +245,6 @@ def build_scaling_curves(
     return curves
 
 
-def scaling_curves(
-    config: Optional[SimConfig] = None,
-    core_counts: Optional[Sequence[int]] = None,
-    quick: bool = False,
-    scale: float = 1.0,
-    cases: Optional[Sequence[BenchmarkCase]] = None,
-    runtimes: Optional[Sequence[str]] = None,
-    runs_by_cores: Optional[Mapping[int, Sequence[BenchmarkRun]]] = None,
-    overheads: Optional[Mapping[str, float]] = None,
-) -> List[ScalingCurve]:
-    """Run (or assemble) the scaling-curve experiment.
-
-    Without ``runs_by_cores`` this executes the benchmark sweep once per
-    core count in-process — correct but serial; the harness engine passes
-    pre-computed sweeps instead, fanned out over its process pool and
-    served from its result cache
-    (``python -m repro run scaling_curves --cores ...``).
-    """
-    config = config if config is not None else SimConfig()
-    counts = normalize_core_counts(core_counts)
-    selected = normalize_runtimes(runtimes)
-    if overheads is None:
-        overheads = measure_scaling_overheads(config, selected)
-    if runs_by_cores is None:
-        chosen = (list(cases) if cases is not None
-                  else benchmark_cases(quick, scale))
-        runs_by_cores = {
-            count: [run_benchmark_case(case, config.with_cores(count), count,
-                                       runtimes=selected)
-                    for case in chosen]
-            for count in counts
-        }
-    else:
-        grid_counts = sorted(runs_by_cores)
-        if grid_counts != counts:
-            raise EvaluationError(
-                f"scaling_curves: runs_by_cores covers {grid_counts}, "
-                f"expected {counts}"
-            )
-    return build_scaling_curves(runs_by_cores, overheads, selected)
-
-
 def scaling_geomeans(
         curves: Sequence[ScalingCurve]) -> Dict[str, Dict[int, float]]:
     """Geometric-mean speedup per runtime and core count across all cases."""
@@ -333,22 +264,3 @@ def scaling_geomeans(
         }
         for runtime, per_cores in grouped.items()
     }
-
-
-# --------------------------------------------------------------------- #
-# Registry self-registration
-# --------------------------------------------------------------------- #
-# ``repro.eval.experiments`` must not import this module (scaling imports
-# the case/runtime machinery from it), so the spec registers itself on
-# import; ``repro.eval`` and the harness engine/CLI all import this module,
-# which keeps the registry complete on every entry path.
-EXPERIMENT_SPECS.setdefault(
-    "scaling_curves",
-    ExperimentSpec(
-        "scaling_curves",
-        "Speedup versus core count (1..64) against the MTT bounds",
-        scaling_curves,
-        depends_on=("figure9",),
-    ),
-)
-EXPERIMENTS.setdefault("scaling_curves", scaling_curves)

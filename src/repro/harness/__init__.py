@@ -17,10 +17,11 @@ The harness is the orchestration layer above :mod:`repro.eval`:
   caller passes in, with deterministic, order-independent result
   assembly, per-dispatch batching and retry-in-a-fresh-worker failure
   handling.
-* :mod:`repro.harness.engine` — the experiment engine driving the
-  :data:`repro.eval.EXPERIMENTS` registry, chaining derived experiments
-  behind their inputs; one memoised sweep method runs the Figure 9 sweep
-  and the ``scaling_curves`` (case × core count) grid alike.
+* :mod:`repro.harness.engine` — the experiment engine, the only code
+  that runs an experiment of the :data:`repro.eval.EXPERIMENT_SPECS`
+  registry, chaining derived experiments behind their inputs; one
+  memoised sweep method runs the Figure 9 sweep and the
+  ``scaling_curves`` (case × core count) grid alike.
 * :mod:`repro.harness.telemetry` — structured run telemetry: hierarchical
   spans (run → phase → sweep → unit), counters, run manifests and the
   pluggable sinks (JSONL trace files, the live stderr status lines) they

@@ -180,9 +180,8 @@ def _selected_cases(args: argparse.Namespace):
 
 def _is_case_aware(experiment_id: str) -> bool:
     """Whether an experiment consumes a benchmark-case selection."""
-    if experiment_id in ("figure9", "scaling_curves"):
-        return True
-    return "figure9" in EXPERIMENT_SPECS[experiment_id].depends_on
+    return (experiment_id == "figure9"
+            or "figure9" in EXPERIMENT_SPECS[experiment_id].depends_on)
 
 
 def _cases_for(args: argparse.Namespace, cases, experiment_id: str):
@@ -435,13 +434,12 @@ def _cmd_workloads(args: argparse.Namespace, out) -> int:
 
 def _cmd_runtimes(args: argparse.Namespace, out) -> int:
     """Print the runtime registry in rank order: name, tags, description."""
-    specs = sorted(registry.RUNTIMES.specs(tags=args.tag or None),
-                   key=lambda spec: spec.rank)
-    if not specs:
+    names = registry.runtime_names(tags=args.tag or None)
+    if not names:
         print(f"no registered runtime carries every tag in "
               f"{args.tag!r}", file=sys.stderr)
         return 1
-    for spec in specs:
+    for spec in map(registry.runtime, names):
         tags = ",".join(spec.tags) if spec.tags else "-"
         print(f"{spec.name:<14} {tags:<34} {spec.description}", file=out)
     return 0

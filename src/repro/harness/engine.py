@@ -264,13 +264,15 @@ class ExperimentEngine:
     ) -> object:
         """Run one experiment, chaining its dependencies as needed.
 
-        Returns exactly what the underlying :data:`EXPERIMENTS` runner
-        returns, so callers migrating from direct calls keep their types.
-        ``quick``/``scale``/``cases`` select the benchmark sweep inputs and
-        ``num_tasks`` the micro-benchmark length of the overhead-based
-        experiments; ``core_counts``/``runtimes`` parameterise the
-        ``scaling_curves`` grid; irrelevant knobs are ignored per
-        experiment.
+        Returns the experiment's result: a list of
+        :class:`~repro.eval.experiments.BenchmarkRun` for ``figure9``, a
+        list of :class:`~repro.eval.scaling.ScalingCurve` for
+        ``scaling_curves``, and whatever the spec's ``runner`` returns for
+        the rest.  ``quick``/``scale``/``cases`` select the benchmark sweep
+        inputs and ``num_tasks`` the micro-benchmark length of the
+        overhead-based experiments; ``core_counts``/``runtimes``
+        parameterise the ``scaling_curves`` grid; irrelevant knobs are
+        ignored per experiment.
         """
         spec = EXPERIMENT_SPECS.get(experiment_id)
         if spec is None:

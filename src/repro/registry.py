@@ -1,9 +1,6 @@
 """Plugin registries for workloads and runtimes.
 
-Adding a workload or runtime used to require cross-layer edits: a new benchmark meant
-hand-editing three parallel dicts in :mod:`repro.eval.experiments`
-(``CASE_BUILDERS``, ``CASE_RUNTIMES``, ``_COMPARED_RUNTIMES``) plus the
-CLI.  This module turns both axes into drop-in plugins:
+Both axes of the evaluation are drop-in plugins:
 
 * :func:`register_workload` — decorate a case-builder function (keyword
   arguments → :class:`~repro.runtime.task.TaskProgram`) with a name, tags
@@ -220,7 +217,7 @@ class Registry:
         """Specs registered *so far*, without triggering the lazy imports.
 
         For self-registration call sites (``repro.runtime.__init__`` builds
-        its legacy ``RUNTIMES`` dict mid-import); everyone else should use
+        its ``RUNTIMES`` view mid-import); everyone else should use
         :meth:`specs`, which guarantees the built-ins are loaded.
         """
         return list(self._entries.values())

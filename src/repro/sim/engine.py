@@ -104,11 +104,9 @@ bit-identical:
   26,124 of Nanos-RV's 36,519 instructions and 16,479 of Phentos's
   24,656 do, and the rest take the issue and the handshake as two steps.
 
-The pre-optimisation loop (one heap pop per event, eager ``waiting_on``
-strings, ``isinstance`` dispatch) was kept for one release behind
-``REPRO_ENGINE_SLOW=1`` and has now been removed; its observable behaviour
-survives as the recorded golden traces in ``tests/data/engine_traces.json``,
-which ``tests/test_engine_fastpath.py`` replays against the current loop.
+The loop's observable behaviour is pinned by the recorded golden traces in
+``tests/data/engine_traces.json``, which ``tests/test_engine_fastpath.py``
+replays against the current loop.
 """
 
 from __future__ import annotations

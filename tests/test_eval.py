@@ -17,7 +17,6 @@ from repro.eval import (
     default_task_sizes,
     figure6_mtt_bounds,
     figure8_granularity,
-    figure9_benchmarks,
     figure10_bounds_vs_measured,
     format_table,
     headline_report,
@@ -32,6 +31,7 @@ from repro.eval import (
     speedup_bound,
     table2_resources,
 )
+from repro.harness import ExperimentEngine
 
 
 class TestMttMath:
@@ -161,7 +161,8 @@ class TestExperimentRunners:
     def quick_runs(self):
         config = SimConfig().with_cores(4)
         cases = benchmark_cases(quick=True, scale=0.2)[:4]
-        return figure9_benchmarks(config, cases=cases, num_workers=4)
+        with ExperimentEngine(config=config) as engine:
+            return engine.run("figure9", cases=cases, num_workers=4)
 
     def test_figure9_runs_every_runtime(self, quick_runs):
         assert quick_runs

@@ -15,9 +15,7 @@ from repro.common.config import SimConfig
 from repro.common.errors import EvaluationError
 from repro.eval import (
     EXPERIMENT_SPECS,
-    EXPERIMENTS,
     benchmark_cases,
-    figure9_benchmarks,
     headline_summary,
     run_benchmark_case,
 )
@@ -50,7 +48,7 @@ def tiny_cases():
 
 @pytest.fixture(scope="module")
 def serial_runs(tiny_config, tiny_cases):
-    return figure9_benchmarks(tiny_config, cases=tiny_cases, num_workers=4)
+    return [run_benchmark_case(case, tiny_config, 4) for case in tiny_cases]
 
 
 class TestHashing:
@@ -213,9 +211,40 @@ class TestParallelRunner:
 
 class TestExperimentRegistry:
     def test_registry_is_complete(self):
-        assert set(EXPERIMENTS) == {"figure6", "figure7", "figure8",
-                                    "figure9", "figure10", "table2",
-                                    "headline", "scaling_curves"}
+        assert set(EXPERIMENT_SPECS) == {"figure6", "figure7", "figure8",
+                                         "figure9", "figure10", "table2",
+                                         "headline", "scaling_curves"}
+
+    def test_only_sweeps_lack_a_runner(self):
+        # The engine runs figure9 and scaling_curves as sweeps; every
+        # other experiment is computed by its spec's runner.
+        for experiment_id, spec in EXPERIMENT_SPECS.items():
+            assert (callable(spec.runner)
+                    or experiment_id in ("figure9", "scaling_curves")), \
+                experiment_id
+
+    def test_registry_complete_without_scaling_module(self):
+        # The experiments module alone declares every spec: loading it
+        # without the package's other modules must not lose
+        # scaling_curves.
+        script = (
+            "import pathlib, sys, types\n"
+            "import repro\n"
+            "package = types.ModuleType('repro.eval')\n"
+            "package.__path__ = [str(pathlib.Path(repro.__file__).parent"
+            " / 'eval')]\n"
+            "sys.modules['repro.eval'] = package\n"
+            "import repro.eval.experiments as experiments\n"
+            "assert 'repro.eval.scaling' not in sys.modules\n"
+            "spec = experiments.EXPERIMENT_SPECS['scaling_curves']\n"
+            "assert spec.depends_on == ('figure9',)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, cwd=REPO_ROOT,
+            env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"},
+        )
+        assert proc.returncode == 0, proc.stderr
 
     def test_derived_experiments_declare_figure9_dependency(self):
         for experiment_id in ("figure8", "figure10", "headline",
@@ -391,7 +420,7 @@ class TestCli:
             env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"},
         )
         assert proc.returncode == 0
-        for experiment_id in EXPERIMENTS:
+        for experiment_id in EXPERIMENT_SPECS:
             assert experiment_id in proc.stdout
 
     def test_closed_stdout_exits_quietly(self):

@@ -21,7 +21,9 @@ from repro.eval.experiments import (
     BenchmarkRun,
     checked_geometric_mean,
     figure8_granularity,
+    run_benchmark_case,
 )
+from repro.eval.overhead import measure_lifetime_overhead
 from repro.eval.scaling import (
     DEFAULT_CORE_COUNTS,
     ScalingCurve,
@@ -29,7 +31,6 @@ from repro.eval.scaling import (
     build_scaling_curves,
     normalize_core_counts,
     normalize_runtimes,
-    scaling_curves,
     scaling_geomeans,
 )
 from repro.harness import (
@@ -281,9 +282,17 @@ class TestScalingExperiment:
         assert decode(encode(curves)) == curves
 
     def test_direct_runner_matches_engine(self, tiny_config, tiny_cases):
-        # The registry runner (no harness) must assemble identical curves.
-        direct = scaling_curves(tiny_config, core_counts=(1, 2),
-                                cases=tiny_cases[:1], runtimes=("phentos",))
+        # Curves assembled from in-process case runs (no harness) must
+        # equal the engine's.
+        runs_by_cores = {
+            cores: [run_benchmark_case(case, tiny_config.with_cores(cores),
+                                       cores, runtimes=("phentos",))
+                    for case in tiny_cases[:1]]
+            for cores in (1, 2)
+        }
+        overheads = {"phentos": measure_lifetime_overhead(
+            "phentos", "task-chain", 1, 120, tiny_config)}
+        direct = build_scaling_curves(runs_by_cores, overheads, ["phentos"])
         engine = ExperimentEngine(config=tiny_config)
         via_engine = engine.run("scaling_curves", cases=tiny_cases[:1],
                                 core_counts=(1, 2), runtimes=("phentos",))
