@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import argparse
 
-from repro import RUNTIMES, SimConfig
+from repro import SimConfig, registry
 from repro.apps import task_free_program
 from repro.eval import format_table, measure_lifetime_overhead, speedup_bound
 
@@ -42,10 +42,10 @@ def sweep(task_sizes, num_tasks, config) -> None:
         program = task_free_program(num_tasks=num_tasks, num_dependences=1,
                                     payload_cycles=task_size,
                                     name=f"uniform-{task_size}")
-        serial = RUNTIMES["serial"](config).run(program)
+        serial = registry.runtime("serial").cls(config).run(program)
         row = [task_size]
         for name in runtimes:
-            result = RUNTIMES[name](config).run(program)
+            result = registry.runtime(name).cls(config).run(program)
             measured = serial.elapsed_cycles / result.elapsed_cycles
             bound = speedup_bound(task_size, bounds[name],
                                   config.machine.num_cores)

@@ -14,7 +14,7 @@ Run with::
 
 from __future__ import annotations
 
-from repro import RUNTIMES, SimConfig
+from repro import SimConfig, registry
 from repro.apps import blackscholes_program
 from repro.eval import format_table
 
@@ -25,11 +25,11 @@ def main() -> None:
     print(f"Workload: {program.name} — {program.num_tasks} tasks, "
           f"mean task size {program.mean_task_cycles:.0f} cycles\n")
 
-    serial = RUNTIMES["serial"](config).run(program)
+    serial = registry.runtime("serial").cls(config).run(program)
     rows = [["serial", 1, serial.elapsed_cycles, "1.00x",
              f"{serial.serial_cycles / 80_000:.2f} ms"]]
     for name in ("nanos-sw", "nanos-axi", "nanos-rv", "phentos"):
-        runtime = RUNTIMES[name](config)
+        runtime = registry.runtime(name).cls(config)
         result = runtime.run(program)
         rows.append([
             name,

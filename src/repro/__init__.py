@@ -21,7 +21,6 @@ Typical usage::
 from repro.common.config import MachineConfig, SimConfig
 from repro.cpu.soc import SoC
 from repro.runtime import (
-    RUNTIMES,
     NanosAXIRuntime,
     NanosRVRuntime,
     NanosSWRuntime,
@@ -59,7 +58,6 @@ __all__ = [
     "Study",
     "StudyResult",
     "StudySweep",
-    "RUNTIMES",
     "NanosAXIRuntime",
     "NanosRVRuntime",
     "NanosSWRuntime",

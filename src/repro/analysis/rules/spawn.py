@@ -1,15 +1,16 @@
 """Spawn-safety rule: registered objects must be importable by name.
 
-Warm-pool workers re-import registered workloads and runtimes by
-``(module, name)`` — see ``plugin_file_of`` and the
-``ensure_*`` helpers in :mod:`repro.registry`.  A lambda, closure or
+Warm-pool workers receive plugin workload and runtime specs pickled
+whole, their builders, classes and ``paper_cases`` by ``(module, name)``
+reference — see ``_plugin_payload`` in :mod:`repro.harness.runner` and
+``plugin_file_of`` in :mod:`repro.registry`.  A lambda, closure or
 locally-defined class registered from inside a function exists only in
 the registering process and silently diverges (or crashes) in a spawned
 worker.  This rule flags:
 
 * ``@register_*`` decorators applied to defs/classes nested inside a
   function,
-* lambdas passed as arguments to ``register_*`` / ``ensure_*`` calls,
+* lambdas passed as arguments to ``register_*`` calls,
 * immediate decorator application (``register_x(...)(obj)``) from inside
   a function body.
 """
@@ -23,7 +24,6 @@ from repro.analysis.core import FileContext, Finding, LintRule
 from repro.analysis.registry import register_rule
 
 _REGISTER_NAMES = frozenset({"register_workload", "register_runtime"})
-_ENSURE_NAMES = frozenset({"ensure_workload", "ensure_runtime"})
 
 _FUNCTION_NODES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 
@@ -79,7 +79,7 @@ class SpawnSafetyRule(LintRule):
     def _check_call(self, node: ast.Call,
                     ctx: FileContext) -> Iterable[Finding]:
         name = _callable_name(node.func)
-        if name in _REGISTER_NAMES or name in _ENSURE_NAMES:
+        if name in _REGISTER_NAMES:
             for value in list(node.args) + [kw.value for kw in node.keywords]:
                 if isinstance(value, ast.Lambda):
                     yield self.finding(

@@ -346,7 +346,7 @@ class Study:
                                           for run in sweeps[0].runs)),
             runtimes=tuple(self._runtimes
                            if self._runtimes is not None
-                           else registry.compared_runtime_names()),
+                           else registry.RUNTIMES.names(("compared",))),
             core_counts=tuple(counts),
             quick=self._quick,
             scale=self._scale,

@@ -43,7 +43,6 @@ from repro.eval.overhead import (
     overhead_table,
 )
 from repro.eval.resources import ResourceEntry, resource_table
-from repro.registry import RegistryError
 from repro.runtime.base import RuntimeResult
 from repro.runtime.task import TaskProgram
 
@@ -87,7 +86,7 @@ def checked_geometric_mean(values: Sequence[float], experiment: str,
 #: Runtimes compared in Figures 8/9/10, in the paper's plotting order.
 #: (The derived figures hard-code the paper's three-way comparison; the
 #: sweep itself is registry-driven and accepts any registered runtime.)
-_COMPARED_RUNTIMES = tuple(registry.compared_runtime_names())
+_COMPARED_RUNTIMES = tuple(registry.RUNTIMES.names(("compared",)))
 
 
 #: The paper's case runtimes: the fixed set behind the runtime-less cache
@@ -114,7 +113,7 @@ def canonical_runtime_selection(
     :class:`EvaluationError` with a did-you-mean suggestion.
     """
     if runtimes is None:
-        current = tuple(registry.case_runtime_names())
+        current = tuple(registry.RUNTIMES.names(("case",)))
         return None if current == _PAPER_CASE_RUNTIMES else current
     names = list(dict.fromkeys(name for name in runtimes
                                if name != "serial"))
@@ -122,16 +121,12 @@ def canonical_runtime_selection(
         raise EvaluationError(
             "runtime selection must name at least one non-serial runtime"
         )
-    for name in names:
-        try:
-            registry.runtime(name)
-        except RegistryError as exc:
-            raise EvaluationError(str(exc)) from exc
     if set(names) <= set(_PAPER_CASE_RUNTIMES):
         # A subset of the paper sweep still runs the whole paper sweep
         # (callers narrow presentation, not execution), so it shares the
         # default cache entries.
         return None
+    # The rank lookup also rejects unknown names (did-you-mean).
     ordered = sorted(names, key=lambda n: (registry.runtime(n).rank, n))
     return ("serial", *ordered)
 
@@ -159,14 +154,7 @@ class BenchmarkCase:
 
     def build(self) -> TaskProgram:
         """Construct the case's task program via the workload registry."""
-        try:
-            spec = registry.workload(self.builder)
-        except RegistryError as exc:
-            raise EvaluationError(
-                f"unknown case builder {self.builder!r}"
-                f"{registry.suggest(self.builder, registry.workload_names())}"
-            ) from exc
-        return spec.builder(**dict(self.params))
+        return registry.workload(self.builder).builder(**dict(self.params))
 
 
 def _case_params(**kwargs: object) -> Tuple[Tuple[str, object], ...]:
@@ -210,12 +198,8 @@ def benchmark_cases(quick: bool = False,
     if scale <= 0:
         raise EvaluationError("scale must be positive")
     if workloads is not None:
-        selected = []
-        for name in dict.fromkeys(workloads):
-            try:
-                selected.append(registry.workload(name))
-            except RegistryError as exc:
-                raise EvaluationError(str(exc)) from exc
+        selected = [registry.workload(name)
+                    for name in dict.fromkeys(workloads)]
         if tags:
             wanted = set(tags)
             selected = [spec for spec in selected

@@ -107,10 +107,7 @@ def _resolve_platform(platform: str) -> Type[Runtime]:
     drop-in plugins alike — is measurable, so scaling bounds can be
     computed for new runtimes with no edits here.
     """
-    try:
-        spec = registry.runtime(platform)
-    except registry.RegistryError as exc:
-        raise EvaluationError(str(exc)) from exc
+    spec = registry.runtime(platform)
     if "baseline" in spec.tags:
         raise EvaluationError(
             f"platform {platform!r} is the serial baseline; it has no "

@@ -36,7 +36,6 @@ from repro.eval.experiments import (
     BenchmarkRun,
     checked_geometric_mean,
 )
-from repro.registry import RegistryError
 from repro.eval.mtt import speedup_bound
 
 __all__ = [
@@ -147,7 +146,7 @@ def normalize_runtimes(
     names raise :class:`EvaluationError` with a did-you-mean suggestion.
     """
     if runtimes is None:
-        return registry.compared_runtime_names()
+        return registry.RUNTIMES.names(("compared",))
     selected = list(dict.fromkeys(runtimes))
     if not selected or "serial" in selected:
         raise EvaluationError(
@@ -156,11 +155,8 @@ def normalize_runtimes(
             f"runs: every speedup is measured against it)"
         )
     for name in selected:
-        try:
-            registry.runtime(name)
-        except RegistryError as exc:
-            raise EvaluationError(str(exc)) from exc
-    return [name for name in registry.runtime_names() if name in selected]
+        registry.runtime(name)
+    return [name for name in registry.RUNTIMES.names() if name in selected]
 
 
 def align_runs_by_cores(

@@ -434,12 +434,12 @@ def _cmd_workloads(args: argparse.Namespace, out) -> int:
 
 def _cmd_runtimes(args: argparse.Namespace, out) -> int:
     """Print the runtime registry in rank order: name, tags, description."""
-    names = registry.runtime_names(tags=args.tag or None)
-    if not names:
+    specs = registry.RUNTIMES.specs(tags=args.tag or None)
+    if not specs:
         print(f"no registered runtime carries every tag in "
               f"{args.tag!r}", file=sys.stderr)
         return 1
-    for spec in map(registry.runtime, names):
+    for spec in specs:
         tags = ",".join(spec.tags) if spec.tags else "-"
         print(f"{spec.name:<14} {tags:<34} {spec.description}", file=out)
     return 0

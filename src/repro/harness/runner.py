@@ -17,7 +17,9 @@ total work, not by its slowest column.  Units are grouped into small
 batches per dispatch (:func:`~repro.harness.executor.batch_size`) to
 amortise IPC, and assembly is order-independent: results land in a slot
 indexed by the unit's position in the input list, whatever order workers
-finish in.
+finish in.  Units name their workload and runtimes; each batch carries the
+registry specs of the plugins it names, whole, so a spawned worker installs
+exactly the parent's entries (:func:`_plugin_payload`).
 
 Failures are isolated per unit: a unit whose builder or simulation raises
 becomes a typed :class:`~repro.harness.executor.UnitFailure` instead of
@@ -97,68 +99,67 @@ class CaseUnit:
         return f"{self.case.key}@{self.num_workers}w"
 
 
-def _plugin_payload(unit: "CaseUnit"
-                    ) -> Tuple[Optional[object], Dict, Tuple]:
-    """The plugin payload a worker needs to resolve ``unit`` by name.
+def _plugin_payload(units: Sequence[CaseUnit]
+                    ) -> Tuple[Tuple[object, ...], Tuple[str, ...]]:
+    """The plugin payload workers need to resolve ``units`` by name.
 
     Cases travel to workers as registry *names*; a spawned (or forkserver)
-    worker re-imports only the ``repro`` built-ins, so plugin
-    registrations must travel with the unit.  Two transports, per object:
+    worker re-imports only the ``repro`` built-ins, so the plugin specs
+    the units name must travel with them.  Two transports, per spec:
 
-    * a plugin from an **importable module** ships pickled by reference
-      (``plugin_builder`` / the ``{name: (class, rank)}`` mapping) and is
-      re-registered worker-side;
+    * a plugin from an **importable module** ships its whole
+      :class:`~repro.registry.WorkloadSpec` /
+      :class:`~repro.registry.RuntimeSpec` (pickled, its builder or class
+      by reference), which the worker installs under its name;
     * a plugin loaded from a **file path** (``--plugin FILE.py``) lives in
       a synthetic module no other process can import, so its source path
-      ships instead (``plugin_files``) and the worker re-loads the file,
-      firing the file's own ``@register_*`` decorators.
+      ships instead and the worker re-loads the file, firing the file's
+      own ``@register_*`` decorators.
 
-    All three parts are empty for built-in-only units, keeping the common
-    path payload-free.
+    Both parts are empty for built-in-only units, keeping the common path
+    payload-free.
     """
-    builder = None
-    plugin_files = []
-    spec = registry.workload(unit.case.builder)
-    if (spec.builder.__module__ or "").partition(".")[0] != "repro":
-        source = registry.plugin_file_of(spec.builder)
+    workloads = dict.fromkeys(unit.case.builder for unit in units)
+    runtimes = dict.fromkeys(name for unit in units
+                             for name in unit.runtimes or ())
+    entries = [(spec, spec.builder)
+               for spec in map(registry.workload, workloads)]
+    entries += [(spec, spec.cls) for spec in map(registry.runtime, runtimes)]
+    specs: List[object] = []
+    plugin_files: List[str] = []
+    for spec, obj in entries:
+        if (obj.__module__ or "").partition(".")[0] == "repro":
+            continue
+        source = registry.plugin_file_of(obj)
         if source is not None:
             plugin_files.append(source)
         else:
-            builder = spec.builder
-    plugin_runtimes = {}
-    for name in unit.runtimes or ():
-        runtime_spec = registry.runtime(name)
-        if (runtime_spec.cls.__module__ or "").partition(".")[0] != "repro":
-            source = registry.plugin_file_of(runtime_spec.cls)
-            if source is not None:
-                plugin_files.append(source)
-            else:
-                plugin_runtimes[name] = (runtime_spec.cls,
-                                         runtime_spec.rank)
-    return builder, plugin_runtimes, tuple(dict.fromkeys(plugin_files))
+            specs.append(spec)
+    return tuple(specs), tuple(dict.fromkeys(plugin_files))
 
 
-def _register_payload(builders: Dict[str, object],
-                      plugin_runtimes: Dict[str, Tuple[type, int]],
+def _register_payload(specs: Tuple[object, ...],
                       plugin_files: Tuple[str, ...]) -> None:
     """Worker-side plugin registration; idempotent, so warm workers that
-    already saw a payload in an earlier batch re-register nothing."""
+    already saw a payload in an earlier batch end up unchanged."""
     for path in plugin_files:
         registry.load_plugin(path)
-    for name, builder in builders.items():
-        registry.ensure_workload(name, builder)
-    for name, (cls, rank) in plugin_runtimes.items():
-        registry.ensure_runtime(name, cls, rank=rank)
+    for spec in specs:
+        target = (registry.WORKLOADS
+                  if isinstance(spec, registry.WorkloadSpec)
+                  else registry.RUNTIMES)
+        target.remove(spec.name)  # the parent's spec replaces a stale one
+        target.add(spec)
 
 
-def _execute_batch(payload: Tuple[Dict, Dict, Tuple],
+def _execute_batch(payload: Tuple[Tuple, Tuple],
                    tasks: Tuple[Tuple, ...]) -> List[Tuple]:
     """Batched worker entry point with per-unit failure isolation.
 
-    ``payload`` is the merged plugin payload of the whole batch,
-    registered once per dispatch (and a no-op in a warm worker that
-    already saw it); ``tasks`` are ``(config, case, num_workers,
-    runtimes)`` tuples.  Returns one outcome per task, in order:
+    ``payload`` is the plugin payload of the whole batch
+    (:func:`_plugin_payload`), registered once per dispatch (and a no-op
+    in a warm worker that already saw it); ``tasks`` are ``(config, case,
+    num_workers, runtimes)`` tuples.  Returns one outcome per task, in order:
     ``("ok", run, seconds)`` or ``("err", error_type, error_text)`` — unit
     exceptions are *data*, never raised, so one bad unit cannot take the
     batch (or the pool) down with it.  Each unit is timed here, in the
@@ -176,21 +177,6 @@ def _execute_batch(payload: Tuple[Dict, Dict, Tuple],
         else:
             outcomes.append(("ok", run, time.perf_counter() - started))
     return outcomes
-
-
-def _merged_payload(items: Sequence[Tuple[int, CaseUnit, Optional[str]]]
-                    ) -> Tuple[Dict, Dict, Tuple]:
-    """One deduplicated plugin payload for a whole batch of units."""
-    builders: Dict[str, object] = {}
-    plugin_runtimes: Dict[str, Tuple[type, int]] = {}
-    plugin_files: List[str] = []
-    for _slot, unit, _key in items:
-        builder, unit_runtimes, unit_files = _plugin_payload(unit)
-        if builder is not None:
-            builders[unit.case.builder] = builder
-        plugin_runtimes.update(unit_runtimes)
-        plugin_files.extend(unit_files)
-    return builders, plugin_runtimes, tuple(dict.fromkeys(plugin_files))
 
 
 def _unit_task(unit: CaseUnit) -> Tuple:
@@ -224,7 +210,7 @@ def _dispatch_pending(
     size = batch_size(len(pending), backend.width)
     batches = [tuple(pending[start:start + size])
                for start in range(0, len(pending), size)]
-    jobs = [(_merged_payload(items),
+    jobs = [(_plugin_payload([unit for _slot, unit, _key in items]),
              tuple(_unit_task(unit) for _slot, unit, _key in items),
              items)
             for items in batches]

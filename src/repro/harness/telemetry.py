@@ -443,8 +443,8 @@ def build_manifest(config: object, jobs: int,
             "platform": platform.platform(),
             "python": sys.version.split()[0],
         },
-        workloads=registry.workload_names(),
-        runtimes=registry.runtime_names(),
+        workloads=registry.WORKLOADS.names(),
+        runtimes=registry.RUNTIMES.names(),
         label=label,
     )
 

@@ -11,6 +11,13 @@ Both axes of the evaluation are drop-in plugins:
   subclass with a name, tags and a ``rank`` fixing the paper's plotting
   order.
 
+:data:`WORKLOADS` and :data:`RUNTIMES` are the one lookup and listing API:
+``get(name)``, ``names(tags)`` and ``specs(tags)`` (:class:`Registry`).
+Workloads list in registration order, runtimes in rank order, so
+``RUNTIMES.names(("compared",))`` is the paper's plotting order of the
+Figures 8/9/10 platforms.  :func:`workload` and :func:`runtime` are
+shorthands for the two ``get`` methods.
+
 ``repro.apps.*`` and ``repro.runtime.*`` self-register on import; any
 registry lookup triggers those imports lazily (:func:`_ensure_populated`),
 so ``import repro.registry`` alone is enough to see every built-in entry.
@@ -18,8 +25,9 @@ Third-party code registers the same way — see ``examples/custom_workload.py``
 and ``docs/extending.md``.
 
 Name lookups never raise a bare :class:`KeyError`: unknown names raise
-:class:`RegistryError` with a did-you-mean suggestion and the full list of
-registered names (:func:`suggest`).
+:class:`RegistryError` (an :class:`~repro.common.errors.EvaluationError`)
+with a did-you-mean suggestion and the full list of registered names
+(:func:`suggest`).
 """
 
 from __future__ import annotations
@@ -43,7 +51,7 @@ from typing import (
     Type,
 )
 
-from repro.common.errors import ReproError
+from repro.common.errors import EvaluationError
 
 __all__ = [
     "RegistryError",
@@ -55,22 +63,16 @@ __all__ = [
     "RUNTIMES",
     "register_workload",
     "register_runtime",
-    "ensure_workload",
-    "ensure_runtime",
     "load_plugin",
     "plugin_file_of",
     "workload",
     "runtime",
-    "workload_names",
-    "runtime_names",
-    "case_runtime_names",
-    "compared_runtime_names",
     "scaled_size",
     "suggest",
 ]
 
 
-class RegistryError(ReproError):
+class RegistryError(EvaluationError):
     """A registry was asked for an unknown name or given a duplicate one."""
 
 
@@ -162,10 +164,16 @@ class RuntimeSpec:
 
 
 class Registry:
-    """An ordered, name-keyed plugin registry with tag filtering."""
+    """A name-keyed plugin registry with tag filtering.
 
-    def __init__(self, kind: str) -> None:
+    ``order`` is the sort key of :meth:`names` / :meth:`specs`; without
+    one they list in registration order.
+    """
+
+    def __init__(self, kind: str,
+                 order: Optional[Callable[[object], object]] = None) -> None:
         self.kind = kind
+        self._order = order
         self._entries: Dict[str, object] = {}
 
     def add(self, spec) -> None:
@@ -197,11 +205,11 @@ class Registry:
         return spec
 
     def names(self, tags: Optional[Sequence[str]] = None) -> List[str]:
-        """Registered names in registration order, optionally tag-filtered."""
+        """Registered names in listing order, optionally tag-filtered."""
         return [spec.name for spec in self.specs(tags)]
 
     def specs(self, tags: Optional[Sequence[str]] = None) -> List[object]:
-        """Registered specs in registration order, optionally tag-filtered.
+        """Registered specs in listing order, optionally tag-filtered.
 
         ``tags`` selects specs carrying *every* listed tag.
         """
@@ -211,24 +219,16 @@ class Registry:
             wanted = set(tags)
             selected = [spec for spec in selected
                         if wanted.issubset(set(spec.tags))]
+        if self._order is not None:
+            selected.sort(key=self._order)
         return selected
-
-    def registered(self) -> List[object]:
-        """Specs registered *so far*, without triggering the lazy imports.
-
-        For self-registration call sites (``repro.runtime.__init__`` builds
-        its ``RUNTIMES`` view mid-import); everyone else should use
-        :meth:`specs`, which guarantees the built-ins are loaded.
-        """
-        return list(self._entries.values())
 
     def __contains__(self, name: object) -> bool:
         _ensure_populated()
         return name in self._entries
 
     def __iter__(self) -> Iterator[str]:
-        _ensure_populated()
-        return iter(list(self._entries))
+        return iter(self.names())
 
     def __len__(self) -> int:
         _ensure_populated()
@@ -238,8 +238,9 @@ class Registry:
 #: The global workload registry (``repro.apps.*`` self-register on import).
 WORKLOADS = Registry("workload")
 
-#: The global runtime registry (``repro.runtime.*`` self-register on import).
-RUNTIMES = Registry("runtime")
+#: The global runtime registry (``repro.runtime.*`` self-register on import),
+#: listed in rank order: the paper's plotting order.
+RUNTIMES = Registry("runtime", order=lambda spec: spec.rank)
 
 _populated = False
 
@@ -367,54 +368,6 @@ def plugin_file_of(obj: object) -> Optional[str]:
     return getattr(module, "__file__", None)
 
 
-def ensure_workload(name: str, builder: Callable) -> None:
-    """Idempotently register ``builder`` under ``name`` if absent.
-
-    The process-pool runner ships plugin builders to worker processes by
-    reference and re-registers them there (a spawned worker imports only
-    the ``repro`` built-ins), so a case whose builder name is not a
-    built-in still resolves.  A no-op when the name is already registered.
-    """
-    if name not in WORKLOADS:
-        WORKLOADS.add(WorkloadSpec(name=name, builder=builder))
-
-
-def ensure_runtime(name: str, cls: Type, rank: int = 100) -> None:
-    """Idempotently register runtime ``cls`` under ``name`` if absent.
-
-    The worker-side counterpart of :func:`ensure_workload` for plugin
-    runtime selections.
-    """
-    if name not in RUNTIMES:
-        RUNTIMES.add(RuntimeSpec(name=name, cls=cls, rank=rank))
-
-
-def workload(name: str) -> WorkloadSpec:
-    """Look up one workload spec by name (did-you-mean on unknown)."""
-    return WORKLOADS.get(name)
-
-
-def runtime(name: str) -> RuntimeSpec:
-    """Look up one runtime spec by name (did-you-mean on unknown)."""
-    return RUNTIMES.get(name)
-
-
-def workload_names(tags: Optional[Sequence[str]] = None) -> List[str]:
-    """Registered workload names, optionally filtered to ``tags``."""
-    return WORKLOADS.names(tags)
-
-
-def runtime_names(tags: Optional[Sequence[str]] = None) -> List[str]:
-    """Registered runtime names in rank order, optionally tag-filtered."""
-    return [spec.name
-            for spec in sorted(RUNTIMES.specs(tags), key=lambda s: s.rank)]
-
-
-def case_runtime_names() -> List[str]:
-    """Runtimes every benchmark case runs on, in the paper's order."""
-    return runtime_names(tags=("case",))
-
-
-def compared_runtime_names() -> List[str]:
-    """Runtimes plotted in Figures 8/9/10, in the paper's order."""
-    return runtime_names(tags=("compared",))
+#: Look up one spec by name (did-you-mean on unknown).
+workload = WORKLOADS.get
+runtime = RUNTIMES.get

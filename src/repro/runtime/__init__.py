@@ -5,7 +5,6 @@ Nanos-SW, Nanos-RV and Nanos-AXI are one Nanos runtime
 task graph, Picos through the custom instructions, and Picos over AXI.
 """
 
-from repro.registry import RUNTIMES as _runtime_registry
 from repro.runtime.base import Runtime, RuntimeResult
 from repro.runtime.hw_interface import (
     FetchedTask,
@@ -50,12 +49,3 @@ __all__ = [
     "out_dep",
     "HwWorkerContext",
 ]
-
-#: Registry of every runtime model keyed by its short name, used by the
-#: evaluation harness and the examples.  Built from the plugin registry
-#: (:mod:`repro.registry`): the imports above self-registered each model, so
-#: this view and the registry cannot drift apart.
-RUNTIMES = {
-    spec.name: spec.cls
-    for spec in sorted(_runtime_registry.registered(), key=lambda s: s.rank)
-}

@@ -1,6 +1,6 @@
 """Discrete-event simulation substrate (engine, queues, arbiters)."""
 
-from repro.sim.arbiters import GuidedArbiter, InOrderArbiter, RoundRobinArbiter
+from repro.sim.arbiters import InOrderArbiter, RoundRobinArbiter
 from repro.sim.engine import (
     Charge,
     Command,
@@ -32,7 +32,6 @@ __all__ = [
     "Wait",
     "DecoupledQueue",
     "ProtocolCrossingQueue",
-    "GuidedArbiter",
     "InOrderArbiter",
     "RoundRobinArbiter",
 ]

@@ -1,6 +1,6 @@
 """Arbiters used by Picos Manager, modelled after Rocket Chip stock modules.
 
-Three arbitration disciplines appear in the paper's hardware:
+Two arbitration disciplines of the paper's hardware are modelled here:
 
 * :class:`RoundRobinArbiter` — merges retirement packets from every core
   into the single Picos retirement interface, one grant per cycle, rotating
@@ -8,10 +8,9 @@ Three arbitration disciplines appear in the paper's hardware:
 * :class:`InOrderArbiter` — the Work-Fetch Arbiter: requests are granted in
   the exact chronological order they were made, so Picos Manager distributes
   ready tasks in the order cores asked for them (Section IV-E.4).
-* :class:`GuidedArbiter` — the Submission Handler's arbiter: once a core is
-  granted the submission interface it keeps it until its whole packet
-  sequence (a task descriptor) has been transmitted, guaranteeing submission
-  atomicity (Section IV-F.2).
+
+The third, the Submission Handler's Guided Arbiter, is part of the packet
+recurrence of :class:`~repro.manager.submission.SubmissionStream`.
 
 The arbiters are *reactive*: they do no work (and schedule no events) while
 their inputs are empty, which keeps the discrete-event simulation fast even
@@ -20,13 +19,13 @@ over billions of idle cycles.
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional, Sequence
+from typing import Any, Callable, Sequence
 
 from repro.common.errors import ProtocolError
 from repro.sim.engine import Delay, Engine, Get, ProcessGen
 from repro.sim.queues import DecoupledQueue
 
-__all__ = ["RoundRobinArbiter", "InOrderArbiter", "GuidedArbiter"]
+__all__ = ["RoundRobinArbiter", "InOrderArbiter"]
 
 
 class RoundRobinArbiter:
@@ -133,73 +132,3 @@ class InOrderArbiter:
             yield Delay(self.cycles_per_grant)
             yield from self.serve(request)
             self.grants += 1
-
-
-class GuidedArbiter:
-    """Exclusive, sequence-long grant of a shared resource.
-
-    A requester acquires the arbiter for an announced number of beats
-    (packets); the grant is only released after that many beats have been
-    transferred.  Other requesters queue behind it in FIFO order.  This
-    mirrors the Guided Arbiter inside the Submission Handler, which keeps
-    task-descriptor packet sequences from different cores from interleaving.
-    """
-
-    __slots__ = ("engine", "num_requesters", "name", "current_owner",
-                 "remaining_beats", "_pending", "sequences_completed")
-
-    def __init__(self, engine: Engine, num_requesters: int,
-                 name: str = "guided_arbiter") -> None:
-        if num_requesters <= 0:
-            raise ProtocolError("GuidedArbiter needs at least one requester")
-        self.engine = engine
-        self.num_requesters = num_requesters
-        self.name = name
-        self.current_owner: Optional[int] = None
-        self.remaining_beats = 0
-        self._pending: List[tuple] = []
-        self.sequences_completed = 0
-
-    def request(self, requester: int, beats: int):
-        """Return an event triggered when ``requester`` owns the resource."""
-        if not 0 <= requester < self.num_requesters:
-            raise ProtocolError(
-                f"requester {requester} out of range 0..{self.num_requesters - 1}"
-            )
-        if beats <= 0:
-            raise ProtocolError("a grant must cover at least one beat")
-        grant = self.engine.event(name=f"{self.name}.grant[{requester}]")
-        self._pending.append((requester, beats, grant))
-        self._maybe_grant()
-        return grant
-
-    def transfer_beat(self, requester: int) -> None:
-        """Account one transferred beat for the current owner."""
-        if self.current_owner != requester:
-            raise ProtocolError(
-                f"core {requester} transferred a beat without owning "
-                f"{self.name} (owner={self.current_owner})"
-            )
-        self.remaining_beats -= 1
-        if self.remaining_beats == 0:
-            self.current_owner = None
-            self.sequences_completed += 1
-            self._maybe_grant()
-
-    @property
-    def busy(self) -> bool:
-        """True while some requester holds the grant."""
-        return self.current_owner is not None
-
-    @property
-    def pending_requests(self) -> int:
-        """Number of requesters waiting for the grant."""
-        return len(self._pending)
-
-    def _maybe_grant(self) -> None:
-        if self.current_owner is not None or not self._pending:
-            return
-        requester, beats, grant = self._pending.pop(0)
-        self.current_owner = requester
-        self.remaining_beats = beats
-        grant.trigger(requester)

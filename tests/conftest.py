@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.common.config import SimConfig
-from repro.runtime.task import Task, TaskProgram, in_dep, inout_dep, out_dep
 
 
 @pytest.fixture

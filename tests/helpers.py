@@ -26,7 +26,6 @@ from repro.picos.packets import (PACKETS_PER_DESCRIPTOR, TaskDescriptor,
                                  encode_descriptor)
 from repro.runtime.phentos import PhentosRuntime
 from repro.runtime.task import Task, TaskProgram, in_dep, inout_dep, out_dep
-from repro.sim.arbiters import GuidedArbiter
 from repro.sim.engine import (Charge, Delay, Engine, Get, ProcessGen, Put,
                               Wait)
 from repro.sim.queues import DecoupledQueue
@@ -363,6 +362,77 @@ class PerPacketPicosDevice(PicosDevice):
             if len(partial) == PACKETS_PER_DESCRIPTOR:
                 packets, partial = partial, []
                 yield from self.insert_descriptor(packets)
+
+
+class GuidedArbiter:
+    """Exclusive, sequence-long grant of a shared resource (the
+    Submission Handler's Guided Arbiter, per-packet reference).
+
+    A requester acquires the arbiter for an announced number of beats
+    (packets); the grant is only released after that many beats have been
+    transferred.  Other requesters queue behind it in FIFO order.  This
+    mirrors the Guided Arbiter inside the Submission Handler, which keeps
+    task-descriptor packet sequences from different cores from interleaving.
+    """
+
+    __slots__ = ("engine", "num_requesters", "name", "current_owner",
+                 "remaining_beats", "_pending", "sequences_completed")
+
+    def __init__(self, engine: Engine, num_requesters: int,
+                 name: str = "guided_arbiter") -> None:
+        if num_requesters <= 0:
+            raise ProtocolError("GuidedArbiter needs at least one requester")
+        self.engine = engine
+        self.num_requesters = num_requesters
+        self.name = name
+        self.current_owner: Optional[int] = None
+        self.remaining_beats = 0
+        self._pending: List[tuple] = []
+        self.sequences_completed = 0
+
+    def request(self, requester: int, beats: int):
+        """Return an event triggered when ``requester`` owns the resource."""
+        if not 0 <= requester < self.num_requesters:
+            raise ProtocolError(
+                f"requester {requester} out of range 0..{self.num_requesters - 1}"
+            )
+        if beats <= 0:
+            raise ProtocolError("a grant must cover at least one beat")
+        grant = self.engine.event(name=f"{self.name}.grant[{requester}]")
+        self._pending.append((requester, beats, grant))
+        self._maybe_grant()
+        return grant
+
+    def transfer_beat(self, requester: int) -> None:
+        """Account one transferred beat for the current owner."""
+        if self.current_owner != requester:
+            raise ProtocolError(
+                f"core {requester} transferred a beat without owning "
+                f"{self.name} (owner={self.current_owner})"
+            )
+        self.remaining_beats -= 1
+        if self.remaining_beats == 0:
+            self.current_owner = None
+            self.sequences_completed += 1
+            self._maybe_grant()
+
+    @property
+    def busy(self) -> bool:
+        """True while some requester holds the grant."""
+        return self.current_owner is not None
+
+    @property
+    def pending_requests(self) -> int:
+        """Number of requesters waiting for the grant."""
+        return len(self._pending)
+
+    def _maybe_grant(self) -> None:
+        if self.current_owner is not None or not self._pending:
+            return
+        requester, beats, grant = self._pending.pop(0)
+        self.current_owner = requester
+        self.remaining_beats = beats
+        grant.trigger(requester)
 
 
 #: Depths of a core's packet buffer and of its announcement queue.

@@ -15,7 +15,7 @@ import json
 import pytest
 
 from repro import Study, registry
-from repro.api import StudyResult, StudySweep
+from repro.api import StudyResult
 from repro.common.config import SimConfig
 from repro.common.errors import EvaluationError
 from repro.eval.experiments import benchmark_cases
@@ -199,23 +199,22 @@ class TestPluginTransport:
 
     def test_plugin_workload_survives_worker_boundary(self, tiny_config):
         # Simulate a spawned worker: the plugin is absent from the
-        # registry when _execute_batch runs, and the shipped builder
-        # payload re-registers it.
+        # registry when _execute_batch runs, and the shipped spec
+        # re-registers it whole.
         from repro.harness.executor import ProcessPoolBackend
         from repro.harness.runner import CaseUnit, _execute_batch, \
             _plugin_payload, run_units
         from tests.helpers import plugin_chain_builder
 
         name = "transport-wl"
-        register_workload(name, defaults={"num_tasks": 4, "payload": 50})(
-            plugin_chain_builder)
+        register_workload(name, tags=("transport",),
+                          defaults={"num_tasks": 4, "payload": 50},
+                          description="shipped whole")(plugin_chain_builder)
         try:
+            spec = registry.workload(name)
             cases = benchmark_cases(workloads=[name])
             unit = CaseUnit(tiny_config, cases[0], 2)
-            builder, plugin_runtimes, plugin_files = _plugin_payload(unit)
-            assert builder is plugin_chain_builder
-            assert plugin_runtimes == {}
-            assert plugin_files == ()
+            assert _plugin_payload([unit]) == ((spec,), ())
             # parallel path end to end (payload attached per batch)
             with ProcessPoolBackend(2) as backend:
                 runs = run_units([unit], backend)
@@ -223,13 +222,14 @@ class TestPluginTransport:
         finally:
             registry.WORKLOADS.remove(name)
         # Worker side: registry no longer knows the name; the payload
-        # must be enough to execute the unit.
-        [outcome] = _execute_batch(
-            ({name: plugin_chain_builder}, {}, ()),
-            ((tiny_config, cases[0], 2, None),))
+        # must be enough to execute the unit, and the installed spec
+        # keeps the parent's tags and description.
+        [outcome] = _execute_batch(((spec,), ()),
+                                   ((tiny_config, cases[0], 2, None),))
         try:
             assert outcome[0] == "ok"
             assert outcome[1].results["serial"].elapsed_cycles > 0
+            assert registry.workload(name) == spec
         finally:
             registry.WORKLOADS.remove(name)
 
@@ -237,11 +237,9 @@ class TestPluginTransport:
         from repro.harness.runner import CaseUnit, _plugin_payload
 
         case = benchmark_cases(quick=True)[0]
-        builder, plugin_runtimes, plugin_files = _plugin_payload(
-            CaseUnit(tiny_config, case, 2, ("serial", "nanos-axi")))
-        assert builder is None
-        assert plugin_runtimes == {}
-        assert plugin_files == ()
+        assert _plugin_payload(
+            [CaseUnit(tiny_config, case, 2, ("serial", "nanos-axi"))]
+        ) == ((), ())
 
     def test_plugin_runtime_payload_carries_rank(self, tiny_config):
         from repro.harness.runner import CaseUnit, _plugin_payload
@@ -252,11 +250,12 @@ class TestPluginTransport:
         register_runtime(name, rank=5)(PluginRuntime)
         try:
             case = benchmark_cases(quick=True)[0]
-            _builder, plugin_runtimes, _files = _plugin_payload(
-                CaseUnit(tiny_config, case, 2, ("serial", name)))
-            # rank travels with the class, so worker-side canonical
+            specs, _files = _plugin_payload(
+                [CaseUnit(tiny_config, case, 2, ("serial", name))])
+            # rank travels with the whole spec, so worker-side canonical
             # ordering matches the parent's
-            assert plugin_runtimes == {name: (PluginRuntime, 5)}
+            assert specs == (registry.runtime(name),)
+            assert specs[0].rank == 5
         finally:
             registry.RUNTIMES.remove(name)
 
@@ -285,9 +284,9 @@ class TestPluginTransport:
         load_plugin(str(plugin))
         try:
             cases = benchmark_cases(workloads=["file-plug-wl"])
-            builder, _runtimes, plugin_files = _plugin_payload(
-                CaseUnit(tiny_config, cases[0], 2))
-            assert builder is None  # not picklable by reference...
+            specs, plugin_files = _plugin_payload(
+                [CaseUnit(tiny_config, cases[0], 2)])
+            assert specs == ()  # not picklable by reference...
             assert plugin_files == (str(plugin),)  # ...so the path ships
             # Simulate a spawned worker: no synthetic module, no
             # registration — only the shipped path.
@@ -296,7 +295,7 @@ class TestPluginTransport:
                 del sys.modules[module_name]
             registry.WORKLOADS.remove("file-plug-wl")
             [outcome] = _execute_batch(
-                ({}, {}, plugin_files), ((tiny_config, cases[0], 2, None),))
+                ((), plugin_files), ((tiny_config, cases[0], 2, None),))
             assert outcome[0] == "ok"
             assert outcome[1].results["serial"].elapsed_cycles > 0
         finally:
@@ -348,6 +347,35 @@ class TestPluginTransport:
         assert "failed to import" in capsys.readouterr().err
 
 
+#: Full text of the registry listings (``repro workloads`` / ``runtimes``).
+_WORKLOADS_LISTING = (
+    'blackscholes   paper,data-parallel,compute-bound   12 case(s)  Black-Scholes option pricing (PARSEC/OmpSs, Figure 9)\n'
+    'task-free      micro,overhead                       1 case(s)  Independent empty tasks (lifetime-overhead micro-benchmark)\n'
+    'task-chain     micro,overhead                       1 case(s)  Single dependence chain of empty tasks (MTT bound input)\n'
+    'jacobi         paper,stencil,memory-bound           3 case(s)  Jacobi 1-D Poisson solver (KaStORS, Figure 9)\n'
+    'sparselu       paper,linear-algebra,irregular      10 case(s)  Blocked sparse LU factorisation (KaStORS, Figure 9)\n'
+    'stream         paper,memory-bound,micro            12 case(s)  STREAM triad micro-benchmark, barrier and dependence variants (ompss-ee, Figure 9)\n'
+)
+_RUNTIMES_LISTING = (
+    'serial         case,baseline,software             Serial baseline: every task on one core\n'
+    'nanos-sw       case,compared,software             Nanos++ with pure-software scheduling\n'
+    'nanos-rv       case,compared,hardware             Nanos++ over Picos via RoCC custom instructions\n'
+    'nanos-axi      hardware                           Nanos++ over Picos via the AXI bus (Figure 7 only)\n'
+    'phentos        case,compared,hardware             Phentos: hardware-centric runtime over Picos\n'
+)
+_COMPARED_LISTING = (
+    'nanos-sw       case,compared,software             Nanos++ with pure-software scheduling\n'
+    'nanos-rv       case,compared,hardware             Nanos++ over Picos via RoCC custom instructions\n'
+    'phentos        case,compared,hardware             Phentos: hardware-centric runtime over Picos\n'
+)
+_CASE_LISTING = (
+    'serial         case,baseline,software             Serial baseline: every task on one core\n'
+    'nanos-sw       case,compared,software             Nanos++ with pure-software scheduling\n'
+    'nanos-rv       case,compared,hardware             Nanos++ over Picos via RoCC custom instructions\n'
+    'phentos        case,compared,hardware             Phentos: hardware-centric runtime over Picos\n'
+)
+
+
 class TestCliRegistrySurface:
     def test_workloads_subcommand(self, capsys):
         assert cli_main(["workloads"]) == 0
@@ -367,6 +395,18 @@ class TestCliRegistrySurface:
         out = capsys.readouterr().out
         assert "nanos-axi" not in out
         assert "phentos" in out
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["workloads"], _WORKLOADS_LISTING),
+        (["runtimes"], _RUNTIMES_LISTING),
+        (["runtimes", "--tag", "compared"], _COMPARED_LISTING),
+        (["runtimes", "--tag", "case"], _CASE_LISTING),
+    ], ids=["workloads", "runtimes", "compared", "case"])
+    def test_listing_text_is_pinned(self, capsys, argv, expected):
+        # The registry listings are the user-visible face of its rank
+        # order and tags; pin their full text.
+        assert cli_main(argv) == 0
+        assert capsys.readouterr().out == expected
 
     def test_workloads_unmatched_tag_fails(self, capsys):
         assert cli_main(["workloads", "--tag", "no-such-tag"]) == 1

@@ -5,9 +5,10 @@ from __future__ import annotations
 import pytest
 
 from repro.common.errors import ProtocolError
-from repro.sim.arbiters import GuidedArbiter, InOrderArbiter, RoundRobinArbiter
+from repro.sim.arbiters import InOrderArbiter, RoundRobinArbiter
 from repro.sim.engine import Delay, Engine, Get, Put, Wait
 from repro.sim.queues import DecoupledQueue
+from tests.helpers import GuidedArbiter
 
 
 def _drain(queue):

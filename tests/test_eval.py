@@ -11,7 +11,6 @@ from repro.eval import (
     OverheadMeasurement,
     ResourceModel,
     benchmark_cases,
-    benchmarks_report,
     bound_curve,
     bounds_report,
     default_task_sizes,
@@ -19,7 +18,6 @@ from repro.eval import (
     figure8_granularity,
     figure10_bounds_vs_measured,
     format_table,
-    headline_report,
     headline_summary,
     maximum_task_throughput,
     measure_lifetime_overhead,

@@ -326,8 +326,25 @@ class TestPluginPayloadGuards:
         register_runtime(name, rank=7)(NoModuleRuntime)
         try:
             unit = CaseUnit(tiny_config, tiny_cases[0], 2, ("serial", name))
-            _builder, plugin_runtimes, _files = _plugin_payload(unit)
-            assert plugin_runtimes == {name: (NoModuleRuntime, 7)}
+            assert _plugin_payload([unit]) == ((registry.runtime(name),), ())
+        finally:
+            registry.RUNTIMES.remove(name)
+
+    def test_worker_replaces_a_stale_spec_with_the_parents(self):
+        # A warm worker may still hold an older spec under a plugin's
+        # name; the shipped spec replaces it instead of clashing.
+        from repro.harness.runner import _register_payload
+        from tests.helpers import PluginRuntime
+
+        name = "stale-rt"
+        register_runtime(name, rank=7)(PluginRuntime)
+        try:
+            fresh = registry.RuntimeSpec(name=name, cls=PluginRuntime,
+                                         tags=("case",), rank=3,
+                                         description="the parent's")
+            _register_payload((fresh,), ())
+            _register_payload((fresh,), ())  # idempotent when current
+            assert registry.runtime(name) is fresh
         finally:
             registry.RUNTIMES.remove(name)
 

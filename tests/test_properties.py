@@ -418,7 +418,7 @@ def _other_than(draw, cycles, low, high):
 
 
 #: The built-in runtimes, read before any test registers a scratch one.
-_RUNTIME_NAMES = tuple(registry.runtime_names())
+_RUNTIME_NAMES = tuple(registry.RUNTIMES.names())
 
 
 def _stalling_example(num_tasks, workers, **picos):
@@ -1051,7 +1051,7 @@ def _run_on(engine_class, runtime_name, program, workers,
 @given(runtime_runs())
 def test_runtimes_match_reference_loop(run):
     program, workers = run
-    for runtime_name in registry.runtime_names():
+    for runtime_name in registry.RUNTIMES.names():
         reference = _run_on(ReferenceEngine, runtime_name, program, workers)
         ahead = _run_on(Engine, runtime_name, program, workers)
         assert ahead == reference, runtime_name

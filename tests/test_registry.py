@@ -74,14 +74,35 @@ def scratch_runtime():
 
 class TestRegistrySemantics:
     def test_builtins_registered_in_order(self):
-        assert registry.workload_names(tags=("paper",)) == [
+        assert registry.WORKLOADS.names(tags=("paper",)) == [
             "blackscholes", "jacobi", "sparselu", "stream"]
-        assert registry.runtime_names() == [
+        assert registry.RUNTIMES.names() == [
             "serial", "nanos-sw", "nanos-rv", "nanos-axi", "phentos"]
-        assert registry.case_runtime_names() == [
+        assert registry.RUNTIMES.names(("case",)) == [
             "serial", "nanos-sw", "nanos-rv", "phentos"]
-        assert registry.compared_runtime_names() == [
+        assert registry.RUNTIMES.names(("compared",)) == [
             "nanos-sw", "nanos-rv", "phentos"]
+        assert list(registry.RUNTIMES) == registry.RUNTIMES.names()
+        assert registry.runtime("phentos").cls is PhentosRuntime
+
+    def test_runtimes_list_in_rank_order(self):
+        # A plugin registered last still lists at its rank.
+        name = "scratch-early"
+        register_runtime(name, tags=("compared",), rank=5)(PhentosRuntime)
+        try:
+            assert registry.RUNTIMES.names() == [
+                "serial", name, "nanos-sw", "nanos-rv", "nanos-axi",
+                "phentos"]
+            assert registry.RUNTIMES.names(("compared",)) == [
+                name, "nanos-sw", "nanos-rv", "phentos"]
+        finally:
+            registry.RUNTIMES.remove(name)
+
+    def test_registry_error_is_an_evaluation_error(self):
+        from repro.common.errors import ReproError
+
+        assert issubclass(RegistryError, EvaluationError)
+        assert issubclass(RegistryError, ReproError)
 
     def test_duplicate_workload_name_rejected(self, scratch_workload):
         with pytest.raises(RegistryError, match="duplicate workload"):
@@ -96,11 +117,11 @@ class TestRegistrySemantics:
             register_workload("")(lambda **kw: None)
 
     def test_tag_filtering_requires_every_tag(self, scratch_workload):
-        names = registry.workload_names(tags=("scratch",))
+        names = registry.WORKLOADS.names(tags=("scratch",))
         assert names == [scratch_workload]
-        assert registry.workload_names(tags=("scratch", "micro")) == \
+        assert registry.WORKLOADS.names(tags=("scratch", "micro")) == \
             [scratch_workload]
-        assert registry.workload_names(tags=("scratch", "paper")) == []
+        assert registry.WORKLOADS.names(tags=("scratch", "paper")) == []
 
     def test_unknown_workload_has_did_you_mean(self):
         with pytest.raises(RegistryError) as excinfo:
@@ -123,8 +144,8 @@ class TestRegistrySemantics:
         # the built-in workloads and runtimes on first lookup.
         script = (
             "import repro.registry as r; "
-            "assert 'jacobi' in r.workload_names(), r.workload_names(); "
-            "assert 'phentos' in r.runtime_names(), r.runtime_names(); "
+            "assert 'jacobi' in r.WORKLOADS.names(), r.WORKLOADS.names(); "
+            "assert 'phentos' in r.RUNTIMES.names(), r.RUNTIMES.names(); "
             "print('lazy-ok')"
         )
         proc = subprocess.run(

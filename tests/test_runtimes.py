@@ -6,9 +6,9 @@ import dataclasses
 
 import pytest
 
+from repro import registry
 from repro.common.config import SimConfig
 from repro.runtime import (
-    RUNTIMES,
     NanosAXIRuntime,
     NanosRVRuntime,
     NanosSWRuntime,
@@ -67,12 +67,12 @@ class TestSerialRuntime:
 
 class TestRuntimeRegistry:
     def test_registry_contains_all_five_models(self):
-        assert set(RUNTIMES) == {"serial", "nanos-sw", "nanos-rv", "nanos-axi",
-                                 "phentos"}
+        assert registry.RUNTIMES.names() == [
+            "serial", "nanos-sw", "nanos-rv", "nanos-axi", "phentos"]
 
     def test_registry_names_match_class_attribute(self):
-        for name, cls in RUNTIMES.items():
-            assert cls.name == name
+        for spec in registry.RUNTIMES.specs():
+            assert spec.cls.name == spec.name
 
 
 @pytest.mark.parametrize("runtime_cls", ALL_PARALLEL_RUNTIMES)
@@ -169,7 +169,7 @@ class TestRelativePerformance:
         program = make_independent_program(num_tasks=24, payload=3000)
         out = {}
         for name in ("serial", "nanos-sw", "nanos-rv", "phentos"):
-            runtime = RUNTIMES[name](config)
+            runtime = registry.runtime(name).cls(config)
             out[name] = runtime.run(
                 program, num_workers=1 if name == "serial" else 4
             )
