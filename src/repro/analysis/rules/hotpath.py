@@ -58,7 +58,7 @@ HOT_FUNCTIONS: Dict[str, FrozenSet[str]] = {
     "repro/picos/packets.py": frozenset({"decode_descriptor"}),
     "repro/picos/device.py": frozenset({
         "insert_descriptor", "_insert_task", "_retirement_pipeline",
-        "_kick_emitter", "_emit_ready",
+        "release_ready_slot", "_kick_emitter", "_emit_ready",
     }),
     "repro/picos/dependence.py": frozenset({
         "submit", "retire", "has_capacity", "predecessors_for",
@@ -69,6 +69,7 @@ HOT_FUNCTIONS: Dict[str, FrozenSet[str]] = {
         "_blocking_put", "_enter_write", "_advance", "_hand_on",
         "_request", "_pass_grant", "_passed", "_run",
     }),
+    "repro/manager/workfetch.py": frozenset({"_encode", "_route"}),
     "repro/runtime/base.py": frozenset({"wait_for_signals"}),
     "repro/runtime/hw_interface.py": frozenset({"submit_task_hw"}),
     "repro/runtime/nanos_machinery.py": frozenset({"_charge"}),

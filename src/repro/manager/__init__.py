@@ -2,12 +2,11 @@
 
 from repro.manager.manager import ManagerError, PicosManager
 from repro.manager.submission import SubmissionStream
-from repro.manager.workfetch import PacketEncoder, WorkFetchUnit
+from repro.manager.workfetch import WorkFetchUnit
 
 __all__ = [
     "ManagerError",
     "PicosManager",
     "SubmissionStream",
-    "PacketEncoder",
     "WorkFetchUnit",
 ]

@@ -5,8 +5,9 @@ visible to every core's Picos Delegate.  It composes:
 
 * the Submission Handler (Guided Arbiter, Zero Padder, final buffer), whose
   :class:`~repro.manager.submission.SubmissionStream` feeds Picos,
-* the :class:`~repro.manager.workfetch.WorkFetchUnit` (Packet Encoder, RoCC
-  Ready Queue, in-order Work-Fetch Arbiter, per-core ready queues),
+* the :class:`~repro.manager.workfetch.WorkFetchUnit` (RoCC Ready Queue and
+  per-core ready queues, with the Packet Encoder and the in-order
+  Work-Fetch Arbiter as its two daemon loops),
 * a round-robin retirement arbiter merging per-core retirement queues into
   the single Picos retirement interface,
 * a 4-bit debug/error register mirroring the debug interface the paper

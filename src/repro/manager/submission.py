@@ -23,7 +23,9 @@ are full, which is what lets the ISA stay deadlock-free (Section IV-C).
 
 In the Picos++ baseline (Nanos-AXI) a DMA engine writes whole descriptors
 into the same queue instead: :meth:`SubmissionStream.queued` is the room
-read of its transaction, and ``yield Put(stream, packets)`` its write.
+read of its transaction, and ``yield Put(stream, packets)`` its write.  It
+needs a queue that holds a whole descriptor, so
+:class:`~repro.picos.axi.AxiPicosInterface` rejects a shallower one.
 
 :class:`SubmissionStream` evaluates the packet path and Picos's packet
 intake for both producers as one tandem-queue recurrence.
@@ -94,8 +96,8 @@ class SubmissionStream:
     take, lets the rest of that cycle run (:meth:`Engine.cycle_pending`),
     waits ``c`` and inserts, as the inserter would after that cycle's heap
     entries; the only step that can still wait ``c`` that late and touch
-    Picos, a Packet Encoder dequeue when ``c == 1``, commutes with the
-    insert.  ``PicosCosts`` rejects the packet periods that would let the
+    Picos, the Packet Encoder's ready-slot release when ``c == 2``,
+    commutes with the insert.  ``PicosCosts`` rejects the packet periods that would let the
     retirement pipeline or the ready emitter wait one out too.  A run dry
     engine gets the path's last step (:meth:`Engine.on_drain`), so
     deadlocks are reported in the same cycle.

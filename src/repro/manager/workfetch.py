@@ -1,14 +1,19 @@
 """Packet Encoder and Work-Fetch Arbiter of Picos Manager (Figure 5).
 
-Two cooperating pieces move ready-to-run tasks from Picos to the cores:
+Two daemon loops of :class:`WorkFetchUnit` move ready-to-run tasks from
+Picos to the cores:
 
-* the **Packet Encoder** compresses the three 32-bit ready packets Picos
-  emits per task into a single 96-bit ``(Picos ID, SW ID)`` entry stored in
-  the central *RoCC Ready Queue*;
-* the **Work-Fetch Arbiter** serves Ready Task Requests strictly in the
-  chronological order cores issued them: for each request token it pops one
-  entry from the RoCC Ready Queue and deposits it into the requesting core's
-  private ready queue.
+* the **Packet Encoder** (``_encode``) reads the three 32-bit ready packets
+  Picos emits per task, one per cycle, and stores one 96-bit
+  ``(Picos ID, SW ID)`` entry in the central *RoCC Ready Queue*.  Picos's
+  ready queue holds the task as one entry, so the encoder takes it in the
+  cycle it would read the first packet and frees its Picos slot two cycles
+  later, when it would read the last;
+* the **Work-Fetch Arbiter** (``_route``) serves Ready Task Requests
+  strictly in the chronological order cores issued them (Section IV-E.4):
+  for each request token it pops one entry from the RoCC Ready Queue and
+  deposits it into the requesting core's private ready queue.  A later
+  request is never served before an earlier one.
 
 The per-core ready queues hide roughly half of the 8-cycle Picos ready-task
 fetch latency from the application, which then retrieves the 96 bits with
@@ -23,11 +28,10 @@ from repro.common.config import PicosCosts
 from repro.common.errors import ProtocolError
 from repro.common.stats import Stats
 from repro.picos.device import PicosDevice, ReadyTask
-from repro.sim.arbiters import InOrderArbiter
 from repro.sim.engine import Delay, Engine, Get, ProcessGen, Put
 from repro.sim.queues import DecoupledQueue
 
-__all__ = ["PacketEncoder", "WorkFetchUnit"]
+__all__ = ["WorkFetchUnit"]
 
 #: Depth of the central RoCC Ready Queue (96-bit entries).
 _ROCC_READY_DEPTH = 16
@@ -35,42 +39,20 @@ _ROCC_READY_DEPTH = 16
 _CORE_READY_DEPTH = 2
 #: Depth of the work-fetch routing queue (pending Ready Task Requests).
 _ROUTING_DEPTH = 16
-#: Cycles for the encoder to ingest one 32-bit ready packet.
-_ENCODER_CYCLES_PER_PACKET = 1
-
-
-class PacketEncoder:
-    """Compresses 3 x 32-bit ready packets into one 96-bit queue entry."""
-
-    def __init__(self, engine: Engine, device: PicosDevice,
-                 output: DecoupledQueue, name: str = "packet_encoder") -> None:
-        self.engine = engine
-        self.device = device
-        self.output = output
-        self.name = name
-        self.stats = Stats(name)
-        self._process = engine.spawn(self._run(), name=name, daemon=True)
-
-    def _run(self) -> ProcessGen:
-        while True:
-            triple = []
-            for expected_index in range(3):
-                packet = yield Get(self.device.ready_queue)
-                yield Delay(_ENCODER_CYCLES_PER_PACKET)
-                if packet.index != expected_index:
-                    raise ProtocolError(
-                        f"ready packet out of order: expected index "
-                        f"{expected_index}, got {packet.index}"
-                    )
-                triple.append(packet)
-            entry = ReadyTask(picos_id=triple[0].picos_id,
-                              sw_id=triple[0].sw_id)
-            yield Put(self.output, entry)
-            self.stats.incr("ready_entries_encoded")
+#: The encoder reads one 32-bit ready packet per cycle: the second and third
+#: packets of a task, then the cycle spent on the last one.
+_LATER_PACKETS = Delay(2)
+_LAST_PACKET = Delay(1)
+#: Cycles the Work-Fetch Arbiter takes to grant one request.
+_GRANT = Delay(1)
 
 
 class WorkFetchUnit:
-    """Routing queue + in-order arbiter + per-core ready queues."""
+    """Packet Encoder, RoCC Ready Queue, in-order Work-Fetch Arbiter and
+    per-core ready queues."""
+
+    __slots__ = ("engine", "device", "num_cores", "costs", "name", "stats",
+                 "rocc_ready_queue", "routing_queue", "core_ready_queues")
 
     def __init__(self, engine: Engine, device: PicosDevice, num_cores: int,
                  costs: PicosCosts, name: str = "work_fetch") -> None:
@@ -95,12 +77,8 @@ class WorkFetchUnit:
             DecoupledQueue(engine, _CORE_READY_DEPTH, name=f"{name}.core{core}")
             for core in range(num_cores)
         ]
-        self.encoder = PacketEncoder(engine, device, self.rocc_ready_queue,
-                                     name=f"{name}.encoder")
-        self.arbiter = InOrderArbiter(
-            engine, self.routing_queue, self._serve, cycles_per_grant=1,
-            name=f"{name}.inorder",
-        )
+        engine.spawn(self._encode(), name=f"{name}.encoder", daemon=True)
+        engine.spawn(self._route(), name=f"{name}.inorder", daemon=True)
 
     # ------------------------------------------------------------------ #
     # Delegate-facing hook
@@ -121,13 +99,32 @@ class WorkFetchUnit:
         return self.core_ready_queues[core_id]
 
     # ------------------------------------------------------------------ #
-    # In-order service routine
+    # Daemon loops
     # ------------------------------------------------------------------ #
-    def _serve(self, core_id: int) -> ProcessGen:
-        """Satisfy one Ready Task Request (runs inside the arbiter process)."""
-        entry = yield Get(self.rocc_ready_queue)
-        yield Put(self.core_ready_queues[core_id], entry)
-        self.stats.incr("ready_tasks_routed")
+    def _encode(self) -> ProcessGen:
+        """The Packet Encoder: one Picos ready task per RoCC Ready Queue entry."""
+        device = self.device
+        take = Get(device.ready_queue)
+        store = self.rocc_ready_queue
+        while True:
+            entry = yield take
+            yield _LATER_PACKETS
+            device.release_ready_slot()
+            yield _LAST_PACKET
+            yield Put(store, entry)
+
+    def _route(self) -> ProcessGen:
+        """The Work-Fetch Arbiter: one entry per request, in request order."""
+        request = Get(self.routing_queue)
+        take = Get(self.rocc_ready_queue)
+        core_queues = self.core_ready_queues
+        stats = self.stats
+        while True:
+            core_id = yield request
+            yield _GRANT
+            entry = yield take
+            yield Put(core_queues[core_id], entry)
+            stats.incr("ready_tasks_routed")
 
     def _check_core(self, core_id: int) -> None:
         if not 0 <= core_id < self.num_cores:

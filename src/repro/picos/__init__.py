@@ -2,7 +2,7 @@
 
 from repro.picos.axi import AxiPicosInterface
 from repro.picos.dependence import DependenceTracker, TaskGraph, TaskState, TrackedTask
-from repro.picos.device import PicosDevice, ReadyPacket, ReadyTask
+from repro.picos.device import PicosDevice, ReadyTask
 from repro.picos.packets import (
     HEADER_PACKETS,
     MAX_DEPENDENCES,
@@ -25,7 +25,6 @@ __all__ = [
     "TaskState",
     "TrackedTask",
     "PicosDevice",
-    "ReadyPacket",
     "ReadyTask",
     "HEADER_PACKETS",
     "MAX_DEPENDENCES",

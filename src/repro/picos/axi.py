@@ -13,17 +13,19 @@ runtime models is the communication path — which is precisely the variable
 the paper isolates.  Its DMA writes enter the same
 :class:`~repro.manager.submission.SubmissionStream` that the Submission
 Handler of Picos Manager feeds on the RoCC path: the packet intake is one
-model for both producers.
+model for both producers.  The DMA writes whole descriptors, so Picos's
+submission queue must hold one: a shallower queue is rejected.
 """
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from typing import Generator
 
 from repro.common.config import AxiCosts
+from repro.common.errors import ConfigurationError
 from repro.common.stats import Stats
 from repro.manager.submission import SubmissionStream
-from repro.picos.device import PicosDevice, ReadyTask
+from repro.picos.device import PicosDevice
 from repro.picos.packets import (
     PACKETS_PER_DESCRIPTOR,
     TaskDescriptor,
@@ -44,10 +46,16 @@ class AxiPicosInterface:
         self.costs = costs
         self.name = name
         self.stats = Stats(name)
+        depth = device.costs.submission_queue_depth
+        if depth < PACKETS_PER_DESCRIPTOR:
+            raise ConfigurationError(
+                f"the AXI DMA writes whole {PACKETS_PER_DESCRIPTOR}-packet "
+                f"descriptors: PicosCosts.submission_queue_depth must be at "
+                f"least {PACKETS_PER_DESCRIPTOR}, got {depth}"
+            )
         #: Picos's submission queue and packet intake, written by the DMA.
         self.intake = SubmissionStream(engine, device, 0, device.costs,
                                        name=f"{device.name}.submission")
-        self._partial_ready: list = []
         #: CPU-visible staging buffer filled by DMA refills.  Chained
         #: workloads pay one refill per task; parallel ones amortise it.
         self._staging: list = []
@@ -73,10 +81,8 @@ class AxiPicosInterface:
         self.stats.add("axi_submit_cycles", latency)
         yield Delay(latency)
         intake = self.intake
-        # A queue shallower than a descriptor never holds a whole one.
-        depth = intake.depth
-        room = min(PACKETS_PER_DESCRIPTOR, depth)
-        while depth - intake.queued() < room:
+        room = intake.depth - PACKETS_PER_DESCRIPTOR
+        while intake.queued() > room:
             yield from stall_handler()
         # The DMA engine streams all 48 packets into the Picos submission
         # queue; the stream itself proceeds at queue speed.
@@ -96,36 +102,28 @@ class AxiPicosInterface:
         """
         self.stats.incr("axi_ready_polls")
         yield Delay(self.costs.ready_transaction)
+        device = self.device
         if not self._staging:
-            if not self.device.ready_queue.valid:
+            if not device.ready_queue.valid:
                 self.stats.incr("axi_ready_misses")
                 return None
-            # DMA transfer of every complete descriptor currently available.
+            # DMA transfer of every ready task currently available, each
+            # read whole, so its slot in Picos's ready queue frees at once.
             yield Delay(self.costs.dma_refill_cycles)
             self.stats.incr("axi_dma_refills")
             while True:
-                ready = self._assemble_ready()
+                ready = device.ready_queue.try_get()
                 if ready is None:
                     break
+                device.release_ready_slot()
                 self._staging.append(ready)
             if not self._staging:
                 self.stats.incr("axi_ready_misses")
                 return None
         ready = self._staging.pop(0)
-        self.device.graph.mark_running(ready.picos_id)
+        device.graph.mark_running(ready.picos_id)
         self.stats.incr("axi_ready_hits")
         return ready
-
-    def _assemble_ready(self) -> Optional[ReadyTask]:
-        # Drain whole 3-packet triples from the device ready queue.
-        while len(self._partial_ready) < 3:
-            packet = self.device.ready_queue.try_get()
-            if packet is None:
-                return None
-            self._partial_ready.append(packet)
-        first, _second, _third = self._partial_ready[:3]
-        del self._partial_ready[:3]
-        return ReadyTask(picos_id=first.picos_id, sw_id=first.sw_id)
 
     # ------------------------------------------------------------------ #
     # Retirement

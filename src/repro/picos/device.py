@@ -3,8 +3,7 @@
 Picos exposes three queues to the outside world (Section IV-D):
 
 * a **submission queue** receiving 32-bit task-descriptor packets,
-* a **ready queue** through which it announces ready-to-run tasks as three
-  32-bit packets each,
+* a **ready queue** through which it announces ready-to-run tasks,
 * a **retirement queue** receiving the Picos ID of tasks that finished.
 
 Internally the device reassembles 48-packet descriptors, performs hardware
@@ -21,6 +20,11 @@ stall costs no host time however many cycles it lasts.  On wake-up the
 inserter resumes on the grid of a re-check every ``retire_cycles`` cycles
 from the moment it stalled, so tasks are accepted in exactly the cycles a
 polling inserter would accept them.
+
+The ready queue holds one :class:`ReadyTask` per task in place of the
+three 32-bit packets Picos emits, whose words nothing reads.  A consumer
+frees the task's slot with :meth:`PicosDevice.release_ready_slot` in the
+cycle it would have read the last packet.
 
 The device has no packet intake of its own: both producers, Picos
 Manager's Submission Handler and the Picos++/AXI DMA, write into
@@ -44,16 +48,7 @@ from repro.picos.packets import TaskDescriptor, decode_descriptor
 from repro.sim.engine import Delay, Engine, Event, Get, ProcessGen, Wait
 from repro.sim.queues import DecoupledQueue
 
-__all__ = ["ReadyPacket", "ReadyTask", "PicosDevice"]
-
-
-class ReadyPacket(namedtuple("ReadyPacket", "word index picos_id sw_id")):
-    """One of the three 32-bit packets Picos emits per ready task.
-
-    ``index`` is 0, 1 or 2 within the ready-task triple.
-    """
-
-    __slots__ = ()
+__all__ = ["ReadyTask", "PicosDevice"]
 
 
 class ReadyTask(namedtuple("ReadyTask", "picos_id sw_id")):
@@ -67,7 +62,8 @@ class PicosDevice:
 
     __slots__ = ("engine", "costs", "name", "stats", "graph", "_sw_ids",
                  "ready_queue", "retirement_queue", "_ready_backlog",
-                 "_emitter_busy", "_slot_freed", "_retirement_process")
+                 "_ready_slots", "_emitter_busy", "_slot_freed",
+                 "_retirement_process")
 
     def __init__(self, engine: Engine, costs: PicosCosts,
                  name: str = "picos") -> None:
@@ -78,20 +74,21 @@ class PicosDevice:
         self.graph = TaskGraph(capacity=costs.max_in_flight_tasks)
         #: sw_id keyed by the Picos-assigned task id, for ready announcements.
         self._sw_ids: Dict[int, int] = {}
-        self.ready_queue: DecoupledQueue[ReadyPacket] = DecoupledQueue(
-            engine, costs.ready_queue_depth * 3, name=f"{name}.ready"
+        self.ready_queue: DecoupledQueue[ReadyTask] = DecoupledQueue(
+            engine, costs.ready_queue_depth, name=f"{name}.ready"
         )
         self.retirement_queue: DecoupledQueue[int] = DecoupledQueue(
             engine, costs.retirement_queue_depth, name=f"{name}.retirement"
         )
-        #: Tasks whose predecessors are satisfied but whose three ready
-        #: packets have not yet been pushed into the ready queue.
+        #: Tasks whose predecessors are satisfied but that have not yet
+        #: been pushed into the ready queue.
         self._ready_backlog: Deque[ReadyTask] = deque()
+        #: Ready-queue slots held by a task: queued, or taken by a consumer
+        #: that has not yet read its last packet.
+        self._ready_slots = 0
         self._emitter_busy = False
         #: The event a stalled inserter waits on; set only while it waits.
         self._slot_freed: Optional[Event] = None
-        # Whenever the consumer drains ready packets, try to emit more.
-        self.ready_queue.subscribe_dequeue(self._kick_emitter)
         self._retirement_process = engine.spawn(
             self._retirement_pipeline(), name=f"{name}.retire", daemon=True
         )
@@ -186,11 +183,14 @@ class PicosDevice:
         self.stats.incr("tasks_made_ready")
         self._kick_emitter()
 
+    def release_ready_slot(self) -> None:
+        """Free the slot of a ready task whose last packet was just read."""
+        self._ready_slots -= 1
+        self._kick_emitter()
+
     def _kick_emitter(self) -> None:
-        if self._emitter_busy or not self._ready_backlog:
-            return
-        # Each ready task needs room for its three packets.
-        if self.ready_queue.capacity - len(self.ready_queue) < 3:
+        if (self._emitter_busy or not self._ready_backlog
+                or self._ready_slots >= self.costs.ready_queue_depth):
             return
         self._emitter_busy = True
         self.engine.schedule_callback(self.costs.ready_emit_cycles,
@@ -198,26 +198,11 @@ class PicosDevice:
 
     def _emit_ready(self) -> None:
         self._emitter_busy = False
-        if not self._ready_backlog:
+        if (not self._ready_backlog
+                or self._ready_slots >= self.costs.ready_queue_depth):
+            # With no room, the next release_ready_slot re-kicks it.
             return
-        if self.ready_queue.capacity - len(self.ready_queue) < 3:
-            # No room: the permanent dequeue observer re-kicks the emitter
-            # once the consumer drains packets.
-            return
-        ready = self._ready_backlog.popleft()
-        words = self._ready_words(ready)
-        for index, word in enumerate(words):
-            self.ready_queue.try_put(
-                ReadyPacket(word, index, ready.picos_id, ready.sw_id)
-            )
+        self._ready_slots += 1
+        self.ready_queue.try_put(self._ready_backlog.popleft())
         self.stats.incr("ready_tasks_emitted")
         self._kick_emitter()
-
-    @staticmethod
-    def _ready_words(ready: ReadyTask) -> List[int]:
-        mask = (1 << 32) - 1
-        return [
-            ready.picos_id & mask,
-            (ready.sw_id >> 32) & mask,
-            ready.sw_id & mask,
-        ]

@@ -21,11 +21,9 @@ from repro.common.errors import RuntimeModelError
 from repro.common.stats import Stats
 from repro.cpu.soc import SoC
 from repro.runtime.task import TaskProgram
-from repro.sim.engine import Event, ProcessGen, Wait
-from repro.sim.queues import DecoupledQueue
+from repro.sim.engine import ProcessGen, Wait
 
-__all__ = ["RuntimeResult", "Runtime", "wait_for_signals",
-           "wait_for_queue_or_event"]
+__all__ = ["RuntimeResult", "Runtime", "wait_for_signals"]
 
 
 @dataclass
@@ -111,6 +109,10 @@ class Runtime(abc.ABC):
         if elapsed <= 0:
             # Guard against empty programs finishing at cycle zero.
             elapsed = 1
+        # The program ends with its threads, but retirements they sent may
+        # still be on their way through Picos: let them land before the
+        # statistics are read.
+        soc.engine.run()
         stats = soc.stats_report()
         return RuntimeResult(
             runtime=self.name,
@@ -224,8 +226,3 @@ def wait_for_signals(soc: SoC, queues=(), counters=(), events=(),
         for counter in counters:
             counter.unsubscribe(on_signal)
 
-
-def wait_for_queue_or_event(soc: SoC, queue: DecoupledQueue,
-                            event: Event) -> ProcessGen:
-    """Sleep until ``queue`` has an item or ``event`` fires."""
-    yield from wait_for_signals(soc, queues=(queue,), events=(event,))

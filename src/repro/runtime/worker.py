@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Generator, Optional
 
 from repro.cpu.soc import SoC
-from repro.runtime.base import wait_for_queue_or_event
+from repro.runtime.base import wait_for_signals
 from repro.runtime.hw_interface import (
     FetchedTask,
     fetch_ready_task,
@@ -75,7 +75,8 @@ class HwWorkerContext:
     def wait_for_work(self) -> Generator:
         """Sleep until the private ready queue fills or the program ends."""
         queue = self.soc.manager.core_ready_queue(self.core_id)
-        yield from wait_for_queue_or_event(self.soc, queue, self.done)
+        yield from wait_for_signals(self.soc, queues=(queue,),
+                                    events=(self.done,))
 
     def acquire_task(self, help_while_stalled=None) -> Generator:
         """Obtain one ready task, or ``None`` once the program has ended.

@@ -1,6 +1,6 @@
 """Discrete-event simulation substrate (engine, queues, arbiters)."""
 
-from repro.sim.arbiters import InOrderArbiter, RoundRobinArbiter
+from repro.sim.arbiters import RoundRobinArbiter
 from repro.sim.engine import (
     Charge,
     Command,
@@ -32,6 +32,5 @@ __all__ = [
     "Wait",
     "DecoupledQueue",
     "ProtocolCrossingQueue",
-    "InOrderArbiter",
     "RoundRobinArbiter",
 ]

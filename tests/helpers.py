@@ -1,12 +1,15 @@
 """Workload factories, sweep and telemetry helpers, a reference MESI
 directory, a polling Picos device, the per-packet submission path (a Picos
 device with its own packet intake, a Submission Handler and an AXI DMA that
-feed it) and a reference engine loop shared by the test suite."""
+feed it), the per-packet ready path (a Picos device that emits three ready
+packets per task, a Packet Encoder and an AXI DMA that read them) and a
+reference engine loop shared by the test suite."""
 
 from __future__ import annotations
 
 import dataclasses
 import heapq
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -18,6 +21,7 @@ from repro.harness.executor import ProcessPoolBackend, SerialBackend
 from repro.harness.runner import CaseUnit, run_units
 from repro.harness.telemetry import TelemetrySink
 from repro.manager.submission import check_announcement
+from repro.manager.workfetch import WorkFetchUnit
 from repro.memory.mesi import AccessType, LineState
 from repro.picos.axi import AxiPicosInterface
 from repro.picos.dependence import TaskGraph
@@ -534,11 +538,133 @@ class PerPacketAxiInterface(AxiPicosInterface):
         self.stats.add("axi_submit_cycles", latency)
         yield Delay(latency)
         queue = self.device.submission_queue
-        room = min(PACKETS_PER_DESCRIPTOR, queue.capacity)
-        while queue.capacity - len(queue) < room:
+        while queue.capacity - len(queue) < PACKETS_PER_DESCRIPTOR:
             yield from stall_handler()
         for packet in encode_descriptor(descriptor):
             yield Put(queue, packet)
+
+
+# ---------------------------------------------------------------------- #
+# Per-packet ready path
+# ---------------------------------------------------------------------- #
+class ReadyPacket(namedtuple("ReadyPacket", "word index picos_id sw_id")):
+    """One of the three 32-bit packets Picos emits per ready task.
+
+    ``index`` is 0, 1 or 2 within the ready-task triple.
+    """
+
+    __slots__ = ()
+
+
+class PerPacketReadyDevice(PicosDevice):
+    """``PicosDevice`` with the ready queue that one ``ReadyTask`` entry
+    per task replaced: it holds three :class:`ReadyPacket` per task, in
+    ``3 * ready_queue_depth`` packets, and the emitter waits for room for
+    three, re-kicked after every dequeue.  :class:`PerPacketWorkFetchUnit`
+    and :class:`PerPacketReadyAxiInterface` read it one packet at a time.
+    Differential tests drive both with the same program and require
+    identical accept cycles, results and stats.
+    """
+
+    def __init__(self, engine, costs, name="picos"):
+        super().__init__(engine, costs, name)
+        self.ready_queue = DecoupledQueue(
+            engine, costs.ready_queue_depth * 3, name=f"{name}.ready")
+        self.ready_queue.subscribe_dequeue(self._kick_emitter)
+
+    def release_ready_slot(self) -> None:
+        raise AssertionError("the per-packet ready queue frees its own room")
+
+    def _kick_emitter(self) -> None:
+        if self._emitter_busy or not self._ready_backlog:
+            return
+        # Each ready task needs room for its three packets.
+        if self.ready_queue.capacity - len(self.ready_queue) < 3:
+            return
+        self._emitter_busy = True
+        self.engine.schedule_callback(self.costs.ready_emit_cycles,
+                                      self._emit_ready)
+
+    def _emit_ready(self) -> None:
+        self._emitter_busy = False
+        if not self._ready_backlog:
+            return
+        if self.ready_queue.capacity - len(self.ready_queue) < 3:
+            return
+        ready = self._ready_backlog.popleft()
+        mask = (1 << 32) - 1
+        words = (ready.picos_id & mask, (ready.sw_id >> 32) & mask,
+                 ready.sw_id & mask)
+        for index, word in enumerate(words):
+            self.ready_queue.try_put(
+                ReadyPacket(word, index, ready.picos_id, ready.sw_id))
+        self.stats.incr("ready_tasks_emitted")
+        self._kick_emitter()
+
+
+class PerPacketWorkFetchUnit(WorkFetchUnit):
+    """``WorkFetchUnit`` over a :class:`PerPacketReadyDevice`, with the
+    loop of the ``PacketEncoder`` that ``_encode`` replaced: it reads one
+    ready packet per cycle and checks its index.  ``_route`` is the loop
+    of the generic ``InOrderArbiter`` it replaced, with the serve routine
+    inlined, so the reference shares it."""
+
+    def _encode(self) -> ProcessGen:
+        while True:
+            triple = []
+            for expected_index in range(3):
+                packet = yield Get(self.device.ready_queue)
+                yield Delay(1)
+                if packet.index != expected_index:
+                    raise ProtocolError(
+                        f"ready packet out of order: expected index "
+                        f"{expected_index}, got {packet.index}")
+                triple.append(packet)
+            yield Put(self.rocc_ready_queue,
+                      ReadyTask(triple[0].picos_id, triple[0].sw_id))
+
+
+
+class PerPacketReadyAxiInterface(AxiPicosInterface):
+    """``AxiPicosInterface`` whose DMA refill reads a
+    :class:`PerPacketReadyDevice`'s ready queue packet by packet and
+    reassembles whole triples, keeping a partial one for the next refill."""
+
+    def __init__(self, engine, device, costs, name="axi_picos"):
+        super().__init__(engine, device, costs, name)
+        self._partial_ready = []
+
+    def fetch_ready_task(self):
+        self.stats.incr("axi_ready_polls")
+        yield Delay(self.costs.ready_transaction)
+        if not self._staging:
+            if not self.device.ready_queue.valid:
+                self.stats.incr("axi_ready_misses")
+                return None
+            yield Delay(self.costs.dma_refill_cycles)
+            self.stats.incr("axi_dma_refills")
+            while True:
+                ready = self._assemble_ready()
+                if ready is None:
+                    break
+                self._staging.append(ready)
+            if not self._staging:
+                self.stats.incr("axi_ready_misses")
+                return None
+        ready = self._staging.pop(0)
+        self.device.graph.mark_running(ready.picos_id)
+        self.stats.incr("axi_ready_hits")
+        return ready
+
+    def _assemble_ready(self) -> Optional[ReadyTask]:
+        while len(self._partial_ready) < 3:
+            packet = self.device.ready_queue.try_get()
+            if packet is None:
+                return None
+            self._partial_ready.append(packet)
+        first = self._partial_ready[0]
+        del self._partial_ready[:3]
+        return ReadyTask(first.picos_id, first.sw_id)
 
 
 # ---------------------------------------------------------------------- #

@@ -5,8 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.common.errors import ProtocolError
-from repro.sim.arbiters import InOrderArbiter, RoundRobinArbiter
-from repro.sim.engine import Delay, Engine, Get, Put, Wait
+from repro.sim.arbiters import RoundRobinArbiter
+from repro.sim.engine import Delay, Engine, Wait
 from repro.sim.queues import DecoupledQueue
 from tests.helpers import GuidedArbiter
 
@@ -66,58 +66,6 @@ class TestRoundRobinArbiter:
         with pytest.raises(ProtocolError):
             RoundRobinArbiter(engine, [DecoupledQueue(engine, 4)], output,
                               cycles_per_grant=0)
-
-
-class TestInOrderArbiter:
-    def test_serves_requests_in_arrival_order(self):
-        engine = Engine()
-        requests = DecoupledQueue(engine, 8)
-        supply = DecoupledQueue(engine, 8)
-        served = []
-
-        def serve(token):
-            item = yield Get(supply)
-            served.append((token, item))
-
-        InOrderArbiter(engine, requests, serve)
-        # Requests arrive before any supply exists.
-        requests.try_put("core2")
-        requests.try_put("core0")
-        requests.try_put("core1")
-
-        def producer():
-            yield Delay(10)
-            for value in ("x", "y", "z"):
-                yield Put(supply, value)
-
-        engine.spawn(producer())
-        engine.run()
-        assert served == [("core2", "x"), ("core0", "y"), ("core1", "z")]
-
-    def test_later_request_never_overtakes_earlier_one(self):
-        engine = Engine()
-        requests = DecoupledQueue(engine, 8)
-        supply = DecoupledQueue(engine, 8)
-        completion_times = {}
-
-        def serve(token):
-            item = yield Get(supply)
-            completion_times[token] = engine.now
-            del item
-
-        InOrderArbiter(engine, requests, serve)
-        requests.try_put("first")
-        requests.try_put("second")
-        supply.try_put("only-later")
-
-        def late_producer():
-            yield Delay(50)
-            yield Put(supply, "second-item")
-
-        engine.spawn(late_producer())
-        engine.run()
-        assert completion_times["first"] < completion_times["second"]
-        assert completion_times["second"] >= 50
 
 
 class TestGuidedArbiter:

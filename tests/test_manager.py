@@ -10,14 +10,15 @@ from repro.common.config import PicosCosts
 from repro.common.errors import DeadlockError, ProtocolError
 from repro.manager.manager import ManagerError, PicosManager
 from repro.manager.submission import SubmissionStream, check_announcement
-from repro.picos.device import PicosDevice
+from repro.manager.workfetch import WorkFetchUnit
+from repro.picos.device import PicosDevice, ReadyTask
 from repro.picos.packets import (
     Direction,
     TaskDependence,
     TaskDescriptor,
     encode_nonzero_packets,
 )
-from repro.sim.engine import Delay, Engine, Wait
+from repro.sim.engine import Delay, Engine, Put, Wait
 from tests.helpers import (AcceptLog, PerPacketPicosDevice,
                            PerPacketSubmissionHandler)
 
@@ -367,8 +368,52 @@ class TestWorkFetchPath:
         engine, device, manager = build()
         self._submit_ready_task(engine, manager)
         run_for(engine, 1_000)
-        assert manager.work_fetch.encoder.stats.counter(
-            "ready_entries_encoded") == 1
+        # One RoCC Ready Queue entry for the task, whose Picos slot is free.
+        assert manager.work_fetch.rocc_ready_queue.total_enqueued == 1
+        assert device.ready_queue.total_dequeued == 1
+        assert device._ready_slots == 0
+
+    def test_serves_requests_in_arrival_order(self):
+        engine = Engine()
+        costs = PicosCosts()
+        work_fetch = WorkFetchUnit(engine, PicosDevice(engine, costs), 3,
+                                   costs)
+        # Requests arrive before any ready entry exists.
+        for core_id in (2, 0, 1):
+            assert work_fetch.request_ready_task(core_id)
+
+        def producer():
+            yield Delay(10)
+            for sw_id in (10, 11, 12):
+                yield Put(work_fetch.rocc_ready_queue, ReadyTask(sw_id, sw_id))
+
+        engine.spawn(producer())
+        engine.run()
+        served = [[entry.sw_id for entry in queue.snapshot()]
+                  for queue in work_fetch.core_ready_queues]
+        assert served == [[11], [12], [10]]
+
+    def test_later_request_never_overtakes_earlier_one(self):
+        engine = Engine()
+        costs = PicosCosts()
+        work_fetch = WorkFetchUnit(engine, PicosDevice(engine, costs), 2,
+                                   costs)
+        served = {}
+        for core_id, queue in enumerate(work_fetch.core_ready_queues):
+            queue.subscribe_enqueue(
+                lambda core_id=core_id: served.setdefault(core_id, engine.now))
+        assert work_fetch.request_ready_task(0)
+        assert work_fetch.request_ready_task(1)
+        work_fetch.rocc_ready_queue.try_put(ReadyTask(1, 1))
+
+        def late_producer():
+            yield Delay(50)
+            yield Put(work_fetch.rocc_ready_queue, ReadyTask(2, 2))
+
+        engine.spawn(late_producer())
+        engine.run()
+        assert served[0] < served[1]
+        assert served[1] >= 50
 
     def test_notify_task_started_marks_graph(self):
         engine, device, manager = build()

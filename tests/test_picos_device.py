@@ -11,7 +11,7 @@ from repro.common.config import PicosCosts, SimConfig
 from repro.common.errors import DeadlockError
 from repro.manager.submission import SubmissionStream
 from repro.picos.dependence import TaskGraph
-from repro.picos.device import PicosDevice, ReadyTask
+from repro.picos.device import PicosDevice
 from repro.picos.packets import Direction, TaskDependence, TaskDescriptor, \
     encode_descriptor
 from repro.runtime.nanos import NanosAXIRuntime
@@ -44,13 +44,13 @@ def submit(engine, device, *descriptors):
 
 
 def drain_ready(device):
-    """Pop every complete ready-task triple currently in the ready queue."""
-    triples = []
-    while len(device.ready_queue) >= 3:
-        packets = [device.ready_queue.try_get() for _ in range(3)]
-        assert [p.index for p in packets] == [0, 1, 2]
-        triples.append(ReadyTask(packets[0].picos_id, packets[0].sw_id))
-    return triples
+    """Pop every ready task currently in the ready queue, freeing each
+    one's slot as a consumer that read it whole does."""
+    ready = []
+    while device.ready_queue.valid:
+        ready.append(device.ready_queue.try_get())
+        device.release_ready_slot()
+    return ready
 
 
 def descriptor_with(sw_id, *deps):
@@ -125,9 +125,7 @@ class TestSubmissionPipeline:
 
         def consumer():
             while len(consumed) < 10:
-                if len(device.ready_queue) >= 3:
-                    packets = [device.ready_queue.try_get() for _ in range(3)]
-                    consumed.append(packets[0].sw_id)
+                consumed.extend(ready.sw_id for ready in drain_ready(device))
                 yield Delay(5)
 
         process = engine.spawn(consumer())
@@ -157,11 +155,11 @@ class TestCapacityBackpressure:
 
     def test_ready_queue_backpressure_defers_emission(self):
         engine = Engine()
-        # Tiny ready queue: only one task's packets fit at a time.
+        # Tiny ready queue: only one task fits at a time.
         device = make_device(engine, ready_queue_depth=1)
         submit(engine, device, *(descriptor_with(index) for index in range(4)))
         engine.run(until=20_000)
-        assert len(device.ready_queue) == 3
+        assert len(device.ready_queue) == 1
         assert len(device._ready_backlog) >= 1
         drained = drain_ready(device)
         engine.run(until=40_000)
@@ -169,6 +167,22 @@ class TestCapacityBackpressure:
         engine.run(until=60_000)
         drained += drain_ready(device)
         assert len(drained) >= 3
+
+    def test_taken_task_holds_its_slot_until_released(self):
+        # The consumer frees a slot when it has read the task's last
+        # packet, which may be cycles after it took the entry.
+        engine = Engine()
+        device = make_device(engine, ready_queue_depth=1)
+        submit(engine, device, descriptor_with(0), descriptor_with(1))
+        engine.run(until=2_000)
+        first = device.ready_queue.try_get()
+        engine.run(until=4_000)
+        assert not device.ready_queue.valid
+        assert len(device._ready_backlog) == 1
+        device.release_ready_slot()
+        engine.run(until=engine.now + device.costs.ready_emit_cycles)
+        assert [first.sw_id] + [ready.sw_id for ready in drain_ready(device)] \
+            == [0, 1]
 
 
 def count_capacity_checks(device_class, config, program, workers):

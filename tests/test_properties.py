@@ -322,10 +322,11 @@ from unittest import mock  # noqa: E402
 
 from repro import registry  # noqa: E402
 from repro.common.config import SimConfig  # noqa: E402
-from repro.common.errors import SimulationError  # noqa: E402
+from repro.common.errors import ConfigurationError, SimulationError  # noqa: E402
 from repro.common.config import PicosCosts  # noqa: E402
 from repro.manager.manager import PicosManager  # noqa: E402
 from repro.manager.submission import SubmissionStream  # noqa: E402
+from repro.manager.workfetch import WorkFetchUnit  # noqa: E402
 from repro.picos.packets import encode_nonzero_packets  # noqa: E402
 from repro.sim.engine import Delay  # noqa: E402
 from repro.picos.axi import AxiPicosInterface  # noqa: E402
@@ -335,7 +336,10 @@ from tests.helpers import (  # noqa: E402
     AcceptLog,
     PerPacketAxiInterface,
     PerPacketPicosDevice,
+    PerPacketReadyAxiInterface,
+    PerPacketReadyDevice,
     PerPacketSubmissionHandler,
+    PerPacketWorkFetchUnit,
     PollingPicosDevice,
     picos_config,
 )
@@ -349,10 +353,11 @@ PER_PACKET = {"device_class": PerPacketPicosDevice,
 
 def _run_logged(runtime_name, config, program, workers,
                 device_class=PicosDevice, handler_class=SubmissionStream,
-                axi_class=AxiPicosInterface, handlers=None):
+                axi_class=AxiPicosInterface, work_fetch_class=WorkFetchUnit,
+                handlers=None):
     """Run ``program`` on an SoC whose Picos is ``device_class``, whose
-    Picos Manager forwards submissions through ``handler_class`` and whose
-    AXI path is ``axi_class``.
+    Picos Manager forwards submissions through ``handler_class`` and ready
+    tasks through ``work_fetch_class``, and whose AXI path is ``axi_class``.
 
     Returns the accept log (with retirements) and the ``RuntimeResult``,
     or the failure as ``(exception class name, message)``: both variants
@@ -376,7 +381,9 @@ def _run_logged(runtime_name, config, program, workers,
         with mock.patch("repro.cpu.soc.PicosDevice", Logged), \
                 mock.patch("repro.cpu.soc.AxiPicosInterface", axi_class), \
                 mock.patch("repro.manager.submission.SubmissionStream",
-                           Recorded):
+                           Recorded), \
+                mock.patch("repro.manager.workfetch.WorkFetchUnit",
+                           work_fetch_class):
             outcome = runtime.run(program, num_workers=workers)
     except SimulationError as exc:
         outcome = (type(exc).__name__, str(exc))
@@ -732,8 +739,9 @@ from repro.common.config import AxiCosts  # noqa: E402
 
 @st.composite
 def axi_runs(draw):
-    """A program for Nanos-AXI on a shrunken station, a queue of any depth
-    up to 64 and AXI transactions of a few cycles, zero included."""
+    """A program for Nanos-AXI on a shrunken station, a queue deep enough
+    for a descriptor (48 to 64 packets) and AXI transactions of a few
+    cycles, zero included."""
     num_tasks = draw(st.integers(min_value=1, max_value=24))
     tasks = []
     for index in range(num_tasks):
@@ -753,7 +761,7 @@ def axi_runs(draw):
     config = picos_config(
         SimConfig(max_cycles=2_000_000),
         submission_packet_cycles=cycles,
-        submission_queue_depth=draw(st.integers(1, 64)),
+        submission_queue_depth=draw(st.integers(48, 64)),
         max_in_flight_tasks=draw(st.integers(1, 4)),
         retire_cycles=_other_than(draw, cycles, 0, 16),
     )
@@ -833,6 +841,108 @@ def test_dma_writes_match_per_packet_queue():
 
     check()
     assert reads["queued"] > 0 and reads["take"] > 0, reads
+
+
+@pytest.mark.parametrize("axi_class",
+                         [AxiPicosInterface, PerPacketAxiInterface])
+def test_dma_rejects_a_queue_shallower_than_a_descriptor(axi_class):
+    # The DMA writes whole descriptors: a shallower queue would block it
+    # mid-descriptor on a full station, with no thread left to retire.
+    engine = Engine()
+    for depth in range(1, 48):
+        costs = PicosCosts(submission_queue_depth=depth)
+        with pytest.raises(ConfigurationError, match=(
+                f"submission_queue_depth must be at least 48, got {depth}$")):
+            axi_class(engine, PerPacketPicosDevice(engine, costs), AxiCosts())
+    costs = PicosCosts(submission_queue_depth=48)
+    assert axi_class(engine, PerPacketPicosDevice(engine, costs),
+                     AxiCosts()).intake.depth == 48
+
+
+# --------------------------------------------------------------------- #
+# One ready entry per task against the per-packet ready path
+# --------------------------------------------------------------------- #
+from repro.runtime.task import in_dep, out_dep  # noqa: E402
+
+#: ``_run_logged`` arguments for the per-packet ready path.
+PER_PACKET_READY = {"device_class": PerPacketReadyDevice,
+                    "work_fetch_class": PerPacketWorkFetchUnit,
+                    "axi_class": PerPacketReadyAxiInterface}
+
+
+def _fan_out(producer, payloads):
+    """A producer task of ``producer`` cycles and one reader of it per
+    entry of ``payloads``."""
+    source = 0x9000_0000
+    return TaskProgram(name="fan-out", tasks=[
+        Task(index=0, payload_cycles=producer, dependences=(out_dep(source),)),
+        *(Task(index=index, payload_cycles=payload,
+               dependences=(in_dep(source),))
+          for index, payload in enumerate(payloads, start=1))])
+
+
+@st.composite
+def ready_runs(draw):
+    """A fan-out or a random DAG on a ready queue of one to three tasks,
+    with short ready emissions and packet periods."""
+    if draw(st.booleans()):
+        program = _fan_out(draw(st.integers(0, 20_000)),
+                           draw(st.lists(st.integers(0, 3000), min_size=1,
+                                         max_size=30)))
+    else:
+        tasks = []
+        for index in range(draw(st.integers(min_value=1, max_value=24))):
+            accesses = draw(st.dictionaries(st.integers(0, 3), directions,
+                                            max_size=3))
+            tasks.append(Task(
+                index=index,
+                payload_cycles=draw(st.integers(0, 3000)),
+                dependences=tuple(TaskDependence(0x9000_0000 + 64 * slot, how)
+                                  for slot, how in sorted(accesses.items())),
+            ))
+        program = TaskProgram(name="dag", tasks=tasks)
+    cycles = draw(st.integers(0, 3))
+    config = picos_config(
+        SimConfig(max_cycles=2_000_000),
+        submission_packet_cycles=cycles,
+        ready_queue_depth=draw(st.integers(1, 3)),
+        ready_emit_cycles=_other_than(draw, cycles, 0, 5),
+    )
+    return config, program, draw(st.integers(1, 8))
+
+
+#: A 20,000-cycle producer and 30 readers of 300 cycles on eight Phentos
+#: workers, with a one-task ready queue: freeing the slot when the encoder
+#: takes the task, not when it reads the last packet, ends 4 cycles early.
+_SLOT_TIMING_EXAMPLE = (
+    picos_config(SimConfig(max_cycles=2_000_000), ready_emit_cycles=2,
+                 ready_queue_depth=1),
+    _fan_out(20_000, [300] * 30), 8)
+
+
+def test_ready_slot_frees_with_the_last_packet():
+    config, program, workers = _SLOT_TIMING_EXAMPLE
+    result = registry.runtime("phentos").cls(config).run(
+        program, num_workers=workers)
+    assert result.elapsed_cycles == 24_324
+
+
+@settings(max_examples=60, deadline=None)
+@given(ready_runs())
+@example(_SLOT_TIMING_EXAMPLE)
+def test_ready_path_matches_per_packet_reference(run):
+    config, program, workers = run
+    for runtime_name in ("phentos", "nanos-rv", "nanos-axi"):
+        packet_log, per_packet = _run_logged(
+            runtime_name, config, program, workers, **PER_PACKET_READY)
+        entry_log, entry = _run_logged(runtime_name, config, program,
+                                       workers)
+        assert entry_log == packet_log, runtime_name
+        assert entry == per_packet, runtime_name
+        if isinstance(per_packet, RuntimeResult):
+            # Same values, and the same first-touch order the reports keep.
+            assert (list(entry.stats.items())
+                    == list(per_packet.stats.items())), runtime_name
 
 
 # --------------------------------------------------------------------- #

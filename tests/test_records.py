@@ -1,8 +1,9 @@
 """The per-event value records: checks, immutability, equality, pickling.
 
 ``RoccCommand``, ``RoccResponse``, ``TaskDependence``, ``TaskDescriptor``,
-``ReadyPacket``, ``ReadyTask`` and ``FetchedTask`` are built once per
-instruction, dependence or ready task, so they are cheap immutable tuples.
+``ReadyTask`` and ``FetchedTask`` are built once per instruction,
+dependence or ready task, so they are cheap immutable tuples; so is the
+per-packet reference's ``ReadyPacket``, built three times per ready task.
 These tests pin what they promise whatever they are built from.
 """
 
@@ -16,9 +17,10 @@ import pytest
 from repro.common.errors import PicosError, ProtocolError
 from repro.cpu.rocc import FAILURE_FLAG, RoccCommand, RoccResponse, \
     TaskSchedulingFunct
-from repro.picos.device import ReadyPacket, ReadyTask
+from repro.picos.device import ReadyTask
 from repro.picos.packets import Direction, TaskDependence, TaskDescriptor
 from repro.runtime.hw_interface import FetchedTask
+from tests.helpers import ReadyPacket
 
 SUBMIT = TaskSchedulingFunct.SUBMIT_THREE_PACKETS
 DEP = TaskDependence(0x40, Direction.IN)

@@ -21,6 +21,7 @@ from tests.helpers import (
     make_chain_program,
     make_fork_join_program,
     make_independent_program,
+    picos_config,
 )
 
 ALL_PARALLEL_RUNTIMES = [NanosSWRuntime, NanosRVRuntime, NanosAXIRuntime,
@@ -145,6 +146,23 @@ class TestAllParallelRuntimes:
         result = runtime_cls(four_core_config).run(program, num_workers=1)
         assert result.num_cores == 1
         assert result.elapsed_cycles > program.total_payload_cycles
+
+
+@pytest.mark.parametrize("runtime_cls", [NanosRVRuntime, NanosAXIRuntime,
+                                         PhentosRuntime])
+@pytest.mark.parametrize("num_tasks", [1, 2])
+def test_every_retirement_is_counted(runtime_cls, num_tasks):
+    # On one worker the last retirement is still in Picos's 50-cycle
+    # retirement pipeline when the threads end; the report counts it, and
+    # the elapsed time still ends with the threads.
+    program = make_independent_program(num_tasks=num_tasks, payload=100)
+    config = picos_config(SimConfig(max_cycles=2_000_000), retire_cycles=50)
+    runtime = runtime_cls(config)
+    result = runtime.run(program, num_workers=1)
+    assert result.stats["picos.tasks_retired"] == num_tasks
+    soc = runtime.build_soc(1)
+    runtime._execute(soc, program, 1)
+    assert result.elapsed_cycles == soc.now
 
 
 @pytest.mark.parametrize("runtime_cls", [PhentosRuntime, NanosRVRuntime])
